@@ -118,10 +118,6 @@ class ExpSum:
             out = out + c * np.exp(lam * z)
         return complex(out) if out.ndim == 0 else out
 
-    @property
-    def coefficient_l1(self):
-        return float(sum(abs(c) for c, _ in self.terms))
-
     def strip_sup_bound(self):
         """Triangle-inequality bound for sup over the closed standard strip:
         sum |c_k| e^{(pi/2)|Im lam_k|} (finite for the strip family)."""
@@ -152,10 +148,6 @@ def discretize_measure(density, R, n) -> AtomicMeasure:
             w = _gauss_cell(density, lo, hi, 48)
         atoms.append((j * R / n, complex(w)))
     return AtomicMeasure(tuple(atoms), R)
-
-
-def exp_sum_eval(s: ExpSum, z):
-    return s(z)
 
 
 def sup_error_on_strip(s: ExpSum, target, sample_points):

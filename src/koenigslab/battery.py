@@ -186,7 +186,6 @@ def comb_domain():
         on_value=1.0,
         off_evaluator=parse_expression("0"),
         off_expr_source="0",
-        off_bound=0.0,
         off_limsup_at_carrier=0.0,
         off_liminf_at_carrier=0.0,
     )
@@ -212,7 +211,6 @@ def oscillation_cantor_domain():
         on_value=1.0,
         off_evaluator=ev,
         off_expr_source=None,
-        off_bound=None,
         off_limsup_at_carrier=1.0,
         off_liminf_at_carrier=-1.0,
     )

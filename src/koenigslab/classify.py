@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import POS_INF, PiecewiseDefiningFunction, TailEnvelope
+from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
 from .tri import TriState
 
 HYPERBOLIC = "hyperbolic"
@@ -63,34 +63,41 @@ class AffineMinorant:
     reason: str = ""
 
 
-def _env_slope_bounds(env: Optional[TailEnvelope], tail: str, role: str):
-    """Slope constraints from one declared envelope on one tail.
+_TINY = 5e-324  # smallest positive float: encodes an open endpoint at 0
 
-    role 'lower' yields slopes m for which (envelope - m y) stays bounded
-    below on the tail (feasible side); role 'upper' yields slopes for which
-    (envelope - m y) tends to -inf (certified infeasible).
-    Returns (feasible_interval or None, infeasible_predicate).
+
+def _tail_slopes(env, tail):
+    """Slopes m for which (envelope - m y) stays bounded below on one tail,
+    as an interval (None when no envelope is declared).
+
+    For a lower envelope these slopes are feasible on that tail; an upper
+    envelope kills every other slope, since psi - m y runs to -inf there.
     """
     if env is None:
         return None
+    if env.kind == "affine":
+        m0 = env.params[0]
+        return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
+    if env.kind == "const":
+        return (NEG_INF, 0.0) if tail == "upper" else (0.0, POS_INF)
+    # log_pow: the envelope drifts to -inf slower than any line, so only
+    # the slopes strictly beyond zero on this tail's side remain (open at 0)
+    return (NEG_INF, -_TINY) if tail == "upper" else (_TINY, POS_INF)
 
-    def check(m):
-        # behavior of g(y) - m y as y -> +inf (tail='upper') or -inf
-        if env.kind == "affine":
-            m0 = env.params[0]
-            if tail == "upper":
-                return m < m0 or (m == m0)
-            return m > m0 or (m == m0)
-        if env.kind == "const":
-            if tail == "upper":
-                return m <= 0
-            return m >= 0
-        # log_pow: g ~ -C log^a, slower than linear
-        if tail == "upper":
-            return m < 0
-        return m > 0
 
-    return check
+def _slope_survivors_from_upper(env, tail):
+    """Slopes NOT killed by one declared upper envelope on one tail."""
+    slopes = _tail_slopes(env, tail)
+    return (NEG_INF, POS_INF) if slopes is None else slopes
+
+
+def _isect(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return (lo, hi) if lo <= hi else ()
 
 
 def affine_minorant(
@@ -116,46 +123,23 @@ def affine_minorant(
 
     lo_up, hi_up = psi.tail_envelopes("upper")
     lo_dn, hi_dn = psi.tail_envelopes("lower")
+    feas_up = _tail_slopes(lo_up, "upper")
+    feas_dn = _tail_slopes(lo_dn, "lower")
 
     # candidate slopes: 0 first, then envelope-suggested slopes
     candidates = [0.0]
     for env in (lo_up, lo_dn):
         if env is not None and env.kind == "affine":
             candidates.append(env.params[0])
-    feas_up = _env_slope_bounds(lo_up, "upper", "lower")
-    feas_dn = _env_slope_bounds(lo_dn, "lower", "lower")
-    inf_up = _env_slope_bounds(hi_up, "upper", "upper")
-    inf_dn = _env_slope_bounds(hi_dn, "lower", "upper")
-
-    feasible_m = None
-    for m in candidates:
-        if feas_up is not None and feas_dn is not None and feas_up(m) and feas_dn(m):
-            feasible_m = m
-            break
+    feas = _isect(feas_up, feas_dn) if feas_up is not None and feas_dn is not None else ()
+    feasible_m = next((m for m in candidates if feas and feas[0] <= m <= feas[1]), None)
 
     if feasible_m is None:
-        # certified infeasibility: for every m, one tail runs to -inf.
-        # With declared upper envelopes g_up, g_dn: m <= 0 fails on the
-        # upper tail when g_up - m y -> -inf for all m <= 0, i.e. the
-        # upper envelope decays (const/log_pow with nonpositive trend or
-        # affine with negative slope); symmetrically for m >= 0.
-        def tail_kills_all_nonneg_slopes(env, tail):
-            if env is None:
-                return False
-            if env.kind == "affine":
-                m0 = env.params[0]
-                return m0 < 0 if tail == "upper" else m0 > 0
-            if env.kind == "log_pow":
-                return True  # g -> -inf slower than linear but unboundedly
-            return False
-
-        if tail_kills_all_nonneg_slopes(hi_up, "upper") and tail_kills_all_nonneg_slopes(
-            hi_dn, "lower"
-        ):
-            # any m <= 0 fails on the lower tail? careful: upper envelope
-            # decaying on both tails kills every slope: for m >= 0 the
-            # upper tail has psi <= g_up -> -inf <= m y + c eventually
-            # anyway only if m <= 0; m > 0 fails on the lower tail.
+        survivors = _isect(
+            _slope_survivors_from_upper(hi_up, "upper"),
+            _slope_survivors_from_upper(hi_dn, "lower"),
+        )
+        if survivors == ():
             return AffineMinorant(
                 TriState.NO,
                 reason="declared upper envelopes decay on both tails; no slope is feasible",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, analyze, decide, freq, oracle, approx.  All outputs
-are deterministic for a fixed config and seed; JSON results carry the
-schema tag "koenigs-lab/v1" and name the decision route used.
+are deterministic for a fixed config; JSON results carry the schema tag
+"koenigs-lab/v1" and name the decision route used.
 """
 
 from __future__ import annotations
@@ -321,7 +321,6 @@ def build_parser():
         "exponential frequencies, features, raster cross-checks, "
         "constructive approximation.",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="semigroup class from a domain spec")
@@ -376,7 +375,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return args.fn(args)
     except WindowError as exc:

@@ -51,30 +51,12 @@ class CompletenessVerdict:
     weak_star_complete: TriState
     route: str
     witnesses: list = field(default_factory=list)
-    p_complete: TriState = TriState.UNKNOWN
-    p_route: str = ""
-    caveats: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "weak_star_complete": self.weak_star_complete.value,
-            "route": self.route,
-            "witnesses": [repr(w) for w in self.witnesses],
-            "p_complete": self.p_complete.value,
-            "p_route": self.p_route,
-            "caveats": self.caveats,
-        }
-
-
-def _eq_reg(psi):
-    verdict, witnesses = psi.equals_regularized()
-    return verdict, witnesses
 
 
 def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
     psi.require_validated()
     cls = classify(psi)
-    eq, eq_wit = _eq_reg(psi)
+    eq, eq_wit = psi.equals_regularized()
     E, e_exact = psi.liminf_neg_inf_set()
 
     if cls.kind == HYPERBOLIC:

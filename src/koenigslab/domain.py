@@ -9,7 +9,9 @@ Everything numeric is flagged; declared structure is treated as exact.
 
 The module also computes the two regularizations used by the completeness
 criteria: the lower semicontinuous envelope ``psi_*`` (pointwise liminf)
-and the upper semicontinuous envelope of that, ``psi~``.
+and the upper semicontinuous envelope of that, ``psi~``.  Validation
+builds a ``DomainFacts`` record with every structural fact the criteria
+read, so each one is computed once per psi.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -57,6 +59,11 @@ def _json_float(v):
     return v
 
 
+def _shift(v, d):
+    """v + d for a finite v; an infinite v (or None) stays as it is."""
+    return v + d if v is not None and math.isfinite(v) else v
+
+
 @dataclass(frozen=True)
 class LimitData:
     """One-sided liminf/limsup with an exactness flag."""
@@ -81,6 +88,9 @@ class LimitData:
     def to_json(self):
         return {"liminf": _json_float(self.liminf), "limsup": _json_float(self.limsup)}
 
+    def shifted(self, dx) -> "LimitData":
+        return replace(self, liminf=_shift(self.liminf, dx), limsup=_shift(self.limsup, dx))
+
 
 @dataclass(frozen=True)
 class OneSidedLimits:
@@ -93,6 +103,25 @@ class OneSidedLimits:
     left_exact: bool = True
     right_exact: bool = True
     inconclusive: bool = False
+
+    @staticmethod
+    def of(left: Optional[LimitData], right: Optional[LimitData]) -> "OneSidedLimits":
+        return OneSidedLimits(
+            liminf_left=None if left is None else left.liminf,
+            limsup_left=None if left is None else left.limsup,
+            liminf_right=None if right is None else right.liminf,
+            limsup_right=None if right is None else right.limsup,
+            left_exact=left.exact if left is not None else True,
+            right_exact=right.exact if right is not None else True,
+            inconclusive=(left is not None and left.inconclusive)
+            or (right is not None and right.inconclusive),
+        )
+
+    def side(self, side):
+        """(liminf, limsup, exact) from the left or the right."""
+        if side == "left":
+            return self.liminf_left, self.limsup_left, self.left_exact
+        return self.liminf_right, self.limsup_right, self.right_exact
 
 
 @dataclass(frozen=True)
@@ -202,16 +231,14 @@ class Piece:
     def side_limits(self, y0, side) -> LimitData:  # limits of psi
         raise NotImplementedError
 
-    def side_limits_lsc(self, y0, side) -> LimitData:  # limits of psi_*
-        raise NotImplementedError
+    def side_limits_lsc(self, y0, side) -> LimitData:
+        """Limits of psi_*; off a Cantor carrier they are those of psi."""
+        return self.side_limits(y0, side)
 
     def sup_on(self, lo, hi):  # (value, exact)
         raise NotImplementedError
 
     def inf_on(self, lo, hi):
-        raise NotImplementedError
-
-    def lsc_sup_on(self, lo, hi):  # sup of psi_* over the sub-span
         raise NotImplementedError
 
     def minus_inf_intervals(self):
@@ -222,13 +249,17 @@ class Piece:
         raise NotImplementedError
 
 
-def _sample(evaluator, lo, hi, k=96):
-    ys = np.linspace(lo, hi, k)
+def _evaluate(evaluator, ys):
+    """The evaluator on an array of heights, NaN wherever it fails."""
     try:
         vs = evaluator(ys, check=False) if isinstance(evaluator, Expression) else evaluator(ys)
+        return np.broadcast_to(np.asarray(vs, dtype=float), ys.shape)
     except Exception:
-        vs = np.array([_safe_eval(evaluator, t) for t in ys])
-    vs = np.asarray(vs, dtype=float)
+        return np.vectorize(lambda t: _safe_eval(evaluator, t), otypes=[float])(ys)
+
+
+def _sample(evaluator, lo, hi, k=96):
+    vs = _evaluate(evaluator, np.linspace(lo, hi, k))
     return vs[~np.isnan(vs)]
 
 
@@ -239,12 +270,17 @@ def _safe_eval(evaluator, t):
         return math.nan
 
 
+def _shifted_evaluator(ev, dx, dy):
+    return lambda y, ev=ev, dx=dx, dy=dy: ev(np.asarray(y) - dy) + dx
+
+
 @dataclass(frozen=True)
 class FiniteAnalytic(Piece):
     """Continuous finite evaluator on the open span.
 
     Optional declared endpoint limits and tail envelopes; undeclared
-    endpoint limits fall back to dyadic estimation.
+    endpoint limits fall back to dyadic estimation, and so does an interior
+    height where the evaluator fails.
     """
 
     evaluator: Callable = None
@@ -253,6 +289,7 @@ class FiniteAnalytic(Piece):
     limits_right: Optional[LimitData] = None  # as y -> span[1]-
     tail_lower: Optional[TailEnvelope] = None
     tail_upper: Optional[TailEnvelope] = None
+    samples: ClassVar[int] = 96  # evaluator samples behind sup_on and inf_on
 
     def value(self, y):
         v = self.evaluator(y)
@@ -277,63 +314,63 @@ class FiniteAnalytic(Piece):
         delta = min(1.0, (min(b, y0 + 1) - max(a, y0 - 1)) / 2 or 1.0)
         return dyadic_limit_estimate(lambda t: self.evaluator(t), y0, side, delta)
 
-    def side_limits_lsc(self, y0, side):
-        return self.side_limits(y0, side)  # psi_* = psi on the open span
+    def _declared_in(self, lo, hi):
+        """Declared endpoint limits at heights inside [lo, hi]."""
+        a, b = self.span
+        return [
+            lim for y0, lim in ((a, self.limits_left), (b, self.limits_right))
+            if lim is not None and lo <= y0 <= hi
+        ]
 
     def sup_on(self, lo, hi):
         lo, hi = self._sub(lo, hi)
         if lo > hi:
             return NEG_INF, True
-        vs = _sample(self.evaluator, lo, hi)
-        if vs.size == 0:
-            return NEG_INF, False
-        v = float(np.max(vs))
-        a, b = self.span
-        for y0, lim in ((a, self.limits_left), (b, self.limits_right)):
-            if lim is not None and lo <= y0 <= hi:
-                v = max(v, lim.limsup)
+        vs = _sample(self.evaluator, lo, hi, self.samples)
+        v = float(np.max(vs)) if vs.size else NEG_INF
+        for lim in self._declared_in(lo, hi):
+            v = max(v, lim.limsup)
         return v, False
 
     def inf_on(self, lo, hi):
         lo, hi = self._sub(lo, hi)
         if lo > hi:
             return POS_INF, True
-        vs = _sample(self.evaluator, lo, hi)
+        vs = _sample(self.evaluator, lo, hi, self.samples)
         v = float(np.min(vs)) if vs.size else POS_INF
-        exact = False
-        a, b = self.span
-        for y0, lim in ((a, self.limits_left), (b, self.limits_right)):
-            if lim is not None and lo <= y0 <= hi and lim.liminf < v:
-                v = lim.liminf
-                exact = lim.exact and math.isinf(v)
-        return v, exact
-
-    def lsc_sup_on(self, lo, hi):
-        return self.sup_on(lo, hi)
+        declared = self._declared_in(lo, hi)
+        for lim in declared:
+            v = min(v, lim.liminf)
+        # exact only when an exact declared limit pins an infinite inf
+        return v, math.isinf(v) and any(lim.exact and lim.liminf == v for lim in declared)
 
     def translate(self, dx, dy):
-        ev = self.evaluator
-
-        def shift(l):
-            if l is None:
-                return None
-            return LimitData(
-                l.liminf + dx if math.isfinite(l.liminf) else l.liminf,
-                l.limsup + dx if math.isfinite(l.limsup) else l.limsup,
-                l.exact,
-                l.inconclusive,
-            )
-
         return replace(
             self,
             span=(self.span[0] + dy, self.span[1] + dy),
-            evaluator=(lambda y, ev=ev, dx=dx, dy=dy: ev(np.asarray(y) - dy) + dx),
+            evaluator=_shifted_evaluator(self.evaluator, dx, dy),
             expr_source=None,
-            limits_left=shift(self.limits_left),
-            limits_right=shift(self.limits_right),
+            limits_left=None if self.limits_left is None else self.limits_left.shifted(dx),
+            limits_right=None if self.limits_right is None else self.limits_right.shifted(dx),
             tail_lower=_shift_env(_shift_env_vertical(self.tail_lower, dy, "lower"), dx),
             tail_upper=_shift_env(_shift_env_vertical(self.tail_upper, dy, "upper"), dx),
         )
+
+
+@dataclass(frozen=True)
+class OscillatorySample(FiniteAnalytic):
+    """Continuous evaluator whose endpoint behavior is declared.
+
+    Declared liminf/limsup at each span endpoint are required: dyadic
+    sampling cannot recover oscillation envelopes.  Bounds sample the
+    evaluator twice as densely as a plain finite piece.
+    """
+
+    samples: ClassVar[int] = 192
+
+    def __post_init__(self):
+        if self.limits_left is None or self.limits_right is None:
+            raise ValidationError("oscillatory pieces require declared endpoint limits")
 
 
 def _shift_env(env, dx):
@@ -376,16 +413,10 @@ class MinusInfinity(Piece):
     def side_limits(self, y0, side):
         return LimitData(NEG_INF, NEG_INF, exact=True)
 
-    def side_limits_lsc(self, y0, side):
-        return LimitData(NEG_INF, NEG_INF, exact=True)
-
     def sup_on(self, lo, hi):
         return NEG_INF, True
 
     def inf_on(self, lo, hi):
-        return NEG_INF, True
-
-    def lsc_sup_on(self, lo, hi):
         return NEG_INF, True
 
     def minus_inf_intervals(self):
@@ -414,9 +445,6 @@ class PointSpike(Piece):
     def side_limits(self, y0, side):
         return LimitData(self.background, self.background, exact=True)
 
-    def side_limits_lsc(self, y0, side):
-        return LimitData(self.background, self.background, exact=True)
-
     def sup_on(self, lo, hi):
         lo, hi = self._sub(lo, hi)
         if lo > hi:
@@ -433,12 +461,6 @@ class PointSpike(Piece):
             return self.spike_value, True
         return self.background, True
 
-    def lsc_sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
-        return self.background, True
-
     def minus_inf_intervals(self):
         if self.background == NEG_INF:
             a, b = self.span
@@ -449,8 +471,8 @@ class PointSpike(Piece):
         return PointSpike(
             (self.span[0] + dy, self.span[1] + dy),
             self.c0 + dy,
-            self.spike_value + dx,
-            self.background + dx if math.isfinite(self.background) else self.background,
+            _shift(self.spike_value, dx),
+            _shift(self.background, dx),
         )
 
 
@@ -468,7 +490,6 @@ class CantorCarrierPiece(Piece):
     on_value: float = 1.0
     off_evaluator: Callable = None
     off_expr_source: Optional[str] = None
-    off_bound: Optional[float] = None  # declared sup of off near the carrier
     off_limsup_at_carrier: Optional[float] = None
     off_liminf_at_carrier: Optional[float] = None
 
@@ -498,18 +519,18 @@ class CantorCarrierPiece(Piece):
         return dyadic_limit_estimate(self._off, y0, side, delta)
 
     def side_limits(self, y0, side):
-        off = self._off_side(y0, side)
-        if self._carrier_accumulates(y0, side):
-            if self.off_liminf_at_carrier is not None:
-                lim_inf = self.off_liminf_at_carrier
-                exact = True
-            elif not off.inconclusive:
-                lim_inf = off.liminf
-                exact = False
-            else:
+        if not self._carrier_accumulates(y0, side):
+            return self._off_side(y0, side)
+        if self.off_liminf_at_carrier is not None:
+            lim_inf = self.off_liminf_at_carrier
+            exact = True
+        else:
+            off = self._off_side(y0, side)
+            if off.inconclusive:
                 return LimitData.inconclusive_data()
-            return LimitData(min(lim_inf, self.on_value), self.on_value, exact=exact)
-        return off
+            lim_inf = off.liminf
+            exact = False
+        return LimitData(min(lim_inf, self.on_value), self.on_value, exact=exact)
 
     def side_limits_lsc(self, y0, side):
         # psi_* never exceeds the off part: the carrier has empty interior
@@ -522,6 +543,14 @@ class CantorCarrierPiece(Piece):
                 lo = off.liminf if not off.inconclusive else v
             return LimitData(min(lo, v), v, exact=True)
         return self._off_side(y0, side)
+
+    def carrier_gap_sup(self):
+        """(sup of the off part near the carrier, declared?).  Undeclared,
+        it is sampled over the carrier's hull."""
+        if self.off_limsup_at_carrier is not None:
+            return self.off_limsup_at_carrier, True
+        vs = _sample(self.off_evaluator, self.carrier.lo, self.carrier.hi)
+        return (float(np.max(vs)) if vs.size else NEG_INF), False
 
     def sup_on(self, lo, hi):
         lo, hi = self._sub(lo, hi)
@@ -541,20 +570,7 @@ class CantorCarrierPiece(Piece):
         v = float(np.min(vs)) if vs.size else POS_INF
         return v, False
 
-    def lsc_sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
-        if self.off_limsup_at_carrier is not None and self.carrier.intersects(lo, hi):
-            base = self.off_limsup_at_carrier
-        else:
-            base = NEG_INF
-        vs = _sample(self.off_evaluator, lo, hi)
-        v = float(np.max(vs)) if vs.size else NEG_INF
-        return max(v, base), False
-
     def translate(self, dx, dy):
-        off = self.off_evaluator
         return replace(
             self,
             span=(self.span[0] + dy, self.span[1] + dy),
@@ -562,109 +578,161 @@ class CantorCarrierPiece(Piece):
                 self.carrier.lo + dy, self.carrier.hi + dy,
                 self.carrier.keep_fraction, self.carrier.depth,
             ),
-            on_value=self.on_value + dx,
-            off_evaluator=(lambda y, off=off, dx=dx, dy=dy: off(np.asarray(y) - dy) + dx),
+            on_value=_shift(self.on_value, dx),
+            off_evaluator=_shifted_evaluator(self.off_evaluator, dx, dy),
             off_expr_source=None,
-            off_bound=None if self.off_bound is None else self.off_bound + dx,
-            off_limsup_at_carrier=(
-                None if self.off_limsup_at_carrier is None
-                else self.off_limsup_at_carrier + dx
-            ),
-            off_liminf_at_carrier=(
-                None if self.off_liminf_at_carrier is None
-                else self.off_liminf_at_carrier + dx
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class OscillatorySample(Piece):
-    """Continuous evaluator whose endpoint behavior is declared.
-
-    Declared liminf/limsup at each span endpoint are required: dyadic
-    sampling cannot recover oscillation envelopes.
-    """
-
-    evaluator: Callable = None
-    expr_source: Optional[str] = None
-    limits_left: LimitData = None
-    limits_right: LimitData = None
-
-    def __post_init__(self):
-        if self.limits_left is None or self.limits_right is None:
-            raise ValidationError("oscillatory pieces require declared endpoint limits")
-
-    def value(self, y):
-        return float(self.evaluator(y))
-
-    def side_limits(self, y0, side):
-        a, b = self.span
-        if side == "right" and y0 == a:
-            return self.limits_left
-        if side == "left" and y0 == b:
-            return self.limits_right
-        v = _safe_eval(self.evaluator, y0)
-        if math.isnan(v):
-            return LimitData.inconclusive_data()
-        return LimitData(v, v, exact=False)
-
-    def side_limits_lsc(self, y0, side):
-        return self.side_limits(y0, side)
-
-    def _bounds_on(self, lo, hi, which):
-        vs = _sample(self.evaluator, lo, hi, k=192)
-        v = (float(np.max(vs)) if which == "sup" else float(np.min(vs))) if vs.size else (
-            NEG_INF if which == "sup" else POS_INF
-        )
-        a, b = self.span
-        for y0, lim in ((a, self.limits_left), (b, self.limits_right)):
-            if lo <= y0 <= hi:
-                v = max(v, lim.limsup) if which == "sup" else min(v, lim.liminf)
-        return v
-
-    def sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
-        return self._bounds_on(lo, hi, "sup"), False
-
-    def inf_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return POS_INF, True
-        v = self._bounds_on(lo, hi, "inf")
-        a, b = self.span
-        exact = (lo <= a <= hi and self.limits_left.liminf == v) or (
-            lo <= b <= hi and self.limits_right.liminf == v
-        )
-        return v, exact and math.isinf(v)
-
-    def lsc_sup_on(self, lo, hi):
-        return self.sup_on(lo, hi)
-
-    def translate(self, dx, dy):
-        ev = self.evaluator
-
-        def shift(l):
-            return LimitData(
-                l.liminf + dx if math.isfinite(l.liminf) else l.liminf,
-                l.limsup + dx if math.isfinite(l.limsup) else l.limsup,
-                l.exact,
-            )
-
-        return replace(
-            self,
-            span=(self.span[0] + dy, self.span[1] + dy),
-            evaluator=(lambda y, ev=ev, dx=dx, dy=dy: ev(np.asarray(y) - dy) + dx),
-            expr_source=None,
-            limits_left=shift(self.limits_left),
-            limits_right=shift(self.limits_right),
+            off_limsup_at_carrier=_shift(self.off_limsup_at_carrier, dx),
+            off_liminf_at_carrier=_shift(self.off_liminf_at_carrier, dx),
         )
 
 
 # ---------------------------------------------------------------------------
 # the assembled defining function
 # ---------------------------------------------------------------------------
+
+
+def _limsup_of(lims):
+    """Max limsup over the decided sides; NaN when no side is decided and
+    one is inconclusive."""
+    out = NEG_INF
+    inconclusive = False
+    for lim in lims:
+        if lim.inconclusive:
+            inconclusive = True
+            continue
+        out = max(out, lim.limsup)
+    return math.nan if inconclusive and out == NEG_INF else out
+
+
+def _merge(intervals, joins=lambda b, a: True):
+    """Sorted union of intervals; overlapping or touching ones merge when
+    ``joins(end of the first, start of the second)`` holds."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1] and joins(merged[-1][1], lo):
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+@dataclass(frozen=True)
+class DomainFacts:
+    """The structural facts the criteria read off psi, computed once.
+
+    ``validate()`` builds them, so they exist from validation on and no
+    call order or cache state can change them.  ``limits`` holds the
+    one-sided limits at ``heights``: the special heights plus the finite
+    ends of I.  ``values`` and ``tildes`` hold psi and psi~ at the special
+    heights.  ``carriers`` pairs each Cantor carrier piece with the sup of
+    its off part near the carrier and whether that sup is declared.
+    """
+
+    heights: tuple
+    limits: dict
+    values: dict
+    tildes: dict
+    carriers: tuple
+    usc: TriState
+    usc_problems: tuple
+    minus_inf_components: tuple
+    E: tuple
+    E_exact: bool
+    equals_regularized: TriState
+    witnesses: tuple
+
+    @staticmethod
+    def of(psi: "PiecewiseDefiningFunction") -> "DomainFacts":
+        special = psi._special_heights()
+        heights = tuple(sorted(
+            set(special)
+            | {e for e in (psi.interval_lo, psi.interval_hi) if math.isfinite(e)}
+        ))
+        values = {y: psi.value(y) for y in special}
+        sides = {(y, s): psi._side_limits(y, s) for y in heights for s in ("left", "right")}
+        limits = {y: OneSidedLimits.of(sides[y, "left"], sides[y, "right"]) for y in heights}
+        # psi~ from the limits of psi_*, which off a Cantor carrier are the
+        # limits of psi already in hand
+        tildes = {}
+        for y in special:
+            lscs = []
+            for s in ("left", "right"):
+                piece = psi._side_limit_piece(y, s)
+                lscs.append(
+                    piece.side_limits_lsc(y, s)
+                    if isinstance(piece, CantorCarrierPiece) else sides[y, s]
+                )
+            tildes[y] = _limsup_of(lscs)
+        carriers = tuple(
+            (p, *p.carrier_gap_sup())
+            for p in psi.pieces if isinstance(p, CantorCarrierPiece)
+        )
+
+        # upper semicontinuity: limsup psi <= psi at every special height
+        usc, problems = TriState.YES, []
+        for y in special:
+            lims = limits[y]
+            if lims.inconclusive:
+                usc = TriState.UNKNOWN
+                problems.append(f"inconclusive limits at y={y}")
+                continue
+            sup = max(x for x in (lims.limsup_left, lims.limsup_right) if x is not None)
+            tol = 0.0 if (lims.left_exact and lims.right_exact) else 1e-7
+            if sup > values[y] + tol:
+                usc = TriState.NO
+                problems.append(f"limsup {sup} exceeds psi({y}) = {values[y]}")
+        for p, gap_sup, _ in carriers:
+            if gap_sup > p.on_value + 1e-7:
+                usc = TriState.NO
+                problems.append(
+                    f"off values exceed the carrier value near the carrier of {p.span}"
+                )
+
+        # psi = psi~ everywhere on I
+        eq, witnesses = TriState.YES, []
+        for y in special:
+            if math.isnan(tildes[y]):
+                eq = TriState.UNKNOWN
+            elif values[y] > tildes[y] + 1e-9:
+                witnesses.append(y)
+        for p, gap_sup, declared in carriers:
+            if p.on_value > gap_sup + (0.0 if declared else 1e-7):
+                witnesses.extend(p.carrier.sample_points(2)[:3])
+            elif not declared and p.on_value > gap_sup - 1e-3:
+                eq = TriState.UNKNOWN
+        if witnesses:
+            eq, witnesses = TriState.NO, sorted(set(witnesses))
+
+        # E: the closed -inf components plus every height with a one-sided
+        # liminf of -inf; exact when every -inf limit is declared
+        components = _merge(
+            [iv for p in psi.pieces for iv in p.minus_inf_intervals()], psi._joins
+        )
+        E_exact = True
+        points = []
+        for y in heights:
+            lims = limits[y]
+            if lims.inconclusive:
+                E_exact = False
+                continue
+            for li, _, exact in (lims.side("left"), lims.side("right")):
+                if li == NEG_INF:
+                    points.append((y, y))
+                    E_exact = E_exact and exact
+        return DomainFacts(
+            heights=heights,
+            limits=limits,
+            values=values,
+            tildes=tildes,
+            carriers=carriers,
+            usc=usc,
+            usc_problems=tuple(problems),
+            minus_inf_components=components,
+            E=_merge(list(components) + points),
+            E_exact=E_exact,
+            equals_regularized=eq,
+            witnesses=tuple(witnesses),
+        )
 
 
 @dataclass
@@ -677,7 +745,7 @@ class PiecewiseDefiningFunction:
     # applies (e.g. the endpoint value of an oscillatory piece)
     point_values: dict = field(default_factory=dict)
     _starts: list = field(init=False, repr=False, default_factory=list)
-    _validated: bool = field(init=False, repr=False, default=False)
+    _facts: Optional[DomainFacts] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.pieces = tuple(sorted(self.pieces, key=lambda p: p.span[0]))
@@ -686,7 +754,8 @@ class PiecewiseDefiningFunction:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Coverage, degenerate-domain rejection, semicontinuity check."""
+        """Coverage, degenerate-domain rejection, semicontinuity check;
+        builds the structural facts."""
         if not (self.interval_lo < self.interval_hi):
             raise ValidationError("the height interval I is empty")
         if not self.pieces:
@@ -708,15 +777,22 @@ class PiecewiseDefiningFunction:
             raise ValidationError(
                 "psi = -inf on all of R defines the whole plane; rejected"
             )
-        ok, problems = self.usc_check()
-        if ok is TriState.NO:
-            raise ValidationError("psi is not upper semicontinuous: " + "; ".join(problems))
-        self._validated = True
-        return problems  # warnings, possibly empty
+        facts = DomainFacts.of(self)
+        if facts.usc is TriState.NO:
+            raise ValidationError(
+                "psi is not upper semicontinuous: " + "; ".join(facts.usc_problems)
+            )
+        self._facts = facts
+        return list(facts.usc_problems)  # warnings, possibly empty
 
     def require_validated(self):
-        if not self._validated:
+        if self._facts is None:
             self.validate()
+
+    @property
+    def facts(self) -> DomainFacts:
+        self.require_validated()
+        return self._facts
 
     # -- evaluation ---------------------------------------------------------
 
@@ -763,31 +839,15 @@ class PiecewiseDefiningFunction:
     def one_sided_limits(self, y0) -> OneSidedLimits:
         if not (self.interval_lo <= y0 <= self.interval_hi):
             raise ValueError(f"height {y0} outside closure(I)")
-        left = right = None
-        if y0 > self.interval_lo:
-            i = bisect.bisect_left(self._starts, y0) - 1
-            if i < 0:
-                i = 0
-            piece = self.pieces[i]
-            if piece.span[1] < y0 and i + 1 < len(self.pieces):
-                piece = self.pieces[i + 1]
-            left = piece.side_limits(y0, "left")
-        if y0 < self.interval_hi:
-            i = bisect.bisect_right(self._starts, y0) - 1
-            piece = self.pieces[max(i, 0)]
-            if piece.span[1] <= y0 and i + 1 < len(self.pieces):
-                piece = self.pieces[i + 1]
-            right = piece.side_limits(y0, "right")
-        return OneSidedLimits(
-            liminf_left=None if left is None else left.liminf,
-            limsup_left=None if left is None else left.limsup,
-            liminf_right=None if right is None else right.liminf,
-            limsup_right=None if right is None else right.limsup,
-            left_exact=left.exact if left is not None else True,
-            right_exact=right.exact if right is not None else True,
-            inconclusive=(left is not None and left.inconclusive)
-            or (right is not None and right.inconclusive),
-        )
+        return OneSidedLimits.of(self._side_limits(y0, "left"), self._side_limits(y0, "right"))
+
+    def _side_limits(self, y0, side) -> Optional[LimitData]:
+        """Limits of psi at y0 from one side; None outside closure(I)."""
+        if (side == "left" and y0 <= self.interval_lo) or (
+            side == "right" and y0 >= self.interval_hi
+        ):
+            return None
+        return self._side_limit_piece(y0, side).side_limits(y0, side)
 
     def _side_limit_piece(self, y0, side):
         if side == "left":
@@ -821,31 +881,8 @@ class PiecewiseDefiningFunction:
 
     def usc_check(self):
         """TriState + diagnostics: limsup psi <= psi at every special height."""
-        problems = []
-        verdict = TriState.YES
-        for y0 in self._special_heights():
-            v = self.value(y0)
-            lims = self.one_sided_limits(y0)
-            if lims.inconclusive:
-                verdict = TriState.UNKNOWN
-                problems.append(f"inconclusive limits at y={y0}")
-                continue
-            sup = max(
-                x for x in (lims.limsup_left, lims.limsup_right) if x is not None
-            )
-            tol = 0.0 if (lims.left_exact and lims.right_exact) else 1e-7
-            if sup > v + tol:
-                verdict = TriState.NO
-                problems.append(f"limsup {sup} exceeds psi({y0}) = {v}")
-        for p in self.pieces:
-            if isinstance(p, CantorCarrierPiece):
-                near, _ = p.lsc_sup_on(p.carrier.lo, p.carrier.hi)
-                if near > p.on_value + 1e-7:
-                    verdict = TriState.NO
-                    problems.append(
-                        f"off values exceed the carrier value near the carrier of {p.span}"
-                    )
-        return verdict, problems
+        facts = self._facts or DomainFacts.of(self)
+        return facts.usc, list(facts.usc_problems)
 
     # -- regularizations ------------------------------------------------------
 
@@ -864,20 +901,10 @@ class PiecewiseDefiningFunction:
         """Upper semicontinuous regularization of psi_* at y0 in I."""
         if not (self.interval_lo < y0 < self.interval_hi):
             raise ValueError(f"height {y0} outside I")
-        out = NEG_INF
-        inconclusive = False
-        for side in ("left", "right"):
-            if (side == "left" and y0 == self.interval_lo) or (
-                side == "right" and y0 == self.interval_hi
-            ):
-                continue
-            piece = self._side_limit_piece(y0, side)
-            lim = piece.side_limits_lsc(y0, side)
-            if lim.inconclusive:
-                inconclusive = True
-                continue
-            out = max(out, lim.limsup)
-        return math.nan if inconclusive and out == NEG_INF else out
+        return _limsup_of(
+            self._side_limit_piece(y0, side).side_limits_lsc(y0, side)
+            for side in ("left", "right")
+        )
 
     def lsc_regularization(self):
         """psi_* as a callable on closure(I)."""
@@ -891,49 +918,14 @@ class PiecewiseDefiningFunction:
 
     def equals_regularized(self):
         """Does psi equal psi~ everywhere on I?  (TriState, witnesses)."""
-        self.require_validated()
-        witnesses = []
-        verdict = TriState.YES
-        for y0 in self._special_heights():
-            v = self.value(y0)
-            t = self.psi_tilde(y0)
-            if math.isnan(t):
-                verdict = TriState.UNKNOWN
-                continue
-            if v > t + 1e-9:
-                witnesses.append(y0)
-        for p in self.pieces:
-            if isinstance(p, CantorCarrierPiece):
-                if p.off_limsup_at_carrier is not None:
-                    gap_sup = p.off_limsup_at_carrier
-                    exact = True
-                else:
-                    gap_sup, _ = p.lsc_sup_on(p.carrier.lo, p.carrier.hi)
-                    exact = False
-                if p.on_value > gap_sup + (0.0 if exact else 1e-7):
-                    witnesses.extend(p.carrier.sample_points(2)[:3])
-                elif not exact and p.on_value > gap_sup - 1e-3:
-                    verdict = TriState.UNKNOWN
-        if witnesses:
-            return TriState.NO, sorted(set(witnesses))
-        return verdict, []
+        facts = self.facts
+        return facts.equals_regularized, list(facts.witnesses)
 
     # -- liminf = -inf structure ----------------------------------------------
 
     def minus_infinity_components(self):
         """Maximal open intervals where psi is identically -inf."""
-        self.require_validated()
-        raw = []
-        for p in self.pieces:
-            raw.extend(p.minus_inf_intervals())
-        raw.sort()
-        merged = []
-        for lo, hi in raw:
-            if merged and lo <= merged[-1][1] + 0 and self._joins(merged[-1][1], lo):
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [(lo, hi) for lo, hi in merged]
+        return list(self.facts.minus_inf_components)
 
     def _joins(self, b, a):
         # two -inf intervals merge across a shared endpoint if psi = -inf there
@@ -949,35 +941,8 @@ class PiecewiseDefiningFunction:
         Returns (intervals, exact).  Exact when every -inf conclusion comes
         from declared structure.
         """
-        self.require_validated()
-        exact = True
-        intervals = []
-        for lo, hi in self.minus_infinity_components():
-            intervals.append([lo, hi])  # closure of the open component
-        for y0 in set(self._special_heights()) | {
-            e for e in (self.interval_lo, self.interval_hi) if math.isfinite(e)
-        }:
-            lims = self.one_sided_limits(y0)
-            if lims.inconclusive:
-                exact = False
-                continue
-            hit = False
-            if lims.liminf_left == NEG_INF:
-                hit = True
-                exact = exact and lims.left_exact
-            if lims.liminf_right == NEG_INF:
-                hit = True
-                exact = exact and lims.right_exact
-            if hit:
-                intervals.append([y0, y0])
-        intervals.sort()
-        merged = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [(lo, hi) for lo, hi in merged], exact
+        facts = self.facts
+        return list(facts.E), facts.E_exact
 
     # -- raster support --------------------------------------------------------
 
@@ -988,7 +953,7 @@ class PiecewiseDefiningFunction:
         outside (row disjoint from I), edge (row straddles an endpoint of I).
         Declared -inf limit points inside a row force m = -inf exactly.
         """
-        self.require_validated()
+        facts = self.facts
         y_edges = np.asarray(y_edges, dtype=float)
         nrows = y_edges.size - 1
         M = np.full(nrows, NEG_INF)
@@ -1033,13 +998,7 @@ class PiecewiseDefiningFunction:
                 ev = p.off_evaluator
             else:
                 ev = p.evaluator
-            try:
-                vals = ev(ys, check=False) if isinstance(ev, Expression) else ev(ys)
-                vals = np.asarray(vals, dtype=float)
-                if vals.shape != ys.shape:
-                    vals = np.broadcast_to(vals, ys.shape)
-            except Exception:
-                vals = np.vectorize(lambda t: _safe_eval(ev, t))(ys)
+            vals = _evaluate(ev, ys)
             import warnings as _warnings
 
             with _warnings.catch_warnings():
@@ -1062,15 +1021,15 @@ class PiecewiseDefiningFunction:
             for y0, side in ((a, "right"), (b, "left")):
                 if not math.isfinite(y0):
                     continue
-                lim = p.side_limits(y0, side)
-                if lim.inconclusive or not lim.exact:
+                liminf, limsup, exact = facts.limits[y0].side(side)
+                if not exact:
                     continue
                 j = int(np.searchsorted(y_edges, y0, side="right")) - 1
                 for jj in (j - 1, j):
                     if 0 <= jj < nrows and lo_r[jj] <= y0 <= hi_r[jj]:
-                        M[jj] = max(M[jj], lim.limsup)
-                        m[jj] = min(m[jj], lim.liminf)
-                        Mstar[jj] = max(Mstar[jj], lim.limsup)
+                        M[jj] = max(M[jj], limsup)
+                        m[jj] = min(m[jj], liminf)
+                        Mstar[jj] = max(Mstar[jj], limsup)
         return {"M": M, "m": m, "Mstar": Mstar, "outside": outside, "edge": edge}
 
     # -- global bounds ----------------------------------------------------------
@@ -1099,13 +1058,10 @@ class PiecewiseDefiningFunction:
     def translated(self, dx=0.0, dy=0.0) -> "PiecewiseDefiningFunction":
         """The defining function of Omega + (dx + i dy)."""
         out = PiecewiseDefiningFunction(
-            self.interval_lo + dy if math.isfinite(self.interval_lo) else self.interval_lo,
-            self.interval_hi + dy if math.isfinite(self.interval_hi) else self.interval_hi,
+            _shift(self.interval_lo, dy),
+            _shift(self.interval_hi, dy),
             tuple(p.translate(dx, dy) for p in self.pieces),
             name=self.name,
-            point_values={
-                y + dy: (v + dx if math.isfinite(v) else v)
-                for y, v in self.point_values.items()
-            },
+            point_values={y + dy: _shift(v, dx) for y, v in self.point_values.items()},
         )
         return out

@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .classify import HYPERBOLIC, PARABOLIC_POSITIVE, PARABOLIC_ZERO, classify
-from .domain import (
-    NEG_INF,
-    POS_INF,
-    CantorCarrierPiece,
-    PiecewiseDefiningFunction,
-    PointSpike,
-)
+from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction, PointSpike
 from .tri import TriState
 
 
@@ -60,28 +54,16 @@ class FeatureReport:
         }
 
 
-def minus_infinity_components(psi: PiecewiseDefiningFunction):
-    return psi.minus_infinity_components()
-
-
-def _candidate_heights(psi):
-    hs = set(psi._special_heights())
-    for e in (psi.interval_lo, psi.interval_hi):
-        if math.isfinite(e):
-            hs.add(e)
-    return sorted(hs)
-
-
 def detect_super_repelling(psi: PiecewiseDefiningFunction):
     """Heights outside the closure of the -inf gaps where a one-sided
     limit of psi is fully -inf (liminf = limsup = -inf)."""
-    comps = psi.minus_infinity_components()
+    facts = psi.facts
     heights = []
     unknowns = []
-    for y0 in _candidate_heights(psi):
-        if any(lo <= y0 <= hi for lo, hi in comps):
+    for y0 in facts.heights:
+        if any(lo <= y0 <= hi for lo, hi in facts.minus_inf_components):
             continue
-        lims = psi.one_sided_limits(y0)
+        lims = facts.limits[y0]
         if lims.inconclusive:
             unknowns.append(y0)
             continue
@@ -96,17 +78,16 @@ def detect_super_repelling(psi: PiecewiseDefiningFunction):
 
 def detect_unbounded_discontinuities(psi: PiecewiseDefiningFunction):
     """Heights with a side where liminf = -inf but limsup is finite."""
+    facts = psi.facts
     out = []
     unknowns = []
-    for y0 in _candidate_heights(psi):
-        lims = psi.one_sided_limits(y0)
+    for y0 in facts.heights:
+        lims = facts.limits[y0]
         if lims.inconclusive:
             unknowns.append(y0)
             continue
-        for side, li, ls in (
-            ("left", lims.liminf_left, lims.limsup_left),
-            ("right", lims.liminf_right, lims.limsup_right),
-        ):
+        for side in ("left", "right"):
+            li, ls, _ = lims.side(side)
             if li is None:
                 continue
             if li == NEG_INF and ls is not None and math.isfinite(ls):
@@ -122,7 +103,7 @@ def detect_contact_spikes(psi: PiecewiseDefiningFunction):
         if isinstance(p, PointSpike):
             top = p.spike_value
             around = p.background
-            lims = psi.one_sided_limits(p.c0)
+            lims = psi.facts.limits[p.c0]
             for v in (lims.limsup_left, lims.limsup_right):
                 if v is not None and math.isfinite(v):
                     around = max(around, v)
@@ -136,19 +117,11 @@ def detect_cantor_combs(psi: PiecewiseDefiningFunction):
     the carrier, with the on-values usc-attained along the carrier."""
     out = []
     unknowns = []
-    for p in psi.pieces:
-        if not isinstance(p, CantorCarrierPiece):
-            continue
-        if p.off_limsup_at_carrier is not None:
-            off_sup = p.off_limsup_at_carrier
-            exact = True
-        else:
-            off_sup, _ = p.lsc_sup_on(p.carrier.lo, p.carrier.hi)
-            exact = False
-        if p.on_value > off_sup + (0.0 if exact else 1e-7):
+    for p, off_sup, declared in psi.facts.carriers:
+        if p.on_value > off_sup + (0.0 if declared else 1e-7):
             q = 0.5 * (p.on_value + off_sup)
             out.append(((p.carrier.lo, p.carrier.hi), q, p.carrier.to_json()))
-        elif not exact:
+        elif not declared:
             unknowns.append(p.span)
     return out, unknowns
 
@@ -162,12 +135,11 @@ def dw_discontinuity(psi: PiecewiseDefiningFunction):
     unknowns = []
 
     def endpoint_blows(y0, side):
-        lims = psi.one_sided_limits(y0)
+        lims = psi.facts.limits[y0]
         if lims.inconclusive:
             unknowns.append(y0)
             return None
-        li = lims.liminf_right if side == "right" else lims.liminf_left
-        ls = lims.limsup_right if side == "right" else lims.limsup_left
+        li, ls, _ = lims.side(side)
         return li == NEG_INF and ls == POS_INF
 
     flags = []
@@ -208,11 +180,10 @@ def exceptional_arc_to_unbounded(psi: PiecewiseDefiningFunction):
             continue
         if not math.isfinite(va):
             continue
-        lims = psi.one_sided_limits(a)
+        lims = psi.facts.limits[a]
         if lims.inconclusive:
             return False, [a]
-        li = lims.liminf_left if inner == "left" else lims.liminf_right
-        ls = lims.limsup_left if inner == "left" else lims.limsup_right
+        li, ls, _ = lims.side(inner)
         if li == NEG_INF and ls is not None and ls == va:
             return True, []
     return False, []

@@ -23,7 +23,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classify import HYPERBOLIC, PARABOLIC_POSITIVE, classify
+from .classify import (
+    HYPERBOLIC,
+    PARABOLIC_POSITIVE,
+    _isect,
+    _slope_survivors_from_upper,
+    _tail_slopes,
+    classify,
+)
 from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
 from .tri import TriState
 
@@ -117,18 +124,6 @@ def eta_domain(a=1.0) -> CanonicalDomain:
     )
 
 
-def log_domain(psi: PiecewiseDefiningFunction, lip_bound, log_exponent, log_radius):
-    """Logarithmic starlike-at-infinity domain; carries no disc transplant,
-    so the membership oracle reports inconclusive on it."""
-    return CanonicalDomain(
-        "log_domain",
-        f"log_domain:{psi.name}",
-        None,
-        QuadraturePlan(2, 2, 5, False),
-        {"psi": psi, "K": lip_bound, "a": log_exponent, "R": log_radius},
-    )
-
-
 # -- the membership oracle ---------------------------------------------------
 
 _transplant_cache: dict = {}
@@ -166,14 +161,6 @@ class MembershipResult:
     log_means: list
     levels_used: int
 
-    @property
-    def tristate(self):
-        return {
-            MEMBER: TriState.YES,
-            NON_MEMBER: TriState.NO,
-            INCONCLUSIVE: TriState.UNKNOWN,
-        }[self.status]
-
 
 def _trend_verdict(logs):
     vals = np.exp(np.asarray(logs, dtype=float))
@@ -202,16 +189,10 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
     lam = complex(lam)
     if p < 1:
         raise ValueError("p must be at least 1")
-    key = (dom.key, lam, float(p))
+    key = (dom.key, lam, float(p), budget)
     hit = _membership_cache.get(key)
     if hit is not None:
         return hit
-    if dom.transplant is None:
-        res = MembershipResult(
-            INCONCLUSIVE, lam, p, "no disc transplant for this domain", [], 0
-        )
-        _membership_cache[key] = res
-        return res
     if lam == 0:
         res = MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
         _membership_cache[key] = res
@@ -244,10 +225,6 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
     return res
 
 
-def membership_grid(dom, lams, p=2.0):
-    return {complex(l): hardy_membership(l, dom, p) for l in lams}
-
-
 # -- exact bounded-exponential region ----------------------------------------
 
 
@@ -270,7 +247,6 @@ class FrequencyRegion:
     slopes_possible: Optional[tuple]
     exact: bool
     notes: str = ""
-    p_samples: dict = field(default_factory=dict)
 
     def contains(self, lam) -> TriState:
         lam = complex(lam)
@@ -310,45 +286,6 @@ class FrequencyRegion:
         }
 
 
-def _slope_constraint_from_lower(env, tail):
-    """Closed feasible slope interval contributed by one declared lower
-    envelope on one tail (None = no constraint decided)."""
-    if env is None:
-        return None
-    if env.kind == "affine":
-        m0 = env.params[0]
-        return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
-    if env.kind == "const":
-        return (NEG_INF, 0.0) if tail == "upper" else (0.0, POS_INF)
-    return None  # log_pow lower envelope makes no slope feasible on its tail
-
-
-_TINY = 5e-324  # smallest positive float: encodes an open endpoint at 0
-
-
-def _slope_survivors_from_upper(env, tail):
-    """Slopes NOT killed by one declared upper envelope on one tail."""
-    if env is None:
-        return (NEG_INF, POS_INF)
-    if env.kind == "affine":
-        m0 = env.params[0]
-        return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
-    if env.kind == "const":
-        return (NEG_INF, 0.0) if tail == "upper" else (0.0, POS_INF)
-    # log_pow upper: the envelope drifts to -inf, killing every slope on
-    # this tail's side of zero, zero included (open endpoint at 0)
-    return (NEG_INF, -_TINY) if tail == "upper" else (_TINY, POS_INF)
-
-
-def _isect(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if lo <= hi else ()
-
-
 def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
     """Exact description of the bounded-exponential directions."""
     psi.require_validated()
@@ -383,11 +320,11 @@ def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
         tail = "upper" if side == "upper" else "lower"
         env_lo = lo_up if tail == "upper" else lo_dn
         env_hi = hi_up if tail == "upper" else hi_dn
-        feas = _slope_constraint_from_lower(env_lo, tail)
+        feas = _tail_slopes(env_lo, tail)
         poss = _slope_survivors_from_upper(env_hi, tail)
     else:
-        f_up = _slope_constraint_from_lower(lo_up, "upper")
-        f_dn = _slope_constraint_from_lower(lo_dn, "lower")
+        f_up = _tail_slopes(lo_up, "upper")
+        f_dn = _tail_slopes(lo_dn, "lower")
         if f_up is not None and f_dn is not None:
             feas = _isect(f_up, f_dn)
             feas = None if feas == () else feas

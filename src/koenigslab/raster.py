@@ -5,11 +5,12 @@ so the grid is encoded by per-row frontier profiles: M = row sup of psi
 (inside frontier), m = row inf (closure frontier before dilation), and
 Mstar = row sup of the lower regularization psi_*.  Morphological closure
 and interior are one-row dilation/erosion of these profiles.  The
-interior-of-closure test compares M against the dilated Mstar; complement
-components are counted by flood fill over row segments with merge rules
-for the exterior of the window (rows whose leftward extension stays
-outside the closure connect components; rows where the liminf of psi is
--inf seal the plane and separate them).
+interior-of-closure test compares M against the dilated Mstar.  Complement
+components are counted as maximal runs of consecutive rows outside the
+sealed rows: a row meeting the set E where the liminf of psi is -inf lies
+in the closure along its whole length and separates the rows above it
+from those below, while consecutive unsealed rows connect through the far
+left of the plane.
 
 Verdicts are tri-state: a definite answer must be stable across the
 resolution pair (n, n/2).
@@ -194,8 +195,6 @@ def int_closure_equals_domain(grid: RasterGrid):
 
 def _component_count_single(grid: RasterGrid):
     """Merged complement component count on one grid."""
-    x0, x1, _, _ = grid.window
-    c = grid.closure_frontier()
     # rows bearing complement somewhere in the plane: everything except
     # sealed rows (closure contains the full line there)
     bearing = ~grid.seal

@@ -15,7 +15,7 @@ Schema::
         {"kind": "cantor_comb", "span": [a, b],
          "carrier": {"base": [a, b], "keep_fraction": f, "depth": d},
          "on_value": v, "off_expr": "...",
-         "off_bound": q, "off_limsup_at_carrier": s},                          # optional
+         "off_limsup_at_carrier": s, "off_liminf_at_carrier": t},              # optional
         {"kind": "oscillatory", "span": [a, b], "expr": "...",
          "limits": {"left": {...}, "right": {...}}}                            # required
       ]
@@ -57,9 +57,9 @@ def _limits(obj, key="limits"):
 
 def piece_from_json(obj):
     kind = obj.get("kind")
-    if kind == "finite_analytic":
+    if kind in ("finite_analytic", "oscillatory"):
         left, right = _limits(obj)
-        return FiniteAnalytic(
+        return (OscillatorySample if kind == "oscillatory" else FiniteAnalytic)(
             span=_span(obj),
             evaluator=parse_expression(obj["expr"]),
             expr_source=obj["expr"],
@@ -85,7 +85,6 @@ def piece_from_json(obj):
             on_value=float(obj["on_value"]),
             off_evaluator=parse_expression(off_src),
             off_expr_source=off_src,
-            off_bound=None if obj.get("off_bound") is None else float(obj["off_bound"]),
             off_limsup_at_carrier=(
                 None
                 if obj.get("off_limsup_at_carrier") is None
@@ -97,26 +96,16 @@ def piece_from_json(obj):
                 else float(obj["off_liminf_at_carrier"])
             ),
         )
-    if kind == "oscillatory":
-        left, right = _limits(obj)
-        if left is None or right is None:
-            raise ValidationError("oscillatory pieces require limits on both sides")
-        return OscillatorySample(
-            span=_span(obj),
-            evaluator=parse_expression(obj["expr"]),
-            expr_source=obj["expr"],
-            limits_left=left,
-            limits_right=right,
-        )
     raise ValidationError(f"unknown piece kind {kind!r}")
 
 
 def piece_to_json(p):
     span = [_json_float(p.span[0]), _json_float(p.span[1])]
-    if isinstance(p, FiniteAnalytic):
+    if isinstance(p, FiniteAnalytic):  # OscillatorySample included
         if p.expr_source is None:
             raise ValidationError("cannot serialize a piece without expression source")
-        out = {"kind": "finite_analytic", "span": span, "expr": p.expr_source}
+        kind = "oscillatory" if isinstance(p, OscillatorySample) else "finite_analytic"
+        out = {"kind": kind, "span": span, "expr": p.expr_source}
         lims = {}
         if p.limits_left is not None:
             lims["left"] = p.limits_left.to_json()
@@ -149,25 +138,11 @@ def piece_to_json(p):
             "on_value": p.on_value,
             "off_expr": p.off_expr_source,
         }
-        if p.off_bound is not None:
-            out["off_bound"] = p.off_bound
         if p.off_limsup_at_carrier is not None:
             out["off_limsup_at_carrier"] = p.off_limsup_at_carrier
         if p.off_liminf_at_carrier is not None:
             out["off_liminf_at_carrier"] = p.off_liminf_at_carrier
         return out
-    if isinstance(p, OscillatorySample):
-        if p.expr_source is None:
-            raise ValidationError("cannot serialize a piece without expression source")
-        return {
-            "kind": "oscillatory",
-            "span": span,
-            "expr": p.expr_source,
-            "limits": {
-                "left": p.limits_left.to_json(),
-                "right": p.limits_right.to_json(),
-            },
-        }
     raise ValidationError(f"cannot serialize {type(p).__name__}")
 
 

@@ -99,8 +99,7 @@ def test_criterion_1_regularization_matches_raster_oracle():
     _report(
         1,
         ok,
-        f"{agreements}/{definite} definite agreements over {len(battery)} domains "
-        f"in {elapsed:.1f}s",
+        f"{agreements}/{definite} definite agreements over {len(battery)} domains",
     )
     assert len(battery) >= 12
     assert definite >= 10
@@ -237,7 +236,7 @@ def test_criterion_5_eta_domain_frequencies():
         and stats[-1.0] in (INCONCLUSIVE, NON_MEMBER)
         and elapsed < 120.0
     )
-    _report(5, ok, f"{ {k: v for k, v in stats.items()} } in {elapsed:.1f}s")
+    _report(5, ok, f"{ {k: v for k, v in stats.items()} }")
     for l in (-0.25, -0.5, -0.75):
         assert stats[l] == MEMBER, (l, stats[l])
     for l in (-1.25, -1.5):
@@ -293,13 +292,11 @@ def _half_plane_fit_errors():
     "Halving the spacing reaches 1.4e-3.",
 )
 def test_criterion_7_error_threshold():
-    t0 = time.time()
     errs = _half_plane_fit_errors()
-    elapsed = time.time() - t0
     _report(
         "7a",
         errs[0] < 1e-2,
-        f"budget-64 error {errs[0]:.4e} against the 1e-2 target ({elapsed:.1f}s); "
+        f"budget-64 error {errs[0]:.4e} against the 1e-2 target; "
         "known floor from the 16*pi replica of the uniform frequency grid",
     )
     assert errs[0] < 1e-2
@@ -313,7 +310,7 @@ def test_criterion_7_monotone_and_runtime():
     _report(
         "7b",
         ok,
-        f"errors {['%.4e' % e for e in errs]} nonincreasing in {elapsed:.1f}s",
+        f"errors {['%.4e' % e for e in errs]} nonincreasing",
     )
     assert errs[1] <= errs[0] * (1 + 1e-9)
     assert errs[2] <= errs[1] * (1 + 1e-9)

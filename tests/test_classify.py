@@ -71,3 +71,23 @@ def test_container_shifts_with_vertical_translation():
     cls1 = classify(psi.translated(dy=2.0))
     assert cls1.container["lo"] == pytest.approx(cls0.container["lo"] + 2.0)
     assert cls1.strip_width == pytest.approx(cls0.strip_width)
+
+
+def test_minorant_none_when_upper_envelopes_leave_no_slope():
+    # psi <= 2y on the lower tail needs m >= 2, psi <= y on the upper tail
+    # needs m <= 1: no affine minorant exists
+    from koenigslab.specio import psi_from_dict
+
+    psi = psi_from_dict({
+        "interval": ["-inf", "inf"],
+        "pieces": [
+            {"kind": "finite_analytic", "span": ["-inf", 0.0], "expr": "2*y",
+             "limits": {"right": {"liminf": 0.0, "limsup": 0.0}},
+             "tail_upper": {"kind": "affine", "m": 2.0, "c": 0.0}},
+            {"kind": "finite_analytic", "span": [0.0, "inf"], "expr": "y",
+             "limits": {"left": {"liminf": 0.0, "limsup": 0.0}},
+             "tail_upper": {"kind": "affine", "m": 1.0, "c": 0.0}},
+        ],
+    })
+    assert affine_minorant(psi).status is TriState.NO
+

@@ -338,3 +338,38 @@ def test_translation_shifts_values():
     E0, _ = psi.liminf_neg_inf_set()
     E1, _ = moved.liminf_neg_inf_set()
     assert [(lo - 1.0, hi - 1.0) for lo, hi in E0] == pytest.approx(E1)
+
+
+@pytest.mark.parametrize("name", ["oscillation_cantor", "double_gap"])
+def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
+    # validation builds the structural facts; no consumer recomputes them
+    from collections import Counter
+
+    from koenigslab import CantorCarrierPiece, PointSpike
+    from koenigslab.classify import classify
+    from koenigslab.completeness import decide
+    from koenigslab.features import analyze
+    from koenigslab.hardy import lambda_infty
+    from koenigslab.raster import complement_components, rasterize
+
+    entry = battery_entry(name)
+    src = entry.psi
+    psi = PiecewiseDefiningFunction(
+        src.interval_lo, src.interval_hi, src.pieces, name=src.name,
+        point_values=dict(src.point_values),
+    )
+    calls = Counter()
+    for cls in (FiniteAnalytic, MinusInfinity, PointSpike, CantorCarrierPiece):
+        def counted(self, y0, side, _orig=cls.side_limits):
+            calls[(y0, side)] += 1
+            return _orig(self, y0, side)
+
+        monkeypatch.setattr(cls, "side_limits", counted)
+    psi.validate()
+    decide(psi, p=1.0)
+    analyze(psi)
+    lambda_infty(psi)
+    classify(psi)
+    grid = rasterize(psi, entry.window, 256)
+    complement_components(psi, grid)
+    assert calls and max(calls.values()) == 1, calls

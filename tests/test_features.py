@@ -17,7 +17,6 @@ from koenigslab.features import (
     detect_super_repelling,
     detect_unbounded_discontinuities,
     dw_discontinuity,
-    minus_infinity_components,
 )
 
 NEG_INF = float("-inf")
@@ -196,7 +195,7 @@ def test_translation_invariance_of_heights():
 
 
 def test_minus_infinity_components_helper():
-    assert minus_infinity_components(battery_entry("double_gap").psi) == [
+    assert battery_entry("double_gap").psi.minus_infinity_components() == [
         (0.0, 1.0),
         (2.0, 3.0),
     ]

@@ -13,7 +13,6 @@ from koenigslab.hardy import (
     hardy_membership,
     horizontal_half_plane,
     lambda_infty,
-    log_domain,
     scaling_law_check,
     strip_width_pi,
 )
@@ -132,12 +131,6 @@ def test_domain_monotonicity_eta_family(domains):
     assert hardy_membership(-1.5, domains["eta_half"], 1.0).status == MEMBER
 
 
-def test_log_domain_has_no_transplant():
-    psi = battery_entry("log_demo").psi
-    dom = log_domain(psi, 0.5, 0.6, 5.0)
-    assert hardy_membership(-1.0, dom, 2.0).status == INCONCLUSIVE
-
-
 def test_eta_exponent_validation():
     with pytest.raises(ValueError):
         eta_domain(1.5)
@@ -150,6 +143,16 @@ def test_compute_budget_bounds_work():
     res = hardy_membership(-0.75, eta_domain(1.0), 1.0, budget=2**10)
     assert res.status == INCONCLUSIVE
     assert "budget" in res.certificate
+    hardy._membership_cache.clear()
+
+
+def test_budgeted_result_is_not_served_to_unbudgeted_call():
+    from koenigslab import hardy
+
+    hardy._membership_cache.clear()
+    capped = hardy_membership(-0.5, half_plane_right(), 2, budget=100)
+    assert capped.status == INCONCLUSIVE
+    assert hardy_membership(-0.5, half_plane_right(), 2).status == MEMBER
     hardy._membership_cache.clear()
 
 
@@ -214,3 +217,31 @@ def test_region_rays_closed_under_positive_scaling():
             if reg.contains(lam) is TriState.YES:
                 for t in (0.5, 2.0, 7.0):
                     assert reg.contains(t * lam) is TriState.YES
+
+
+def test_log_pow_lower_envelope_gives_open_slope_interval():
+    # psi = -y below 0 and -log(y+1) above: the log_pow lower envelope on
+    # the upper tail admits exactly the slopes m < 0, the affine one on the
+    # lower tail the slopes m >= -1, so left directions exist
+    from koenigslab.specio import psi_from_dict
+
+    psi = psi_from_dict({
+        "interval": ["-inf", "inf"],
+        "pieces": [
+            {"kind": "finite_analytic", "span": ["-inf", 0.0], "expr": "-y",
+             "limits": {"right": {"liminf": 0.0, "limsup": 0.0}},
+             "tail_lower": {"kind": "affine", "m": -1.0, "c": 0.0}},
+            {"kind": "finite_analytic", "span": [0.0, "inf"], "expr": "-log(y+1)",
+             "limits": {"left": {"liminf": 0.0, "limsup": 0.0}},
+             "tail_lower": {"kind": "log_pow", "C": 1.0, "a": 1.0, "D": 0.0}},
+        ],
+    })
+    reg = lambda_infty(psi)
+    assert reg.left_directions is TriState.YES
+    assert reg.slopes_feasible == (-1.0, -5e-324)
+    # lam = u + iv with u < 0 has slope v / u
+    assert reg.contains(-1.0 + 0.5j) is TriState.YES  # m = -0.5
+    assert reg.contains(-1.0 + 1.0j) is TriState.YES  # m = -1
+    assert reg.contains(-1.0 + 2.0j) is TriState.UNKNOWN  # m = -2
+    assert reg.contains(-1.0) is TriState.UNKNOWN  # m = 0, excluded from feasible
+
