@@ -220,7 +220,11 @@ def predicted_components(psi: PiecewiseDefiningFunction):
 def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
     """Verdict for density of the exponential span in H^p, p < infinity."""
     psi.require_validated()
-    ws = decide_weak_star(psi)
+    return _p_report(psi, p, decide_weak_star(psi))
+
+
+def _p_report(psi, p, ws: CompletenessVerdict):
+    """``p_completeness_report`` given the weak-star verdict ``ws`` of psi."""
     if ws.weak_star_complete is TriState.YES:
         return {
             "p_complete": TriState.YES,
@@ -351,7 +355,7 @@ def decide(psi, p=None, cross_check=False, window=None, resolution=1024):
         "features": analyze(psi).to_json(),
     }
     if p is not None:
-        rep = p_completeness_report(psi, p)
+        rep = _p_report(psi, p, ws)
         out["p"] = p
         out["p_complete"] = rep["p_complete"].value
         out["p_route"] = rep["route"]

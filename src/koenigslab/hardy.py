@@ -181,7 +181,16 @@ def _trend_verdict(logs):
     return INCONCLUSIVE, "increment ratio too close to 1 to certify"
 
 
+# answers by (domain, lam, p, budget); past the capacity, which exceeds a
+# sweep of a few hundred frequencies, the oldest answer is dropped
 _membership_cache: dict = {}
+_MEMBERSHIP_CACHE_SIZE = 1024
+
+
+def _remember(key, res):
+    if len(_membership_cache) >= _MEMBERSHIP_CACHE_SIZE:
+        del _membership_cache[next(iter(_membership_cache))]
+    _membership_cache[key] = res
 
 
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> MembershipResult:
@@ -195,7 +204,7 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
         return hit
     if lam == 0:
         res = MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
-        _membership_cache[key] = res
+        _remember(key, res)
         return res
     logs = []
     nodes_spent = 0
@@ -221,7 +230,7 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
         else:
             status, cert = INCONCLUSIVE, "budget exhausted before any certificate"
     res = MembershipResult(status, lam, p, cert, logs, len(logs))
-    _membership_cache[key] = res
+    _remember(key, res)
     return res
 
 

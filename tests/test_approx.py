@@ -80,6 +80,72 @@ def test_exp_sum_from_measure_converges_first_order():
     assert all(1.5 < r < 3.0 for r in ratios)
 
 
+def _cell_by_cell(density, R, n):
+    """Reference: one Gauss rule per cell, with the 12/24/48-point check."""
+
+    def gauss(lo, hi, k):
+        x, w = np.polynomial.legendre.leggauss(k)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return half * np.sum(w * np.asarray(density(mid + half * x), dtype=complex))
+
+    atoms, redone = [], 0
+    for j in range(1, n + 1):
+        lo, hi = (j - 1) * R / n, j * R / n
+        w, w_check = gauss(lo, hi, 24), gauss(lo, hi, 12)
+        if abs(w - w_check) > 1e-9 * (1.0 + abs(w)):
+            w = gauss(lo, hi, 48)
+            redone += 1
+        atoms.append((j * R / n, complex(w)))
+    return atoms, redone
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda s: np.ones_like(np.asarray(s, float)),
+        lambda s: np.exp(-2.0 * np.asarray(s)),
+        lambda s: (1.0 - np.asarray(s)) ** 2 * np.exp(-3.0 * np.asarray(s)),
+        lambda s: np.exp(1j * 3.0 * np.asarray(s)) / (1.0 + np.asarray(s)),
+        lambda s: np.sqrt(np.asarray(s)),
+    ],
+)
+@pytest.mark.parametrize("R, n", [(1.0, 1), (1.0, 4), (5.0, 64), (1.0, 256), (2.5, 7), (3, 5), (0.1, 3)])
+def test_discretize_matches_cell_by_cell_reference_bitwise(density, R, n):
+    atoms, _ = _cell_by_cell(density, R, n)
+    mu = discretize_measure(density, R, n)
+    assert [t for t, _ in mu.atoms] == [t for t, _ in atoms]
+    assert np.array_equal([w for _, w in mu.atoms], [w for _, w in atoms])
+
+
+def test_discretize_refines_failing_cells_bitwise():
+    density = lambda s: np.exp(-2.0 * np.asarray(s)) * np.cos(40.0 * np.asarray(s))
+    atoms, redone = _cell_by_cell(density, 1.0, 2)
+    assert redone > 0  # the 48-point branch runs
+    mu = discretize_measure(density, 1.0, 2)
+    assert np.array_equal([w for _, w in mu.atoms], [w for _, w in atoms])
+
+
+def test_evaluate_many_matches_each_sum_bitwise():
+    spec = LogDomainSpec(psi=parse_expression("-(1/2)*log(abs(y)+1)"), lip_bound=0.5, log_exponent=0.6)
+    b = choose_b(spec)
+    # the log-domain demo's sample points, shifted back by b
+    t = np.linspace(-300.0, 300.0, 2048)
+    zb = np.asarray(spec.psi(t), dtype=float) + b + 1j * t
+    zs = np.concatenate([zb, (zb + np.linspace(0.5, 8.0, 7)[:, None]).ravel()]) - b
+    sums = [
+        poly_alpha_exp_sum([0.3, -1.0 + 0.5j, 2.0], b, n_per_unit=256)[1],
+        poly_alpha_exp_sum([0.1, 1.0, -0.5, 0.25, 0.125j], b, n_per_unit=256)[1],
+        ExpSum(((2.0, -1.0 + 0j), (1j, 0.5j))),
+        ExpSum(()),
+    ]
+    for z in (zs, zs[:279], zs[5]):
+        got = ExpSum.evaluate_many(sums, z)
+        assert len(got) == len(sums)
+        for s, g in zip(sums, got):
+            assert np.array_equal(g, s(z))
+    assert isinstance(ExpSum.evaluate_many(sums, 0.5)[0], complex)
+
+
 def test_empty_sum_evaluates_to_zero():
     assert ExpSum(())(1.23 + 4j) == 0
 
@@ -165,6 +231,25 @@ def test_alpha_matches_quadrature_at_random_points():
     rng = np.random.default_rng(42)
     zs = rng.normal(0, 2, 100) + 1j * rng.normal(0, 2, 100)
     assert np.max(np.abs(alpha_map(zs) - alpha_quadrature(zs))) < 1e-10
+
+
+def test_alpha_quadrature_keeps_the_input_shape():
+    a0 = alpha_quadrature(0.0)
+    assert isinstance(a0, complex) and abs(a0 - 1.0 / 3.0) < 1e-14
+    zs = np.array([[0.5, 1.0 - 2.0j, -3.0], [2.0j, 4.0, -1.0 + 1.0j]])
+    grid = alpha_quadrature(zs)
+    assert grid.shape == zs.shape
+    assert np.max(np.abs(grid - alpha_map(zs))) < 1e-13
+
+
+def test_alpha_quadrature_raises_past_its_node_cap(monkeypatch):
+    from koenigslab import approx
+
+    # e^{200 i lam} oscillates ~30 times on [-1, 0]: 64 nodes cannot settle it
+    monkeypatch.setattr(approx, "_ALPHA_QUAD_MAX_NODES", 64)
+    with pytest.raises(ArithmeticError):
+        alpha_quadrature(np.array([0.5, 200j]))
+    assert abs(alpha_quadrature(0.5) - alpha_map(0.5)) < 1e-14
 
 
 def test_alpha_far_field_decay():

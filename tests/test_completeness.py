@@ -1,6 +1,6 @@
 import pytest
 
-from koenigslab import TriState
+from koenigslab import TriState, completeness
 from koenigslab.battery import battery_entry, full_battery
 from koenigslab.completeness import (
     decide,
@@ -105,3 +105,22 @@ def test_decide_dictionary_face():
 def test_decide_requires_window_for_cross_check():
     with pytest.raises(ValueError):
         decide(battery_entry("strip").psi, cross_check=True)
+
+
+def test_decide_computes_the_weak_star_verdict_once(monkeypatch):
+    calls = []
+    inner = completeness.decide_weak_star
+
+    def counting(psi):
+        calls.append(psi)
+        return inner(psi)
+
+    monkeypatch.setattr(completeness, "decide_weak_star", counting)
+    for name in ("strip", "double_spike", "log_minorant"):
+        psi = battery_entry(name).psi
+        calls.clear()
+        out = decide(psi, p=1.0)
+        assert len(calls) == 1, name
+        calls.clear()
+        assert out["p_route"] == p_completeness_report(psi, 1.0)["route"]
+        assert len(calls) == 1, name

@@ -156,6 +156,21 @@ def test_budgeted_result_is_not_served_to_unbudgeted_call():
     hardy._membership_cache.clear()
 
 
+def test_membership_cache_is_bounded():
+    from koenigslab import hardy
+
+    hardy._membership_cache.clear()
+    hp = half_plane_right()
+    first = hardy_membership(-0.5, hp, 2.0, budget=1)
+    for k in range(hardy._MEMBERSHIP_CACHE_SIZE + 50):
+        hardy_membership(-1.0 - k / 64, hp, 2.0, budget=1)
+    assert len(hardy._membership_cache) == hardy._MEMBERSHIP_CACHE_SIZE
+    again = hardy_membership(-0.5, hp, 2.0, budget=1)  # evicted: recomputed
+    assert again is not first and again == first
+    assert hardy_membership(-0.5, hp, 2.0, budget=1) is again
+    hardy._membership_cache.clear()
+
+
 # -- betsakos band --------------------------------------------------------
 
 
