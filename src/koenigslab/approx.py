@@ -113,13 +113,7 @@ class ExpSum:
     orientation: str = "generic"
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c, lam in self.terms:
-            # array first: numpy rounds c * array and array * c differently,
-            # and turns c * np.exp(...) into the latter only above 256 KiB
-            out = out + np.exp(lam * z) * c
-        return complex(out) if out.ndim == 0 else out
+        return ExpSum.evaluate_many((self,), z)[0]
 
     @staticmethod
     def evaluate_many(sums, z):
@@ -128,9 +122,10 @@ class ExpSum:
         their frequencies lie on one grid in one order (the log-domain
         pipeline's degrees).
 
-        Each sum still adds its own terms in its own order, so every result
-        equals ``s(z)`` bit for bit; at most one exponential per sum is
-        held at a time."""
+        Each sum adds its own terms in its own order, so a sum's result
+        does not depend on the other sums it is evaluated with;
+        ``s(z)`` is ``evaluate_many((s,), z)[0]``.  At most one exponential
+        per sum is held at a time."""
         z = np.asarray(z, dtype=complex)
         outs = [np.zeros(z.shape, dtype=complex) for _ in sums]
         for k in range(max((len(s.terms) for s in sums), default=0)):
@@ -140,6 +135,9 @@ class ExpSum:
                     c, lam = s.terms[k]
                     if lam not in step:
                         step[lam] = np.exp(lam * z)
+                    # array first: numpy rounds c * array and array * c
+                    # differently, and turns c * np.exp(...) into the
+                    # latter only above 256 KiB
                     out += step[lam] * c
         return [complex(o) if o.ndim == 0 else o for o in outs]
 
@@ -161,17 +159,20 @@ def _gauss_legendre(n):
 
 
 def _gauss_cells(f, lo, hi, n):
-    """n-point Gauss integrals of f over the cells [lo[i], hi[i]]."""
+    """n-point Gauss integrals of f over the cells [lo[i], hi[i]]; f may
+    return a constant instead of one value per point."""
     x, w = _gauss_legendre(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x
-    vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
+    vals = np.asarray(f(pts.ravel()), dtype=complex)
+    vals = np.broadcast_to(vals, (pts.size,)).reshape(pts.shape)
     return half * np.sum(w * vals, axis=1)
 
 
 def discretize_measure(density, R, n) -> AtomicMeasure:
     """Atoms at j R / n, j = 1..n, weighted by the cell integrals of the
-    density over [(j-1)R/n, jR/n).
+    density over [(j-1)R/n, jR/n).  The density takes a flat array of
+    points and returns one value per point, or a single constant.
 
     All cells are integrated in one pass: the density is called once on the
     24-point Gauss nodes of every cell and once on the 12-point nodes, as a
@@ -316,8 +317,14 @@ def alpha_quadrature(z, n=32):
     tolerance relative to the value itself never settles where the terms
     reach e^{|z|} and cancel).  The 2n-node value is returned.  Raises
     ArithmeticError when agreement needs more than 4096 nodes, so an
-    unconverged value is never returned.  A scalar z gives a complex; an
-    array keeps its shape."""
+    unconverged value is never returned, and ValueError for a starting n
+    outside [1, 2048] (above 2048 not even one n/2n comparison fits under
+    the cap).  A scalar z gives a complex; an array keeps its shape."""
+    if not 1 <= n <= _ALPHA_QUAD_MAX_NODES // 2:
+        raise ValueError(
+            f"alpha quadrature starts at 1 to {_ALPHA_QUAD_MAX_NODES // 2} nodes "
+            f"(it compares n against 2n, capped at {_ALPHA_QUAD_MAX_NODES}); got n={n}"
+        )
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     coarse, _ = _alpha_rule(flat, n)

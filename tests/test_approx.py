@@ -107,6 +107,7 @@ def _cell_by_cell(density, R, n):
         lambda s: (1.0 - np.asarray(s)) ** 2 * np.exp(-3.0 * np.asarray(s)),
         lambda s: np.exp(1j * 3.0 * np.asarray(s)) / (1.0 + np.asarray(s)),
         lambda s: np.sqrt(np.asarray(s)),
+        lambda s: 2.0 - 0.5j,  # a constant, not one value per point
     ],
 )
 @pytest.mark.parametrize("R, n", [(1.0, 1), (1.0, 4), (5.0, 64), (1.0, 256), (2.5, 7), (3, 5), (0.1, 3)])
@@ -250,6 +251,17 @@ def test_alpha_quadrature_raises_past_its_node_cap(monkeypatch):
     with pytest.raises(ArithmeticError):
         alpha_quadrature(np.array([0.5, 200j]))
     assert abs(alpha_quadrature(0.5) - alpha_map(0.5)) < 1e-14
+
+
+def test_alpha_quadrature_rejects_a_start_above_half_the_cap():
+    from koenigslab import approx
+
+    cap = approx._ALPHA_QUAD_MAX_NODES
+    for n in (0, cap // 2 + 1, 4000):
+        with pytest.raises(ValueError, match=str(cap // 2)):
+            alpha_quadrature(0.5, n=n)
+    # the largest start still compares once (rounding grows with 4096 nodes)
+    assert abs(alpha_quadrature(0.5, n=cap // 2) - alpha_map(0.5)) < 1e-12
 
 
 def test_alpha_far_field_decay():
