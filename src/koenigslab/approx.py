@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -214,10 +214,20 @@ class FitResult:
     exp_sum: ExpSum
     error: float
     rho: float
-    rho_refinement_delta: float
     gram_condition: float
     n_nodes: int
     conditioning_failure: bool = False
+    # error at the refinement radius; None after a conditioning failure
+    _refined_error: Optional[Callable[[], float]] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def rho_refinement_delta(self) -> float:
+        """|error at radius (1 + rho)/2 - error at rho|: the sensitivity of
+        the error to the quadrature radius.  It needs a second design
+        matrix, so it is computed on first read."""
+        if self._refined_error is None:
+            return math.nan
+        return abs(self._refined_error() - self.error)
 
 
 def least_squares_fit(
@@ -251,17 +261,20 @@ def least_squares_fit(
     try:
         coef = np.linalg.solve(G_r, rhs)
     except np.linalg.LinAlgError:
-        return FitResult(ExpSum(()), math.inf, rho, math.nan, math.inf, n_nodes, True)
+        return FitResult(ExpSum(()), math.inf, rho, math.inf, n_nodes, True)
     if not np.all(np.isfinite(coef)):
-        return FitResult(ExpSum(()), math.inf, rho, math.nan, math.inf, n_nodes, True)
-    resid = A @ coef - b
-    err = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    # sensitivity of the error to the quadrature radius
-    A2, b2 = design(1.0 - (1.0 - rho) / 2.0)
-    err2 = float(np.sqrt(np.mean(np.abs(A2 @ coef - b2) ** 2)))
+        return FitResult(ExpSum(()), math.inf, rho, math.inf, n_nodes, True)
+
+    def rms_error(A, b):
+        return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
+
+    err = rms_error(A, b)
     cond = float(np.linalg.cond(G_r))
     s = ExpSum(tuple((complex(c), l) for c, l in zip(coef, freqs)))
-    return FitResult(s, err, rho, abs(err2 - err), cond, n_nodes)
+    return FitResult(
+        s, err, rho, cond, n_nodes,
+        _refined_error=lambda: rms_error(*design(1.0 - (1.0 - rho) / 2.0)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -293,30 +293,113 @@ def log_minorant_domain():
     )
 
 
+# heights inverted together: the work is elementwise, so chunking changes no
+# bit, and it keeps the temporaries of a raster's worth of heights small
+# (a whole 65,536-height raster at once raised peak RSS by 13 MB)
+_ETA_CHUNK = 4096
+_ETA_BISECTION_STEPS = 80
+_ETA_NEWTON_STEPS = 8
+# half-width of the certified root interval, relative to max(1, |t*|)
+_ETA_MARGIN = 1e-12
+
+
+def _eta_terms(t, a):
+    """w = 3 + i t, L = log w and L^a, for real t: one boundary evaluation."""
+    w = 1j * t + 3.0
+    L = np.log(w)
+    return w, L, np.exp(a * np.log(L))
+
+
+def _eta_boundary(t, a):
+    """The boundary curve eta(i t) = i t - (log(3 + i t))^a."""
+    return 1j * t - _eta_terms(t, a)[2]
+
+
+def _eta_root(y, a):
+    """Newton root t* of Im eta(i t) = y, and the half-width 2m of the band
+    around it inside which a bisection step must evaluate the boundary.
+
+    m = c max(1, |t*|); the root is certified when Im eta(i t) lies below y
+    at t* - m and above it at t* + m.  The band is +inf where that fails
+    (NaN or infinite y, a Newton run that does not converge), where a
+    bisection midpoint could overflow (|y| >= 1e307) and for exponents
+    outside (0, 1], so those heights are evaluated at every step.
+    """
+    t = y.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_ETA_NEWTON_STEPS):
+            w, L, La = _eta_terms(t, a)
+            # d/dt Im (log w)^a = Im a (log w)^(a-1) i/w
+            slope = 1.0 - np.imag(a * La / L * 1j / w)
+            step = (t - np.imag(La) - y) / slope
+            t = t - step
+            m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
+            if not np.any(np.abs(step) > 1e-3 * m):
+                break
+        certified = (
+            (np.imag(_eta_boundary(t - m, a)) < y)
+            & (np.imag(_eta_boundary(t + m, a)) > y)
+            & (np.abs(y) < 1e307)
+            & (0.0 < a <= 1.0)
+        )
+    return t, np.where(certified, 2.0 * m, POS_INF)
+
+
+def _eta_invert(y, a):
+    """psi(y) for a 1-D array of heights: the bisection replay described
+    in ``_eta_defining_function``."""
+    lo = y - 3.0 - 3.0 * np.abs(y)
+    hi = y + 3.0 + 3.0 * np.abs(y)
+    t_star, band = _eta_root(y, a)
+    live = np.ones(y.shape, dtype=bool)
+    for _ in range(_ETA_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        too_low = mid < t_star
+        near = np.flatnonzero(live & ~(np.abs(mid - t_star) > band))
+        if near.size:
+            too_low[near] = np.imag(_eta_boundary(mid[near], a)) < y[near]
+        # a step that leaves the bracket's bits unchanged is a fixed point
+        live &= np.where(too_low, lo, hi).view(np.int64) != mid.view(np.int64)
+        if not live.any():
+            break
+        lo = np.where(live & too_low, mid, lo)
+        hi = np.where(live & ~too_low, mid, hi)
+    return np.real(_eta_boundary(0.5 * (lo + hi), a))
+
+
 def _eta_defining_function(a=1.0):
     """Numeric defining function of the image of the right half-plane
-    under w - (log(w+3))^a, via monotone inversion of the boundary curve."""
+    under w - (log(w+3))^a, via monotone inversion of the boundary curve.
 
-    def boundary(t):
-        t = np.asarray(t, dtype=float)
-        w = 1j * t + 3.0
-        val = 1j * t - np.exp(a * np.log(np.log(w)))
-        return val
+    psi(y) = Re eta(i t) where Im eta(i t) = y.  The value is bit for bit
+    what 80 steps of bisection on [y - 3 - 3|y|, y + 3 + 3|y|] give when
+    every step evaluates ``Im eta(i mid) < y``; most steps are decided
+    without the evaluation, and none is decided differently:
+
+    * A step that leaves the bits of the bracket unchanged is a fixed point
+      (the next midpoint, and so the next decision, repeat), so a height
+      stops there; on the eta1 raster heights that is after 54-66 steps.
+    * For 0 < a <= 1 the slope of Im eta(i t) lies in [1 - a/3, 1 + a/3]:
+      it is 1 - Im a (log w)^(a-1) i/w with w = 3 + it, |log w| >= log 3 > 1
+      and |w| >= 3.  The certified Newton root t* (``_eta_root``) lies
+      within m = 1e-12 max(1, |t*|) of the root, so at a midpoint more than
+      2m from t* the exact Im eta(i mid) - y exceeds 2m/3 in size and has
+      the sign of mid - t*.  Its evaluation is off by a few ulps of |mid|
+      and of |log w|^a, far less than that, so the evaluated decision
+      there is ``mid < t*``.
+    * Only midpoints within 2m of t*, and every midpoint of an uncertified
+      height, are evaluated: about 25 boundary evaluations per height,
+      Newton and certificate included, instead of 81.
+    """
 
     def psi_of_y(y):
         scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        # solve Im eta(i t) = y for t by bisection; the derivative of the
-        # imaginary part lies in (1 - a', 1 + a') so bracketing is easy
-        lo = y - 3.0 - 3.0 * np.abs(y)
-        hi = y + 3.0 + 3.0 * np.abs(y)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_low = np.imag(boundary(mid)) < y
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        out = np.real(boundary(0.5 * (lo + hi)))
-        return float(out[0]) if scalar else out
+        flat = y.ravel()
+        out = np.empty(flat.shape)
+        for s in range(0, flat.size, _ETA_CHUNK):
+            out[s : s + _ETA_CHUNK] = _eta_invert(flat[s : s + _ETA_CHUNK], a)
+        return float(out[0]) if scalar else out.reshape(y.shape)
 
     return psi_of_y
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
 
@@ -507,12 +508,9 @@ class CantorCarrierPiece(Piece):
         return float(self._off(y))
 
     def _carrier_accumulates(self, y0, side):
-        deltas = [2.0 ** (-k) for k in (3, 8, 16, 28, 40)]
-        for d in deltas:
-            lo, hi = (y0 - d, y0 - d * 1e-9) if side == "left" else (y0 + d * 1e-9, y0 + d)
-            if not self.carrier.intersects(lo, hi):
-                return False
-        return True
+        d = np.array([2.0 ** (-k) for k in (3, 8, 16, 28, 40)])
+        lo, hi = (y0 - d, y0 - d * 1e-9) if side == "left" else (y0 + d * 1e-9, y0 + d)
+        return bool(self.carrier.intersects_many(lo, hi).all())
 
     def _off_side(self, y0, side):
         delta = min(1.0, (self.span[1] - self.span[0]) / 4)
@@ -999,19 +997,15 @@ class PiecewiseDefiningFunction:
             else:
                 ev = p.evaluator
             vals = _evaluate(ev, ys)
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 row_max = np.nanmax(vals, axis=1)
                 row_min = np.nanmin(vals, axis=1)
             M[i0:i1] = np.fmax(M[i0:i1], row_max)
             m[i0:i1] = np.fmin(m[i0:i1], row_min)
             Mstar[i0:i1] = np.fmax(Mstar[i0:i1], row_max)
             if isinstance(p, CantorCarrierPiece):
-                hit = np.array(
-                    [p.carrier.intersects(l, h) for l, h in zip(sub_lo, sub_hi)]
-                )
+                hit = p.carrier.intersects_many(sub_lo, sub_hi)
                 M[i0:i1][hit] = np.maximum(M[i0:i1][hit], p.on_value)
                 if p.off_limsup_at_carrier is not None:
                     Mstar[i0:i1][hit] = np.maximum(

@@ -198,14 +198,9 @@ def _component_count_single(grid: RasterGrid):
     # rows bearing complement somewhere in the plane: everything except
     # sealed rows (closure contains the full line there)
     bearing = ~grid.seal
-    # runs of consecutive bearing rows; each run is one merged component
-    runs = 0
-    prev = False
-    for b in bearing:
-        if b and not prev:
-            runs += 1
-        prev = bool(b)
-    return runs
+    # runs of consecutive bearing rows; each run is one merged component,
+    # counted at its first row
+    return int(np.count_nonzero(bearing[1:] & ~bearing[:-1])) + int(bearing[:1].sum())
 
 
 def complement_components(psi, grid: RasterGrid):

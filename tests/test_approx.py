@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -207,6 +208,30 @@ def test_error_nonincreasing_in_budget():
         errs.append(fit.error)
     assert errs[1] <= errs[0] * (1 + 1e-9)
     assert errs[2] <= errs[1] * (1 + 1e-9)
+
+
+def test_refinement_delta_is_computed_when_read():
+    hp = half_plane_right()
+    radii = []
+
+    def transplant(u):
+        radii.append(float(np.abs(u[0])))
+        return hp.transplant(u)
+
+    dom = dataclasses.replace(hp, transplant=transplant)
+    target = lambda z: 1.0 / (z + 1.0) ** 2
+    freqs = [-k / 8 for k in range(1, 9)]
+    fit = least_squares_fit(target, dom, freqs, n_nodes=2**10)
+    assert len(radii) == 1
+    delta = fit.rho_refinement_delta
+    assert len(radii) == 2 and fit.rho_refinement_delta == delta
+    # the same arithmetic as the fit's own error, at radius (1 + rho)/2
+    theta = (np.arange(2**10) + 0.5) * (2.0 * math.pi / 2**10)
+    z = hp.transplant((1.0 - (1.0 - fit.rho) / 2.0) * np.exp(1j * theta))
+    A = np.exp(np.multiply.outer(z, np.asarray([complex(l) for l in freqs])))
+    coef = np.array([c for c, _ in fit.exp_sum.terms])
+    err2 = float(np.sqrt(np.mean(np.abs(A @ coef - target(z)) ** 2)))
+    assert delta == abs(err2 - fit.error)
 
 
 def test_fit_reports_conditioning():

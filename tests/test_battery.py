@@ -1,0 +1,86 @@
+import numpy as np
+import pytest
+
+from koenigslab import battery
+from koenigslab.battery import battery_entry
+
+
+def bisection_reference(y, a):
+    """The 80-step bisection the eta evaluator replays, evaluating every step."""
+
+    def boundary(t):
+        t = np.asarray(t, dtype=float)
+        w = 1j * t + 3.0
+        val = 1j * t - np.exp(a * np.log(np.log(w)))
+        return val
+
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    lo = y - 3.0 - 3.0 * np.abs(y)
+    hi = y + 3.0 + 3.0 * np.abs(y)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_low = np.imag(boundary(mid)) < y
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return np.real(boundary(0.5 * (lo + hi)))
+
+
+def raster_heights(n):
+    """The heights row_profiles samples on eta1's window at resolution n."""
+    _, _, y0, y1 = battery_entry("eta1").window
+    y_edges = np.linspace(y0, y1, n + 1)
+    lo, hi = y_edges[:-1], y_edges[1:]
+    frac = (np.arange(64) + 0.5) / 64
+    return lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+
+
+def random_heights(count=60_000, seed=0):
+    rng = np.random.default_rng(seed)
+    k = count // 3
+    signs = rng.choice([-1.0, 1.0], k)
+    return np.concatenate([
+        rng.normal(0.0, 30.0, k),
+        rng.uniform(-1.0, 1.0, k),
+        signs * np.exp(rng.uniform(-700.0, 700.0, k)),
+    ])
+
+
+SPECIAL_HEIGHTS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
+    1e307, -1e307, 5e307, -5e307, 1e308, -1e308, 1.7976931348623157e308,
+    np.nan, np.inf, -np.inf,
+])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_inversion_is_bitwise_the_80_step_bisection(a):
+    ev = battery._eta_defining_function(a)
+    with np.errstate(all="ignore"):
+        for ys in (raster_heights(1024), raster_heights(512), random_heights(), SPECIAL_HEIGHTS):
+            assert same_bits(ev(ys), bisection_reference(ys, a).reshape(ys.shape))
+        for y in SPECIAL_HEIGHTS:
+            got = ev(y)
+            assert isinstance(got, float)
+            assert same_bits(got, bisection_reference(y, a)[0])
+
+
+def test_eta_inversion_evaluates_the_boundary_at_most_30_times_per_height(monkeypatch):
+    # the plain bisection evaluates the boundary 81 times per height
+    count = 0
+    terms = battery._eta_terms
+
+    def counted(t, a):
+        nonlocal count
+        count += np.size(t)
+        return terms(t, a)
+
+    monkeypatch.setattr(battery, "_eta_terms", counted)
+    psi = battery_entry("eta1").psi
+    _, _, y0, y1 = battery_entry("eta1").window
+    psi.row_profiles(np.linspace(y0, y1, 1025))
+    assert 0 < count <= 30 * 65_536, count / 65_536

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from koenigslab.cantor import CantorSet
 
@@ -90,3 +92,91 @@ def test_rejects_bad_parameters():
         CantorSet(1.0, 0.0)
     with pytest.raises(ValueError):
         CantorSet(0.0, 1.0, keep_fraction=0.6)
+
+
+def intersects_reference(c: CantorSet, a: float, b: float) -> bool:
+    """Interval query by the cell recursion in exact Fractions, one interval
+    at a time."""
+    if b < a:
+        return False
+    f = c._frac()
+
+    def rec(a, b, clo, chi, depth):
+        if b < clo or a > chi:
+            return False
+        if a <= clo or chi <= b:
+            return True
+        if depth == 0:
+            return True
+        w = (chi - clo) * f
+        return rec(a, b, clo, clo + w, depth - 1) or rec(a, b, chi - w, chi, depth - 1)
+
+    return rec(Fraction(a), Fraction(b), Fraction(c.lo), Fraction(c.hi), c.depth)
+
+
+def exact_cell_ends(c: CantorSet, depth: int):
+    f = c._frac()
+    cells = [(Fraction(c.lo), Fraction(c.hi))]
+    ends = []
+    for _ in range(depth):
+        nxt = []
+        for clo, chi in cells:
+            w = (chi - clo) * f
+            nxt += [(clo, clo + w), (chi - w, chi)]
+        cells = nxt
+        ends += [e for cell in cells for e in cell]
+    return ends
+
+
+@st.composite
+def carriers_and_intervals(draw):
+    lo = draw(st.floats(-4.0, 4.0))
+    width = draw(st.floats(1e-3, 8.0))
+    keep = draw(st.sampled_from([1.0 / 3.0, 0.25, 0.1, 0.45]) | st.floats(0.01, 0.49))
+    c = CantorSet(lo, lo + width, keep, draw(st.integers(1, 60)))
+    ends = exact_cell_ends(c, 4)
+    # floats at and next to exact cell endpoints
+    near_end = st.builds(
+        lambda e, k: math.nextafter(float(e), k * math.inf) if k else float(e),
+        st.sampled_from(ends), st.sampled_from([-1, 0, 1]),
+    )
+    anywhere = st.floats(c.lo - width, c.hi + width)
+    point = near_end | anywhere
+    interval = (
+        st.tuples(point, point)  # reversed when b < a
+        | point.map(lambda y: (y, y))  # zero width
+        | st.tuples(point, st.floats(0.0, width / 100)).map(lambda t: (t[0], t[0] + t[1]))
+        | st.tuples(st.floats(c.hi, c.hi + 10), st.floats(0.0, 1.0)).map(lambda t: (t[0], t[0] + t[1]))
+    )
+    return c, draw(st.lists(interval, min_size=1, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(carriers_and_intervals())
+def test_intersects_many_equals_the_scalar_query(case):
+    c, intervals = case
+    a = np.array([lo for lo, _ in intervals])
+    b = np.array([hi for _, hi in intervals])
+    got = c.intersects_many(a, b)
+    assert got.dtype == bool and got.shape == a.shape
+    assert got.tolist() == [c.intersects(lo, hi) for lo, hi in intervals]
+    assert got.tolist() == [intersects_reference(c, lo, hi) for lo, hi in intervals]
+
+
+def test_intersects_many_at_exact_endpoints(ternary):
+    # 1/3 is no double: the floats on either side of it bracket the endpoint
+    below = 1.0 / 3.0
+    above = math.nextafter(below, 1.0)
+    assert Fraction(below) < Fraction(1, 3) < Fraction(above)
+    lo = np.array([below, above, 0.4, 0.5, 0.7, 2.0, -1.0])
+    hi = np.array([below, above, 0.6, 0.45, 0.7, 3.0, 0.0])
+    got = ternary.intersects_many(lo, hi)
+    assert got.tolist() == [False, False, False, False, False, False, True]
+    assert got.tolist() == [intersects_reference(ternary, *ab) for ab in zip(lo, hi)]
+    assert ternary.intersects_many([below], [above]).tolist() == [True]
+    assert ternary.intersects_many(np.zeros((2, 3)), 0.5).shape == (2, 3)
+
+
+def test_intersects_many_rejects_nan(ternary):
+    with pytest.raises(ValueError):
+        ternary.intersects_many([0.0, math.nan], [1.0, 1.0])

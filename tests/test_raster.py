@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from koenigslab import TriState
 from koenigslab.battery import battery_entry, full_battery
 from koenigslab.raster import (
     WindowError,
+    _component_count_single,
     complement_components,
     component_labels,
     int_closure_equals_domain,
@@ -147,3 +151,14 @@ def test_translation_invariance_of_verdicts():
     g2 = rasterize(psi2, w, 512)
     assert int_closure_equals_domain(g1)[0] is int_closure_equals_domain(g2)[0]
     assert complement_components(e.psi, g1)[0] == complement_components(psi2, g2)[0]
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=64))
+def test_component_count_is_the_number_of_unsealed_runs(seal):
+    grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 64, with_coarse=False)
+    grid = dataclasses.replace(grid, seal=np.array(seal))
+    runs, prev = 0, True
+    for sealed in seal:
+        runs += prev and not sealed
+        prev = sealed
+    assert _component_count_single(grid) == runs
