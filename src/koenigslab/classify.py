@@ -85,19 +85,28 @@ def _tail_slopes(env, tail):
     return (NEG_INF, -_TINY) if tail == "upper" else (_TINY, POS_INF)
 
 
-def _slope_survivors_from_upper(env, tail):
-    """Slopes NOT killed by one declared upper envelope on one tail."""
-    slopes = _tail_slopes(env, tail)
-    return (NEG_INF, POS_INF) if slopes is None else slopes
-
-
 def _isect(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if lo <= hi else ()
+    return (lo, hi) if lo <= hi else None
+
+
+def slope_brackets(psi: PiecewiseDefiningFunction, tails):
+    """Slopes m for which psi(y) - m y stays bounded below on the given
+    tails of I, bracketed as ``(feasible, possible)``.
+
+    ``feasible`` is certified inside the set: the declared lower envelopes
+    of every tail admit it (None when a tail declares none, or when they
+    admit no common slope).  ``possible`` is certified to contain the set:
+    declared upper envelopes remove the rest (None when nothing survives).
+    """
+    everything = (NEG_INF, POS_INF)
+    feasible = possible = everything
+    for tail in tails:
+        lower, upper = psi.tail_envelopes(tail)
+        slopes = _tail_slopes(lower, tail)
+        feasible = feasible and slopes and _isect(feasible, slopes)
+        possible = possible and _isect(possible, _tail_slopes(upper, tail) or everything)
+    return feasible, possible
 
 
 def affine_minorant(
@@ -121,25 +130,19 @@ def affine_minorant(
             reason="psi reaches -inf; no half-plane contains the domain",
         )
 
-    lo_up, hi_up = psi.tail_envelopes("upper")
-    lo_dn, hi_dn = psi.tail_envelopes("lower")
-    feas_up = _tail_slopes(lo_up, "upper")
-    feas_dn = _tail_slopes(lo_dn, "lower")
+    lo_up, _ = psi.tail_envelopes("upper")
+    lo_dn, _ = psi.tail_envelopes("lower")
+    feas, poss = slope_brackets(psi, ("upper", "lower"))
 
     # candidate slopes: 0 first, then envelope-suggested slopes
     candidates = [0.0]
     for env in (lo_up, lo_dn):
         if env is not None and env.kind == "affine":
             candidates.append(env.params[0])
-    feas = _isect(feas_up, feas_dn) if feas_up is not None and feas_dn is not None else ()
     feasible_m = next((m for m in candidates if feas and feas[0] <= m <= feas[1]), None)
 
     if feasible_m is None:
-        survivors = _isect(
-            _slope_survivors_from_upper(hi_up, "upper"),
-            _slope_survivors_from_upper(hi_dn, "lower"),
-        )
-        if survivors == ():
+        if poss is None:
             return AffineMinorant(
                 TriState.NO,
                 reason="declared upper envelopes decay on both tails; no slope is feasible",

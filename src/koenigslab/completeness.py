@@ -2,13 +2,14 @@
 
 Two independent routes produce the weak-star verdict:
 
-* ``decide_weak_star`` evaluates the defining-function criteria directly:
-  dispatch on the semigroup class, test psi against its regularization,
-  and inspect where the liminf of psi is -inf (for the bounded-interval
-  class the -inf set must be empty or a single closed interval; for the
-  half-line class it must be confined to the closure of the unbounded
-  -inf gap; for the whole-line class a containing half-plane must exist
-  and the regularization test decides).
+* ``decide_weak_star`` evaluates the defining-function criteria.  In
+  every class of non-elliptic semigroup the span is weak-star dense
+  exactly when psi equals its regularization psi~ and one more condition
+  holds.  For a bounded interval I (hyperbolic) the set E where the
+  liminf of psi is -inf is empty or a single closed interval; for a
+  half-line I (positive step) E lies in the closure of the -inf gap that
+  reaches the infinite end of I; for I = R (zero step) the domain lies in
+  a half-plane.
 
 * ``decide_topological`` asks the raster oracle for interior-of-closure
   equality and the complement component count and applies the same
@@ -35,8 +36,8 @@ from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
     affine_minorant,
     classify,
 )
-from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
-from .features import analyze, detect_contact_spikes
+from .domain import POS_INF, PiecewiseDefiningFunction
+from .features import analyze, detect_contact_spikes, unbounded_gap
 from .hardy import NON_MEMBER, eta_domain, hardy_membership
 from .raster import (
     complement_components,
@@ -53,106 +54,71 @@ class CompletenessVerdict:
     witnesses: list = field(default_factory=list)
 
 
+# route prefix of each class, and its YES route
+_PREFIX = {
+    HYPERBOLIC: "bounded-interval",
+    PARABOLIC_POSITIVE: "half-line interval",
+    PARABOLIC_ZERO: "whole-line interval",
+}
+_COMPLETE = {
+    HYPERBOLIC: "psi regularized and a single -inf gap interval",
+    PARABOLIC_POSITIVE: "psi regularized, -inf confined to the unbounded gap",
+    PARABOLIC_ZERO: "contained in a half-plane and psi regularized",
+}
+
+
+def _misplaced_minus_inf(psi, kind, E):
+    """The components of E that break the shape rule of a bounded or
+    half-line I, with the route text of the breach."""
+    if kind == HYPERBOLIC:
+        return (E if len(E) > 1 else []), "the liminf -inf set is not a single interval"
+    gap = unbounded_gap(psi)
+    bad = [(lo, hi) for lo, hi in E if gap is None or not gap[0] <= lo <= hi <= gap[1]]
+    return bad, "liminf -inf outside the unbounded gap"
+
+
 def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
+    """The defining-function criteria as one ladder for the three classes:
+
+    1. I = R only: no containing half-plane gives NO, an undecided one
+       UNKNOWN;
+    2. psi != psi~ gives NO;
+    3. bounded or half-line I only: an uncertified -inf set E gives
+       UNKNOWN, and E of the wrong shape gives NO;
+    4. an inconclusive psi = psi~ test gives UNKNOWN;
+    5. otherwise YES.
+    """
     psi.require_validated()
-    cls = classify(psi)
+    kind = classify(psi).kind
+
+    def verdict(state, text, witnesses=()):
+        return CompletenessVerdict(state, f"{_PREFIX[kind]}: {text}", list(witnesses))
+
+    if kind == PARABOLIC_ZERO:
+        am = affine_minorant(psi)
+        if am.status is TriState.NO:
+            return verdict(
+                TriState.NO,
+                "no containing half-plane, so bounded exponentials reduce to constants",
+                [am.reason],
+            )
+        if am.status is TriState.UNKNOWN:
+            return verdict(TriState.UNKNOWN, "half-plane containment undecided")
     eq, eq_wit = psi.equals_regularized()
-    E, e_exact = psi.liminf_neg_inf_set()
-
-    if cls.kind == HYPERBOLIC:
-        if eq is TriState.NO:
-            return CompletenessVerdict(
-                TriState.NO, "bounded-interval: psi differs from its regularization",
-                witnesses=eq_wit,
-            )
-        if not e_exact:
-            return CompletenessVerdict(
-                TriState.UNKNOWN, "bounded-interval: -inf set not certified"
-            )
-        if len(E) > 1:
-            return CompletenessVerdict(
-                TriState.NO,
-                "bounded-interval: the liminf -inf set is not a single interval",
-                witnesses=E,
-            )
-        if eq is TriState.UNKNOWN:
-            return CompletenessVerdict(
-                TriState.UNKNOWN, "bounded-interval: regularization test inconclusive"
-            )
-        route = (
-            "bounded-interval: psi regularized and liminf finite everywhere"
-            if not E
-            else "bounded-interval: psi regularized and a single -inf gap interval"
-        )
-        return CompletenessVerdict(TriState.YES, route)
-
-    if cls.kind == PARABOLIC_POSITIVE:
-        if eq is TriState.NO:
-            return CompletenessVerdict(
-                TriState.NO, "half-line interval: psi differs from its regularization",
-                witnesses=eq_wit,
-            )
-        if not e_exact:
-            return CompletenessVerdict(
-                TriState.UNKNOWN, "half-line interval: -inf set not certified"
-            )
-        # the liminf -inf set must lie inside the closure of the unbounded
-        # -inf gap
-        side = cls.container["side"]
-        unb = [
-            (lo, hi)
-            for lo, hi in psi.minus_infinity_components()
-            if (side == "upper" and hi == POS_INF) or (side == "lower" and lo == NEG_INF)
-        ]
-        bad = []
-        for lo, hi in E:
-            if unb:
-                ulo, uhi = unb[0]
-                inside = lo >= ulo if side == "upper" else hi <= uhi
-                if inside:
-                    continue
-            bad.append((lo, hi))
-        if bad:
-            return CompletenessVerdict(
-                TriState.NO,
-                "half-line interval: liminf -inf outside the unbounded gap",
-                witnesses=bad,
-            )
-        if eq is TriState.UNKNOWN:
-            return CompletenessVerdict(
-                TriState.UNKNOWN, "half-line interval: regularization test inconclusive"
-            )
-        return CompletenessVerdict(
-            TriState.YES,
-            "half-line interval: psi regularized, -inf confined to the unbounded gap",
-        )
-
-    # whole-line interval
-    am = affine_minorant(psi)
-    if am.status is TriState.NO:
-        return CompletenessVerdict(
-            TriState.NO,
-            "whole-line interval: no containing half-plane, so bounded "
-            "exponentials reduce to constants",
-            witnesses=[am.reason],
-        )
-    if am.status is TriState.UNKNOWN:
-        return CompletenessVerdict(
-            TriState.UNKNOWN, "whole-line interval: half-plane containment undecided"
-        )
     if eq is TriState.NO:
-        return CompletenessVerdict(
-            TriState.NO, "whole-line interval: psi differs from its regularization",
-            witnesses=eq_wit,
-        )
+        return verdict(TriState.NO, "psi differs from its regularization", eq_wit)
+    E, e_exact = psi.liminf_neg_inf_set()
+    if kind != PARABOLIC_ZERO:
+        if not e_exact:
+            return verdict(TriState.UNKNOWN, "-inf set not certified")
+        bad, breach = _misplaced_minus_inf(psi, kind, E)
+        if bad:
+            return verdict(TriState.NO, breach, bad)
     if eq is TriState.UNKNOWN:
-        return CompletenessVerdict(
-            TriState.UNKNOWN, "whole-line interval: regularization test inconclusive"
-        )
-    return CompletenessVerdict(
-        TriState.YES,
-        "whole-line interval: contained in a half-plane and psi regularized",
-    )
+        return verdict(TriState.UNKNOWN, "regularization test inconclusive")
+    if kind == HYPERBOLIC and not E:
+        return verdict(TriState.YES, "psi regularized and liminf finite everywhere")
+    return verdict(TriState.YES, _COMPLETE[kind])
 
 
 def decide_topological(psi: PiecewiseDefiningFunction, window, resolution):
@@ -161,16 +127,9 @@ def decide_topological(psi: PiecewiseDefiningFunction, window, resolution):
     psi.require_validated()
     cls = classify(psi)
     grid = rasterize(psi, window, resolution)
-    ic, ic_details = int_closure_equals_domain(grid)
+    ic, _ = int_closure_equals_domain(grid)
     count, count_status = complement_components(psi, grid)
-    result = {
-        "int_closure_ok": ic.value,
-        "complement_components": count,
-        "component_status": count_status.value,
-        "class": cls.kind,
-        "violation": ic_details[0][0],
-        "resolution": resolution,
-    }
+    result = {"int_closure_ok": ic.value, "complement_components": count}
     if cls.kind == PARABOLIC_ZERO:
         am = affine_minorant(psi)
         if am.status is TriState.NO:
@@ -200,21 +159,13 @@ def decide_topological(psi: PiecewiseDefiningFunction, window, resolution):
 
 def predicted_components(psi: PiecewiseDefiningFunction):
     """Component count of the complement of the closure, from the
-    defining-function side (exact when the -inf data is declared)."""
-    cls = classify(psi)
+    defining-function side (exact when the -inf data is declared): one,
+    plus one per bounded component of E.  Components of E that reach an
+    infinite end of I separate nothing."""
     E, e_exact = psi.liminf_neg_inf_set()
     if not e_exact:
         return None
-    k = len(E)
-    if cls.kind != HYPERBOLIC:
-        # components of E absorbed by the unbounded ends of I do not
-        # contribute a separating line bundle
-        for lo, hi in E:
-            if (not math.isfinite(psi.interval_hi) and hi == POS_INF) or (
-                not math.isfinite(psi.interval_lo) and lo == NEG_INF
-            ):
-                k -= 1
-    return k + 1
+    return 1 + sum(1 for lo, hi in E if math.isfinite(lo) and math.isfinite(hi))
 
 
 def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
@@ -239,12 +190,11 @@ def _p_report(psi, p, ws: CompletenessVerdict):
             "point, separating evaluations that exponentials cannot",
             "witnesses": spikes,
         }
-    verdict = _bounded_interval_obstruction(psi, p)
-    if verdict is not None:
-        return verdict
-    verdict = _log_envelope_domination(psi, p)
-    if verdict is not None:
-        return verdict
+    if classify(psi).kind == PARABOLIC_ZERO:
+        for route in (_bounded_interval_obstruction, _log_envelope_domination):
+            verdict = route(psi, p)
+            if verdict is not None:
+                return verdict
     return {
         "p_complete": TriState.UNKNOWN,
         "route": "no applicable route (necessity of the topological "
@@ -253,11 +203,8 @@ def _p_report(psi, p, ws: CompletenessVerdict):
 
 
 def _bounded_interval_obstruction(psi, p):
-    """Frequencies confined to a bounded real interval while the domain
-    contains a right half-plane: density fails."""
-    cls = classify(psi)
-    if cls.kind != PARABOLIC_ZERO:
-        return None
+    """I = R, frequencies confined to a bounded real interval while the
+    domain contains a right half-plane: density fails."""
     # the domain must contain a translated right half-plane: psi bounded above
     _, upper = psi.tail_envelopes("upper")
     _, upper_dn = psi.tail_envelopes("lower")
@@ -304,12 +251,9 @@ def _matching_eta(psi):
 
 
 def _log_envelope_domination(psi, p):
-    """Sufficient condition: psi continuous (regularized), the complement
-    connected after the class test, and psi bounded below by
-    C1 - (log(|y|+3))^a with a < 1; then density in H^p holds."""
-    cls = classify(psi)
-    if cls.kind != PARABOLIC_ZERO:
-        return None
+    """Sufficient condition for I = R: psi continuous (regularized), the
+    complement connected, and psi bounded below by C1 - (log(|y|+3))^a
+    with a < 1; then density in H^p holds."""
     eq, _ = psi.equals_regularized()
     if eq is not TriState.YES:
         return None

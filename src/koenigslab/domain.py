@@ -762,6 +762,9 @@ class PiecewiseDefiningFunction:
             raise ValidationError("pieces do not start at the left end of I")
         if self.pieces[-1].span[1] != self.interval_hi:
             raise ValidationError("pieces do not end at the right end of I")
+        for p in self.pieces:
+            if not p.span[0] < p.span[1]:
+                raise ValidationError(f"piece span {p.span} is empty")
         for p, q in zip(self.pieces, self.pieces[1:]):
             if p.span[1] != q.span[0]:
                 raise ValidationError(
@@ -794,25 +797,16 @@ class PiecewiseDefiningFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _pieces_at(self, y):
-        i = bisect.bisect_right(self._starts, y) - 1
-        out = []
-        if 0 <= i < len(self.pieces) and self.pieces[i].span[0] <= y <= self.pieces[i].span[1]:
-            out.append(self.pieces[i])
-        if i + 1 < len(self.pieces) and self.pieces[i + 1].span[0] == y:
-            out.append(self.pieces[i + 1])
-        if i >= 1 and self.pieces[i - 1].span[1] == y:
-            out.append(self.pieces[i - 1])
-        return out
-
     def value(self, y):
         """psi(y); at piece junctions the value is the max over owners."""
         if not (self.interval_lo < y < self.interval_hi):
             raise ValueError(f"height {y} outside I")
         if y in self.point_values:
             return self.point_values[y]
+        right = self._side_limit_piece(y, "right")
+        left = self._side_limit_piece(y, "left")
         cands = []
-        for p in self._pieces_at(y):
+        for p in (right,) if left is right else (right, left):
             try:
                 cands.append(p.value(y))
             except (EvaluatorError, ArithmeticError, ValueError):

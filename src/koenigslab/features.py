@@ -157,36 +157,35 @@ def dw_discontinuity(psi: PiecewiseDefiningFunction):
     return "simple", unknowns
 
 
+def unbounded_gap(psi: PiecewiseDefiningFunction):
+    """The -inf component of psi that reaches an infinite end of I, or None."""
+    return next(
+        ((lo, hi) for lo, hi in psi.minus_infinity_components()
+         if lo == NEG_INF or hi == POS_INF),
+        None,
+    )
+
+
 def exceptional_arc_to_unbounded(psi: PiecewiseDefiningFunction):
     """I a half-line with psi = -inf beyond some height a, a finite value
     psi(a), and from inside: liminf -inf, limsup = psi(a)."""
-    cls = classify(psi)
-    if cls.kind != PARABOLIC_POSITIVE:
+    if classify(psi).kind != PARABOLIC_POSITIVE:
         return False, []
-    comps = psi.minus_infinity_components()
-    side = cls.container["side"]
-    for lo, hi in comps:
-        if side == "upper" and hi == POS_INF and math.isfinite(lo):
-            a = lo
-            inner = "left"
-        elif side == "lower" and lo == NEG_INF and math.isfinite(hi):
-            a = hi
-            inner = "right"
-        else:
-            continue
-        try:
-            va = psi.value(a)
-        except ValueError:
-            continue
-        if not math.isfinite(va):
-            continue
-        lims = psi.facts.limits[a]
-        if lims.inconclusive:
-            return False, [a]
-        li, ls, _ = lims.side(inner)
-        if li == NEG_INF and ls is not None and ls == va:
-            return True, []
-    return False, []
+    gap = unbounded_gap(psi)
+    if gap is None:
+        return False, []
+    a, inner = (gap[0], "left") if gap[1] == POS_INF else (gap[1], "right")
+    try:
+        va = psi.value(a)
+    except ValueError:
+        return False, []
+    if not math.isfinite(va):
+        return False, []
+    lims = psi.facts.limits[a]
+    if lims.inconclusive:
+        return False, [a]
+    li, ls, _ = lims.side(inner)
+    return li == NEG_INF and ls is not None and ls == va, []
 
 
 def analyze(psi: PiecewiseDefiningFunction) -> FeatureReport:

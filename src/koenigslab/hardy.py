@@ -23,14 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classify import (
-    HYPERBOLIC,
-    PARABOLIC_POSITIVE,
-    _isect,
-    _slope_survivors_from_upper,
-    _tail_slopes,
-    classify,
-)
+from .classify import HYPERBOLIC, PARABOLIC_ZERO, classify, slope_brackets
 from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
 from .tri import TriState
 
@@ -302,7 +295,6 @@ def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
     plus_i = TriState.from_bool(math.isfinite(psi.interval_lo))
     minus_i = TriState.from_bool(math.isfinite(psi.interval_hi))
     E, e_exact = psi.liminf_neg_inf_set()
-    notes = []
     if E:
         return FrequencyRegion(
             plus_i,
@@ -320,44 +312,17 @@ def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
             plus_i, minus_i, TriState.YES, (NEG_INF, POS_INF), (NEG_INF, POS_INF),
             exact=True, notes="bounded interval and psi bounded below",
         )
-    lo_up, hi_up = psi.tail_envelopes("upper")
-    lo_dn, hi_dn = psi.tail_envelopes("lower")
-    feas = None
-    poss = None
-    if cls.kind == PARABOLIC_POSITIVE:
-        side = cls.container["side"]
-        tail = "upper" if side == "upper" else "lower"
-        env_lo = lo_up if tail == "upper" else lo_dn
-        env_hi = hi_up if tail == "upper" else hi_dn
-        feas = _tail_slopes(env_lo, tail)
-        poss = _slope_survivors_from_upper(env_hi, tail)
-    else:
-        f_up = _tail_slopes(lo_up, "upper")
-        f_dn = _tail_slopes(lo_dn, "lower")
-        if f_up is not None and f_dn is not None:
-            feas = _isect(f_up, f_dn)
-            feas = None if feas == () else feas
-        poss = _isect(
-            _slope_survivors_from_upper(hi_up, "upper"),
-            _slope_survivors_from_upper(hi_dn, "lower"),
-        )
-        poss = None if poss == () else poss
+    tails = ("upper", "lower") if cls.kind == PARABOLIC_ZERO else (cls.container["side"],)
+    feas, poss = slope_brackets(psi, tails)
     if feas is None and poss is None:
-        left = TriState.NO
-        exact = True
-        notes.append("declared upper envelopes exclude every slope")
+        left, exact, notes = TriState.NO, True, "declared upper envelopes exclude every slope"
     elif feas is None:
-        left = TriState.UNKNOWN
-        exact = False
-        notes.append("lower-bound-only: tail declarations incomplete")
+        left, exact = TriState.UNKNOWN, False
+        notes = "lower-bound-only: tail declarations incomplete"
     else:
-        left = TriState.YES
-        exact = poss is not None and feas == poss
-        if not exact:
-            notes.append("feasible slopes are a certified lower bound")
-    return FrequencyRegion(
-        plus_i, minus_i, left, feas, poss, exact=exact, notes="; ".join(notes)
-    )
+        left, exact = TriState.YES, poss is not None and feas == poss
+        notes = "" if exact else "feasible slopes are a certified lower bound"
+    return FrequencyRegion(plus_i, minus_i, left, feas, poss, exact=exact, notes=notes)
 
 
 # -- frequency algebra checks -------------------------------------------------

@@ -66,10 +66,7 @@ class RasterGrid:
         """One-row dilation of the row-inf profile."""
         g = self.m.copy()
         g[self.outside] = POS_INF
-        c = np.minimum(g, np.minimum(np.roll(g, 1), np.roll(g, -1)))
-        c[0] = min(g[0], g[1])
-        c[-1] = min(g[-1], g[-2])
-        return c
+        return _dilate(g, np.minimum)
 
     def inside_mask(self):
         xc = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
@@ -156,16 +153,21 @@ def _check_window_fits(psi, grid):
         )
 
 
+def _dilate(a, op):
+    """One-row dilation of a row profile under ``op``; rows beyond the
+    ends of the window are absent."""
+    out = a.copy()
+    op(out[1:], a[:-1], out=out[1:])
+    op(out[:-1], a[1:], out=out[:-1])
+    return out
+
+
 def _int_closure_violation(grid: RasterGrid):
     """Max over rows of (row sup of psi) - (dilated row sup of psi_*)."""
-    M, Mstar = grid.M, grid.Mstar
-    s = np.maximum(Mstar, np.maximum(np.roll(Mstar, 1), np.roll(Mstar, -1)))
-    s[0] = max(Mstar[0], Mstar[1])
-    s[-1] = max(Mstar[-1], Mstar[-2])
-    skip = grid.outside | grid.edge
-    skip = skip | np.roll(skip, 1) | np.roll(skip, -1)
+    M = grid.M
+    skip = _dilate(grid.outside | grid.edge, np.logical_or)
     with np.errstate(invalid="ignore"):
-        viol = M - s
+        viol = M - _dilate(grid.Mstar, np.maximum)
     viol[skip] = NEG_INF
     viol[~np.isfinite(M)] = NEG_INF
     return float(np.max(viol)) if viol.size else NEG_INF
@@ -193,14 +195,19 @@ def int_closure_equals_domain(grid: RasterGrid):
     return TriState.UNKNOWN, results
 
 
-def _component_count_single(grid: RasterGrid):
-    """Merged complement component count on one grid."""
-    # rows bearing complement somewhere in the plane: everything except
-    # sealed rows (closure contains the full line there)
+def _run_ids(grid: RasterGrid):
+    """Per row, the index (1, 2, ...) of its run of consecutive unsealed
+    rows; 0 on sealed rows, whose closure contains the full line."""
     bearing = ~grid.seal
-    # runs of consecutive bearing rows; each run is one merged component,
-    # counted at its first row
-    return int(np.count_nonzero(bearing[1:] & ~bearing[:-1])) + int(bearing[:1].sum())
+    starts = bearing.copy()
+    starts[1:] &= ~bearing[:-1]
+    return np.where(bearing, np.cumsum(starts), 0)
+
+
+def _component_count_single(grid: RasterGrid):
+    """Merged complement component count on one grid: each run of
+    unsealed rows is one component."""
+    return int(_run_ids(grid).max(initial=0))
 
 
 def complement_components(psi, grid: RasterGrid):
@@ -227,14 +234,4 @@ def component_labels(grid: RasterGrid):
     xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
     c = grid.closure_frontier()
     comp = xc[None, :] < c[:, None]
-    labels = np.zeros(comp.shape, dtype=np.int32)
-    run_id = 0
-    prev = False
-    for iy in range(grid.n_y):
-        b = not grid.seal[iy]
-        if b and not prev:
-            run_id += 1
-        prev = b
-        if b:
-            labels[iy, comp[iy]] = run_id
-    return labels
+    return np.where(comp, _run_ids(grid)[:, None], 0).astype(np.int32)

@@ -5,7 +5,7 @@ import pytest
 
 from koenigslab import TriState
 from koenigslab.battery import battery_entry, full_battery
-from koenigslab.classify import affine_minorant, classify
+from koenigslab.classify import affine_minorant, classify, slope_brackets
 
 
 def test_kind_from_interval_shape():
@@ -90,4 +90,17 @@ def test_minorant_none_when_upper_envelopes_leave_no_slope():
         ],
     })
     assert affine_minorant(psi).status is TriState.NO
+    # each tail alone leaves slopes; together none survive
+    assert slope_brackets(psi, ("upper",)) == (None, (-math.inf, 1.0))
+    assert slope_brackets(psi, ("lower",)) == (None, (2.0, math.inf))
+    assert slope_brackets(psi, ("upper", "lower")) == (None, None)
+
+
+def test_slope_brackets_pin_the_half_plane_to_slope_zero():
+    psi = battery_entry("half_plane").psi  # psi = 0 with const envelopes
+    assert slope_brackets(psi, ("upper", "lower")) == ((0.0, 0.0), (0.0, 0.0))
+    assert slope_brackets(psi, ("upper",)) == ((-math.inf, 0.0), (-math.inf, 0.0))
+    # no declared envelope: nothing certified feasible, nothing excluded
+    strip = battery_entry("strip").psi
+    assert slope_brackets(strip, ("upper", "lower")) == (None, (-math.inf, math.inf))
 

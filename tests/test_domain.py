@@ -154,6 +154,14 @@ def test_empty_interval_rejected():
         psi.validate()
 
 
+def test_empty_piece_rejected():
+    # a piece of zero length would own psi at its height and nowhere else
+    pieces = (flat((-1.0, 0.0)), flat((0.0, 0.0), 5.0), flat((0.0, 1.0)))
+    psi = PiecewiseDefiningFunction(-1.0, 1.0, pieces)
+    with pytest.raises(ValidationError):
+        psi.validate()
+
+
 def test_coverage_gaps_rejected():
     psi = PiecewiseDefiningFunction(0.0, 2.0, (flat((0.0, 0.9)), flat((1.0, 2.0))))
     with pytest.raises(ValidationError):

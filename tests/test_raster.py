@@ -9,6 +9,7 @@ from koenigslab.battery import battery_entry, full_battery
 from koenigslab.raster import (
     WindowError,
     _component_count_single,
+    _int_closure_violation,
     complement_components,
     component_labels,
     int_closure_equals_domain,
@@ -157,8 +158,24 @@ def test_translation_invariance_of_verdicts():
 def test_component_count_is_the_number_of_unsealed_runs(seal):
     grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 64, with_coarse=False)
     grid = dataclasses.replace(grid, seal=np.array(seal))
-    runs, prev = 0, True
+    runs, prev, ids = 0, True, []
     for sealed in seal:
         runs += prev and not sealed
         prev = sealed
+        ids.append(0 if sealed else runs)
     assert _component_count_single(grid) == runs
+    # labels carry the same run ids; sealed padding rows fill the grid out
+    padded = np.array(seal + [True] * (grid.n_y - len(seal)))
+    labels = component_labels(dataclasses.replace(grid, seal=padded))
+    assert labels[: len(seal), 0].tolist() == ids
+    assert not labels[len(seal):].any()
+
+
+def test_top_row_counts_when_the_bottom_row_is_outside():
+    # row 0 lies below I; the one-row dilation of the skip mask must not
+    # wrap around and drop the top row from the violation
+    e = battery_entry("quadrant")
+    grid = rasterize(e.psi, e.window, 64, with_coarse=False)
+    assert grid.outside[0] and not (grid.outside[-1] or grid.edge[-1])
+    grid.M[-1] = 5.0
+    assert _int_closure_violation(grid) == 5.0
