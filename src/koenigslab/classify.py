@@ -158,7 +158,7 @@ def affine_minorant(
     for k in range(0, grid_points - 1, 64):
         lo = ys[k]
         hi = min(ys[k + 64] if k + 64 < grid_points else ys[-1], grid_halfwidth)
-        v = psi.inf_on(lo, hi)
+        _, v = psi.sup_inf(lo, hi)
         c_mid = min(c_mid, v - m * (lo if m <= 0 else hi))
 
     def tail_c(env, tail):

@@ -210,7 +210,7 @@ def _bounded_interval_obstruction(psi, p):
     _, upper_dn = psi.tail_envelopes("lower")
     if upper is None or upper_dn is None:
         return None
-    sup_mid = psi.sup_on(-64.0, 64.0)
+    sup_mid, _ = psi.sup_inf(-64.0, 64.0)
     if not math.isfinite(sup_mid):
         return None
 
@@ -277,7 +277,7 @@ def _log_envelope_domination(psi, p):
     ys = np.linspace(-64.0, 64.0, 257)
     c1 = POS_INF
     for lo, hi in zip(ys[:-1], ys[1:]):
-        v = psi.inf_on(lo, hi)
+        _, v = psi.sup_inf(lo, hi)
         c1 = min(c1, v + math.log(min(abs(lo), abs(hi)) + 3.0) ** a)
     if not math.isfinite(c1):
         return None

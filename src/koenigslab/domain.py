@@ -95,34 +95,27 @@ class LimitData:
 
 @dataclass(frozen=True)
 class OneSidedLimits:
-    """Limits of psi at a height; a side is None outside closure(I)."""
+    """Limits of psi at a height from each side; a side is None outside
+    closure(I)."""
 
-    liminf_left: Optional[float]
-    limsup_left: Optional[float]
-    liminf_right: Optional[float]
-    limsup_right: Optional[float]
-    left_exact: bool = True
-    right_exact: bool = True
-    inconclusive: bool = False
+    left: Optional[LimitData]
+    right: Optional[LimitData]
 
-    @staticmethod
-    def of(left: Optional[LimitData], right: Optional[LimitData]) -> "OneSidedLimits":
-        return OneSidedLimits(
-            liminf_left=None if left is None else left.liminf,
-            limsup_left=None if left is None else left.limsup,
-            liminf_right=None if right is None else right.liminf,
-            limsup_right=None if right is None else right.limsup,
-            left_exact=left.exact if left is not None else True,
-            right_exact=right.exact if right is not None else True,
-            inconclusive=(left is not None and left.inconclusive)
-            or (right is not None and right.inconclusive),
+    def side(self, side) -> Optional[LimitData]:
+        return self.left if side == "left" else self.right
+
+    @property
+    def sides(self):
+        """The limits from the sides that lie in closure(I)."""
+        if self.left is None or self.right is None:
+            return (self.left or self.right,)
+        return (self.left, self.right)
+
+    @property
+    def inconclusive(self):
+        return (self.left is not None and self.left.inconclusive) or (
+            self.right is not None and self.right.inconclusive
         )
-
-    def side(self, side):
-        """(liminf, limsup, exact) from the left or the right."""
-        if side == "left":
-            return self.liminf_left, self.limsup_left, self.left_exact
-        return self.liminf_right, self.limsup_right, self.right_exact
 
 
 @dataclass(frozen=True)
@@ -219,35 +212,70 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0, depth=_DYADIC_DEPTH):
 
 @dataclass(frozen=True)
 class Piece:
+    """psi on one span of I.
+
+    Callers read a piece only through this protocol and never test its
+    kind: ``value``, ``side_limits`` (limits of psi), ``side_limits_lsc``
+    (limits of psi_*), ``sup_inf`` (bounds on an interval), ``row_bounds``
+    (bounds on raster rows), ``minus_inf_intervals``, ``interior_heights``
+    (heights inside the span where psi may jump), ``carrier_gap_sup``,
+    the declared tail envelopes ``tail_lower``/``tail_upper`` and
+    ``translate``.  Only the spec loader knows the concrete kinds.
+    """
+
     span: tuple  # (a, b), a < b; may be +-inf
 
-    def _sub(self, lo, hi):
-        a, b = self.span
-        return max(lo, a), min(hi, b)
+    tail_lower = None  # TailEnvelope of an outermost piece, if declared
+    tail_upper = None
 
-    # interface expected from every concrete piece -------------------------
     def value(self, y):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def side_limits(self, y0, side) -> LimitData:  # limits of psi
         raise NotImplementedError
 
-    def side_limits_lsc(self, y0, side) -> LimitData:
-        """Limits of psi_*; off a Cantor carrier they are those of psi."""
-        return self.side_limits(y0, side)
+    def side_limits_lsc(self, y0, side, lim) -> LimitData:
+        """Limits of psi_* given ``lim``, those of psi; off a Cantor
+        carrier they are the same."""
+        return lim
 
-    def sup_on(self, lo, hi):  # (value, exact)
+    def sup_inf(self, lo, hi):
+        """(sup, inf) of psi on [lo, hi], a nonempty part of the closed span."""
         raise NotImplementedError
 
-    def inf_on(self, lo, hi):
+    def row_bounds(self, lo, hi):
+        """(M, m, Mstar, ends) on the rows [lo, hi], clipped to the span:
+        sup psi, inf psi and sup psi_* per row (or one scalar for every
+        row), and the span ends whose exact one-sided limits from inside
+        also bound the rows holding them (a sampled piece can miss its
+        endpoint behavior)."""
         raise NotImplementedError
 
     def minus_inf_intervals(self):
         """Open intervals inside the span where psi is identically -inf."""
         return []
 
+    def interior_heights(self):
+        """Heights inside the span where psi may differ from its limits."""
+        return ()
+
+    def carrier_gap_sup(self):
+        """(sup of the off part near a Cantor carrier, declared?); None
+        off carriers."""
+        return None
+
     def translate(self, dx, dy) -> "Piece":
         raise NotImplementedError
+
+
+def _row_samples(evaluator, lo, hi, k=64):
+    """(max, min) of the evaluator over k midpoints of each row [lo, hi];
+    NaN on a row where every sample fails."""
+    frac = (np.arange(k) + 0.5) / k
+    vals = _evaluate(evaluator, lo[:, None] + (hi - lo)[:, None] * frac[None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.nanmax(vals, axis=1), np.nanmin(vals, axis=1)
 
 
 def _evaluate(evaluator, ys):
@@ -290,7 +318,7 @@ class FiniteAnalytic(Piece):
     limits_right: Optional[LimitData] = None  # as y -> span[1]-
     tail_lower: Optional[TailEnvelope] = None
     tail_upper: Optional[TailEnvelope] = None
-    samples: ClassVar[int] = 96  # evaluator samples behind sup_on and inf_on
+    samples: ClassVar[int] = 96  # evaluator samples behind sup_inf
 
     def value(self, y):
         v = self.evaluator(y)
@@ -323,27 +351,17 @@ class FiniteAnalytic(Piece):
             if lim is not None and lo <= y0 <= hi
         ]
 
-    def sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
+    def sup_inf(self, lo, hi):
         vs = _sample(self.evaluator, lo, hi, self.samples)
-        v = float(np.max(vs)) if vs.size else NEG_INF
+        sup, inf = (float(vs.max()), float(vs.min())) if vs.size else (NEG_INF, POS_INF)
         for lim in self._declared_in(lo, hi):
-            v = max(v, lim.limsup)
-        return v, False
+            sup, inf = max(sup, lim.limsup), min(inf, lim.liminf)
+        return sup, inf
 
-    def inf_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return POS_INF, True
-        vs = _sample(self.evaluator, lo, hi, self.samples)
-        v = float(np.min(vs)) if vs.size else POS_INF
-        declared = self._declared_in(lo, hi)
-        for lim in declared:
-            v = min(v, lim.liminf)
-        # exact only when an exact declared limit pins an infinite inf
-        return v, math.isinf(v) and any(lim.exact and lim.liminf == v for lim in declared)
+    def row_bounds(self, lo, hi):
+        row_max, row_min = _row_samples(self.evaluator, lo, hi)
+        a, b = self.span
+        return row_max, row_min, row_max, ((a, "right"), (b, "left"))
 
     def translate(self, dx, dy):
         return replace(
@@ -414,11 +432,11 @@ class MinusInfinity(Piece):
     def side_limits(self, y0, side):
         return LimitData(NEG_INF, NEG_INF, exact=True)
 
-    def sup_on(self, lo, hi):
-        return NEG_INF, True
+    def sup_inf(self, lo, hi):
+        return NEG_INF, NEG_INF
 
-    def inf_on(self, lo, hi):
-        return NEG_INF, True
+    def row_bounds(self, lo, hi):
+        return NEG_INF, NEG_INF, NEG_INF, ()
 
     def minus_inf_intervals(self):
         return [self.span]
@@ -446,27 +464,27 @@ class PointSpike(Piece):
     def side_limits(self, y0, side):
         return LimitData(self.background, self.background, exact=True)
 
-    def sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
-        if lo <= self.c0 <= hi:
-            return max(self.spike_value, self.background), True
-        return self.background, True
+    def sup_inf(self, lo, hi):
+        at = lo <= self.c0 <= hi
+        return (
+            max(self.spike_value, self.background) if at else self.background,
+            self.spike_value if lo == hi == self.c0 else self.background,
+        )
 
-    def inf_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return POS_INF, True
-        if lo == hi == self.c0:
-            return self.spike_value, True
-        return self.background, True
+    def row_bounds(self, lo, hi):
+        M = np.full(lo.shape, self.background)
+        at = (lo <= self.c0) & (self.c0 < hi)
+        M[at] = np.maximum(M[at], self.spike_value)
+        return M, self.background, self.background, ()
 
     def minus_inf_intervals(self):
         if self.background == NEG_INF:
             a, b = self.span
             return [(a, self.c0), (self.c0, b)]
         return []
+
+    def interior_heights(self):
+        return (self.c0,)
 
     def translate(self, dx, dy):
         return PointSpike(
@@ -530,43 +548,44 @@ class CantorCarrierPiece(Piece):
             exact = False
         return LimitData(min(lim_inf, self.on_value), self.on_value, exact=exact)
 
-    def side_limits_lsc(self, y0, side):
-        # psi_* never exceeds the off part: the carrier has empty interior
-        if self.off_limsup_at_carrier is not None and self._carrier_accumulates(y0, side):
-            v = self.off_limsup_at_carrier
-            if self.off_liminf_at_carrier is not None:
-                lo = self.off_liminf_at_carrier
-            else:
-                off = self._off_side(y0, side)
-                lo = off.liminf if not off.inconclusive else v
-            return LimitData(min(lo, v), v, exact=True)
-        return self._off_side(y0, side)
+    def side_limits_lsc(self, y0, side, lim):
+        # away from the carrier psi is the off part; near it psi_* never
+        # exceeds the off part, since the carrier has empty interior
+        if not self._carrier_accumulates(y0, side):
+            return lim
+        if self.off_limsup_at_carrier is None:
+            return self._off_side(y0, side)
+        v = self.off_limsup_at_carrier
+        if self.off_liminf_at_carrier is not None:
+            lo = self.off_liminf_at_carrier
+        else:
+            off = self._off_side(y0, side)
+            lo = off.liminf if not off.inconclusive else v
+        return LimitData(min(lo, v), v, exact=True)
 
     def carrier_gap_sup(self):
-        """(sup of the off part near the carrier, declared?).  Undeclared,
-        it is sampled over the carrier's hull."""
+        # undeclared, the sup is sampled over the carrier's hull
         if self.off_limsup_at_carrier is not None:
             return self.off_limsup_at_carrier, True
         vs = _sample(self.off_evaluator, self.carrier.lo, self.carrier.hi)
         return (float(np.max(vs)) if vs.size else NEG_INF), False
 
-    def sup_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return NEG_INF, True
+    def sup_inf(self, lo, hi):
         vs = _sample(self.off_evaluator, lo, hi)
-        v = float(np.max(vs)) if vs.size else NEG_INF
+        sup, inf = (float(vs.max()), float(vs.min())) if vs.size else (NEG_INF, POS_INF)
         if self.carrier.intersects(lo, hi):
-            v = max(v, self.on_value)
-        return v, False
+            sup = max(sup, self.on_value)
+        return sup, inf
 
-    def inf_on(self, lo, hi):
-        lo, hi = self._sub(lo, hi)
-        if lo > hi:
-            return POS_INF, True
-        vs = _sample(self.off_evaluator, lo, hi)
-        v = float(np.min(vs)) if vs.size else POS_INF
-        return v, False
+    def row_bounds(self, lo, hi):
+        row_max, row_min = _row_samples(self.off_evaluator, lo, hi)
+        hit = self.carrier.intersects_many(lo, hi)
+        M, Mstar = row_max.copy(), row_max.copy()
+        M[hit] = np.fmax(M[hit], self.on_value)
+        if self.off_limsup_at_carrier is not None:
+            Mstar[hit] = np.fmax(Mstar[hit], self.off_limsup_at_carrier)
+        a, b = self.span
+        return M, row_min, Mstar, ((a, "right"), (b, "left"))
 
     def translate(self, dx, dy):
         return replace(
@@ -647,23 +666,13 @@ class DomainFacts:
             | {e for e in (psi.interval_lo, psi.interval_hi) if math.isfinite(e)}
         ))
         values = {y: psi.value(y) for y in special}
-        sides = {(y, s): psi._side_limits(y, s) for y in heights for s in ("left", "right")}
-        limits = {y: OneSidedLimits.of(sides[y, "left"], sides[y, "right"]) for y in heights}
-        # psi~ from the limits of psi_*, which off a Cantor carrier are the
-        # limits of psi already in hand
-        tildes = {}
-        for y in special:
-            lscs = []
-            for s in ("left", "right"):
-                piece = psi._side_limit_piece(y, s)
-                lscs.append(
-                    piece.side_limits_lsc(y, s)
-                    if isinstance(piece, CantorCarrierPiece) else sides[y, s]
-                )
-            tildes[y] = _limsup_of(lscs)
+        limits = {
+            y: OneSidedLimits(psi._side_limits(y, "left"), psi._side_limits(y, "right"))
+            for y in heights
+        }
+        tildes = {y: psi._tilde(y, limits[y]) for y in special}
         carriers = tuple(
-            (p, *p.carrier_gap_sup())
-            for p in psi.pieces if isinstance(p, CantorCarrierPiece)
+            (p, *gap) for p in psi.pieces if (gap := p.carrier_gap_sup()) is not None
         )
 
         # upper semicontinuity: limsup psi <= psi at every special height
@@ -674,8 +683,8 @@ class DomainFacts:
                 usc = TriState.UNKNOWN
                 problems.append(f"inconclusive limits at y={y}")
                 continue
-            sup = max(x for x in (lims.limsup_left, lims.limsup_right) if x is not None)
-            tol = 0.0 if (lims.left_exact and lims.right_exact) else 1e-7
+            sup = max(lim.limsup for lim in lims.sides)
+            tol = 0.0 if all(lim.exact for lim in lims.sides) else 1e-7
             if sup > values[y] + tol:
                 usc = TriState.NO
                 problems.append(f"limsup {sup} exceeds psi({y}) = {values[y]}")
@@ -713,10 +722,10 @@ class DomainFacts:
             if lims.inconclusive:
                 E_exact = False
                 continue
-            for li, _, exact in (lims.side("left"), lims.side("right")):
-                if li == NEG_INF:
+            for lim in lims.sides:
+                if lim.liminf == NEG_INF:
                     points.append((y, y))
-                    E_exact = E_exact and exact
+                    E_exact = E_exact and lim.exact
         return DomainFacts(
             heights=heights,
             limits=limits,
@@ -758,13 +767,13 @@ class PiecewiseDefiningFunction:
             raise ValidationError("the height interval I is empty")
         if not self.pieces:
             raise ValidationError("no pieces")
+        for p in self.pieces:
+            if not p.span[0] < p.span[1]:
+                raise ValidationError(f"piece span {p.span} is empty")
         if self.pieces[0].span[0] != self.interval_lo:
             raise ValidationError("pieces do not start at the left end of I")
         if self.pieces[-1].span[1] != self.interval_hi:
             raise ValidationError("pieces do not end at the right end of I")
-        for p in self.pieces:
-            if not p.span[0] < p.span[1]:
-                raise ValidationError(f"piece span {p.span} is empty")
         for p, q in zip(self.pieces, self.pieces[1:]):
             if p.span[1] != q.span[0]:
                 raise ValidationError(
@@ -773,7 +782,7 @@ class PiecewiseDefiningFunction:
         if (
             self.interval_lo == NEG_INF
             and self.interval_hi == POS_INF
-            and all(isinstance(p, MinusInfinity) for p in self.pieces)
+            and all(p.minus_inf_intervals() == [p.span] for p in self.pieces)
         ):
             raise ValidationError(
                 "psi = -inf on all of R defines the whole plane; rejected"
@@ -831,7 +840,7 @@ class PiecewiseDefiningFunction:
     def one_sided_limits(self, y0) -> OneSidedLimits:
         if not (self.interval_lo <= y0 <= self.interval_hi):
             raise ValueError(f"height {y0} outside closure(I)")
-        return OneSidedLimits.of(self._side_limits(y0, "left"), self._side_limits(y0, "right"))
+        return OneSidedLimits(self._side_limits(y0, "left"), self._side_limits(y0, "right"))
 
     def _side_limits(self, y0, side) -> Optional[LimitData]:
         """Limits of psi at y0 from one side; None outside closure(I)."""
@@ -859,17 +868,9 @@ class PiecewiseDefiningFunction:
 
     def _special_heights(self):
         """Heights where psi can differ from its regularizations."""
-        hs = set()
-        for p in self.pieces:
-            for e in p.span:
-                if self.interval_lo < e < self.interval_hi:
-                    hs.add(e)
-            if isinstance(p, PointSpike):
-                hs.add(p.c0)
-        hs.update(
-            y for y in self.point_values if self.interval_lo < y < self.interval_hi
-        )
-        return sorted(hs)
+        hs = {y for p in self.pieces for y in (*p.span, *p.interior_heights())}
+        hs.update(self.point_values)
+        return sorted(y for y in hs if self.interval_lo < y < self.interval_hi)
 
     def usc_check(self):
         """TriState + diagnostics: limsup psi <= psi at every special height."""
@@ -886,16 +887,19 @@ class PiecewiseDefiningFunction:
         lims = self.one_sided_limits(y0)
         if lims.inconclusive:
             return math.nan
-        cands = [x for x in (lims.liminf_left, lims.liminf_right) if x is not None]
-        return min(cands)
+        return min(lim.liminf for lim in lims.sides)
 
     def psi_tilde(self, y0):
         """Upper semicontinuous regularization of psi_* at y0 in I."""
         if not (self.interval_lo < y0 < self.interval_hi):
             raise ValueError(f"height {y0} outside I")
+        return self._tilde(y0, self.one_sided_limits(y0))
+
+    def _tilde(self, y0, lims):
+        """psi~(y0) from the limits of psi_*, read off the limits of psi."""
         return _limsup_of(
-            self._side_limit_piece(y0, side).side_limits_lsc(y0, side)
-            for side in ("left", "right")
+            self._side_limit_piece(y0, s).side_limits_lsc(y0, s, lims.side(s))
+            for s in ("left", "right")
         )
 
     def lsc_regularization(self):
@@ -952,104 +956,67 @@ class PiecewiseDefiningFunction:
         m = np.full(nrows, POS_INF)
         Mstar = np.full(nrows, NEG_INF)
         lo_r, hi_r = y_edges[:-1], y_edges[1:]
-        for y0, v in self.point_values.items():
+
+        def rows_at(y0):
+            """The rows whose closed span holds y0 (two at a row edge)."""
             j = int(np.searchsorted(y_edges, y0, side="right")) - 1
-            for jj in (j - 1, j):
-                if 0 <= jj < nrows and lo_r[jj] <= y0 <= hi_r[jj]:
-                    M[jj] = max(M[jj], v)
+            return [jj for jj in (j - 1, j) if 0 <= jj < nrows and lo_r[jj] <= y0 <= hi_r[jj]]
+
+        for y0, v in self.point_values.items():
+            for jj in rows_at(y0):
+                M[jj] = max(M[jj], v)
         outside = (hi_r <= self.interval_lo) | (lo_r >= self.interval_hi)
         edge = ~outside & (
             (lo_r < self.interval_lo) | (hi_r > self.interval_hi)
         )
         for p in self.pieces:
             a, b = p.span
-            i0 = int(np.searchsorted(hi_r, a, side="right"))
-            i1 = int(np.searchsorted(lo_r, b, side="left"))
-            i0 = max(0, min(i0, nrows))
-            i1 = max(0, min(i1, nrows))
+            i0 = max(0, min(int(np.searchsorted(hi_r, a, side="right")), nrows))
+            i1 = max(0, min(int(np.searchsorted(lo_r, b, side="left")), nrows))
             if i1 <= i0:
                 continue
-            if isinstance(p, MinusInfinity):
-                m[i0:i1] = NEG_INF
-                continue
-            if isinstance(p, PointSpike):
-                bg = p.background
-                M[i0:i1] = np.maximum(M[i0:i1], bg)
-                m[i0:i1] = np.minimum(m[i0:i1], bg)
-                Mstar[i0:i1] = np.maximum(Mstar[i0:i1], bg)
-                j = int(np.searchsorted(y_edges, p.c0, side="right")) - 1
-                if i0 <= j < i1:
-                    M[j] = max(M[j], p.spike_value)
-                continue
-            sub_lo = np.maximum(lo_r[i0:i1], a)
-            sub_hi = np.minimum(hi_r[i0:i1], b)
-            k = 64
-            frac = (np.arange(k) + 0.5) / k
-            ys = sub_lo[:, None] + (sub_hi - sub_lo)[:, None] * frac[None, :]
-            if isinstance(p, CantorCarrierPiece):
-                ev = p.off_evaluator
-            else:
-                ev = p.evaluator
-            vals = _evaluate(ev, ys)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                row_max = np.nanmax(vals, axis=1)
-                row_min = np.nanmin(vals, axis=1)
-            M[i0:i1] = np.fmax(M[i0:i1], row_max)
-            m[i0:i1] = np.fmin(m[i0:i1], row_min)
-            Mstar[i0:i1] = np.fmax(Mstar[i0:i1], row_max)
-            if isinstance(p, CantorCarrierPiece):
-                hit = p.carrier.intersects_many(sub_lo, sub_hi)
-                M[i0:i1][hit] = np.maximum(M[i0:i1][hit], p.on_value)
-                if p.off_limsup_at_carrier is not None:
-                    Mstar[i0:i1][hit] = np.maximum(
-                        Mstar[i0:i1][hit], p.off_limsup_at_carrier
-                    )
-            # declared endpoint limits contribute exactly
-            for y0, side in ((a, "right"), (b, "left")):
+            rows = slice(i0, i1)
+            Mp, mp, Mstarp, ends = p.row_bounds(
+                np.maximum(lo_r[rows], a), np.minimum(hi_r[rows], b)
+            )
+            M[rows] = np.fmax(M[rows], Mp)
+            m[rows] = np.fmin(m[rows], mp)
+            Mstar[rows] = np.fmax(Mstar[rows], Mstarp)
+            for y0, side in ends:
                 if not math.isfinite(y0):
                     continue
-                liminf, limsup, exact = facts.limits[y0].side(side)
-                if not exact:
+                lim = facts.limits[y0].side(side)
+                if not lim.exact:
                     continue
-                j = int(np.searchsorted(y_edges, y0, side="right")) - 1
-                for jj in (j - 1, j):
-                    if 0 <= jj < nrows and lo_r[jj] <= y0 <= hi_r[jj]:
-                        M[jj] = max(M[jj], limsup)
-                        m[jj] = min(m[jj], liminf)
-                        Mstar[jj] = max(Mstar[jj], limsup)
+                for jj in rows_at(y0):
+                    M[jj] = max(M[jj], lim.limsup)
+                    m[jj] = min(m[jj], lim.liminf)
+                    Mstar[jj] = max(Mstar[jj], lim.limsup)
         return {"M": M, "m": m, "Mstar": Mstar, "outside": outside, "edge": edge}
 
     # -- global bounds ----------------------------------------------------------
 
-    def sup_on(self, lo, hi):
-        v = NEG_INF
+    def sup_inf(self, lo, hi):
+        """(sup, inf) of psi on [lo, hi] from the pieces' bounds."""
+        sup, inf = NEG_INF, POS_INF
         for p in self.pieces:
-            s, _ = p.sup_on(lo, hi)
-            v = max(v, s)
-        return v
-
-    def inf_on(self, lo, hi):
-        v = POS_INF
-        for p in self.pieces:
-            s, _ = p.inf_on(lo, hi)
-            v = min(v, s)
-        return v
+            a, b = max(lo, p.span[0]), min(hi, p.span[1])
+            if a <= b:
+                s, i = p.sup_inf(a, b)
+                sup, inf = max(sup, s), min(inf, i)
+        return sup, inf
 
     def tail_envelopes(self, side):
         """(lower, upper) declared envelopes on the +inf or -inf tail."""
         p = self.pieces[-1] if side == "upper" else self.pieces[0]
-        lower = getattr(p, "tail_lower", None)
-        upper = getattr(p, "tail_upper", None)
-        return lower, upper
+        return p.tail_lower, p.tail_upper
 
     def translated(self, dx=0.0, dy=0.0) -> "PiecewiseDefiningFunction":
         """The defining function of Omega + (dx + i dy)."""
-        out = PiecewiseDefiningFunction(
+        return PiecewiseDefiningFunction(
             _shift(self.interval_lo, dy),
             _shift(self.interval_hi, dy),
             tuple(p.translate(dx, dy) for p in self.pieces),
             name=self.name,
             point_values={y + dy: _shift(v, dx) for y, v in self.point_values.items()},
         )
-        return out

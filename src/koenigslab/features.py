@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .classify import HYPERBOLIC, PARABOLIC_POSITIVE, PARABOLIC_ZERO, classify
-from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction, PointSpike
+from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
 from .tri import TriState
 
 
@@ -67,11 +67,7 @@ def detect_super_repelling(psi: PiecewiseDefiningFunction):
         if lims.inconclusive:
             unknowns.append(y0)
             continue
-        full_left = lims.limsup_left == NEG_INF if lims.limsup_left is not None else False
-        full_right = (
-            lims.limsup_right == NEG_INF if lims.limsup_right is not None else False
-        )
-        if full_left or full_right:
+        if any(lim.limsup == NEG_INF for lim in lims.sides):
             heights.append(y0)
     return heights, unknowns
 
@@ -87,28 +83,22 @@ def detect_unbounded_discontinuities(psi: PiecewiseDefiningFunction):
             unknowns.append(y0)
             continue
         for side in ("left", "right"):
-            li, ls, _ = lims.side(side)
-            if li is None:
-                continue
-            if li == NEG_INF and ls is not None and math.isfinite(ls):
+            lim = lims.side(side)
+            if lim is not None and lim.liminf == NEG_INF and math.isfinite(lim.limsup):
                 out.append((y0, side))
     return out, unknowns
 
 
 def detect_contact_spikes(psi: PiecewiseDefiningFunction):
-    """Isolated exceedances: declared spikes, with the separating level
-    halfway between the spike value and the surrounding behavior."""
+    """Isolated exceedances: psi above both one-sided limsups at a height
+    inside a piece, with the separating level halfway between the two."""
     out = []
     for p in psi.pieces:
-        if isinstance(p, PointSpike):
-            top = p.spike_value
-            around = p.background
-            lims = psi.facts.limits[p.c0]
-            for v in (lims.limsup_left, lims.limsup_right):
-                if v is not None and math.isfinite(v):
-                    around = max(around, v)
+        for c0 in p.interior_heights():
+            top = p.value(c0)
+            around = max(lim.limsup for lim in psi.facts.limits[c0].sides)
             if top > around:
-                out.append((p.c0, 0.5 * (top + around)))
+                out.append((c0, 0.5 * (top + around)))
     return out
 
 
@@ -139,8 +129,8 @@ def dw_discontinuity(psi: PiecewiseDefiningFunction):
         if lims.inconclusive:
             unknowns.append(y0)
             return None
-        li, ls, _ = lims.side(side)
-        return li == NEG_INF and ls == POS_INF
+        lim = lims.side(side)
+        return lim.liminf == NEG_INF and lim.limsup == POS_INF
 
     flags = []
     if math.isfinite(psi.interval_lo):
@@ -184,8 +174,8 @@ def exceptional_arc_to_unbounded(psi: PiecewiseDefiningFunction):
     lims = psi.facts.limits[a]
     if lims.inconclusive:
         return False, [a]
-    li, ls, _ = lims.side(inner)
-    return li == NEG_INF and ls is not None and ls == va, []
+    lim = lims.side(inner)
+    return lim is not None and lim.liminf == NEG_INF and lim.limsup == va, []
 
 
 def analyze(psi: PiecewiseDefiningFunction) -> FeatureReport:

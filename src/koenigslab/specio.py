@@ -146,23 +146,35 @@ def piece_to_json(p):
     raise ValidationError(f"cannot serialize {type(p).__name__}")
 
 
+def _at(path, convert, arg):
+    """convert(arg), with a malformed-input error pointing at path."""
+    try:
+        return convert(arg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _expect(path, value, kind, what):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}: expected {what}, got {type(value).__name__}")
+    return value
+
+
 def psi_from_dict(obj) -> PiecewiseDefiningFunction:
     try:
-        lo, hi = obj["interval"]
+        lo, hi = map(_as_float, obj["interval"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"/interval: expected [lo, hi] ({exc})") from exc
     pieces = []
-    for i, pobj in enumerate(obj.get("pieces", [])):
-        try:
-            pieces.append(piece_from_json(pobj))
-        except (KeyError, ValidationError, ValueError) as exc:
-            raise ValidationError(f"/pieces/{i}: {exc}") from exc
-    values_at = {
-        float(k): _as_float(v) for k, v in (obj.get("values_at") or {}).items()
-    }
+    for i, pobj in enumerate(_expect("/pieces", obj.get("pieces", []), list, "a list")):
+        path = f"/pieces/{i}"
+        pieces.append(_at(path, piece_from_json, _expect(path, pobj, dict, "an object")))
+    values_at = {}
+    for k, v in _expect("/values_at", obj.get("values_at") or {}, dict, "an object").items():
+        values_at[_at(f"/values_at/{k}", float, k)] = _at(f"/values_at/{k}", _as_float, v)
     psi = PiecewiseDefiningFunction(
-        _as_float(lo),
-        _as_float(hi),
+        lo,
+        hi,
         tuple(pieces),
         name=obj.get("name", ""),
         point_values=values_at,

@@ -140,3 +140,11 @@ def test_schema_violation_pointer(tmp_path):
     r = run_cli("decide", str(bad))
     assert r.returncode == 2
     assert "/pieces/0" in r.stderr
+
+
+def test_malformed_spec_exits_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"interval": [0, 1], "pieces": 3}))
+    r = run_cli("decide", str(bad))
+    assert r.returncode == 2
+    assert "/pieces" in r.stderr and "Traceback" not in r.stderr

@@ -82,7 +82,7 @@ def test_contains_monotone_under_right_translation(t):
 def test_trivial_limits_flat():
     psi = strip_domain().psi
     lims = psi.one_sided_limits(0.0)
-    assert lims.liminf_left == lims.limsup_right == 0.0
+    assert lims.left.liminf == lims.right.limsup == 0.0
     assert not lims.inconclusive
 
 
@@ -101,7 +101,7 @@ def test_declared_oscillation_limits():
     )
     psi.validate()
     lims = psi.one_sided_limits(1.0)
-    assert lims.liminf_left == -1.0 and lims.limsup_left == 1.0
+    assert lims.left.liminf == -1.0 and lims.left.limsup == 1.0
 
 
 def test_monotone_divergence_detected():
@@ -110,7 +110,7 @@ def test_monotone_divergence_detected():
     piece = FiniteAnalytic(span=(0.0, 1.0), evaluator=parse_expression(src), expr_source=src)
     psi = PiecewiseDefiningFunction(0.0, 1.0, (piece,))
     lims = psi.one_sided_limits(0.0)
-    assert lims.liminf_right == POS_INF and lims.limsup_right == POS_INF
+    assert lims.right.liminf == POS_INF and lims.right.limsup == POS_INF
 
 
 def test_interior_limit_matches_evaluator():
@@ -119,8 +119,8 @@ def test_interior_limit_matches_evaluator():
     psi = PiecewiseDefiningFunction(-2.0, 2.0, (piece,))
     psi.validate()
     lims = psi.one_sided_limits(0.5)
-    assert lims.liminf_left == pytest.approx(-0.75)
-    assert lims.limsup_right == pytest.approx(-0.75)
+    assert lims.left.liminf == pytest.approx(-0.75)
+    assert lims.right.limsup == pytest.approx(-0.75)
 
 
 # -- semicontinuity ----------------------------------------------------------
@@ -159,6 +159,10 @@ def test_empty_piece_rejected():
     pieces = (flat((-1.0, 0.0)), flat((0.0, 0.0), 5.0), flat((0.0, 1.0)))
     psi = PiecewiseDefiningFunction(-1.0, 1.0, pieces)
     with pytest.raises(ValidationError):
+        psi.validate()
+    # a reversed span is reported as empty, not as a coverage gap
+    psi = PiecewiseDefiningFunction(-1.0, 1.0, (flat((1.0, -1.0)),))
+    with pytest.raises(ValidationError, match=r"piece span \(1.0, -1.0\) is empty"):
         psi.validate()
 
 

@@ -1,0 +1,54 @@
+"""Callers read pieces through the ``Piece`` protocol, never by kind.
+
+Only the spec loader maps kinds to classes; anywhere else an
+``isinstance`` test on a piece class is a ladder that a new piece kind
+would have to extend.
+"""
+
+import ast
+import pathlib
+
+import koenigslab
+
+PIECE_CLASSES = {
+    "FiniteAnalytic", "OscillatorySample", "MinusInfinity", "PointSpike",
+    "CantorCarrierPiece",
+}
+SRC = pathlib.Path(koenigslab.__file__).parent
+
+
+def _names(node):
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def piece_kind_checks(source):
+    """(line, classes) of every isinstance call naming a piece class."""
+    return [
+        (node.lineno, sorted(_names(node.args[1]) & PIECE_CLASSES))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and _names(node.args[1]) & PIECE_CLASSES
+    ]
+
+
+def test_no_piece_kind_checks_outside_the_loader():
+    assert piece_kind_checks("isinstance(p, (int, domain.PointSpike))") == [
+        (1, ["PointSpike"])
+    ]
+    assert piece_kind_checks("isinstance(p, Piece)") == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "specio.py"
+        and (hits := piece_kind_checks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, found

@@ -52,16 +52,35 @@ def test_oscillatory_requires_limits():
 
 
 def test_unknown_kind_reports_pointer():
-    d = {"interval": [0.0, 1.0], "pieces": [{"kind": "mystery", "span": [0, 1]}]}
-    with pytest.raises(ValidationError) as err:
-        psi_from_dict(d)
-    assert "/pieces/0" in str(err.value)
+    for pieces, pointer in (
+        ([{"kind": "mystery", "span": [0, 1]}], "/pieces/0"),
+        (3, "/pieces"),
+        ([3], "/pieces/0"),
+        ([{"kind": "minus_infinity", "span": 3}], "/pieces/0"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            psi_from_dict({"interval": [0.0, 1.0], "pieces": pieces})
+        assert str(err.value).startswith(pointer + ":"), err.value
 
 
 def test_bad_interval_reports_pointer():
-    with pytest.raises(ValidationError) as err:
-        psi_from_dict({"interval": [0.0], "pieces": []})
-    assert "/interval" in str(err.value)
+    for interval in ([0.0], ["a", 1], 3):
+        with pytest.raises(ValidationError) as err:
+            psi_from_dict({"interval": interval, "pieces": []})
+        assert str(err.value).startswith("/interval:"), err.value
+
+
+def test_bad_values_at_reports_pointer():
+    base = {"interval": [0.0, 1.0], "pieces": [{"kind": "finite_analytic",
+                                                "span": [0, 1], "expr": "0"}]}
+    for values_at, pointer in (
+        ({"x": 1}, "/values_at/x"),
+        ({"0.5": "high"}, "/values_at/0.5"),
+        ([0.5], "/values_at"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            psi_from_dict({**base, "values_at": values_at})
+        assert str(err.value).startswith(pointer + ":"), err.value
 
 
 def test_cantor_comb_round_trip(tmp_path):
