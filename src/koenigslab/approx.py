@@ -85,24 +85,17 @@ class AtomicMeasure:
         atoms = tuple(sorted(acc.items()))
         return AtomicMeasure(atoms, self.support_bound + other.support_bound)
 
-    def laplace(self, z):
-        """Transform sum w e^{-t z} (entire in z)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for t, w in self.atoms:
-            out = out + w * np.exp(-t * z)
-        return complex(out) if out.ndim == 0 else out
-
     def exp_sum(self, orientation="oscillatory") -> "ExpSum":
         """As a finite exponential sum: e^{itz} atoms for the strip family,
-        e^{-sz} atoms for the transform side."""
+        e^{-sz} atoms for the transform side (the Laplace transform
+        sum w e^{-t z})."""
         if orientation == "oscillatory":
             terms = tuple((w, complex(0.0, t)) for t, w in self.atoms)
         elif orientation == "laplace":
             terms = tuple((w, complex(-t, 0.0)) for t, w in self.atoms)
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
-        return ExpSum(terms, orientation)
+        return ExpSum(terms)
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class ExpSum:
     """Finite sum of c_k e^{lam_k z}."""
 
     terms: tuple  # ((coefficient, frequency), ...)
-    orientation: str = "generic"
 
     def __call__(self, z):
         return ExpSum.evaluate_many((self,), z)[0]
@@ -198,9 +190,10 @@ def sup_error_on_strip(s: ExpSum, target, sample_points):
     return float(np.max(np.abs(s(pts) - np.asarray(target(pts), dtype=complex))))
 
 
-def strip_sample_grid(x_lo=-6.0, x_hi=6.0, nx=31, ny=9):
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(-STRIP_HALF_WIDTH, STRIP_HALF_WIDTH, ny)
+def strip_sample_grid():
+    """31 x 9 sample points on [-6, 6] x [-pi/2, pi/2] of the closed strip."""
+    xs = np.linspace(-6.0, 6.0, 31)
+    ys = np.linspace(-STRIP_HALF_WIDTH, STRIP_HALF_WIDTH, 9)
     return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
@@ -230,14 +223,11 @@ class FitResult:
         return abs(self._refined_error() - self.error)
 
 
-def least_squares_fit(
-    target,
-    dom: CanonicalDomain,
-    freqs,
-    rho=1.0 - 2.0**-12,
-    n_nodes=2**14,
-    ridge=1e-12,
-) -> FitResult:
+_FIT_RHO = 1.0 - 2.0**-12  # quadrature radius in the disc
+_FIT_RIDGE = 1e-12
+
+
+def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> FitResult:
     """Best coefficients for target ~ sum c_k e^{lam_k z} in the
     transplanted boundary L2 metric at radius rho.
 
@@ -254,10 +244,11 @@ def least_squares_fit(
         b = np.asarray(target(z), dtype=complex)
         return A, b
 
+    rho = _FIT_RHO
     A, b = design(rho)
     G = (A.conj().T @ A) / n_nodes
     rhs = (A.conj().T @ b) / n_nodes
-    G_r = G + ridge * np.eye(len(freqs))
+    G_r = G + _FIT_RIDGE * np.eye(len(freqs))
     try:
         coef = np.linalg.solve(G_r, rhs)
     except np.linalg.LinAlgError:
@@ -375,19 +366,24 @@ class LogDomainSpec:
     name: str = ""
 
 
-def choose_b(spec: LogDomainSpec, t_max=1e4, n_samples=2**13, b_max=64):
-    """Least integer translate b for which the shifted domain verifies, on
-    samples: psi_b >= 1 on |y| <= 1, psi_b >= -a log|y| on |y| >= 1, and
-    |arg eta'(z)| < arg(lip_bound + i)/2 along the boundary."""
+_B_T_MAX = 1e4
+_B_SAMPLES = 2**13
+_B_MAX = 64
+
+
+def choose_b(spec: LogDomainSpec):
+    """Least integer translate b <= 64 for which the shifted domain
+    verifies, on samples: psi_b >= 1 on |y| <= 1, psi_b >= -a log|y| on
+    1 <= |y| <= 1e4, and |arg eta'(z)| < arg(lip_bound + i)/2 along the
+    boundary."""
     a = spec.log_exponent
     eps = math.atan2(1.0, spec.lip_bound)
     ys_in = np.linspace(-1.0, 1.0, 513)
-    ys_out = np.concatenate(
-        [np.geomspace(1.0, t_max, n_samples // 2), -np.geomspace(1.0, t_max, n_samples // 2)]
-    )
+    half = np.geomspace(1.0, _B_T_MAX, _B_SAMPLES // 2)
+    ys_out = np.concatenate([half, -half])
     ts = np.concatenate([ys_in, ys_out])
     base = np.asarray(spec.psi(ts), dtype=float)
-    for b in range(1, b_max + 1):
+    for b in range(1, _B_MAX + 1):
         vb = base + b
         if np.any(vb[: ys_in.size] < 1.0):
             continue
@@ -398,7 +394,7 @@ def choose_b(spec: LogDomainSpec, t_max=1e4, n_samples=2**13, b_max=64):
         if np.max(np.abs(ang)) >= eps / 2.0:
             continue
         return b
-    raise ValueError("no admissible translate found up to b_max")
+    raise ValueError(f"no admissible translate found up to b = {_B_MAX}")
 
 
 def univalence_winding_check(map_fn, boundary_param, n_samples, interior_points=()):
@@ -433,13 +429,17 @@ def univalence_winding_check(map_fn, boundary_param, n_samples, interior_points=
     return ok, details
 
 
-def log_domain_boundary(spec: LogDomainSpec, b, t_span=200.0):
+_BOUNDARY_T_SPAN = 200.0
+
+
+def log_domain_boundary(spec: LogDomainSpec, b):
     """Boundary parametrization t -> psi(t) + b + it of the translated
-    domain, suitable for the winding check (tan-spaced for tail coverage)."""
+    domain, suitable for the winding check (tan-spaced for tail coverage
+    at the scale |t| ~ 200)."""
 
     def param(n):
         s = np.linspace(-1.0 + 1.0 / n, 1.0 - 1.0 / n, n)
-        t = np.tan(0.5 * math.pi * s) * (2.0 * t_span / math.pi)
+        t = np.tan(0.5 * math.pi * s) * (2.0 * _BOUNDARY_T_SPAN / math.pi)
         return np.asarray(spec.psi(t), dtype=float) + b + 1j * t
 
     return param

@@ -44,12 +44,15 @@ class BatteryEntry:
     notes: str = ""
 
 
-def gap_oscillation_evaluator(carrier: CantorSet, levels: int = 52):
+_GAP_LEVELS = 52
+
+
+def gap_oscillation_evaluator(carrier: CantorSet):
     """Vectorized evaluator: sin(1/((b-y)(y-a))) on each complementary gap
     (a, b) of the carrier, and the carrier value 1 on the carrier itself.
 
-    Points still unresolved after ``levels`` subdivision steps are within
-    3^-levels of the carrier and get the carrier value.
+    Points still unresolved after 52 subdivision steps are within
+    3^-52 of the carrier and get the carrier value.
     """
 
     def ev(y):
@@ -60,7 +63,7 @@ def gap_oscillation_evaluator(carrier: CantorSet, levels: int = 52):
         chi = np.full(y.shape, carrier.hi)
         active = (y >= carrier.lo) & (y <= carrier.hi)
         f = carrier.keep_fraction
-        for _ in range(levels):
+        for _ in range(_GAP_LEVELS):
             if not active.any():
                 break
             w = (chi - clo) * f
@@ -85,11 +88,9 @@ def _const_limits(v):
 
 
 def _flat(span, value=0.0, **kw):
-    src = repr(float(value))
     return FiniteAnalytic(
         span=span,
-        evaluator=parse_expression(src),
-        expr_source=src,
+        evaluator=parse_expression(repr(float(value))),
         limits_left=_const_limits(value) if math.isfinite(span[0]) else None,
         limits_right=_const_limits(value) if math.isfinite(span[1]) else None,
         **kw,
@@ -111,7 +112,6 @@ def half_plane_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression("0"),
-        expr_source="0",
         tail_lower=TailEnvelope("const", (0.0,), 0.0),
         tail_upper=TailEnvelope("const", (0.0,), 0.0),
     )
@@ -141,7 +141,6 @@ def quadrant_domain():
     piece = FiniteAnalytic(
         span=(0.0, POS_INF),
         evaluator=parse_expression("0"),
-        expr_source="0",
         limits_left=_const_limits(0.0),
         tail_lower=TailEnvelope("const", (0.0,), 0.0),
         tail_upper=TailEnvelope("const", (0.0,), 0.0),
@@ -185,7 +184,6 @@ def comb_domain():
         carrier=carrier,
         on_value=1.0,
         off_evaluator=parse_expression("0"),
-        off_expr_source="0",
         off_limsup_at_carrier=0.0,
         off_liminf_at_carrier=0.0,
     )
@@ -210,7 +208,6 @@ def oscillation_cantor_domain():
         carrier=carrier,
         on_value=1.0,
         off_evaluator=ev,
-        off_expr_source=None,
         off_limsup_at_carrier=1.0,
         off_liminf_at_carrier=-1.0,
     )
@@ -260,7 +257,6 @@ def log_demo_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression(src),
-        expr_source=src,
         tail_lower=TailEnvelope("log_pow", (0.6, 1.0, 0.3), 1.0),
         tail_upper=TailEnvelope("log_pow", (0.4, 1.0, 0.0), 4.0),
     )
@@ -280,7 +276,6 @@ def log_minorant_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression(src),
-        expr_source=src,
         tail_lower=TailEnvelope("log_pow", (1.0, 0.5, 1.0), 0.0),
         tail_upper=TailEnvelope("log_pow", (1.0, 0.5, 1.0), 0.0),
     )
@@ -301,6 +296,7 @@ _ETA_BISECTION_STEPS = 80
 _ETA_NEWTON_STEPS = 8
 # half-width of the certified root interval, relative to max(1, |t*|)
 _ETA_MARGIN = 1e-12
+_DBL_MAX = np.finfo(float).max
 
 
 def _eta_terms(t, a):
@@ -348,12 +344,13 @@ def _eta_root(y, a):
 def _eta_invert(y, a):
     """psi(y) for a 1-D array of heights: the bisection replay described
     in ``_eta_defining_function``."""
-    lo = y - 3.0 - 3.0 * np.abs(y)
-    hi = y + 3.0 + 3.0 * np.abs(y)
+    with np.errstate(over="ignore"):
+        lo = np.maximum(y - 3.0 - 3.0 * np.abs(y), -_DBL_MAX)
+        hi = np.minimum(y + 3.0 + 3.0 * np.abs(y), _DBL_MAX)
     t_star, band = _eta_root(y, a)
     live = np.ones(y.shape, dtype=bool)
     for _ in range(_ETA_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         too_low = mid < t_star
         near = np.flatnonzero(live & ~(np.abs(mid - t_star) > band))
         if near.size:
@@ -364,7 +361,7 @@ def _eta_invert(y, a):
             break
         lo = np.where(live & too_low, mid, lo)
         hi = np.where(live & ~too_low, mid, hi)
-    return np.real(_eta_boundary(0.5 * (lo + hi), a))
+    return np.real(_eta_boundary(0.5 * lo + 0.5 * hi, a))
 
 
 def _eta_defining_function(a=1.0):
@@ -374,7 +371,12 @@ def _eta_defining_function(a=1.0):
     psi(y) = Re eta(i t) where Im eta(i t) = y.  The value is bit for bit
     what 80 steps of bisection on [y - 3 - 3|y|, y + 3 + 3|y|] give when
     every step evaluates ``Im eta(i mid) < y``; most steps are decided
-    without the evaluation, and none is decided differently:
+    without the evaluation, and none is decided differently.  Above
+    |y| ~ 4.5e307 that bracket overflows, and above ~3.6e307 so can the sum
+    lo + hi; the plain bisection returns NaN there.  So the bracket is
+    clipped to the finite floats and the midpoint is taken as lo/2 + hi/2,
+    which cannot overflow and, halving being exact on the brackets that
+    arise, has the bits of (lo + hi)/2 wherever that sum is finite.
 
     * A step that leaves the bits of the bracket unchanged is a fixed point
       (the next midpoint, and so the next decision, repeat), so a height
@@ -412,7 +414,6 @@ def eta_domain_psi(a=1.0, name="eta1"):
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=ev,
-        expr_source=None,
         tail_lower=TailEnvelope("log_pow", (2.0, 1.0, 0.0), 1.0),
         tail_upper=TailEnvelope("log_pow", (1.0, 1.0, 0.35), 0.0),
     )
@@ -438,7 +439,6 @@ def du_oscillation_domain():
     left = OscillatorySample(
         span=(-1.0, 0.0),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(math.cos(1.0) - 1.0, math.cos(1.0) - 1.0, exact=False),
         limits_right=LimitData(NEG_INF, 0.0, exact=True),
     )
@@ -461,7 +461,6 @@ def exceptional_arc_domain():
     osc = OscillatorySample(
         span=(0.0, 2.0),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(
             -(1 - math.cos(0.5)) / 2.0, -(1 - math.cos(0.5)) / 2.0, exact=False
         ),
@@ -486,7 +485,6 @@ def pos_step_du_domain():
     below = OscillatorySample(
         span=(0.0, 1.0),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(
             -(1 - math.cos(1.0)), -(1 - math.cos(1.0)), exact=False
         ),
@@ -495,7 +493,6 @@ def pos_step_du_domain():
     above = OscillatorySample(
         span=(1.0, POS_INF),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(NEG_INF, 0.0, exact=True),
         limits_right=LimitData(0.0, 0.0, exact=False),
     )
@@ -514,7 +511,6 @@ def vee_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression("abs(y)"),
-        expr_source="abs(y)",
         tail_lower=TailEnvelope("affine", (0.0, 0.0), 0.0),
         tail_upper=None,
     )

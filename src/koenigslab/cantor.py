@@ -3,10 +3,10 @@
 A set is built on a base interval by keeping the two outer ``keep_fraction``
 sub-intervals of every cell and recursing; ``keep_fraction = 1/3`` is the
 ternary middle-thirds set.  Queries run in exact rational arithmetic
-(every float converts exactly to a Fraction), so membership is decided by
-digit expansion with no drift, up to the declared depth cap.  Construction
-cell endpoints always belong to the set, which is what makes the interval
-intersection query exact above the cap scale.  Interval queries run in a
+(every float converts exactly to a Fraction), with no drift, up to the
+declared depth cap.  Construction cell endpoints always belong to the set,
+which is what makes the interval intersection query exact above the cap
+scale; membership of y is the query on [y, y].  Interval queries run in a
 batch: the cells are descended once for all intervals with exact rational
 endpoints, and each float interval end is compared with an endpoint c
 through the two adjacent floats that bracket c, which is exact.
@@ -52,23 +52,9 @@ class CantorSet:
             f = Fraction(1, 3)
         return f
 
-    # -- membership -------------------------------------------------------
-
     def contains(self, y: float) -> bool:
-        """Exact membership by digit expansion, up to the depth cap."""
-        f = self._frac()
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        t = (Fraction(y) - lo) / (hi - lo)
-        if t < 0 or t > 1:
-            return False
-        for _ in range(self.depth):
-            if t <= f:
-                t = t / f
-            elif t >= 1 - f:
-                t = (t - (1 - f)) / f
-            else:
-                return False
-        return True
+        """Exact membership, up to the depth cap: the point interval [y, y]."""
+        return self.intersects(y, y)
 
     # -- interval queries --------------------------------------------------
 
@@ -155,18 +141,7 @@ class CantorSet:
 
     def sample_points(self, max_depth: int = 6):
         """Cell endpoints up to max_depth; all belong to the set."""
-        pts = {self.lo, self.hi}
-
-        def rec(clo, chi, depth):
-            if depth == 0:
-                return
-            w = (chi - clo) * self.keep_fraction
-            pts.update((clo + w, chi - w))
-            rec(clo, clo + w, depth - 1)
-            rec(chi - w, chi, depth - 1)
-
-        rec(self.lo, self.hi, max_depth)
-        return sorted(pts)
+        return sorted({self.lo, self.hi, *(e for gap in self.gaps(max_depth) for e in gap)})
 
     def to_json(self):
         return {

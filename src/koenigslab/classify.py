@@ -109,15 +109,19 @@ def slope_brackets(psi: PiecewiseDefiningFunction, tails):
     return feasible, possible
 
 
-def affine_minorant(
-    psi: PiecewiseDefiningFunction, grid_points: int = 4096, grid_halfwidth: float = 64.0
-) -> AffineMinorant:
+# the intercept grid: 64 blocks of 64 points over [-64, 64]
+_GRID_POINTS = 4096
+_GRID_HALFWIDTH = 64.0
+
+
+def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     """A feasible (m, c) with psi(y) >= m y + c on R, if one exists.
 
     Requires I = R.  Tail feasibility is decided from the declared
     envelopes of the outermost pieces; the intercept is certified on a
     grid over the middle plus the envelope values on the tails.  Missing
-    declarations yield Unknown rather than a guess.
+    declarations, or a middle block where psi has no finite sample, yield
+    Unknown rather than a guess.
     """
     psi.require_validated()
     if math.isfinite(psi.interval_lo) or math.isfinite(psi.interval_hi):
@@ -153,18 +157,23 @@ def affine_minorant(
 
     m = feasible_m
     # certified intercept: grid over the middle, envelope bound on tails
-    ys = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
+    ys = np.linspace(-_GRID_HALFWIDTH, _GRID_HALFWIDTH, _GRID_POINTS)
     c_mid = POS_INF
-    for k in range(0, grid_points - 1, 64):
+    for k in range(0, _GRID_POINTS - 1, 64):
         lo = ys[k]
-        hi = min(ys[k + 64] if k + 64 < grid_points else ys[-1], grid_halfwidth)
+        hi = min(ys[k + 64] if k + 64 < _GRID_POINTS else ys[-1], _GRID_HALFWIDTH)
         _, v = psi.sup_inf(lo, hi)
+        if v == POS_INF:  # psi never takes +inf: no sample was finite
+            return AffineMinorant(
+                TriState.UNKNOWN,
+                reason=f"intercept certification failed: no finite sample of psi on [{lo}, {hi}]",
+            )
         c_mid = min(c_mid, v - m * (lo if m <= 0 else hi))
 
     def tail_c(env, tail):
         if env is None:
             return POS_INF
-        ts = np.geomspace(max(env.valid_from, grid_halfwidth), 1e9, 2048)
+        ts = np.geomspace(max(env.valid_from, _GRID_HALFWIDTH), 1e9, 2048)
         if tail == "lower":
             ts = -ts
         g = env.value(ts)

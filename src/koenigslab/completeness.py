@@ -278,6 +278,8 @@ def _log_envelope_domination(psi, p):
     c1 = POS_INF
     for lo, hi in zip(ys[:-1], ys[1:]):
         _, v = psi.sup_inf(lo, hi)
+        if v == POS_INF:  # no finite sample of psi on this cell
+            return None
         c1 = min(c1, v + math.log(min(abs(lo), abs(hi)) + 3.0) ** a)
     if not math.isfinite(c1):
         return None

@@ -166,8 +166,9 @@ class TailEnvelope:
         return out
 
 
-def dyadic_limit_estimate(f, y0, side, delta=1.0, depth=_DYADIC_DEPTH):
-    """Estimate lim f(t) as t -> y0 from one side by dyadic sampling.
+def dyadic_limit_estimate(f, y0, side, delta=1.0):
+    """Estimate lim f(t) as t -> y0 from one side by dyadic sampling at
+    y0 +- delta 2^-k, k = 1, ..., 40.
 
     Returns LimitData.  Stabilization: the last 8 samples agree to
     _STAB_TOL relative; monotone divergence is read as an infinite limit.
@@ -175,7 +176,7 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0, depth=_DYADIC_DEPTH):
     """
     sgn = -1.0 if side == "left" else 1.0
     vals = []
-    for k in range(1, depth + 1):
+    for k in range(1, _DYADIC_DEPTH + 1):
         t = y0 + sgn * delta * 2.0 ** (-k)
         try:
             v = float(f(t))
@@ -313,7 +314,6 @@ class FiniteAnalytic(Piece):
     """
 
     evaluator: Callable = None
-    expr_source: Optional[str] = None
     limits_left: Optional[LimitData] = None   # as y -> span[0]+
     limits_right: Optional[LimitData] = None  # as y -> span[1]-
     tail_lower: Optional[TailEnvelope] = None
@@ -368,7 +368,6 @@ class FiniteAnalytic(Piece):
             self,
             span=(self.span[0] + dy, self.span[1] + dy),
             evaluator=_shifted_evaluator(self.evaluator, dx, dy),
-            expr_source=None,
             limits_left=None if self.limits_left is None else self.limits_left.shifted(dx),
             limits_right=None if self.limits_right is None else self.limits_right.shifted(dx),
             tail_lower=_shift_env(_shift_env_vertical(self.tail_lower, dy, "lower"), dx),
@@ -508,7 +507,6 @@ class CantorCarrierPiece(Piece):
     carrier: CantorSet = None
     on_value: float = 1.0
     off_evaluator: Callable = None
-    off_expr_source: Optional[str] = None
     off_limsup_at_carrier: Optional[float] = None
     off_liminf_at_carrier: Optional[float] = None
 
@@ -597,7 +595,6 @@ class CantorCarrierPiece(Piece):
             ),
             on_value=_shift(self.on_value, dx),
             off_evaluator=_shifted_evaluator(self.off_evaluator, dx, dy),
-            off_expr_source=None,
             off_limsup_at_carrier=_shift(self.off_limsup_at_carrier, dx),
             off_liminf_at_carrier=_shift(self.off_liminf_at_carrier, dx),
         )
@@ -640,15 +637,12 @@ class DomainFacts:
     ``validate()`` builds them, so they exist from validation on and no
     call order or cache state can change them.  ``limits`` holds the
     one-sided limits at ``heights``: the special heights plus the finite
-    ends of I.  ``values`` and ``tildes`` hold psi and psi~ at the special
-    heights.  ``carriers`` pairs each Cantor carrier piece with the sup of
+    ends of I.  ``carriers`` pairs each Cantor carrier piece with the sup of
     its off part near the carrier and whether that sup is declared.
     """
 
     heights: tuple
     limits: dict
-    values: dict
-    tildes: dict
     carriers: tuple
     usc: TriState
     usc_problems: tuple
@@ -729,8 +723,6 @@ class DomainFacts:
         return DomainFacts(
             heights=heights,
             limits=limits,
-            values=values,
-            tildes=tildes,
             carriers=carriers,
             usc=usc,
             usc_problems=tuple(problems),
@@ -872,11 +864,6 @@ class PiecewiseDefiningFunction:
         hs.update(self.point_values)
         return sorted(y for y in hs if self.interval_lo < y < self.interval_hi)
 
-    def usc_check(self):
-        """TriState + diagnostics: limsup psi <= psi at every special height."""
-        facts = self._facts or DomainFacts.of(self)
-        return facts.usc, list(facts.usc_problems)
-
     # -- regularizations ------------------------------------------------------
 
     def psi_star(self, y0):
@@ -901,16 +888,6 @@ class PiecewiseDefiningFunction:
             self._side_limit_piece(y0, s).side_limits_lsc(y0, s, lims.side(s))
             for s in ("left", "right")
         )
-
-    def lsc_regularization(self):
-        """psi_* as a callable on closure(I)."""
-        self.require_validated()
-        return self.psi_star
-
-    def usc_of_lsc(self):
-        """psi~ (usc regularization of psi_*) as a callable on I."""
-        self.require_validated()
-        return self.psi_tilde
 
     def equals_regularized(self):
         """Does psi equal psi~ everywhere on I?  (TriState, witnesses)."""

@@ -18,7 +18,7 @@ boundary integral (increment ratio 1) stays inconclusive by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,11 +55,9 @@ class QuadraturePlan:
 class CanonicalDomain:
     """A domain with an explicit conformal map from the unit disc."""
 
-    kind: str
     key: str
     transplant: Callable  # u in D (ndarray complex) -> domain points
     plan: QuadraturePlan
-    params: dict = field(default_factory=dict)
 
     def __repr__(self):
         return f"CanonicalDomain({self.key})"
@@ -70,12 +68,7 @@ def _cayley(u):
 
 
 def half_plane_right() -> CanonicalDomain:
-    return CanonicalDomain(
-        "half_plane_right",
-        "half_plane_right",
-        _cayley,
-        QuadraturePlan(2, 14, 5, False),
-    )
+    return CanonicalDomain("half_plane_right", _cayley, QuadraturePlan(2, 14, 5, False))
 
 
 def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
@@ -85,11 +78,7 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         return 1j * edge + sgn * 1j * _cayley(u)
 
     return CanonicalDomain(
-        "horizontal_half_plane",
-        f"horizontal_half_plane:{edge}:{side}",
-        tr,
-        QuadraturePlan(2, 14, 5, False),
-        {"edge": edge, "side": side},
+        f"horizontal_half_plane:{edge}:{side}", tr, QuadraturePlan(2, 14, 5, False)
     )
 
 
@@ -97,9 +86,7 @@ def strip_width_pi() -> CanonicalDomain:
     def tr(u):
         return np.log(_cayley(u))
 
-    return CanonicalDomain(
-        "strip_width_pi", "strip_width_pi", tr, QuadraturePlan(2, 14, 5, False)
-    )
+    return CanonicalDomain("strip_width_pi", tr, QuadraturePlan(2, 14, 5, False))
 
 
 def eta_domain(a=1.0) -> CanonicalDomain:
@@ -112,9 +99,7 @@ def eta_domain(a=1.0) -> CanonicalDomain:
         lg = np.log(w + 3.0)
         return w - np.exp(a * np.log(lg))
 
-    return CanonicalDomain(
-        "eta_domain", f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True), {"a": a}
-    )
+    return CanonicalDomain(f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True))
 
 
 # -- the membership oracle ---------------------------------------------------
@@ -174,31 +159,13 @@ def _trend_verdict(logs):
     return INCONCLUSIVE, "increment ratio too close to 1 to certify"
 
 
-# answers by (domain, lam, p, budget); past the capacity, which exceeds a
-# sweep of a few hundred frequencies, the oldest answer is dropped
-_membership_cache: dict = {}
-_MEMBERSHIP_CACHE_SIZE = 1024
-
-
-def _remember(key, res):
-    if len(_membership_cache) >= _MEMBERSHIP_CACHE_SIZE:
-        del _membership_cache[next(iter(_membership_cache))]
-    _membership_cache[key] = res
-
-
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> MembershipResult:
     """Tri-state membership of e^{lam z} in H^p(dom)."""
     lam = complex(lam)
     if p < 1:
         raise ValueError("p must be at least 1")
-    key = (dom.key, lam, float(p), budget)
-    hit = _membership_cache.get(key)
-    if hit is not None:
-        return hit
     if lam == 0:
-        res = MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
-        _remember(key, res)
-        return res
+        return MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
     logs = []
     nodes_spent = 0
     cert = None
@@ -222,9 +189,7 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
             status, cert = _trend_verdict(logs)
         else:
             status, cert = INCONCLUSIVE, "budget exhausted before any certificate"
-    res = MembershipResult(status, lam, p, cert, logs, len(logs))
-    _remember(key, res)
-    return res
+    return MembershipResult(status, lam, p, cert, logs, len(logs))
 
 
 # -- exact bounded-exponential region ----------------------------------------
@@ -354,7 +319,11 @@ def scaling_law_check(dom: CanonicalDomain, p, q, grid):
     }
 
 
-def betsakos_band(dom: CanonicalDomain, p, tol=0.02, max_iter=12):
+_BAND_TOL = 0.02  # bracket width, in units of 1/p
+_BAND_MAX_ITER = 12
+
+
+def betsakos_band(dom: CanonicalDomain, p):
     """Bracket the member/non-member transitions of H^p membership along
     the real axis, one bracket per side, for a strip-type domain.
     Returns dict with per-side brackets scaled by p (the band constants)
@@ -374,8 +343,8 @@ def betsakos_band(dom: CanonicalDomain, p, tol=0.02, max_iter=12):
             return None
         # member edge: largest |u| certified member (inconclusive counts up)
         a, b = 0.0, hi
-        for _ in range(max_iter):
-            if b - a < tol / p:
+        for _ in range(_BAND_MAX_ITER):
+            if b - a < _BAND_TOL / p:
                 break
             mid = 0.5 * (a + b)
             if status(sign * mid) == MEMBER:
@@ -385,8 +354,8 @@ def betsakos_band(dom: CanonicalDomain, p, tol=0.02, max_iter=12):
         member_edge = a
         # non-member edge: smallest |u| certified non-member
         a2, b2 = member_edge, hi
-        for _ in range(max_iter):
-            if b2 - a2 < tol / p:
+        for _ in range(_BAND_MAX_ITER):
+            if b2 - a2 < _BAND_TOL / p:
                 break
             mid = 0.5 * (a2 + b2)
             if status(sign * mid) == NON_MEMBER:

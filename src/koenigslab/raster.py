@@ -34,8 +34,7 @@ class WindowError(ValueError):
 @dataclass
 class RasterGrid:
     window: tuple  # (x0, x1, y0, y1)
-    n_x: int
-    n_y: int
+    n: int  # cells per side
     x_edges: np.ndarray
     y_edges: np.ndarray
     M: np.ndarray
@@ -49,11 +48,7 @@ class RasterGrid:
 
     @property
     def dx(self):
-        return (self.window[1] - self.window[0]) / self.n_x
-
-    @property
-    def dy(self):
-        return (self.window[3] - self.window[2]) / self.n_y
+        return (self.window[1] - self.window[0]) / self.n
 
     # -- frontier profiles -------------------------------------------------
 
@@ -109,8 +104,7 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n, with_coarse=True) -> Ra
         seal |= (hi_r >= elo) & (lo_r <= ehi)
     grid = RasterGrid(
         window=tuple(window),
-        n_x=n,
-        n_y=n,
+        n=n,
         x_edges=x_edges,
         y_edges=y_edges,
         M=prof["M"],

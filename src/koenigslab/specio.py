@@ -40,7 +40,7 @@ from .domain import (
     _as_float,
     _json_float,
 )
-from .expr import parse_expression
+from .expr import Expression, parse_expression
 
 
 def _span(obj):
@@ -62,7 +62,6 @@ def piece_from_json(obj):
         return (OscillatorySample if kind == "oscillatory" else FiniteAnalytic)(
             span=_span(obj),
             evaluator=parse_expression(obj["expr"]),
-            expr_source=obj["expr"],
             limits_left=left,
             limits_right=right,
             tail_lower=TailEnvelope.from_json(obj["tail_lower"]) if "tail_lower" in obj else None,
@@ -78,13 +77,11 @@ def piece_from_json(obj):
             background=_as_float(obj["background"]),
         )
     if kind == "cantor_comb":
-        off_src = obj.get("off_expr", "0")
         return CantorCarrierPiece(
             span=_span(obj),
             carrier=CantorSet.from_json(obj["carrier"]),
             on_value=float(obj["on_value"]),
-            off_evaluator=parse_expression(off_src),
-            off_expr_source=off_src,
+            off_evaluator=parse_expression(obj.get("off_expr", "0")),
             off_limsup_at_carrier=(
                 None
                 if obj.get("off_limsup_at_carrier") is None
@@ -102,10 +99,10 @@ def piece_from_json(obj):
 def piece_to_json(p):
     span = [_json_float(p.span[0]), _json_float(p.span[1])]
     if isinstance(p, FiniteAnalytic):  # OscillatorySample included
-        if p.expr_source is None:
+        if not isinstance(p.evaluator, Expression):
             raise ValidationError("cannot serialize a piece without expression source")
         kind = "oscillatory" if isinstance(p, OscillatorySample) else "finite_analytic"
-        out = {"kind": kind, "span": span, "expr": p.expr_source}
+        out = {"kind": kind, "span": span, "expr": p.evaluator.source}
         lims = {}
         if p.limits_left is not None:
             lims["left"] = p.limits_left.to_json()
@@ -129,14 +126,14 @@ def piece_to_json(p):
             "background": _json_float(p.background),
         }
     if isinstance(p, CantorCarrierPiece):
-        if p.off_expr_source is None:
+        if not isinstance(p.off_evaluator, Expression):
             raise ValidationError("cannot serialize a carrier piece without off-expression source")
         out = {
             "kind": "cantor_comb",
             "span": span,
             "carrier": p.carrier.to_json(),
             "on_value": p.on_value,
-            "off_expr": p.off_expr_source,
+            "off_expr": p.off_evaluator.source,
         }
         if p.off_limsup_at_carrier is not None:
             out["off_limsup_at_carrier"] = p.off_limsup_at_carrier

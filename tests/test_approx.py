@@ -178,7 +178,9 @@ def test_laplace_transform_multiplicative_under_convolution():
     nu = AtomicMeasure(((0.25, 2.0), (0.75, 1.0 + 1.0j)), 0.75)
     conv = mu.convolve(nu)
     zs = np.array([0.2, 1.0 + 0.3j, -0.4 + 1j, 2.0])
-    assert np.allclose(conv.laplace(zs), mu.laplace(zs) * nu.laplace(zs))
+    assert np.allclose(
+        conv.exp_sum("laplace")(zs), mu.exp_sum("laplace")(zs) * nu.exp_sum("laplace")(zs)
+    )
 
 
 def test_atoms_outside_support_rejected():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,14 @@ def random_heights(count=60_000, seed=0):
 
 SPECIAL_HEIGHTS = np.array([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
-    1e307, -1e307, 5e307, -5e307, 1e308, -1e308, 1.7976931348623157e308,
-    np.nan, np.inf, -np.inf,
+    1e307, -1e307, np.nan, np.inf, -np.inf,
+])
+
+# heights where the plain bisection overflows: its bracket above ~4.5e307,
+# and at some heights above ~3.6e307 the sum lo + hi; it returns NaN there
+OVERFLOW_HEIGHTS = np.array([
+    3.62e307, -3.62e307, 4.6e307, -4.6e307, 5e307, -5e307, 1e308, -1e308,
+    1.7976931348623157e308, -1.7976931348623157e308,
 ])
 
 
@@ -67,6 +75,17 @@ def test_eta_inversion_is_bitwise_the_80_step_bisection(a):
             got = ev(y)
             assert isinstance(got, float)
             assert same_bits(got, bisection_reference(y, a)[0])
+
+
+def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
+    # for a = 1, psi(y) = -log|3 + i t| with t within a few units of y
+    ev = battery._eta_defining_function(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ev(OVERFLOW_HEIGHTS)
+        scalars = np.array([ev(float(y)) for y in OVERFLOW_HEIGHTS])
+    np.testing.assert_allclose(got, -np.log(np.abs(OVERFLOW_HEIGHTS)), rtol=1e-12)
+    assert same_bits(got, scalars)
 
 
 def test_eta_inversion_evaluates_the_boundary_at_most_30_times_per_height(monkeypatch):

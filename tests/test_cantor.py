@@ -161,6 +161,9 @@ def test_intersects_many_equals_the_scalar_query(case):
     assert got.dtype == bool and got.shape == a.shape
     assert got.tolist() == [c.intersects(lo, hi) for lo, hi in intervals]
     assert got.tolist() == [intersects_reference(c, lo, hi) for lo, hi in intervals]
+    for lo, hi in intervals:
+        if lo == hi:
+            assert c.contains(lo) == intersects_reference(c, lo, lo)
 
 
 def test_intersects_many_at_exact_endpoints(ternary):

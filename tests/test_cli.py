@@ -1,19 +1,27 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import koenigslab
 from koenigslab.battery import battery_entry
 from koenigslab.specio import save_psi
 
+# the directory holding the package these tests import, so the command
+# runs the same code without an install
+SRC = os.path.dirname(os.path.dirname(koenigslab.__file__))
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "koenigslab.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

@@ -124,3 +124,28 @@ def test_decide_computes_the_weak_star_verdict_once(monkeypatch):
         calls.clear()
         assert out["p_route"] == p_completeness_report(psi, 1.0)["route"]
         assert len(calls) == 1, name
+
+
+def test_psi_with_no_finite_value_gets_no_yes():
+    # log(-1 - y^2) is NaN on all of R: no sample of psi is finite, so
+    # neither the half-plane intercept nor the log-envelope constant is
+    # certified (a block whose sampled inf is +inf is no constraint)
+    from koenigslab.classify import affine_minorant
+    from koenigslab.specio import psi_from_dict
+
+    psi = psi_from_dict({
+        "interval": ["-inf", "inf"],
+        "pieces": [
+            {"kind": "finite_analytic", "span": ["-inf", "inf"], "expr": "log(-1-y*y)",
+             "tail_lower": {"kind": "const", "c": 0.0},
+             "tail_upper": {"kind": "const", "c": 0.0}},
+        ],
+    })
+    am = affine_minorant(psi)
+    assert am.status is TriState.UNKNOWN
+    assert am.reason.startswith("intercept certification failed")
+    assert "[-64.0, " in am.reason  # names the first middle block
+    assert completeness._log_envelope_domination(psi, 1.0) is None
+    out = decide(psi, p=1.0)
+    assert out["weak_star_complete"] == "unknown"
+    assert out["p_complete"] == "unknown"

@@ -34,7 +34,6 @@ def flat(span, v=0.0):
     return FiniteAnalytic(
         span=span,
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=lim if math.isfinite(span[0]) else None,
         limits_right=lim if math.isfinite(span[1]) else None,
     )
@@ -92,7 +91,6 @@ def test_declared_oscillation_limits():
     piece = OscillatorySample(
         span=(0.0, 1.0),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(-1.0, 1.0),
         limits_right=LimitData(-1.0, 1.0),
     )
@@ -107,7 +105,7 @@ def test_declared_oscillation_limits():
 def test_monotone_divergence_detected():
     # -log|y| to the right of 0 has one-sided limit +inf
     src = "-log(abs(y))"
-    piece = FiniteAnalytic(span=(0.0, 1.0), evaluator=parse_expression(src), expr_source=src)
+    piece = FiniteAnalytic(span=(0.0, 1.0), evaluator=parse_expression(src))
     psi = PiecewiseDefiningFunction(0.0, 1.0, (piece,))
     lims = psi.one_sided_limits(0.0)
     assert lims.right.liminf == POS_INF and lims.right.limsup == POS_INF
@@ -115,7 +113,7 @@ def test_monotone_divergence_detected():
 
 def test_interior_limit_matches_evaluator():
     src = "y^2 - 1"
-    piece = FiniteAnalytic(span=(-2.0, 2.0), evaluator=parse_expression(src), expr_source=src)
+    piece = FiniteAnalytic(span=(-2.0, 2.0), evaluator=parse_expression(src))
     psi = PiecewiseDefiningFunction(-2.0, 2.0, (piece,))
     psi.validate()
     lims = psi.one_sided_limits(0.5)
@@ -126,12 +124,12 @@ def test_interior_limit_matches_evaluator():
 # -- semicontinuity ----------------------------------------------------------
 
 
-def test_usc_check_accepts_comb_and_oscillation():
-    assert comb_domain().psi.usc_check()[0] is TriState.YES
-    assert oscillation_cantor_domain().psi.usc_check()[0] is TriState.YES
+def test_usc_accepts_comb_and_oscillation():
+    assert comb_domain().psi.facts.usc is TriState.YES
+    assert oscillation_cantor_domain().psi.facts.usc is TriState.YES
 
 
-def test_usc_check_rejects_low_junction_value():
+def test_usc_rejects_low_junction_value():
     # two pieces tending to 1 at 0 but psi(0) = 0: not usc
     p1 = flat((-1.0, 0.0), 1.0)
     p2 = flat((0.0, 1.0), 1.0)
@@ -177,8 +175,8 @@ def test_coverage_gaps_rejected():
 
 def test_continuous_psi_is_its_own_regularization():
     psi = strip_domain().psi
-    star = psi.lsc_regularization()
-    tilde = psi.usc_of_lsc()
+    star = psi.psi_star
+    tilde = psi.psi_tilde
     for y in np.linspace(-1.5, 1.5, 7):
         assert star(y) == pytest.approx(0.0)
         assert tilde(y) == pytest.approx(0.0)
@@ -188,8 +186,8 @@ def test_comb_regularizations_vanish():
     # complementary gaps accumulate at every carrier point, so the liminf
     # envelope is 0 everywhere and so is its usc envelope
     psi = comb_domain().psi
-    star = psi.lsc_regularization()
-    tilde = psi.usc_of_lsc()
+    star = psi.psi_star
+    tilde = psi.psi_tilde
     for y in (0.0, 0.25, 0.5, 1.0, 1.2):
         assert star(y) == pytest.approx(0.0)
         assert tilde(y) == pytest.approx(0.0)
@@ -201,8 +199,8 @@ def test_oscillation_regularization_recovers_psi():
     # the oscillation sweeps [-1, 1] beside every carrier point: the liminf
     # envelope dips to -1 there but its usc envelope climbs back to 1 = psi
     psi = oscillation_cantor_domain().psi
-    star = psi.lsc_regularization()
-    tilde = psi.usc_of_lsc()
+    star = psi.psi_star
+    tilde = psi.psi_tilde
     assert star(0.25) == pytest.approx(-1.0)
     assert tilde(0.25) == pytest.approx(1.0)
     assert psi.equals_regularized()[0] is TriState.YES
@@ -216,7 +214,7 @@ def test_spike_witness():
 def test_pointwise_order_star_tilde_psi():
     for name in ("strip", "comb", "oscillation_cantor", "gap", "du_oscillation"):
         psi = battery_entry(name).psi
-        star, tilde = psi.lsc_regularization(), psi.usc_of_lsc()
+        star, tilde = psi.psi_star, psi.psi_tilde
         lo = psi.interval_lo if math.isfinite(psi.interval_lo) else -3.0
         hi = psi.interval_hi if math.isfinite(psi.interval_hi) else 3.0
         for y in np.linspace(lo + 1e-3, hi - 1e-3, 9):
@@ -239,10 +237,10 @@ def _numeric_liminf(f, y, eps_list=(1e-2, 1e-3, 1e-4, 1e-5)):
     return best
 
 
-def test_lsc_regularization_idempotent_numerically():
+def test_psi_star_idempotent_numerically():
     # applying a sampled liminf to psi_* should approximately return psi_*
     psi = gap_domain().psi
-    star = psi.lsc_regularization()
+    star = psi.psi_star
     for y in (-0.5, 0.25, 1.5):
         approx = _numeric_liminf(lambda t: star(t) if -1 < t < 2 else POS_INF, y)
         target = star(y)
@@ -266,7 +264,7 @@ def _numeric_limsup(f, y, eps_list=(1e-2, 1e-3, 1e-4, 1e-5)):
 def test_usc_regularization_idempotent_numerically():
     # a sampled limsup applied to psi~ should approximately return psi~
     psi = comb_domain().psi
-    tilde = psi.usc_of_lsc()
+    tilde = psi.psi_tilde
     for y in (-0.25, 0.25, 0.5, 1.2):
         approx = _numeric_limsup(lambda t: tilde(t) if -0.5 < t < 1.5 else NEG_INF, y)
         assert approx == pytest.approx(tilde(y), abs=1e-6)

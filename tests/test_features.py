@@ -45,12 +45,12 @@ def test_super_repelling_cusp():
     # psi = -1/|y| off 0 with psi(0) = 0: both one-sided limits are -inf
     src = "-1/abs(y)"
     left = FiniteAnalytic(
-        span=(-1.0, 0.0), evaluator=parse_expression(src), expr_source=src,
+        span=(-1.0, 0.0), evaluator=parse_expression(src),
         limits_left=LimitData(-1.0, -1.0),
         limits_right=LimitData(NEG_INF, NEG_INF),
     )
     right = FiniteAnalytic(
-        span=(0.0, 1.0), evaluator=parse_expression(src), expr_source=src,
+        span=(0.0, 1.0), evaluator=parse_expression(src),
         limits_left=LimitData(NEG_INF, NEG_INF),
         limits_right=LimitData(-1.0, -1.0),
     )
@@ -123,7 +123,7 @@ def test_comb_has_no_isolated_spikes():
 def test_dw_simple_and_double():
     src = "sin(1/y)/y"
     osc = OscillatorySample(
-        span=(0.0, 1.0), evaluator=parse_expression(src), expr_source=src,
+        span=(0.0, 1.0), evaluator=parse_expression(src),
         limits_left=LimitData(NEG_INF, POS_INF),
         limits_right=LimitData(math.sin(1.0), math.sin(1.0), exact=False),
     )
@@ -133,7 +133,7 @@ def test_dw_simple_and_double():
 
     src2 = "sin(1/(y*(1-y)))/(y*(1-y))"
     osc2 = OscillatorySample(
-        span=(0.0, 1.0), evaluator=parse_expression(src2), expr_source=src2,
+        span=(0.0, 1.0), evaluator=parse_expression(src2),
         limits_left=LimitData(NEG_INF, POS_INF),
         limits_right=LimitData(NEG_INF, POS_INF),
     )
@@ -163,7 +163,6 @@ def test_exceptional_arc_needs_oscillation():
     flat_piece = FiniteAnalytic(
         span=(0.0, 2.0),
         evaluator=parse_expression(src),
-        expr_source=src,
         limits_left=LimitData(0.0, 0.0),
         limits_right=LimitData(0.0, 0.0),
     )

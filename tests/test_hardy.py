@@ -137,38 +137,15 @@ def test_eta_exponent_validation():
 
 
 def test_compute_budget_bounds_work():
-    from koenigslab import hardy
-
-    hardy._membership_cache.clear()
     res = hardy_membership(-0.75, eta_domain(1.0), 1.0, budget=2**10)
     assert res.status == INCONCLUSIVE
     assert "budget" in res.certificate
-    hardy._membership_cache.clear()
 
 
 def test_budgeted_result_is_not_served_to_unbudgeted_call():
-    from koenigslab import hardy
-
-    hardy._membership_cache.clear()
     capped = hardy_membership(-0.5, half_plane_right(), 2, budget=100)
     assert capped.status == INCONCLUSIVE
     assert hardy_membership(-0.5, half_plane_right(), 2).status == MEMBER
-    hardy._membership_cache.clear()
-
-
-def test_membership_cache_is_bounded():
-    from koenigslab import hardy
-
-    hardy._membership_cache.clear()
-    hp = half_plane_right()
-    first = hardy_membership(-0.5, hp, 2.0, budget=1)
-    for k in range(hardy._MEMBERSHIP_CACHE_SIZE + 50):
-        hardy_membership(-1.0 - k / 64, hp, 2.0, budget=1)
-    assert len(hardy._membership_cache) == hardy._MEMBERSHIP_CACHE_SIZE
-    again = hardy_membership(-0.5, hp, 2.0, budget=1)  # evicted: recomputed
-    assert again is not first and again == first
-    assert hardy_membership(-0.5, hp, 2.0, budget=1) is again
-    hardy._membership_cache.clear()
 
 
 # -- betsakos band --------------------------------------------------------

@@ -124,7 +124,7 @@ def test_right_translation_monotone_rows():
     grid = rasterize(e.psi, e.window, 256, with_coarse=False)
     inside = grid.inside_mask()
     first_true = np.argmax(inside, axis=1)
-    for iy in range(grid.n_y):
+    for iy in range(grid.n):
         if inside[iy].any():
             assert inside[iy, first_true[iy]:].all()
 
@@ -165,7 +165,7 @@ def test_component_count_is_the_number_of_unsealed_runs(seal):
         ids.append(0 if sealed else runs)
     assert _component_count_single(grid) == runs
     # labels carry the same run ids; sealed padding rows fill the grid out
-    padded = np.array(seal + [True] * (grid.n_y - len(seal)))
+    padded = np.array(seal + [True] * (grid.n - len(seal)))
     labels = component_labels(dataclasses.replace(grid, seal=padded))
     assert labels[: len(seal), 0].tolist() == ids
     assert not labels[len(seal):].any()
