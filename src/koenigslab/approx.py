@@ -206,9 +206,7 @@ def strip_sample_grid():
 class FitResult:
     exp_sum: ExpSum
     error: float
-    rho: float
     gram_condition: float
-    n_nodes: int
     conditioning_failure: bool = False
     # error at the refinement radius; None after a conditioning failure
     _refined_error: Optional[Callable[[], float]] = field(default=None, repr=False, compare=False)
@@ -229,7 +227,7 @@ _FIT_RIDGE = 1e-12
 
 def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> FitResult:
     """Best coefficients for target ~ sum c_k e^{lam_k z} in the
-    transplanted boundary L2 metric at radius rho.
+    transplanted boundary L2 metric at radius rho = _FIT_RHO.
 
     Normal equations with a fixed ridge; the exponential Gram matrix is
     ill-conditioned by nature, so the achieved error and a rho-refinement
@@ -244,17 +242,16 @@ def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> Fit
         b = np.asarray(target(z), dtype=complex)
         return A, b
 
-    rho = _FIT_RHO
-    A, b = design(rho)
+    A, b = design(_FIT_RHO)
     G = (A.conj().T @ A) / n_nodes
     rhs = (A.conj().T @ b) / n_nodes
     G_r = G + _FIT_RIDGE * np.eye(len(freqs))
     try:
         coef = np.linalg.solve(G_r, rhs)
     except np.linalg.LinAlgError:
-        return FitResult(ExpSum(()), math.inf, rho, math.inf, n_nodes, True)
+        return FitResult(ExpSum(()), math.inf, math.inf, True)
     if not np.all(np.isfinite(coef)):
-        return FitResult(ExpSum(()), math.inf, rho, math.inf, n_nodes, True)
+        return FitResult(ExpSum(()), math.inf, math.inf, True)
 
     def rms_error(A, b):
         return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
@@ -263,8 +260,8 @@ def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> Fit
     cond = float(np.linalg.cond(G_r))
     s = ExpSum(tuple((complex(c), l) for c, l in zip(coef, freqs)))
     return FitResult(
-        s, err, rho, cond, n_nodes,
-        _refined_error=lambda: rms_error(*design(1.0 - (1.0 - rho) / 2.0)),
+        s, err, cond,
+        _refined_error=lambda: rms_error(*design(1.0 - (1.0 - _FIT_RHO) / 2.0)),
     )
 
 

@@ -77,6 +77,13 @@ def _window(text):
     return tuple(parts)
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _canonical(name):
     if name == "halfplane":
         return half_plane_right()
@@ -335,7 +342,7 @@ def build_parser():
 
     p = sub.add_parser("decide", help="completeness verdict")
     p.add_argument("spec")
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p", type=_finite, default=None)
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--window", type=_window, default=None)
     p.add_argument("--resolution", type=int, default=1024)
@@ -345,7 +352,7 @@ def build_parser():
 
     p = sub.add_parser("freq", help="frequency region / sampled membership")
     p.add_argument("--domain", required=True, help="canonical name or spec.json")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--grid", type=_window, default=(-2.0, 0.5, -1.0, 1.0))
     p.add_argument("--grid-n", type=int, default=11)
     p.add_argument("--csv")

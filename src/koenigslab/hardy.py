@@ -13,10 +13,19 @@ schedule r = 1 - 2^-j with a node budget per level and certifies one of
 
 Anything else is inconclusive; in particular a logarithmically divergent
 boundary integral (increment ratio 1) stays inconclusive by design.
+
+Each level is the periodic trapezoid rule on n midpoint nodes
+theta_k = (k + 1/2) 2 pi / n, a set closed under conjugation.  Every
+canonical transplant T satisfies T(conj u) = reflection * conj T(u) with
+reflection = +1 or -1, so only the n/2 nodes on the upper half circle
+are transplanted; the lower half is read from them by that symmetry.  The
+node cache keeps the transplanted upper half as two contiguous real
+arrays (x, y).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,6 +67,8 @@ class CanonicalDomain:
     key: str
     transplant: Callable  # u in D (ndarray complex) -> domain points
     plan: QuadraturePlan
+    # +1.0 or -1.0: transplant(conj u) = reflection * conj(transplant(u))
+    reflection: float
 
     def __repr__(self):
         return f"CanonicalDomain({self.key})"
@@ -68,7 +79,7 @@ def _cayley(u):
 
 
 def half_plane_right() -> CanonicalDomain:
-    return CanonicalDomain("half_plane_right", _cayley, QuadraturePlan(2, 14, 5, False))
+    return CanonicalDomain("half_plane_right", _cayley, QuadraturePlan(2, 14, 5, False), 1.0)
 
 
 def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
@@ -78,7 +89,7 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         return 1j * edge + sgn * 1j * _cayley(u)
 
     return CanonicalDomain(
-        f"horizontal_half_plane:{edge}:{side}", tr, QuadraturePlan(2, 14, 5, False)
+        f"horizontal_half_plane:{edge}:{side}", tr, QuadraturePlan(2, 14, 5, False), -1.0
     )
 
 
@@ -86,7 +97,7 @@ def strip_width_pi() -> CanonicalDomain:
     def tr(u):
         return np.log(_cayley(u))
 
-    return CanonicalDomain("strip_width_pi", tr, QuadraturePlan(2, 14, 5, False))
+    return CanonicalDomain("strip_width_pi", tr, QuadraturePlan(2, 14, 5, False), 1.0)
 
 
 def eta_domain(a=1.0) -> CanonicalDomain:
@@ -99,7 +110,7 @@ def eta_domain(a=1.0) -> CanonicalDomain:
         lg = np.log(w + 3.0)
         return w - np.exp(a * np.log(lg))
 
-    return CanonicalDomain(f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True))
+    return CanonicalDomain(f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True), 1.0)
 
 
 # -- the membership oracle ---------------------------------------------------
@@ -108,26 +119,45 @@ _transplant_cache: dict = {}
 
 
 def _nodes(dom, j, r, n):
+    """Transplanted upper half circle of level j: real arrays (x, y) at the
+    nodes theta_k, k < n/2; the rule's lower half is their reflection."""
     key = (dom.key, j, n)
-    w = _transplant_cache.get(key)
-    if w is None:
-        theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        u = r * np.exp(1j * theta)
-        w = dom.transplant(u)
+    xy = _transplant_cache.get(key)
+    if xy is None:
+        theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+        w = dom.transplant(r * np.exp(1j * theta))
+        xy = (np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag))
         if len(_transplant_cache) > 40:
             _transplant_cache.clear()
-        _transplant_cache[key] = w
-    return w
+        _transplant_cache[key] = xy
+    return xy
 
 
 def _log_mean(dom, lam, p, j, r, n):
-    """log of the p-th power mean of |e^{lam z}| over the circle |u| = r."""
-    w = _nodes(dom, j, r, n)
-    L = p * (lam.real * w.real - lam.imag * w.imag)
-    Lmax = float(np.max(L))
+    """log of the p-th power mean of |e^{lam z}| over the circle |u| = r.
+
+    At w = x + iy on the upper half, log|e^{p lam w}| = a x - b y with
+    (a, b) = p (Re lam, Im lam); at the mirrored node it is
+    reflection * (a x + b y).  For real lam and reflection +1 the two
+    agree, and one half carries the whole mean."""
+    x, y = _nodes(dom, j, r, n)
+    a, b = p * lam.real, p * lam.imag
+    if dom.reflection > 0 and b == 0:
+        halves = (a * x,)
+    else:
+        ax, by = a * x, b * y
+        mirrored = ax + by
+        if dom.reflection < 0:
+            np.negative(mirrored, out=mirrored)
+        halves = (np.subtract(ax, by, out=ax), mirrored)
+    Lmax = float(np.max([L.max() for L in halves]))
     if not math.isfinite(Lmax):
         return POS_INF
-    return Lmax + math.log(float(np.mean(np.exp(L - Lmax))))
+    total = 0.0
+    for L in halves:
+        L -= Lmax
+        total += float(np.exp(L, out=L).sum())
+    return Lmax + math.log(total / (x.size * len(halves)))
 
 
 @dataclass
@@ -162,6 +192,8 @@ def _trend_verdict(logs):
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> MembershipResult:
     """Tri-state membership of e^{lam z} in H^p(dom)."""
     lam = complex(lam)
+    if not (cmath.isfinite(lam) and math.isfinite(p)):
+        raise ValueError(f"lam and p must be finite, got lam={lam!r}, p={p!r}")
     if p < 1:
         raise ValueError("p must be at least 1")
     if lam == 0:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from koenigslab import approx
 from koenigslab.approx import (
     AtomicMeasure,
     ExpSum,
@@ -229,7 +230,7 @@ def test_refinement_delta_is_computed_when_read():
     assert len(radii) == 2 and fit.rho_refinement_delta == delta
     # the same arithmetic as the fit's own error, at radius (1 + rho)/2
     theta = (np.arange(2**10) + 0.5) * (2.0 * math.pi / 2**10)
-    z = hp.transplant((1.0 - (1.0 - fit.rho) / 2.0) * np.exp(1j * theta))
+    z = hp.transplant((1.0 - (1.0 - approx._FIT_RHO) / 2.0) * np.exp(1j * theta))
     A = np.exp(np.multiply.outer(z, np.asarray([complex(l) for l in freqs])))
     coef = np.array([c for c, _ in fit.exp_sum.terms])
     err2 = float(np.sqrt(np.mean(np.abs(A @ coef - target(z)) ** 2)))

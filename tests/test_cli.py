@@ -156,3 +156,17 @@ def test_malformed_spec_exits_without_traceback(tmp_path):
     r = run_cli("decide", str(bad))
     assert r.returncode == 2
     assert "/pieces" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_decide_rejects_non_finite_p(value):
+    r = run_cli("decide", "battery:strip", "--p", value)
+    assert r.returncode == 2
+    assert "--p" in r.stderr and "finite" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_freq_rejects_non_finite_p(value):
+    r = run_cli("freq", "--domain", "strip", f"--p={value}")
+    assert r.returncode == 2
+    assert "--p" in r.stderr and "finite" in r.stderr and r.stdout == ""

@@ -237,3 +237,12 @@ def test_log_pow_lower_envelope_gives_open_slope_interval():
     assert reg.contains(-1.0 + 2.0j) is TriState.UNKNOWN  # m = -2
     assert reg.contains(-1.0) is TriState.UNKNOWN  # m = 0, excluded from feasible
 
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("lam, p", [(NAN, 2.0), (complex(-1.0, INF), 2.0), (-1.0, NAN), (-1.0, INF)])
+def test_non_finite_input_is_rejected(domains, lam, p):
+    with pytest.raises(ValueError, match="finite"):
+        hardy_membership(lam, domains["strip"], p)
