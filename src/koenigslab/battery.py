@@ -25,6 +25,7 @@ from .domain import (
     TailEnvelope,
 )
 from .expr import parse_expression
+from .hardy import eta_domain
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -112,8 +113,8 @@ def half_plane_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression("0"),
-        tail_lower=TailEnvelope("const", (0.0,), 0.0),
-        tail_upper=TailEnvelope("const", (0.0,), 0.0),
+        tail_lower=TailEnvelope(),
+        tail_upper=TailEnvelope(),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="half_plane")
     psi.validate()
@@ -142,8 +143,8 @@ def quadrant_domain():
         span=(0.0, POS_INF),
         evaluator=parse_expression("0"),
         limits_left=_const_limits(0.0),
-        tail_lower=TailEnvelope("const", (0.0,), 0.0),
-        tail_upper=TailEnvelope("const", (0.0,), 0.0),
+        tail_lower=TailEnvelope(),
+        tail_upper=TailEnvelope(),
     )
     psi = PiecewiseDefiningFunction(0.0, POS_INF, (piece,), name="quadrant")
     psi.validate()
@@ -257,8 +258,8 @@ def log_demo_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression(src),
-        tail_lower=TailEnvelope("log_pow", (0.6, 1.0, 0.3), 1.0),
-        tail_upper=TailEnvelope("log_pow", (0.4, 1.0, 0.0), 4.0),
+        tail_lower=TailEnvelope(c=0.3, C=0.6, a=1.0, valid_from=1.0),
+        tail_upper=TailEnvelope(C=0.4, a=1.0, valid_from=4.0),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="log_demo")
     psi.validate()
@@ -276,8 +277,8 @@ def log_minorant_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression(src),
-        tail_lower=TailEnvelope("log_pow", (1.0, 0.5, 1.0), 0.0),
-        tail_upper=TailEnvelope("log_pow", (1.0, 0.5, 1.0), 0.0),
+        tail_lower=TailEnvelope(c=1.0, C=1.0, a=0.5),
+        tail_upper=TailEnvelope(c=1.0, C=1.0, a=0.5),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="log_minorant")
     psi.validate()
@@ -414,10 +415,12 @@ def eta_domain_psi(a=1.0, name="eta1"):
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=ev,
-        tail_lower=TailEnvelope("log_pow", (2.0, 1.0, 0.0), 1.0),
-        tail_upper=TailEnvelope("log_pow", (1.0, 1.0, 0.35), 0.0),
+        tail_lower=TailEnvelope(C=2.0, a=1.0, valid_from=1.0),
+        tail_upper=TailEnvelope(c=0.35, C=1.0, a=1.0),
     )
-    psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name=name)
+    psi = PiecewiseDefiningFunction(
+        NEG_INF, POS_INF, (piece,), name=name, canonical=eta_domain(a)
+    )
     psi.validate()
     return psi
 
@@ -511,7 +514,7 @@ def vee_domain():
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=parse_expression("abs(y)"),
-        tail_lower=TailEnvelope("affine", (0.0, 0.0), 0.0),
+        tail_lower=TailEnvelope(),
         tail_upper=None,
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="vee")

@@ -63,26 +63,20 @@ class AffineMinorant:
     reason: str = ""
 
 
-_TINY = 5e-324  # smallest positive float: encodes an open endpoint at 0
-
-
 def _tail_slopes(env, tail):
     """Slopes m for which (envelope - m y) stays bounded below on one tail,
     as an interval (None when no envelope is declared).
 
     For a lower envelope these slopes are feasible on that tail; an upper
     envelope kills every other slope, since psi - m y runs to -inf there.
+    A drifting envelope runs to -inf slower than any line, so its own
+    slope is excluded: the interval is open at env.m.
     """
     if env is None:
         return None
-    if env.kind == "affine":
-        m0 = env.params[0]
-        return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
-    if env.kind == "const":
-        return (NEG_INF, 0.0) if tail == "upper" else (0.0, POS_INF)
-    # log_pow: the envelope drifts to -inf slower than any line, so only
-    # the slopes strictly beyond zero on this tail's side remain (open at 0)
-    return (NEG_INF, -_TINY) if tail == "upper" else (_TINY, POS_INF)
+    towards = NEG_INF if tail == "upper" else POS_INF
+    m0 = math.nextafter(env.m, towards) if env.drifts else env.m
+    return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
 
 
 def _isect(a, b):
@@ -139,10 +133,7 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     feas, poss = slope_brackets(psi, ("upper", "lower"))
 
     # candidate slopes: 0 first, then envelope-suggested slopes
-    candidates = [0.0]
-    for env in (lo_up, lo_dn):
-        if env is not None and env.kind == "affine":
-            candidates.append(env.params[0])
+    candidates = [0.0] + [env.m for env in (lo_up, lo_dn) if env is not None]
     feasible_m = next((m for m in candidates if feas and feas[0] <= m <= feas[1]), None)
 
     if feasible_m is None:

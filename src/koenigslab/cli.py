@@ -94,7 +94,7 @@ def _canonical(name):
     if name.startswith("eta"):
         a = float(name[3:]) if len(name) > 3 else 1.0
         return eta_domain(a)
-    raise argparse.ArgumentTypeError(f"unknown canonical domain {name!r}")
+    raise ValueError(f"unknown canonical domain {name!r}")
 
 
 def cmd_classify(args):
@@ -298,8 +298,6 @@ def cmd_approx(args):
         # polynomial-in-alpha pipeline: fit, expand to an atomic transform
         _, prows = log_domain_pipeline_demo(spec, lambda z: 1.0 / (z + 5.0))
         rows = [(deg, err) for deg, err, _ in prows]
-    else:
-        raise argparse.ArgumentTypeError(f"unknown demo {args.demo!r}")
     if rows:
         text = io.StringIO()
         wr = csv.writer(text)

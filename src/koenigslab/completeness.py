@@ -38,7 +38,7 @@ from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
 )
 from .domain import POS_INF, PiecewiseDefiningFunction
 from .features import analyze, detect_contact_spikes, unbounded_gap
-from .hardy import NON_MEMBER, eta_domain, hardy_membership
+from .hardy import NON_MEMBER, hardy_membership
 from .raster import (
     complement_components,
     int_closure_equals_domain,
@@ -168,8 +168,15 @@ def predicted_components(psi: PiecewiseDefiningFunction):
     return 1 + sum(1 for lo, hi in E if math.isfinite(lo) and math.isfinite(hi))
 
 
+def _check_p(p):
+    """The one range check on p, made before any route runs."""
+    if not 1.0 <= p < POS_INF:
+        raise ValueError(f"p must be at least 1 and finite, got {p!r}")
+
+
 def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
     """Verdict for density of the exponential span in H^p, p < infinity."""
+    _check_p(p)
     psi.require_validated()
     return _p_report(psi, p, decide_weak_star(psi))
 
@@ -216,7 +223,7 @@ def _bounded_interval_obstruction(psi, p):
 
     # certified-by-samples bounded frequency interval: definite non-members
     # on the negative real axis plus definite non-members off the axis
-    dom = _matching_eta(psi)
+    dom = psi.canonical
     if dom is None:
         return None
     off_axis = [complex(-0.3, 0.35), complex(-0.3, -0.35), complex(0.0, 0.25), complex(0.0, -0.25)]
@@ -240,16 +247,6 @@ def _bounded_interval_obstruction(psi, p):
     }
 
 
-def _matching_eta(psi):
-    """The built-in boundary-curve family member matching psi, if any."""
-    if psi.name.startswith("eta"):
-        try:
-            return eta_domain(1.0)
-        except ValueError:
-            return None
-    return None
-
-
 def _log_envelope_domination(psi, p):
     """Sufficient condition for I = R: psi continuous (regularized), the
     complement connected, and psi bounded below by C1 - (log(|y|+3))^a
@@ -264,16 +261,11 @@ def _log_envelope_domination(psi, p):
     lower_dn, _ = psi.tail_envelopes("lower")
     if lower is None or lower_dn is None:
         return None
-    for env in (lower, lower_dn):
-        if env.kind == "log_pow":
-            if env.params[1] >= 1.0:
-                return None
-        elif env.kind not in ("const",):
-            return None
+    envs = (lower, lower_dn)
+    if any(env.m != 0 or (env.drifts and env.a >= 1.0) for env in envs):
+        return None
     # middle certification: C1 = inf over a grid of psi + (log(|y|+3))^a
-    a = max(
-        env.params[1] for env in (lower, lower_dn) if env.kind == "log_pow"
-    ) if any(env.kind == "log_pow" for env in (lower, lower_dn)) else 0.5
+    a = max((env.a for env in envs if env.drifts), default=0.5)
     ys = np.linspace(-64.0, 64.0, 257)
     c1 = POS_INF
     for lo, hi in zip(ys[:-1], ys[1:]):
@@ -293,6 +285,8 @@ def _log_envelope_domination(psi, p):
 
 def decide(psi, p=None, cross_check=False, window=None, resolution=1024):
     """Orchestrated verdict dictionary (library face of the CLI)."""
+    if p is not None:
+        _check_p(p)
     ws = decide_weak_star(psi)
     out = {
         "weak_star_complete": ws.weak_star_complete.value,

@@ -120,50 +120,44 @@ class OneSidedLimits:
 
 @dataclass(frozen=True)
 class TailEnvelope:
-    """Declared asymptotic bound g(y), valid where |y| >= valid_from.
+    """Declared asymptotic bound g(y) = m*y + c - C*(log(|y| + 3))**a,
+    valid where |y| >= valid_from."""
 
-    kinds: 'affine' g = m*y + c; 'const' g = c;
-    'log_pow' g = D - C * (log(|y| + 3))**a.
-    """
-
-    kind: str
-    params: tuple
-    valid_from: float
+    m: float = 0.0
+    c: float = 0.0
+    C: float = 0.0
+    a: float = 0.0
+    valid_from: float = 0.0
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        if self.kind == "affine":
-            m, c = self.params
-            return m * y + c
-        if self.kind == "const":
-            return np.full_like(y, self.params[0])
-        if self.kind == "log_pow":
-            C, a, D = self.params
-            return D - C * np.log(np.abs(y) + 3.0) ** a
-        raise ValueError(f"unknown envelope kind {self.kind!r}")
+        g = self.m * y + self.c
+        if self.C:
+            g = g - self.C * np.log(np.abs(y) + 3.0) ** self.a
+        return g
 
-    @staticmethod
-    def from_json(obj) -> "TailEnvelope":
-        kind = obj["kind"]
-        if kind == "affine":
-            params = (float(obj["m"]), float(obj["c"]))
-        elif kind == "const":
-            params = (float(obj["c"]),)
-        elif kind == "log_pow":
-            params = (float(obj["C"]), float(obj["a"]), float(obj["D"]))
-        else:
-            raise ValidationError(f"unknown envelope kind {kind!r}")
-        return TailEnvelope(kind, params, float(obj.get("valid_from", 0.0)))
+    @property
+    def drifts(self):
+        """g - m*y runs to -inf, more slowly than any line."""
+        return self.C > 0 and self.a > 0
 
-    def to_json(self):
-        out = {"kind": self.kind, "valid_from": self.valid_from}
-        if self.kind == "affine":
-            out["m"], out["c"] = self.params
-        elif self.kind == "const":
-            out["c"] = self.params[0]
-        else:
-            out["C"], out["a"], out["D"] = self.params
-        return out
+    def translated(self, dx, dy, role):
+        """A bound of the same role ('lower' or 'upper') on psi(y - dy) + dx.
+
+        The affine part moves exactly and holds |dy| further out.  For
+        a <= 1 the map x -> x^a is subadditive, which yields a constant
+        slack |C| * (log(1 + |dy|/3))^a on the log term."""
+        c, valid_from = self.c, self.valid_from
+        if dy:
+            c -= self.m * dy
+            if self.C:
+                slack = abs(self.C) * max(
+                    math.log1p(abs(dy) / 3.0), math.log(2.0)
+                ) ** min(self.a, 1.0)
+                c += -slack if role == "lower" else slack
+                valid_from = max(valid_from, 2.0 * abs(dy))
+            valid_from += abs(dy)
+        return replace(self, c=c + dx, valid_from=valid_from)
 
 
 def dyadic_limit_estimate(f, y0, side, delta=1.0):
@@ -370,8 +364,8 @@ class FiniteAnalytic(Piece):
             evaluator=_shifted_evaluator(self.evaluator, dx, dy),
             limits_left=None if self.limits_left is None else self.limits_left.shifted(dx),
             limits_right=None if self.limits_right is None else self.limits_right.shifted(dx),
-            tail_lower=_shift_env(_shift_env_vertical(self.tail_lower, dy, "lower"), dx),
-            tail_upper=_shift_env(_shift_env_vertical(self.tail_upper, dy, "upper"), dx),
+            tail_lower=self.tail_lower and self.tail_lower.translated(dx, dy, "lower"),
+            tail_upper=self.tail_upper and self.tail_upper.translated(dx, dy, "upper"),
         )
 
 
@@ -389,38 +383,6 @@ class OscillatorySample(FiniteAnalytic):
     def __post_init__(self):
         if self.limits_left is None or self.limits_right is None:
             raise ValidationError("oscillatory pieces require declared endpoint limits")
-
-
-def _shift_env(env, dx):
-    if env is None or dx == 0:
-        return env
-    if env.kind == "affine":
-        m, c = env.params
-        return TailEnvelope("affine", (m, c + dx), env.valid_from)
-    if env.kind == "const":
-        return TailEnvelope("const", (env.params[0] + dx,), env.valid_from)
-    C, a, D = env.params
-    return TailEnvelope("log_pow", (C, a, D + dx), env.valid_from)
-
-
-def _shift_env_vertical(env, dy, role):
-    """Conservative envelope after a vertical translation by dy.
-
-    For a <= 1 the map x -> x^a is subadditive, which yields a constant
-    slack C * (log(1 + |dy|/3))^a on either side of a log_pow bound."""
-    if env is None or dy == 0:
-        return env
-    if env.kind == "const":
-        return env
-    if env.kind == "affine":
-        m, c = env.params
-        return TailEnvelope("affine", (m, c - m * dy), env.valid_from + abs(dy))
-    C, a, D = env.params
-    slack = C * max(math.log1p(abs(dy) / 3.0), math.log(2.0)) ** min(a, 1.0)
-    shift = -slack if role == "lower" else slack
-    return TailEnvelope(
-        "log_pow", (C, a, D + shift), max(env.valid_from, 2.0 * abs(dy)) + abs(dy)
-    )
 
 
 @dataclass(frozen=True)
@@ -743,6 +705,9 @@ class PiecewiseDefiningFunction:
     # explicit psi values at junction heights where no piece evaluator
     # applies (e.g. the endpoint value of an oscillatory piece)
     point_values: dict = field(default_factory=dict)
+    # the hardy.CanonicalDomain of this same domain up to translation, when
+    # known: the membership oracle then answers for psi itself
+    canonical: object = None
     _starts: list = field(init=False, repr=False, default_factory=list)
     _facts: Optional[DomainFacts] = field(init=False, repr=False, default=None)
 
@@ -996,4 +961,5 @@ class PiecewiseDefiningFunction:
             tuple(p.translate(dx, dy) for p in self.pieces),
             name=self.name,
             point_values={y + dy: _shift(v, dx) for y, v in self.point_values.items()},
+            canonical=self.canonical,  # translation keeps H^p membership of e^{lam z}
         )

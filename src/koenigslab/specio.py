@@ -20,6 +20,12 @@ Schema::
          "limits": {"left": {...}, "right": {...}}}                            # required
       ]
     }
+
+A tail envelope is {"kind": "affine", "m": m, "c": c}, {"kind": "const",
+"c": c} or {"kind": "log_pow", "C": C, "a": a, "D": D}, each with an
+optional "valid_from".  The three kinds spell the one form
+m*y + c - C*(log(|y| + 3))**a of ``TailEnvelope``; a loaded ``const`` saves
+as ``affine`` with m = 0.
 """
 
 from __future__ import annotations
@@ -55,6 +61,32 @@ def _limits(obj, key="limits"):
     return left, right
 
 
+def envelope_from_json(obj) -> TailEnvelope:
+    """A ``TailEnvelope`` from any of its three spellings."""
+    kind, valid_from = obj["kind"], float(obj.get("valid_from", 0.0))
+    if kind == "affine":
+        return TailEnvelope(m=float(obj["m"]), c=float(obj["c"]), valid_from=valid_from)
+    if kind == "const":
+        return TailEnvelope(c=float(obj["c"]), valid_from=valid_from)
+    if kind == "log_pow":
+        return TailEnvelope(
+            c=float(obj["D"]), C=float(obj["C"]), a=float(obj["a"]), valid_from=valid_from
+        )
+    raise ValidationError(f"unknown envelope kind {kind!r}")
+
+
+def envelope_to_json(env: TailEnvelope):
+    """'affine' without a log term, 'log_pow' without a slope."""
+    if env.C == 0:
+        return {"kind": "affine", "m": env.m, "c": env.c, "valid_from": env.valid_from}
+    if env.m == 0:
+        return {
+            "kind": "log_pow", "C": env.C, "a": env.a, "D": env.c,
+            "valid_from": env.valid_from,
+        }
+    raise ValidationError("cannot serialize a tail envelope with both a slope and a log term")
+
+
 def piece_from_json(obj):
     kind = obj.get("kind")
     if kind in ("finite_analytic", "oscillatory"):
@@ -64,8 +96,8 @@ def piece_from_json(obj):
             evaluator=parse_expression(obj["expr"]),
             limits_left=left,
             limits_right=right,
-            tail_lower=TailEnvelope.from_json(obj["tail_lower"]) if "tail_lower" in obj else None,
-            tail_upper=TailEnvelope.from_json(obj["tail_upper"]) if "tail_upper" in obj else None,
+            tail_lower=envelope_from_json(obj["tail_lower"]) if "tail_lower" in obj else None,
+            tail_upper=envelope_from_json(obj["tail_upper"]) if "tail_upper" in obj else None,
         )
     if kind == "minus_infinity":
         return MinusInfinity(span=_span(obj))
@@ -111,9 +143,9 @@ def piece_to_json(p):
         if lims:
             out["limits"] = lims
         if p.tail_lower is not None:
-            out["tail_lower"] = p.tail_lower.to_json()
+            out["tail_lower"] = envelope_to_json(p.tail_lower)
         if p.tail_upper is not None:
-            out["tail_upper"] = p.tail_upper.to_json()
+            out["tail_upper"] = envelope_to_json(p.tail_upper)
         return out
     if isinstance(p, MinusInfinity):
         return {"kind": "minus_infinity", "span": span}

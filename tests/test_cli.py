@@ -170,3 +170,19 @@ def test_freq_rejects_non_finite_p(value):
     r = run_cli("freq", "--domain", "strip", f"--p={value}")
     assert r.returncode == 2
     assert "--p" in r.stderr and "finite" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("spec, value", [
+    ("battery:strip", "-1"), ("battery:strip", "0"), ("battery:eta1", "0.5"),
+])
+def test_decide_rejects_p_below_one_on_every_domain(spec, value):
+    r = run_cli("decide", spec, f"--p={value}")
+    assert r.returncode == 2
+    assert "p must be at least 1" in r.stderr and r.stdout == ""
+
+
+def test_freq_unknown_domain_exits_without_traceback():
+    r = run_cli("freq", "--domain", "foo")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "'foo'" in r.stderr
+    assert "Traceback" not in r.stderr

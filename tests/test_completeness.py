@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from koenigslab import TriState, completeness
@@ -76,6 +78,31 @@ def test_p_routes():
     assert rep["p_complete"] is TriState.YES and "inherited" in rep["route"]
     rep = p_completeness_report(battery_entry("comb").psi, 1.0)
     assert rep["p_complete"] is TriState.UNKNOWN  # open problem, by design
+
+
+def test_a_borrowed_eta_name_does_not_choose_the_eta_oracle():
+    # log_demo is no eta domain: it has no canonical domain for the
+    # bounded-frequency-interval route, whatever it is called
+    psi = replace(battery_entry("log_demo").psi, name="eta_impostor")
+    rep = p_completeness_report(psi, 1.0)
+    assert rep["p_complete"] is TriState.UNKNOWN
+    assert rep["route"].startswith("no applicable route")
+
+
+def test_a_renamed_eta_domain_keeps_its_oracle():
+    psi = replace(battery_entry("eta1").psi, name="renamed")
+    rep = p_completeness_report(psi, 1.0)
+    assert rep["p_complete"] is TriState.NO and "bounded frequency interval" in rep["route"]
+    assert psi.translated(2.0, -1.0).canonical is psi.canonical
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 0.5, float("nan"), float("inf")])
+def test_p_is_range_checked_before_any_route(p):
+    psi = battery_entry("strip").psi
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        p_completeness_report(psi, p)
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        decide(psi, p=p)
 
 
 def test_weak_star_yes_implies_p_yes():

@@ -1,7 +1,9 @@
-"""Callers read pieces through the ``Piece`` protocol, never by kind.
+"""Callers read pieces through the ``Piece`` protocol, never by kind,
+and tail envelopes through their one form, never by spelling.
 
-Only the spec loader maps kinds to classes; anywhere else an
-``isinstance`` test on a piece class is a ladder that a new piece kind
+Only the spec loader maps kinds to classes and envelope spellings to
+``TailEnvelope``; anywhere else an ``isinstance`` test on a piece class,
+or a string naming an envelope spelling, is a ladder that a new kind
 would have to extend.
 """
 
@@ -50,5 +52,29 @@ def test_no_piece_kind_checks_outside_the_loader():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "specio.py"
         and (hits := piece_kind_checks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, found
+
+
+ENVELOPE_SPELLINGS = {"affine", "const", "log_pow"}
+
+
+def envelope_spellings(source):
+    """(line, string) of every string constant naming an envelope spelling."""
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in ENVELOPE_SPELLINGS
+    ]
+
+
+def test_no_envelope_spellings_outside_the_loader():
+    assert envelope_spellings('if env.kind == "log_pow": pass') == [(1, "log_pow")]
+    assert envelope_spellings('"affine_minorant"; "constant"') == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "specio.py"
+        and (hits := envelope_spellings(path.read_text(encoding="utf-8")))
     }
     assert found == {}, found

@@ -1,8 +1,9 @@
 """Invariants the mathematics guarantees, checked over the battery domains
 that serialize: verdicts under translation, the spec round trip, and
-independence from the order of calls."""
+independence from the order of calls and from the name of a spec."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,12 @@ from koenigslab.raster import rasterize
 from koenigslab.specio import psi_from_dict, psi_to_dict
 
 
+BATTERY = {e.name: e for e in full_battery()}
+
+
 def _spec_dicts():
     out = {}
-    for e in full_battery():
+    for e in BATTERY.values():
         try:
             out[e.name] = (e, json.loads(json.dumps(psi_to_dict(e.psi))))
         except ValidationError:
@@ -77,3 +81,13 @@ def test_earlier_calls_do_not_change_decide(name, calls):
         else:
             rasterize(psi, entry.window, 128)
     assert _decide_json(psi) == _decide_json(psi_from_dict(spec))
+
+
+@given(
+    st.sampled_from(sorted(BATTERY)),
+    st.one_of(st.sampled_from(sorted(BATTERY)), st.just("eta_impostor"), st.text(max_size=8)),
+)
+@settings(max_examples=60, deadline=None)
+def test_decide_does_not_depend_on_the_name(name, new_name):
+    psi = BATTERY[name].psi
+    assert _decide_json(replace(psi, name=new_name)) == _decide_json(psi)
