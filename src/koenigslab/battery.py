@@ -293,9 +293,8 @@ def log_minorant_domain():
 # bit, and it keeps the temporaries of a raster's worth of heights small
 # (a whole 65,536-height raster at once raised peak RSS by 13 MB)
 _ETA_CHUNK = 4096
-_ETA_BISECTION_STEPS = 80
 _ETA_NEWTON_STEPS = 8
-# half-width of the certified root interval, relative to max(1, |t*|)
+# half-width of the checked root bracket, relative to max(1, |t*|)
 _ETA_MARGIN = 1e-12
 _DBL_MAX = np.finfo(float).max
 
@@ -313,50 +312,48 @@ def _eta_boundary(t, a):
 
 
 def _eta_root(y, a):
-    """Newton root t* of Im eta(i t) = y, and the half-width 2m of the band
-    around it inside which a bisection step must evaluate the boundary.
+    """Bracket-checked Newton root t* of Im eta(i t) = y for a 1-D array,
+    and the mask of heights whose root passes the check.
 
-    m = c max(1, |t*|); the root is certified when Im eta(i t) lies below y
-    at t* - m and above it at t* + m.  The band is +inf where that fails
-    (NaN or infinite y, a Newton run that does not converge), where a
-    bisection midpoint could overflow (|y| >= 1e307) and for exponents
-    outside (0, 1], so those heights are evaluated at every step.
+    Newton starts at t = y, and each height stops at its own step test,
+    |step| <= 1e-3 m with m = 1e-12 max(1, |t|), so t* depends on y alone.
+    The check is Im eta(i t) < y at t* - m and > y at t* + m; it trusts the
+    evaluations to a few ulps, so it is not a proof.  It fails for NaN or
+    infinite y, |y| >= 1e307, a run that misses its step test in 8 steps,
+    and every a outside (0, 1].
     """
     t = y.copy()
+    active = np.arange(y.size)
     with np.errstate(all="ignore"):
         for _ in range(_ETA_NEWTON_STEPS):
-            w, L, La = _eta_terms(t, a)
+            ta = t[active]
+            w, L, La = _eta_terms(ta, a)
             # d/dt Im (log w)^a = Im a (log w)^(a-1) i/w
             slope = 1.0 - np.imag(a * La / L * 1j / w)
-            step = (t - np.imag(La) - y) / slope
-            t = t - step
-            m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
-            if not np.any(np.abs(step) > 1e-3 * m):
+            step = (ta - np.imag(La) - y[active]) / slope
+            t[active] = ta - step
+            active = active[np.abs(step) > 1e-3 * _ETA_MARGIN * np.maximum(1.0, np.abs(t[active]))]
+            if not active.size:
                 break
-        certified = (
-            (np.imag(_eta_boundary(t - m, a)) < y)
-            & (np.imag(_eta_boundary(t + m, a)) > y)
-            & (np.abs(y) < 1e307)
-            & (0.0 < a <= 1.0)
-        )
-    return t, np.where(certified, 2.0 * m, POS_INF)
+        m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
+        checked = (np.imag(_eta_boundary(t - m, a)) < y) & (np.imag(_eta_boundary(t + m, a)) > y)
+    checked &= (np.abs(y) < 1e307) & (0.0 < a <= 1.0)
+    checked[active] = False
+    return t, checked
 
 
-def _eta_invert(y, a):
-    """psi(y) for a 1-D array of heights: the bisection replay described
-    in ``_eta_defining_function``."""
+def _eta_bisect(y, a):
+    """80 steps of plain bisection on [y - 3 - 3|y|, y + 3 + 3|y|], clipped
+    to the finite floats, evaluating Im eta(i mid) < y at every step.  A
+    step that leaves a bracket's bits unchanged is a fixed point, and its
+    height stops there."""
     with np.errstate(over="ignore"):
         lo = np.maximum(y - 3.0 - 3.0 * np.abs(y), -_DBL_MAX)
         hi = np.minimum(y + 3.0 + 3.0 * np.abs(y), _DBL_MAX)
-    t_star, band = _eta_root(y, a)
     live = np.ones(y.shape, dtype=bool)
-    for _ in range(_ETA_BISECTION_STEPS):
+    for _ in range(80):
         mid = 0.5 * lo + 0.5 * hi
-        too_low = mid < t_star
-        near = np.flatnonzero(live & ~(np.abs(mid - t_star) > band))
-        if near.size:
-            too_low[near] = np.imag(_eta_boundary(mid[near], a)) < y[near]
-        # a step that leaves the bracket's bits unchanged is a fixed point
+        too_low = np.imag(_eta_boundary(mid, a)) < y
         live &= np.where(too_low, lo, hi).view(np.int64) != mid.view(np.int64)
         if not live.any():
             break
@@ -369,30 +366,21 @@ def _eta_defining_function(a=1.0):
     """Numeric defining function of the image of the right half-plane
     under w - (log(w+3))^a, via monotone inversion of the boundary curve.
 
-    psi(y) = Re eta(i t) where Im eta(i t) = y.  The value is bit for bit
-    what 80 steps of bisection on [y - 3 - 3|y|, y + 3 + 3|y|] give when
-    every step evaluates ``Im eta(i mid) < y``; most steps are decided
-    without the evaluation, and none is decided differently.  Above
-    |y| ~ 4.5e307 that bracket overflows, and above ~3.6e307 so can the sum
-    lo + hi; the plain bisection returns NaN there.  So the bracket is
-    clipped to the finite floats and the midpoint is taken as lo/2 + hi/2,
-    which cannot overflow and, halving being exact on the brackets that
-    arise, has the bits of (lo + hi)/2 wherever that sum is finite.
+    psi(y) = Re eta(i t*) at the root t* of Im eta(i t) = y that
+    ``_eta_root`` finds and bracket-checks.  For 0 < a <= 1 the slope of
+    Im eta(i t) lies in [1 - a/3, 1 + a/3] (it is 1 - Im a (log w)^(a-1) i/w
+    with w = 3 + it, |log w| >= log 3 > 1 and |w| >= 3), so the root is
+    unique and Newton from t = y needs about 7 boundary evaluations per
+    height, check and value included.  Contract: psi is within 8 ulps of
+    its value at a 200-bit root, and a scalar, an array element and a
+    permuted array give the same bits.
 
-    * A step that leaves the bits of the bracket unchanged is a fixed point
-      (the next midpoint, and so the next decision, repeat), so a height
-      stops there; on the eta1 raster heights that is after 54-66 steps.
-    * For 0 < a <= 1 the slope of Im eta(i t) lies in [1 - a/3, 1 + a/3]:
-      it is 1 - Im a (log w)^(a-1) i/w with w = 3 + it, |log w| >= log 3 > 1
-      and |w| >= 3.  The certified Newton root t* (``_eta_root``) lies
-      within m = 1e-12 max(1, |t*|) of the root, so at a midpoint more than
-      2m from t* the exact Im eta(i mid) - y exceeds 2m/3 in size and has
-      the sign of mid - t*.  Its evaluation is off by a few ulps of |mid|
-      and of |log w|^a, far less than that, so the evaluated decision
-      there is ``mid < t*``.
-    * Only midpoints within 2m of t*, and every midpoint of an uncertified
-      height, are evaluated: about 25 boundary evaluations per height,
-      Newton and certificate included, instead of 81.
+    A height that fails the check gets ``_eta_bisect``, the plain bisection,
+    bit for bit.  Its bracket is clipped to the finite floats and its
+    midpoint taken as lo/2 + hi/2: above |y| ~ 4.5e307 the unclipped bracket
+    overflows, and above ~3.6e307 so can lo + hi.  Halving is exact on the
+    brackets that arise, so lo/2 + hi/2 has the bits of (lo + hi)/2
+    wherever that sum is finite.
     """
 
     def psi_of_y(y):
@@ -401,7 +389,11 @@ def _eta_defining_function(a=1.0):
         flat = y.ravel()
         out = np.empty(flat.shape)
         for s in range(0, flat.size, _ETA_CHUNK):
-            out[s : s + _ETA_CHUNK] = _eta_invert(flat[s : s + _ETA_CHUNK], a)
+            t, checked = _eta_root(flat[s : s + _ETA_CHUNK], a)
+            with np.errstate(all="ignore"):
+                out[s : s + t.size] = np.real(_eta_boundary(t, a))
+            failed = s + np.flatnonzero(~checked)
+            out[failed] = _eta_bisect(flat[failed], a)
         return float(out[0]) if scalar else out.reshape(y.shape)
 
     return psi_of_y

@@ -146,18 +146,23 @@ class TailEnvelope:
 
         The affine part moves exactly and holds |dy| further out.  For
         a <= 1 the map x -> x^a is subadditive, which yields a constant
-        slack |C| * (log(1 + |dy|/3))^a on the log term."""
-        c, valid_from = self.c, self.valid_from
+        slack |C| * (log(1 + |dy|/3))^a on the log term.  For a > 1,
+        log(|y - dy| + 3) / log(|y| + 3) lies in [1/K, K] with
+        K = 1 + log(1 + |dy|/3) / log 3 on |y| >= |dy|, so C is scaled by
+        K^a or K^-a, whichever moves the bound away from psi."""
+        c, C, valid_from = self.c, self.C, self.valid_from
         if dy:
             c -= self.m * dy
-            if self.C:
-                slack = abs(self.C) * max(
-                    math.log1p(abs(dy) / 3.0), math.log(2.0)
-                ) ** min(self.a, 1.0)
+            if C and self.a <= 1.0:
+                slack = abs(C) * max(math.log1p(abs(dy) / 3.0), math.log(2.0)) ** self.a
                 c += -slack if role == "lower" else slack
+            elif C:
+                K = 1.0 + math.log1p(abs(dy) / 3.0) / math.log(3.0)
+                C *= K ** (self.a if (role == "lower") == (C > 0) else -self.a)
+            if C:
                 valid_from = max(valid_from, 2.0 * abs(dy))
             valid_from += abs(dy)
-        return replace(self, c=c + dx, valid_from=valid_from)
+        return replace(self, c=c + dx, C=C, valid_from=valid_from)
 
 
 def dyadic_limit_estimate(f, y0, side, delta=1.0):

@@ -315,7 +315,9 @@ def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
         left, exact, notes = TriState.NO, True, "declared upper envelopes exclude every slope"
     elif feas is None:
         left, exact = TriState.UNKNOWN, False
-        notes = "lower-bound-only: tail declarations incomplete"
+        bare = " and ".join(f"the {t} tail" for t in tails if psi.tail_envelopes(t)[0] is None)
+        notes = f"lower-bound-only: no tail_lower on {bare}" if bare else (
+            "declared lower envelopes too weak to certify a slope")
     else:
         left, exact = TriState.YES, poss is not None and feas == poss
         notes = "" if exact else "feasible slopes are a certified lower bound"

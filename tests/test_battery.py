@@ -8,7 +8,7 @@ from koenigslab.battery import battery_entry
 
 
 def bisection_reference(y, a):
-    """The 80-step bisection the eta evaluator replays, evaluating every step."""
+    """The plain 80-step bisection, evaluating the boundary at every step."""
 
     def boundary(t):
         t = np.asarray(t, dtype=float)
@@ -65,16 +65,71 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def ulps(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def mpmath_psi(y, a):
+    """psi(y) from a 200-bit Newton root of t - Im (log(3 + i t))^a = y."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        y, a, t = mpmath.mpf(y), mpmath.mpf(a), mpmath.mpf(y)
+        for _ in range(12):
+            w = 3 + 1j * t
+            L = mpmath.log(w)
+            La = L**a
+            t -= (t - La.imag - y) / (1 - (a * La / L * 1j / w).imag)
+        return float(-(mpmath.log(3 + 1j * t) ** a).real)
+
+
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
-def test_eta_inversion_is_bitwise_the_80_step_bisection(a):
+def test_eta_psi_is_within_8_ulps_of_a_200_bit_root(a):
+    rng = np.random.default_rng(7)
+    ev = battery._eta_defining_function(a)
+    for ys in (raster_heights(1024), raster_heights(512), random_heights()):
+        ys = rng.choice(ys.ravel(), 200, replace=False)
+        want = np.array([mpmath_psi(y, a) for y in ys])
+        assert ulps(ev(ys), want).max() <= 8
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_psi_is_within_8_ulps_of_the_bisection_on_every_raster_height(a):
+    ev = battery._eta_defining_function(a)
+    for ys in (raster_heights(1024), raster_heights(512)):
+        assert ulps(ev(ys), bisection_reference(ys, a).reshape(ys.shape)).max() <= 8
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 1.5])
+def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
     ev = battery._eta_defining_function(a)
     with np.errstate(all="ignore"):
-        for ys in (raster_heights(1024), raster_heights(512), random_heights(), SPECIAL_HEIGHTS):
-            assert same_bits(ev(ys), bisection_reference(ys, a).reshape(ys.shape))
-        for y in SPECIAL_HEIGHTS:
+        _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
+        # NaN, +-inf and |y| >= 1e307 fail for every a; every height fails for a > 1
+        assert list(checked) == [a <= 1.0] * 6 + [False] * 5
+        failed = SPECIAL_HEIGHTS[~checked]
+        assert same_bits(ev(failed), bisection_reference(failed, a))
+        for y in failed:
             got = ev(y)
             assert isinstance(got, float)
             assert same_bits(got, bisection_reference(y, a)[0])
+
+
+def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(monkeypatch):
+    monkeypatch.setattr(battery, "_ETA_NEWTON_STEPS", 1)
+    ys = raster_heights(512)[::16].ravel()
+    assert not battery._eta_root(ys, 1.0)[1].any()
+    assert same_bits(battery._eta_defining_function(1.0)(ys), bisection_reference(ys, 1.0))
+
+
+def test_eta_psi_of_a_height_does_not_depend_on_the_array():
+    ev = battery._eta_defining_function(1.0)
+    ys = np.concatenate([raster_heights(512).ravel(), random_heights(6_000)])
+    perm = np.random.default_rng(3).permutation(ys.size)
+    got = ev(ys)
+    assert same_bits(ev(ys[perm]), got[perm])
+    picks = np.random.default_rng(4).choice(ys.size, 2_000, replace=False)
+    assert same_bits(np.array([ev(float(ys[i])) for i in picks]), got[picks])
 
 
 def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
@@ -88,7 +143,7 @@ def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
     assert same_bits(got, scalars)
 
 
-def test_eta_inversion_evaluates_the_boundary_at_most_30_times_per_height(monkeypatch):
+def test_eta_inversion_evaluates_the_boundary_at_most_10_times_per_height(monkeypatch):
     # the plain bisection evaluates the boundary 81 times per height
     count = 0
     terms = battery._eta_terms
@@ -102,4 +157,4 @@ def test_eta_inversion_evaluates_the_boundary_at_most_30_times_per_height(monkey
     psi = battery_entry("eta1").psi
     _, _, y0, y1 = battery_entry("eta1").window
     psi.row_profiles(np.linspace(y0, y1, 1025))
-    assert 0 < count <= 30 * 65_536, count / 65_536
+    assert 0 < count <= 10 * 65_536, count / 65_536

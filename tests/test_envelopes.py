@@ -89,6 +89,21 @@ def test_upper_envelopes_that_do_not_drift_keep_slope_zero(tail_upper):
     assert region.left_directions is TriState.UNKNOWN and not region.exact
 
 
+@pytest.mark.parametrize("interval, tail_lower, note", [
+    (["-inf", "inf"], None, "lower-bound-only: no tail_lower on the upper tail and the lower tail"),
+    ([0.0, "inf"], None, "lower-bound-only: no tail_lower on the upper tail"),
+    (["-inf", "inf"], {"kind": "log_pow", "C": 1.0, "a": 1.0, "D": 0.0},
+     "declared lower envelopes too weak to certify a slope"),
+])
+def test_lambda_infty_names_why_no_slope_is_certified(interval, tail_lower, note):
+    spec = zero_spec({"kind": "log_pow", "C": -1.0, "a": 1.0, "D": 0.0})
+    spec["interval"] = spec["pieces"][0]["span"] = interval
+    if tail_lower is None:
+        del spec["pieces"][0]["tail_lower"]
+    region = lambda_infty(psi_from_dict(spec))
+    assert (region.left_directions, region.exact, region.notes) == (TriState.UNKNOWN, False, note)
+
+
 @pytest.mark.parametrize("tail_lower, accepted", [
     ({"kind": "log_pow", "C": -1.0, "a": 1.0, "D": 0.0}, True),   # grows: bounded below
     ({"kind": "log_pow", "C": 1.0, "a": 0.75, "D": 0.0}, True),   # drifts with a < 1
@@ -150,6 +165,21 @@ def test_translated_envelope_bounds_the_translated_bound(env, dx, dy):
     tol = 1e-9 * (1.0 + np.abs(shifted))
     assert np.all(low.value(ys) <= shifted + tol)
     assert np.all(up.value(ys) >= shifted - tol)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("C", [1.0, -1.0])
+@pytest.mark.parametrize("dy", [0.5, -0.5, 5.0, -5.0])
+def test_translated_log_bound_stays_on_its_side_for_every_exponent(a, C, dy):
+    # TailEnvelope(C=1, a=2).translated(0, 5, "lower") once lay 0.496 above
+    # g(y - 5) at y = -15
+    env = TailEnvelope(C=C, a=a)
+    for role, side in (("lower", -1.0), ("upper", 1.0)):
+        moved = env.translated(0.0, dy, role)
+        ys = np.geomspace(moved.valid_from, 1e12, 2000)
+        ys = np.concatenate([-ys, ys])
+        gap = side * (moved.value(ys) - env.value(ys - dy))
+        assert np.all(gap >= -1e-9 * (1.0 + np.abs(env.value(ys - dy)))), (role, gap.min())
 
 
 def test_const_saves_as_affine_with_zero_slope(tmp_path):
