@@ -375,11 +375,16 @@ def _eta_defining_function(a=1.0):
     its value at a 200-bit root, and a scalar, an array element and a
     permuted array give the same bits.
 
-    A height that fails the check gets ``_eta_bisect``, the plain bisection,
-    bit for bit.  Its bracket is clipped to the finite floats and its
-    midpoint taken as lo/2 + hi/2: above |y| ~ 4.5e307 the unclipped bracket
-    overflows, and above ~3.6e307 so can lo + hi.  Halving is exact on the
-    brackets that arise, so lo/2 + hi/2 has the bits of (lo + hi)/2
+    psi(+-inf) = -inf, the limit of psi at both ends: psi(y) = -Re L^a with
+    L = log(3 + i t*), |t*| >= |y| and |arg L| < atan((pi/2)/log 3) < 1, so
+    -psi >= cos(1) (log|3 + i t*|)^a; for a = 1 this is the bound
+    psi <= (log 2)/2 - log(|y| + 3) of ``eta_domain_psi``.
+
+    Any other height that fails the check gets ``_eta_bisect``, the plain
+    bisection, bit for bit.  Its bracket is clipped to the finite floats and
+    its midpoint taken as lo/2 + hi/2: above |y| ~ 4.5e307 the unclipped
+    bracket overflows, and above ~3.6e307 so can lo + hi.  Halving is exact
+    on the brackets that arise, so lo/2 + hi/2 has the bits of (lo + hi)/2
     wherever that sum is finite.
     """
 
@@ -389,10 +394,12 @@ def _eta_defining_function(a=1.0):
         flat = y.ravel()
         out = np.empty(flat.shape)
         for s in range(0, flat.size, _ETA_CHUNK):
-            t, checked = _eta_root(flat[s : s + _ETA_CHUNK], a)
+            chunk = flat[s : s + _ETA_CHUNK]
+            t, checked = _eta_root(chunk, a)
             with np.errstate(all="ignore"):
                 out[s : s + t.size] = np.real(_eta_boundary(t, a))
-            failed = s + np.flatnonzero(~checked)
+            out[s + np.flatnonzero(np.isinf(chunk))] = NEG_INF
+            failed = s + np.flatnonzero(~checked & ~np.isinf(chunk))
             out[failed] = _eta_bisect(flat[failed], a)
         return float(out[0]) if scalar else out.reshape(y.shape)
 

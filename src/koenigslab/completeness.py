@@ -38,7 +38,7 @@ from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
 )
 from .domain import POS_INF, PiecewiseDefiningFunction
 from .features import analyze, detect_contact_spikes, unbounded_gap
-from .hardy import NON_MEMBER, hardy_membership
+from .hardy import NON_MEMBER, check_p, exact_membership
 from .raster import (
     complement_components,
     int_closure_equals_domain,
@@ -168,15 +168,9 @@ def predicted_components(psi: PiecewiseDefiningFunction):
     return 1 + sum(1 for lo, hi in E if math.isfinite(lo) and math.isfinite(hi))
 
 
-def _check_p(p):
-    """The one range check on p, made before any route runs."""
-    if not 1.0 <= p < POS_INF:
-        raise ValueError(f"p must be at least 1 and finite, got {p!r}")
-
-
 def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
     """Verdict for density of the exponential span in H^p, p < infinity."""
-    _check_p(p)
+    check_p(p)
     psi.require_validated()
     return _p_report(psi, p, decide_weak_star(psi))
 
@@ -221,19 +215,19 @@ def _bounded_interval_obstruction(psi, p):
     if not math.isfinite(sup_mid):
         return None
 
-    # certified-by-samples bounded frequency interval: definite non-members
-    # on the negative real axis plus definite non-members off the axis
+    # bounded frequency interval: exact non-members on the negative real
+    # axis and off it, decided from the ends of the canonical domain
     dom = psi.canonical
     if dom is None:
         return None
     off_axis = [complex(-0.3, 0.35), complex(-0.3, -0.35), complex(0.0, 0.25), complex(0.0, -0.25)]
     for lam in off_axis:
-        if hardy_membership(lam, dom, p).status != NON_MEMBER:
+        if exact_membership(lam, dom, p).status != NON_MEMBER:
             return None
     # bracket the real-axis cutoff
     m_cut = None
     for u in (-1.25, -1.5, -2.0, -3.0):
-        if hardy_membership(complex(u, 0.0), dom, p).status == NON_MEMBER:
+        if exact_membership(complex(u, 0.0), dom, p).status == NON_MEMBER:
             m_cut = u
             break
     if m_cut is None:
@@ -286,7 +280,7 @@ def _log_envelope_domination(psi, p):
 def decide(psi, p=None, cross_check=False, window=None, resolution=1024):
     """Orchestrated verdict dictionary (library face of the CLI)."""
     if p is not None:
-        _check_p(p)
+        check_p(p)
     ws = decide_weak_star(psi)
     out = {
         "weak_star_complete": ws.weak_star_complete.value,

@@ -1,18 +1,30 @@
-"""Frequency sets: the exact bounded-exponential region, and a numerical
-membership oracle for e^{lam z} in H^p of the canonical domains.
+"""Frequency sets: the exact bounded-exponential region, and two routes to
+the membership of e^{lam z} in H^p of the canonical domains.
 
-Membership is decided after conformal transplant to the unit disc: the
-p-th power means over circles |u| = r are nondecreasing in r, and
-membership is equivalent to their boundedness.  The oracle climbs a dyadic
-schedule r = 1 - 2^-j with a node budget per level and certifies one of
+A canonical domain is the image of the unit disc under an explicit map T,
+and e^{lam z} is in H^p of it exactly when F = e^{lam T} is in H^p(D).
+That holds iff F is in the Smirnov class N^+ and its boundary values are
+in L^p (Duren, *Theory of H^p Spaces*, 1970, Thm 2.11).
+
+``exact_membership`` decides this in closed form from the ends each
+``CanonicalDomain`` declares: a pole end T = c w + g, with w the Cayley
+map and g in every H^q, q < inf, and a logarithmic end, where
+log|F| = Re(lam k) (log 1/delta)^a + O(1) on the boundary at distance
+delta from it.  The proofs are in ``PoleEnd`` and ``LogEnd``; a
+logarithmically divergent boundary integral is decided exactly there.
+
+``hardy_membership`` is the independent quadrature route.  The p-th
+power means over circles |u| = r are nondecreasing in r, and membership
+is equivalent to their boundedness.  The oracle climbs a dyadic schedule
+r = 1 - 2^-j with a node budget per level and certifies one of
 
   * divergence: means exceed 1e12 and keep growing (non-member),
   * stabilization: relative Cauchy differences below 1e-6 (member),
   * increment trend: successive increments decay geometrically (member,
     the sup is finitely extrapolated) or grow geometrically (non-member).
 
-Anything else is inconclusive; in particular a logarithmically divergent
-boundary integral (increment ratio 1) stays inconclusive by design.
+Anything else is inconclusive; a logarithmically divergent boundary
+integral (increment ratio 1) is one such case for this route.
 
 Each level is the periodic trapezoid rule on n midpoint nodes
 theta_k = (k + 1/2) 2 pi / n, a set closed under conjugation.  Every
@@ -61,14 +73,91 @@ class QuadraturePlan:
 
 
 @dataclass(frozen=True)
+class PoleEnd:
+    """A boundary end where T = c w + g, with w = (1 + u)/(1 - u) the Cayley
+    map and g in H^q(D) for every q < inf.
+
+    Then F = e^{lam T} is in N^+ iff lam c is real and <= 0.  Proof: g is in
+    H^1, so Re(lam g) is the Poisson integral of its boundary values; hence
+    e^{lam g} and its reciprocal are outer, and F is in N^+ iff e^{lam c w}
+    is.  Write lam c = s + it.  Re w is the Poisson kernel P at 1, and Im w
+    has boundary values cot(theta/2).
+
+    * t = 0, s <= 0: |e^{lam c w}| = e^{s P} <= 1, a bounded function.
+    * t != 0: log|e^{lam c w}| has boundary values -t cot(theta/2), whose
+      positive part is not integrable on one side of theta = 0, so the
+      function is not even in the Nevanlinna class.
+    * t = 0, s > 0: log|e^{lam c w}| = s P > 0, while its boundary values
+      vanish almost everywhere; a function G in N^+ has
+      log|G| <= P[log|G*|] (Duren 1970, Thm 2.10).
+
+    The right half-plane (T = w) and eta_a have c = 1; the horizontal
+    half-planes, T = i edge +- i w, have c = +-i.  For eta_a,
+    g = -(log(w+3))^a with |g| <= (log(8/|1-u|) + pi/2)^a, and log(1-u) has
+    bounded imaginary part, so it lies in every H^q."""
+
+    c: complex
+
+    def obstruction(self, lam, p):
+        lc = lam * self.c
+        if lc.imag == 0.0 and lc.real <= 0.0:
+            return None
+        return f"pole end c={self.c}: lam*c = {lc} is not real and <= 0, so e^(lam T) is not in N^+"
+
+
+@dataclass(frozen=True)
+class LogEnd:
+    """A boundary end where log|e^{lam T}| = Re(lam k) (log 1/delta)^a + O(1)
+    at boundary points at arc distance delta from it, with k real and
+    0 < a <= 1, for every lam that the domain's pole ends admit.
+
+    Near the end |F*|^p = e^{p Re(lam k) (log 1/delta)^a + O(1)}.  For a = 1
+    that is delta^{-p Re(lam k)} up to bounded factors, integrable iff
+    p Re(lam k) < 1.  Divergence certifies a non-member with no class
+    condition, since H^p functions have L^p boundary values.  For a < 1 and
+    every eps > 0, (log 1/delta)^a <= eps log(1/delta) + C(a, eps); with
+    eps = 1/(2 p |k lam|) the integrand is O(delta^(-1/2)), so the end adds
+    no condition.
+
+    * Strip, T = log w: on the boundary w = i cot(theta/2), so
+      Re T = log|cot(theta/2)| and |Im T| = pi/2.  At theta = 0,
+      |cot(theta/2)| = 2/delta + O(delta), so Re T = log(1/delta) + O(1):
+      k = 1, a = 1.  At theta = pi, |cot(theta/2)| = delta/2 + O(delta^3):
+      k = -1, a = 1.  Im lam enters only through the bounded Im T.
+    * eta_a: the pole end admits only real lam, and on the boundary
+      T = i tau - L^a with L = log(3 + i tau), |tau| = 2/delta + O(delta).
+      Re L^a = |L|^a cos(a arg L) with arg L = O(1/log|tau|), so
+      Re L^a = (log|3 + i tau|)^a + o(1) = (log 1/delta)^a + O(1), the last
+      step because (x + O(1))^a - x^a = O(x^(a-1)) for a <= 1.  Hence
+      log|F*| = -lam (log 1/delta)^a + O(1): k = -1 with the exponent a."""
+
+    k: float
+    a: float
+
+    def obstruction(self, lam, p):
+        v = p * (lam * self.k).real
+        if self.a == 1.0 and v >= 1.0:
+            return f"logarithmic end k={self.k}: p Re(lam k) = {v} >= 1, so the boundary integral diverges"
+        return None
+
+
+@dataclass(frozen=True)
 class CanonicalDomain:
-    """A domain with an explicit conformal map from the unit disc."""
+    """A domain with an explicit conformal map from the unit disc.
+
+    ``ends`` lists the pole and logarithmic ends of T on the unit circle,
+    pole ends first.  Away from them F = e^{lam T} has bounded boundary
+    values.  T is c w + g when the domain has a pole end, and T itself lies
+    in every H^q when it has none (the strip, T = log w); so F is in N^+ iff
+    every pole end admits lam, and then F is in H^p iff every logarithmic
+    end keeps the boundary integral finite."""
 
     key: str
     transplant: Callable  # u in D (ndarray complex) -> domain points
     plan: QuadraturePlan
     # +1.0 or -1.0: transplant(conj u) = reflection * conj(transplant(u))
     reflection: float
+    ends: tuple
 
     def __repr__(self):
         return f"CanonicalDomain({self.key})"
@@ -79,7 +168,9 @@ def _cayley(u):
 
 
 def half_plane_right() -> CanonicalDomain:
-    return CanonicalDomain("half_plane_right", _cayley, QuadraturePlan(2, 14, 5, False), 1.0)
+    return CanonicalDomain(
+        "half_plane_right", _cayley, QuadraturePlan(2, 14, 5, False), 1.0, (PoleEnd(1.0),)
+    )
 
 
 def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
@@ -89,7 +180,8 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         return 1j * edge + sgn * 1j * _cayley(u)
 
     return CanonicalDomain(
-        f"horizontal_half_plane:{edge}:{side}", tr, QuadraturePlan(2, 14, 5, False), -1.0
+        f"horizontal_half_plane:{edge}:{side}", tr, QuadraturePlan(2, 14, 5, False), -1.0,
+        (PoleEnd(complex(0.0, sgn)),),
     )
 
 
@@ -97,7 +189,10 @@ def strip_width_pi() -> CanonicalDomain:
     def tr(u):
         return np.log(_cayley(u))
 
-    return CanonicalDomain("strip_width_pi", tr, QuadraturePlan(2, 14, 5, False), 1.0)
+    return CanonicalDomain(
+        "strip_width_pi", tr, QuadraturePlan(2, 14, 5, False), 1.0,
+        (LogEnd(1.0, 1.0), LogEnd(-1.0, 1.0)),
+    )
 
 
 def eta_domain(a=1.0) -> CanonicalDomain:
@@ -110,10 +205,55 @@ def eta_domain(a=1.0) -> CanonicalDomain:
         lg = np.log(w + 3.0)
         return w - np.exp(a * np.log(lg))
 
-    return CanonicalDomain(f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True), 1.0)
+    return CanonicalDomain(
+        f"eta_domain:{a}", tr, QuadraturePlan(3, 22, 9, True), 1.0,
+        (PoleEnd(1.0), LogEnd(-1.0, a)),
+    )
 
 
-# -- the membership oracle ---------------------------------------------------
+@dataclass
+class MembershipResult:
+    status: str
+    lam: complex
+    p: float
+    certificate: str
+    log_means: list
+    levels_used: int
+
+
+def check_p(p):
+    """The one range check on p, shared by both membership routes and the
+    H^p verdicts of ``completeness``."""
+    if not 1.0 <= p < POS_INF:
+        raise ValueError(f"p must be at least 1 and finite, got {p!r}")
+
+
+def _check_query(lam, p):
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    check_p(p)
+    return lam
+
+
+# -- the exact route -----------------------------------------------------------
+
+
+def exact_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
+    """Membership of e^{lam z} in H^p(dom), decided from the ends of dom."""
+    lam = _check_query(lam, p)
+    if lam == 0:
+        return MembershipResult(MEMBER, lam, p, "constant function", [], 0)
+    for end in dom.ends:
+        reason = end.obstruction(lam, p)
+        if reason is not None:
+            return MembershipResult(NON_MEMBER, lam, p, reason, [], 0)
+    return MembershipResult(
+        MEMBER, lam, p, "in N^+ with a convergent boundary integral at every end", [], 0
+    )
+
+
+# -- the quadrature route ----------------------------------------------------
 
 _transplant_cache: dict = {}
 
@@ -160,16 +300,6 @@ def _log_mean(dom, lam, p, j, r, n):
     return Lmax + math.log(total / (x.size * len(halves)))
 
 
-@dataclass
-class MembershipResult:
-    status: str
-    lam: complex
-    p: float
-    certificate: str
-    log_means: list
-    levels_used: int
-
-
 def _trend_verdict(logs):
     vals = np.exp(np.asarray(logs, dtype=float))
     k = min(9, len(vals))
@@ -190,12 +320,8 @@ def _trend_verdict(logs):
 
 
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> MembershipResult:
-    """Tri-state membership of e^{lam z} in H^p(dom)."""
-    lam = complex(lam)
-    if not (cmath.isfinite(lam) and math.isfinite(p)):
-        raise ValueError(f"lam and p must be finite, got lam={lam!r}, p={p!r}")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    """Tri-state membership of e^{lam z} in H^p(dom), by quadrature."""
+    lam = _check_query(lam, p)
     if lam == 0:
         return MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
     logs = []

@@ -107,12 +107,23 @@ def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
         _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
         # NaN, +-inf and |y| >= 1e307 fail for every a; every height fails for a > 1
         assert list(checked) == [a <= 1.0] * 6 + [False] * 5
-        failed = SPECIAL_HEIGHTS[~checked]
+        # +-inf get their limit -inf instead (see the test below)
+        failed = SPECIAL_HEIGHTS[~checked & ~np.isinf(SPECIAL_HEIGHTS)]
         assert same_bits(ev(failed), bisection_reference(failed, a))
         for y in failed:
             got = ev(y)
             assert isinstance(got, float)
             assert same_bits(got, bisection_reference(y, a)[0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_psi_is_minus_inf_at_infinite_heights(a):
+    # the bisection bracket y -+ (3 + 3|y|) is NaN there, with a RuntimeWarning
+    ev = battery._eta_defining_function(a)
+    assert ev(np.inf) == ev(-np.inf) == -np.inf
+    got = ev(np.array([np.inf, 0.0, -np.inf]))
+    assert got[0] == got[2] == -np.inf and np.isfinite(got[1])
 
 
 def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(monkeypatch):

@@ -96,6 +96,29 @@ def test_a_renamed_eta_domain_keeps_its_oracle():
     assert psi.translated(2.0, -1.0).canonical is psi.canonical
 
 
+def test_eta_p_routes_decide_without_transplanting(monkeypatch):
+    from test_cli_golden import BATTERY, _golden, digests
+
+    from koenigslab import hardy
+    from koenigslab.battery import eta_domain_psi
+
+    def refuse(*args):
+        raise AssertionError("the quadrature route transplanted nodes")
+
+    monkeypatch.setattr(hardy, "_nodes", refuse)
+    got = digests(BATTERY["eta1"])
+    want = _golden()["eta1"]
+    for key in ("decide-p1-cross", "decide-p2.5"):
+        assert got[key] == want[key], key
+    for p in (1.0, 2.0):
+        out = decide(eta_domain_psi(1.0), p=p)
+        assert out["p_complete"] == "no" and out["p_route"].startswith("bounded frequency interval")
+        assert out["p_witnesses"][0].startswith("'non-member at -1.25 ")
+        # eta_half admits every real lam <= 0, so its frequencies are unbounded
+        out = decide(eta_domain_psi(0.5, "etah"), p=p)
+        assert "bounded frequency interval" not in out["p_route"]
+
+
 @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, float("nan"), float("inf")])
 def test_p_is_range_checked_before_any_route(p):
     psi = battery_entry("strip").psi

@@ -1,7 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from koenigslab import TriState
+from koenigslab import TriState, hardy
 from koenigslab.battery import battery_entry, eta_domain_psi
 from koenigslab.hardy import (
     INCONCLUSIVE,
@@ -9,6 +12,7 @@ from koenigslab.hardy import (
     NON_MEMBER,
     betsakos_band,
     eta_domain,
+    exact_membership,
     half_plane_right,
     hardy_membership,
     horizontal_half_plane,
@@ -240,9 +244,113 @@ def test_log_pow_lower_envelope_gives_open_slope_interval():
 
 
 NAN, INF = float("nan"), float("inf")
+ROUTES = (hardy_membership, exact_membership)
 
 
 @pytest.mark.parametrize("lam, p", [(NAN, 2.0), (complex(-1.0, INF), 2.0), (-1.0, NAN), (-1.0, INF)])
 def test_non_finite_input_is_rejected(domains, lam, p):
-    with pytest.raises(ValueError, match="finite"):
-        hardy_membership(lam, domains["strip"], p)
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="finite"):
+            route(lam, domains["strip"], p)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+def test_p_below_one_is_rejected(domains, p):
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            route(-1.0, domains["strip"], p)
+
+
+def test_both_routes_share_one_input_check(domains, monkeypatch):
+    class Refused(Exception):
+        pass
+
+    def refuse(lam, p):
+        raise Refused
+
+    monkeypatch.setattr(hardy, "_check_query", refuse)
+    for route in ROUTES:
+        with pytest.raises(Refused):
+            route(-0.5, domains["strip"], 2.0)
+
+
+# -- the exact route ----------------------------------------------------------
+
+CANONICAL = {
+    d.key: d
+    for d in (
+        half_plane_right(),
+        horizontal_half_plane(0.0, "upper"),
+        strip_width_pi(),
+        eta_domain(1.0),
+        eta_domain(0.5),
+    )
+}
+REAL_LATTICE = tuple(complex(-2.0 + (k + 0.5) / 32.0, 0.0) for k in range(80))
+BOX_LATTICE = tuple(
+    complex(-2.0 + (i + 0.5) / 16.0, -1.0 + (j + 0.5) / 16.0) for i in range(40) for j in range(32)
+)
+STATUS = {MEMBER: "M", NON_MEMBER: "n"}
+
+
+def closed_form(key, lam, p):
+    """The H^p frequencies of each canonical domain, written out."""
+    if key == "half_plane_right":
+        return lam.imag == 0.0 and lam.real <= 0.0
+    if key == "horizontal_half_plane:0.0:upper":
+        return lam.real == 0.0 and lam.imag >= 0.0
+    if key == "strip_width_pi":
+        return abs(lam.real) < 1.0 / p
+    if key == "eta_domain:1.0":
+        return lam.imag == 0.0 and -1.0 / p < lam.real <= 0.0
+    assert key == "eta_domain:0.5"
+    return lam.imag == 0.0 and lam.real <= 0.0
+
+
+def test_exact_route_agrees_with_every_definite_quadrature_status():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "freq_lattice_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2 * len(CANONICAL)
+    for row, codes in golden.items():
+        key, p = row.rsplit("|", 1)
+        for lam, code in zip(REAL_LATTICE, codes):
+            if code != "?":
+                assert STATUS[exact_membership(lam, CANONICAL[key], float(p)).status] == code, (row, lam)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("key", sorted(CANONICAL))
+def test_exact_route_matches_the_closed_forms(key, p):
+    for lam in (0.0,) + REAL_LATTICE + BOX_LATTICE:
+        want = MEMBER if closed_form(key, lam, p) else NON_MEMBER
+        assert exact_membership(lam, CANONICAL[key], p).status == want, lam
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_route_decides_the_boundary_points(domains, p):
+    # the boundary integral diverges logarithmically on eta_1 and the strip
+    assert exact_membership(-1.0 / p, domains["eta"], p).status == NON_MEMBER
+    assert exact_membership(-1.0 / p + 1e-9, domains["eta"], p).status == MEMBER
+    for lam in (1.0 / p, -1.0 / p, complex(1.0 / p, 2.0), complex(-1.0 / p, -3.0)):
+        assert exact_membership(lam, domains["strip"], p).status == NON_MEMBER
+    # Re eta_half(it) ~ -(log|t|)^(1/2): every real lam <= 0 is admissible
+    assert exact_membership(-1.5, domains["eta_half"], p).status == MEMBER
+
+
+def test_lower_half_plane_is_the_mirrored_ray():
+    for edge in (0.0, 2.0):
+        lower = horizontal_half_plane(edge, "lower")
+        for s in (0.25, 1.0, 3.0):
+            assert exact_membership(complex(0.0, -s), lower, 2.0).status == MEMBER
+            for lam in (complex(0.0, s), -s, s, complex(-s, -s)):
+                assert exact_membership(lam, lower, 2.0).status == NON_MEMBER
+    assert hardy_membership(-1j, horizontal_half_plane(0.0, "lower"), 2.0).status == MEMBER
+
+
+def test_exact_route_names_the_end_that_excludes_lam(domains):
+    res = exact_membership(-1.25, domains["eta"], 1.0)
+    assert res.status == NON_MEMBER and "logarithmic end" in res.certificate
+    res = exact_membership(-0.3j, domains["eta"], 1.0)
+    assert res.status == NON_MEMBER and "pole end" in res.certificate
+    assert exact_membership(-0.5, domains["eta"], 1.0).levels_used == 0
