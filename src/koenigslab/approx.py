@@ -6,6 +6,13 @@ ones (whose transforms are finite exponential sums), linear least-squares
 fitting of Hardy-space targets over a fixed frequency grid, and the
 rational map alpha used to carry logarithmic domains onto bounded Jordan
 regions, with an argument-principle univalence check.
+
+The sup error of an exponential sum over sample points
+(``ExpSum.sup_error``) is the plain term loop's, bit for bit.  When the
+frequencies lie on one grid, a Horner evaluation in e^{dz} with a running
+error bound screens the points, and the term loop runs again only on the
+few that can hold the max.  The bound assumes libm's complex exp is
+within 4 ulps per component.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import numpy as np
 from .hardy import CanonicalDomain, eta_domain  # noqa: F401 (re-export)
 
 STRIP_HALF_WIDTH = math.pi / 2.0
+_U = 2.0**-53  # unit roundoff of a double
+_TINY = 2.0**-1060  # covers the absolute errors of gradual underflow
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +114,106 @@ class ExpSum:
     terms: tuple  # ((coefficient, frequency), ...)
 
     def __call__(self, z):
-        return ExpSum.evaluate_many((self,), z)[0]
-
-    @staticmethod
-    def evaluate_many(sums, z):
-        """Evaluate several sums at the same points, sharing e^{lam z}
-        between sums whose k-th terms have the same frequency lam, as when
-        their frequencies lie on one grid in one order (the log-domain
-        pipeline's degrees).
-
-        Each sum adds its own terms in its own order, so a sum's result
-        does not depend on the other sums it is evaluated with;
-        ``s(z)`` is ``evaluate_many((s,), z)[0]``.  At most one exponential
-        per sum is held at a time."""
         z = np.asarray(z, dtype=complex)
-        outs = [np.zeros(z.shape, dtype=complex) for _ in sums]
-        for k in range(max((len(s.terms) for s in sums), default=0)):
-            step = {}
-            for out, s in zip(outs, sums):
-                if k < len(s.terms):
-                    c, lam = s.terms[k]
-                    if lam not in step:
-                        step[lam] = np.exp(lam * z)
-                    # array first: numpy rounds c * array and array * c
-                    # differently, and turns c * np.exp(...) into the
-                    # latter only above 256 KiB
-                    out += step[lam] * c
-        return [complex(o) if o.ndim == 0 else o for o in outs]
+        out = np.zeros(z.shape, dtype=complex)
+        for c, lam in self.terms:
+            # array first: numpy rounds c * array and array * c
+            # differently, and turns c * np.exp(...) into the latter only
+            # above 256 KiB
+            out += np.exp(lam * z) * c
+        return complex(out) if out.ndim == 0 else out
+
+    def sup_error(self, z, f):
+        """max |s(z) - f| over the points z, with the bits of
+        ``float(np.max(np.abs(s(z) - f)))``.
+
+        Screen.  When the frequencies lie on one grid, lam_k == fl(i_k d)
+        for distinct integers 0 <= i_k <= M, the sum is a polynomial in
+        q = e^{dz}: Horner gives h(z) from M multiply-adds per point
+        instead of N exponentials, and a second Horner pass on |c| and |q|
+        gives A(z) = sum |c_k| |q|^{i_k}.  With g = |h - f| and a bound E on
+        |(term loop's |s - f|) - g|, the term loop ``s(z[cand])`` runs again
+        only where g + E >= max(g - E): every maximiser of the term loop
+        passes that test, and rounding is monotone, so it passes it in
+        floating point too.  The term loop gives a point the same bits in
+        any array, so the max over those points is the term loop's to the
+        last bit.
+
+        Bound.  u = 2^-53, m = max|lam_k||z|.  Assumed: libm's complex exp
+        is within 4 ulps per component (relative error <= 8u) and hypot
+        within 1 ulp (2u); a complex product errs by <= sqrt(5) u < 3u
+        relative, a complex sum by u.  To first order in u:
+          term loop vs the exact sum: fl(lam_k z) errs by 3u|lam_k||z|,
+            hence e^{lam_k z} by a relative 3um; exp adds 8u, the product
+            with c_k 3u and the N - 1 additions (N - 1)u: u(N + 3m + 10) A;
+          Horner vs the exact sum: the steps give (1 + 3u)^j (1 + u)^j on
+            the j-th coefficient, 4Mu; q^j is off by j(3u|d||z| + 8u)
+            <= 3um + 8Mu; and lam_k - i_k d, one rounding per component,
+            shifts e^{lam_k z} by a relative um: u(12M + 4m) A;
+          the computed A differs from A by at most u(12M + 3m + 2) A;
+          |s - f| and |h - f| each carry u from the difference and 2u from
+            hypot, so the two moduli differ by at most
+            |s - h| (1 + 4u) + 7u g.
+        So E = 1.01 (x A + 7u g + 2^-1060 (N + (M + 1) max(1, |q|^M))) with
+        x = u(N + 12M + 7m + 10): the factor 1.01 holds the second-order
+        terms as long as x <= 1e-3, and the last term the absolute errors
+        of gradual underflow (<= 2^-1074 per product, amplified by at most
+        |q|^j in Horner).  E is set to infinity where x > 1e-3 or
+        M |Re dz| > 700, where exp could over- or underflow.
+
+        The plain term loop runs instead for a sum off a grid or of degree
+        M > 4N (Horner would cost more than the exponentials), a scalar or
+        empty z, an f of another shape, and when h, f or E is not finite at
+        some point."""
+        z = np.asarray(z, dtype=complex)
+        f = np.asarray(f)
+        grid = self._grid()
+        if grid is not None and z.ndim and z.size and f.shape == z.shape:
+            d, coef = grid
+            z, f = z.ravel(), f.ravel()
+            n, M = len(self.terms), coef.size - 1
+            with np.errstate(all="ignore"):
+                dz = d * z
+                q = np.exp(dz)
+                aq, ac = np.abs(q), np.abs(coef)
+                h = np.full(z.shape, coef[M])
+                A = np.full(z.shape, ac[M])
+                for j in range(M - 1, -1, -1):
+                    np.multiply(h, q, out=h)
+                    h += coef[j]
+                    np.multiply(A, aq, out=A)
+                    A += ac[j]
+                g = np.abs(h - f)
+                x = _U * (n + 12 * M + 7 * (abs(d) * M) * np.abs(z) + 10)
+                tiny = _TINY * (n + (M + 1) * np.maximum(1.0, np.exp(M * dz.real)))
+                E = 1.01 * (x * A + 7 * _U * g + tiny)
+                E[(x > 1e-3) | (M * np.abs(dz.real) > 700.0)] = np.inf
+            if np.all(np.isfinite(g)) and np.all(np.isfinite(E)):
+                cand = np.flatnonzero(g + E >= np.max(g - E))
+                z, f = z[cand], f[cand]
+        return float(np.max(np.abs(self(z) - f)))
+
+    def _grid(self):
+        """(d, coef) when every lam_k == fl(i_k d) for distinct integers
+        0 <= i_k <= 4N, d the nonzero frequency of least modulus; coef[i_k]
+        = c_k and zero elsewhere, the coefficients of the polynomial in
+        e^{dz}.  None otherwise."""
+        lam = np.array([lk for _, lk in self.terms], dtype=complex)
+        nonzero = lam[lam != 0]
+        if not nonzero.size:
+            return None
+        d = complex(nonzero[np.argmin(np.abs(nonzero))])
+        i = np.rint(lam.real / d.real if abs(d.real) >= abs(d.imag) else lam.imag / d.imag)
+        if not (
+            np.all((0 <= i) & (i <= 4 * lam.size))
+            and np.array_equal(i * d.real, lam.real)
+            and np.array_equal(i * d.imag, lam.imag)
+            and np.unique(i).size == lam.size
+        ):
+            return None
+        coef = np.zeros(int(np.max(i)) + 1, dtype=complex)
+        coef[i.astype(np.int64)] = [ck for ck, _ in self.terms]
+        return d, coef
 
     def strip_sup_bound(self):
         """Triangle-inequality bound for sup over the closed standard strip:
@@ -187,7 +269,7 @@ def discretize_measure(density, R, n) -> AtomicMeasure:
 
 def sup_error_on_strip(s: ExpSum, target, sample_points):
     pts = np.asarray(sample_points, dtype=complex)
-    return float(np.max(np.abs(s(pts) - np.asarray(target(pts), dtype=complex))))
+    return s.sup_error(pts, np.asarray(target(pts), dtype=complex))
 
 
 def strip_sample_grid():
@@ -470,7 +552,10 @@ def log_domain_pipeline_demo(
     algebra because convolution multiplies transforms).  Atoms spaced
     1/n_per_unit make the sum (2 pi n_per_unit)-periodic in Im z, so the
     sample window must stay well inside that period; desk scale here is a
-    |Im z| <= t_window slab of the closed domain."""
+    |Im z| <= t_window slab of the closed domain.  On that grid each sum is
+    a polynomial in e^{-z/n_per_unit}, so ``ExpSum.sup_error`` screens the
+    samples by Horner and evaluates the term loop at the few that can hold
+    the max."""
     b = choose_b(spec)
     if 2.0 * t_window > math.pi * n_per_unit:
         raise ValueError("sample window exceeds the discretization's period")
@@ -481,17 +566,12 @@ def log_domain_pipeline_demo(
     zs = np.concatenate([zb, zi.ravel()])
     w = alpha_map(zs)
     f = np.asarray(target(zs), dtype=complex)
-    expanded = []
+    rows = []
     for deg in degrees:
         V = np.vander(w, deg + 1, increasing=True)
         coef, *_ = np.linalg.lstsq(V, f, rcond=1e-7)
-        expanded.append(poly_alpha_exp_sum(list(coef), b, n_per_unit=n_per_unit))
-    # the degrees' atoms share one grid: one exponential per grid point
-    values = ExpSum.evaluate_many([es for _, es in expanded], zs - b)
-    rows = [
-        (deg, float(np.max(np.abs(v - f))), mu)
-        for deg, (mu, _), v in zip(degrees, expanded, values)
-    ]
+        mu, es = poly_alpha_exp_sum(list(coef), b, n_per_unit=n_per_unit)
+        rows.append((deg, es.sup_error(zs - b, f), mu))
     return b, rows
 
 

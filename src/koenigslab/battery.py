@@ -377,8 +377,8 @@ def _eta_defining_function(a=1.0):
 
     psi(+-inf) = -inf, the limit of psi at both ends: psi(y) = -Re L^a with
     L = log(3 + i t*), |t*| >= |y| and |arg L| < atan((pi/2)/log 3) < 1, so
-    -psi >= cos(1) (log|3 + i t*|)^a; for a = 1 this is the bound
-    psi <= (log 2)/2 - log(|y| + 3) of ``eta_domain_psi``.
+    -psi >= cos(1) (log|3 + i t*|)^a; ``eta_domain_psi`` proves the
+    sharper psi <= 0.35 - (log(|y| + 3))^a that it declares.
 
     Any other height that fails the check gets ``_eta_bisect``, the plain
     bisection, bit for bit.  Its bracket is clipped to the finite floats and
@@ -408,14 +408,22 @@ def _eta_defining_function(a=1.0):
 
 def eta_domain_psi(a=1.0, name="eta1"):
     ev = _eta_defining_function(a)
-    # |t| >= |y| along the boundary curve and 9 + y^2 >= (|y|+3)^2 / 2,
-    # so psi <= -(1/2) log(9+y^2) <= (log 2)/2 - log(|y|+3); and |t| <= 1.5|y|
-    # away from 0 gives psi >= -2 log(|y|+3).
+    # Envelopes for 0 < a <= 1.  psi = -Re L^a with L = log(3 + it) =
+    # l + i phi, l = log|3 + it| >= log 3 > 1, |phi| < pi/2 and
+    # theta = arg L, |theta| < 1.  Im L^a has the sign of t and slope at
+    # most a/3, so y = t - Im L^a gives (2/3)|t| <= |y| <= |t|.
+    # Upper: l >= (1/2) log(9 + y^2) >= log(|y| + 3) - k, k = (log 2)/2,
+    # as 9 + y^2 >= (|y| + 3)^2 / 2.  log cos is concave, so
+    # cos(a theta) >= cos(theta)^a and Re L^a = l^a cos(a theta) /
+    # cos(theta)^a >= l^a.  x -> x^a has slope <= a <= 1 beyond l > 1, so
+    # (log(|y| + 3))^a - l^a <= k: psi <= 0.35 - (log(|y| + 3))^a.
+    # Lower: -psi <= |L|^a <= |L| <= l + |phi| <= log 1.5 + log(|y| + 3)
+    # + atan(|y|/2) <= 2 log(|y| + 3) for |y| >= 1.
     piece = FiniteAnalytic(
         span=(NEG_INF, POS_INF),
         evaluator=ev,
         tail_lower=TailEnvelope(C=2.0, a=1.0, valid_from=1.0),
-        tail_upper=TailEnvelope(c=0.35, C=1.0, a=1.0),
+        tail_upper=TailEnvelope(c=0.35, C=1.0, a=a),
     )
     psi = PiecewiseDefiningFunction(
         NEG_INF, POS_INF, (piece,), name=name, canonical=eta_domain(a)

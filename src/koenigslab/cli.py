@@ -258,11 +258,10 @@ def cmd_approx(args):
         target = lambda z: phi_beta_R(beta, R, z)
         density = lambda s: np.exp(-beta * np.asarray(s))
         n = args.n or 64
-        for nn in (n, 2 * n, 4 * n):
-            mu = discretize_measure(density, R, nn)
-            s = mu.exp_sum("oscillatory")
-            rows.append((nn, sup_error_on_strip(s, target, pts)))
-        out["bound"] = discretize_measure(density, R, n).exp_sum("oscillatory").strip_sup_bound()
+        budgets = (n, 2 * n, 4 * n)
+        sums = [discretize_measure(density, R, nn).exp_sum("oscillatory") for nn in budgets]
+        rows = [(nn, sup_error_on_strip(s, target, pts)) for nn, s in zip(budgets, sums)]
+        out["bound"] = sums[0].strip_sup_bound()
     elif args.demo == "halfplane":
         dom = half_plane_right()
         target = lambda z: 1.0 / (z + 1.0) ** 2

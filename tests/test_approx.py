@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -128,25 +129,93 @@ def test_discretize_refines_failing_cells_bitwise():
     assert np.array_equal([w for _, w in mu.atoms], [w for _, w in atoms])
 
 
-def test_evaluate_many_matches_each_sum_bitwise():
+@functools.lru_cache(maxsize=1)
+def _log_demo_sums():
+    """The log-domain demo's samples shifted back by b, its target there,
+    the demo's three sums and two more on the same grid."""
     spec = LogDomainSpec(psi=parse_expression("-(1/2)*log(abs(y)+1)"), lip_bound=0.5, log_exponent=0.6)
     b = choose_b(spec)
-    # the log-domain demo's sample points, shifted back by b
     t = np.linspace(-300.0, 300.0, 2048)
     zb = np.asarray(spec.psi(t), dtype=float) + b + 1j * t
-    zs = np.concatenate([zb, (zb + np.linspace(0.5, 8.0, 7)[:, None]).ravel()]) - b
-    sums = [
-        poly_alpha_exp_sum([0.3, -1.0 + 0.5j, 2.0], b, n_per_unit=256)[1],
-        poly_alpha_exp_sum([0.1, 1.0, -0.5, 0.25, 0.125j], b, n_per_unit=256)[1],
+    zs = np.concatenate([zb, (zb + np.linspace(0.5, 8.0, 7)[:, None]).ravel()])
+    z, f, w = zs - b, 1.0 / (zs + 5.0), alpha_map(zs)
+    sums = []
+    for deg in (2, 4, 8):
+        coef, *_ = np.linalg.lstsq(np.vander(w, deg + 1, increasing=True), f, rcond=1e-7)
+        sums.append(poly_alpha_exp_sum(list(coef), b, n_per_unit=256)[1])
+    for coef in ([0.3, -1.0 + 0.5j, 2.0], [0.1, 1.0, -0.5, 0.25, 0.125j]):
+        sums.append(poly_alpha_exp_sum(coef, b, n_per_unit=256)[1])
+    return z, f, sums
+
+
+def _term_loop_sup(s, z, f):
+    return float(np.max(np.abs(s(z) - f)))
+
+
+@pytest.fixture
+def evaluated_points(monkeypatch):
+    """Point counts of every ExpSum.__call__ during the test."""
+    counts = []
+    call = ExpSum.__call__
+
+    def counting(self, z):
+        counts.append(int(np.size(z)))
+        return call(self, z)
+
+    monkeypatch.setattr(ExpSum, "__call__", counting)
+    return counts
+
+
+def test_sup_error_screen_is_bitwise_the_term_loop(evaluated_points):
+    z, f, sums = _log_demo_sums()
+    for s in sums:
+        assert s._grid() is not None
+        evaluated_points.clear()
+        got = s.sup_error(z, f)
+        assert evaluated_points and sum(evaluated_points) < z.size // 100  # screened
+        assert got == _term_loop_sup(s, z, f)
+        assert s.sup_error(z[:279], f[:279]) == _term_loop_sup(s, z[:279], f[:279])
+
+
+def test_sup_error_reevaluates_every_point_within_the_bound(evaluated_points):
+    z, _, sums = _log_demo_sums()
+    phase = np.exp(2j * math.pi * np.random.default_rng(0).random(z.size))
+    for s in sums[::3]:
+        v = s(z)
+        for shift in (1e-3, 1e-3 * phase):
+            f = v + shift
+            evaluated_points.clear()
+            got = s.sup_error(z, f)
+            assert evaluated_points == [z.size]
+            assert got == _term_loop_sup(s, z, f)
+
+
+def test_sup_error_falls_back_off_a_grid(evaluated_points):
+    z, f, _ = _log_demo_sums()
+    for s in (
         ExpSum(((2.0, -1.0 + 0j), (1j, 0.5j))),
-        ExpSum(()),
-    ]
-    for z in (zs, zs[:279], zs[5]):
-        got = ExpSum.evaluate_many(sums, z)
-        assert len(got) == len(sums)
-        for s, g in zip(sums, got):
-            assert np.array_equal(g, s(z))
-    assert isinstance(ExpSum.evaluate_many(sums, 0.5)[0], complex)
+        ExpSum(((1.0, -1.0 + 0j), (0.5, -math.sqrt(2.0) + 0j))),
+        ExpSum(((1.0, -0.5 + 0j), (0.5, -0.5 + 0j))),  # one power twice
+        ExpSum(((1.0, 0j),)),
+    ):
+        assert s._grid() is None
+        evaluated_points.clear()
+        got = s.sup_error(z, f)
+        assert evaluated_points == [z.size]
+        assert got == _term_loop_sup(s, z, f)
+
+
+def test_sup_error_edge_cases_match_the_term_loop():
+    z, f, sums = _log_demo_sums()
+    assert ExpSum(()).sup_error(z, f) == float(np.max(np.abs(f)))
+    s = sums[0]
+    assert s.sup_error(z[7], f[7]) == _term_loop_sup(s, z[7], f[7])
+    assert s.sup_error(z, f[7]) == _term_loop_sup(s, z, f[7])
+    f_nan = f.copy()
+    f_nan[3] = np.nan
+    assert math.isnan(s.sup_error(z, f_nan))
+    with pytest.raises(ValueError):
+        s.sup_error(z[:0], f[:0])
 
 
 def test_empty_sum_evaluates_to_zero():

@@ -169,3 +169,14 @@ def test_eta_inversion_evaluates_the_boundary_at_most_10_times_per_height(monkey
     _, _, y0, y1 = battery_entry("eta1").window
     psi.row_profiles(np.linspace(y0, y1, 1025))
     assert 0 < count <= 10 * 65_536, count / 65_536
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_declared_envelopes_bound_psi(a):
+    piece = battery.eta_domain_psi(a).pieces[0]
+    ev = battery._eta_defining_function(a)
+    ys = np.concatenate([raster_heights(1024).ravel(), random_heights(), [1e300, -1e300]])
+    psi = ev(ys)
+    assert np.all(psi <= piece.tail_upper.value(ys))
+    far = np.abs(ys) >= piece.tail_lower.valid_from
+    assert np.all(psi[far] >= piece.tail_lower.value(ys[far]))
