@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hardy import CanonicalDomain, eta_domain  # noqa: F401 (re-export)
+from .hardy import CanonicalDomain
 
 STRIP_HALF_WIDTH = math.pi / 2.0
 _U = 2.0**-53  # unit roundoff of a double
@@ -289,7 +289,6 @@ class FitResult:
     exp_sum: ExpSum
     error: float
     gram_condition: float
-    conditioning_failure: bool = False
     # error at the refinement radius; None after a conditioning failure
     _refined_error: Optional[Callable[[], float]] = field(default=None, repr=False, compare=False)
 
@@ -325,15 +324,16 @@ def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> Fit
         return A, b
 
     A, b = design(_FIT_RHO)
-    G = (A.conj().T @ A) / n_nodes
-    rhs = (A.conj().T @ b) / n_nodes
+    Ah = A.conj().T
+    G = (Ah @ A) / n_nodes
+    rhs = (Ah @ b) / n_nodes
     G_r = G + _FIT_RIDGE * np.eye(len(freqs))
     try:
         coef = np.linalg.solve(G_r, rhs)
     except np.linalg.LinAlgError:
-        return FitResult(ExpSum(()), math.inf, math.inf, True)
+        return FitResult(ExpSum(()), math.inf, math.inf)
     if not np.all(np.isfinite(coef)):
-        return FitResult(ExpSum(()), math.inf, math.inf, True)
+        return FitResult(ExpSum(()), math.inf, math.inf)
 
     def rms_error(A, b):
         return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))

@@ -88,13 +88,13 @@ def _const_limits(v):
     return LimitData(v, v, exact=True)
 
 
-def _flat(span, value=0.0, **kw):
+def _flat(span):
+    """psi = 0 on the span, with exact limits at its finite ends."""
     return FiniteAnalytic(
         span=span,
-        evaluator=parse_expression(repr(float(value))),
-        limits_left=_const_limits(value) if math.isfinite(span[0]) else None,
-        limits_right=_const_limits(value) if math.isfinite(span[1]) else None,
-        **kw,
+        evaluator=parse_expression("0.0"),
+        limits_left=_const_limits(0.0) if math.isfinite(span[0]) else None,
+        limits_right=_const_limits(0.0) if math.isfinite(span[1]) else None,
     )
 
 

@@ -103,8 +103,8 @@ def slope_brackets(psi: PiecewiseDefiningFunction, tails):
     return feasible, possible
 
 
-# the intercept grid: 64 blocks of 64 points over [-64, 64]
-_GRID_POINTS = 4096
+# the intercept grid: 64 rows of psi's row profiles over [-64, 64]
+_GRID_ROWS = 64
 _GRID_HALFWIDTH = 64.0
 
 
@@ -112,10 +112,10 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     """A feasible (m, c) with psi(y) >= m y + c on R, if one exists.
 
     Requires I = R.  Tail feasibility is decided from the declared
-    envelopes of the outermost pieces; the intercept is certified on a
-    grid over the middle plus the envelope values on the tails.  Missing
-    declarations, or a middle block where psi has no finite sample, yield
-    Unknown rather than a guess.
+    envelopes of the outermost pieces; the intercept is certified from the
+    row infima of psi over the middle plus the envelope values on the
+    tails.  Missing declarations, or a middle row where psi has no finite
+    sample, yield Unknown rather than a guess.
     """
     psi.require_validated()
     if math.isfinite(psi.interval_lo) or math.isfinite(psi.interval_hi):
@@ -140,26 +140,24 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
         if poss is None:
             return AffineMinorant(
                 TriState.NO,
-                reason="declared upper envelopes decay on both tails; no slope is feasible",
+                reason="declared upper envelopes exclude every slope",
             )
         return AffineMinorant(
             TriState.UNKNOWN, reason="tail declarations insufficient to decide"
         )
 
     m = feasible_m
-    # certified intercept: grid over the middle, envelope bound on tails
-    ys = np.linspace(-_GRID_HALFWIDTH, _GRID_HALFWIDTH, _GRID_POINTS)
-    c_mid = POS_INF
-    for k in range(0, _GRID_POINTS - 1, 64):
-        lo = ys[k]
-        hi = min(ys[k + 64] if k + 64 < _GRID_POINTS else ys[-1], _GRID_HALFWIDTH)
-        _, v = psi.sup_inf(lo, hi)
-        if v == POS_INF:  # psi never takes +inf: no sample was finite
-            return AffineMinorant(
-                TriState.UNKNOWN,
-                reason=f"intercept certification failed: no finite sample of psi on [{lo}, {hi}]",
-            )
-        c_mid = min(c_mid, v - m * (lo if m <= 0 else hi))
+    # certified intercept: row infima over the middle, envelope bound on tails
+    edges = np.linspace(-_GRID_HALFWIDTH, _GRID_HALFWIDTH, _GRID_ROWS + 1)
+    low = psi.row_profiles(edges)["m"]
+    empty = np.flatnonzero(low == POS_INF)  # psi never takes +inf: no sample was finite
+    if empty.size:
+        lo, hi = edges[empty[0]], edges[empty[0] + 1]
+        return AffineMinorant(
+            TriState.UNKNOWN,
+            reason=f"intercept certification failed: no finite sample of psi on [{lo}, {hi}]",
+        )
+    c_mid = float(np.min(low - m * (edges[:-1] if m <= 0 else edges[1:])))
 
     def tail_c(env, tail):
         if env is None:

@@ -211,8 +211,7 @@ def _bounded_interval_obstruction(psi, p):
     _, upper_dn = psi.tail_envelopes("lower")
     if upper is None or upper_dn is None:
         return None
-    sup_mid, _ = psi.sup_inf(-64.0, 64.0)
-    if not math.isfinite(sup_mid):
+    if not math.isfinite(psi.row_profiles([-64.0, 64.0])["M"][0]):
         return None
 
     # bounded frequency interval: exact non-members on the negative real
@@ -258,15 +257,13 @@ def _log_envelope_domination(psi, p):
     envs = (lower, lower_dn)
     if any(env.m != 0 or (env.drifts and env.a >= 1.0) for env in envs):
         return None
-    # middle certification: C1 = inf over a grid of psi + (log(|y|+3))^a
+    # middle certification: C1 = inf over 256 rows of psi + (log(|y|+3))^a
     a = max((env.a for env in envs if env.drifts), default=0.5)
     ys = np.linspace(-64.0, 64.0, 257)
-    c1 = POS_INF
-    for lo, hi in zip(ys[:-1], ys[1:]):
-        _, v = psi.sup_inf(lo, hi)
-        if v == POS_INF:  # no finite sample of psi on this cell
-            return None
-        c1 = min(c1, v + math.log(min(abs(lo), abs(hi)) + 3.0) ** a)
+    low = psi.row_profiles(ys)["m"]
+    if np.any(low == POS_INF):  # no finite sample of psi on some row
+        return None
+    c1 = float(np.min(low + np.log(np.minimum(np.abs(ys[:-1]), np.abs(ys[1:])) + 3.0) ** a))
     if not math.isfinite(c1):
         return None
     return {

@@ -20,7 +20,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -216,8 +216,8 @@ class Piece:
 
     Callers read a piece only through this protocol and never test its
     kind: ``value``, ``side_limits`` (limits of psi), ``side_limits_lsc``
-    (limits of psi_*), ``sup_inf`` (bounds on an interval), ``row_bounds``
-    (bounds on raster rows), ``minus_inf_intervals``, ``interior_heights``
+    (limits of psi_*), ``row_bounds`` (bounds on rows of heights, the one
+    sampled-bounds rule), ``minus_inf_intervals``, ``interior_heights``
     (heights inside the span where psi may jump), ``carrier_gap_sup``,
     the declared tail envelopes ``tail_lower``/``tail_upper`` and
     ``translate``.  Only the spec loader knows the concrete kinds.
@@ -238,10 +238,6 @@ class Piece:
         """Limits of psi_* given ``lim``, those of psi; off a Cantor
         carrier they are the same."""
         return lim
-
-    def sup_inf(self, lo, hi):
-        """(sup, inf) of psi on [lo, hi], a nonempty part of the closed span."""
-        raise NotImplementedError
 
     def row_bounds(self, lo, hi):
         """(M, m, Mstar, ends) on the rows [lo, hi], clipped to the span:
@@ -287,11 +283,6 @@ def _evaluate(evaluator, ys):
         return np.vectorize(lambda t: _safe_eval(evaluator, t), otypes=[float])(ys)
 
 
-def _sample(evaluator, lo, hi, k=96):
-    vs = _evaluate(evaluator, np.linspace(lo, hi, k))
-    return vs[~np.isnan(vs)]
-
-
 def _safe_eval(evaluator, t):
     try:
         return float(evaluator(t))
@@ -317,7 +308,6 @@ class FiniteAnalytic(Piece):
     limits_right: Optional[LimitData] = None  # as y -> span[1]-
     tail_lower: Optional[TailEnvelope] = None
     tail_upper: Optional[TailEnvelope] = None
-    samples: ClassVar[int] = 96  # evaluator samples behind sup_inf
 
     def value(self, y):
         v = self.evaluator(y)
@@ -342,21 +332,6 @@ class FiniteAnalytic(Piece):
         delta = min(1.0, (min(b, y0 + 1) - max(a, y0 - 1)) / 2 or 1.0)
         return dyadic_limit_estimate(lambda t: self.evaluator(t), y0, side, delta)
 
-    def _declared_in(self, lo, hi):
-        """Declared endpoint limits at heights inside [lo, hi]."""
-        a, b = self.span
-        return [
-            lim for y0, lim in ((a, self.limits_left), (b, self.limits_right))
-            if lim is not None and lo <= y0 <= hi
-        ]
-
-    def sup_inf(self, lo, hi):
-        vs = _sample(self.evaluator, lo, hi, self.samples)
-        sup, inf = (float(vs.max()), float(vs.min())) if vs.size else (NEG_INF, POS_INF)
-        for lim in self._declared_in(lo, hi):
-            sup, inf = max(sup, lim.limsup), min(inf, lim.liminf)
-        return sup, inf
-
     def row_bounds(self, lo, hi):
         row_max, row_min = _row_samples(self.evaluator, lo, hi)
         a, b = self.span
@@ -379,11 +354,8 @@ class OscillatorySample(FiniteAnalytic):
     """Continuous evaluator whose endpoint behavior is declared.
 
     Declared liminf/limsup at each span endpoint are required: dyadic
-    sampling cannot recover oscillation envelopes.  Bounds sample the
-    evaluator twice as densely as a plain finite piece.
+    sampling cannot recover oscillation envelopes.
     """
-
-    samples: ClassVar[int] = 192
 
     def __post_init__(self):
         if self.limits_left is None or self.limits_right is None:
@@ -397,9 +369,6 @@ class MinusInfinity(Piece):
 
     def side_limits(self, y0, side):
         return LimitData(NEG_INF, NEG_INF, exact=True)
-
-    def sup_inf(self, lo, hi):
-        return NEG_INF, NEG_INF
 
     def row_bounds(self, lo, hi):
         return NEG_INF, NEG_INF, NEG_INF, ()
@@ -429,13 +398,6 @@ class PointSpike(Piece):
 
     def side_limits(self, y0, side):
         return LimitData(self.background, self.background, exact=True)
-
-    def sup_inf(self, lo, hi):
-        at = lo <= self.c0 <= hi
-        return (
-            max(self.spike_value, self.background) if at else self.background,
-            self.spike_value if lo == hi == self.c0 else self.background,
-        )
 
     def row_bounds(self, lo, hi):
         M = np.full(lo.shape, self.background)
@@ -529,18 +491,13 @@ class CantorCarrierPiece(Piece):
         return LimitData(min(lo, v), v, exact=True)
 
     def carrier_gap_sup(self):
-        # undeclared, the sup is sampled over the carrier's hull
+        # undeclared, the sup is sampled over the carrier's hull as one row
         if self.off_limsup_at_carrier is not None:
             return self.off_limsup_at_carrier, True
-        vs = _sample(self.off_evaluator, self.carrier.lo, self.carrier.hi)
-        return (float(np.max(vs)) if vs.size else NEG_INF), False
-
-    def sup_inf(self, lo, hi):
-        vs = _sample(self.off_evaluator, lo, hi)
-        sup, inf = (float(vs.max()), float(vs.min())) if vs.size else (NEG_INF, POS_INF)
-        if self.carrier.intersects(lo, hi):
-            sup = max(sup, self.on_value)
-        return sup, inf
+        row_max, _ = _row_samples(
+            self.off_evaluator, np.array([self.carrier.lo]), np.array([self.carrier.hi])
+        )
+        return float(np.fmax(row_max[0], NEG_INF)), False
 
     def row_bounds(self, lo, hi):
         row_max, row_min = _row_samples(self.off_evaluator, lo, hi)
@@ -887,14 +844,16 @@ class PiecewiseDefiningFunction:
         facts = self.facts
         return list(facts.E), facts.E_exact
 
-    # -- raster support --------------------------------------------------------
+    # -- sampled bounds --------------------------------------------------------
 
     def row_profiles(self, y_edges):
-        """Per-row sup/inf of psi and sup of psi_* between consecutive edges.
+        """Per-row sup/inf of psi and sup of psi_* between consecutive edges:
+        every sampled bound on psi comes from here.
 
         Returns dict of arrays: M (sup psi), m (inf psi), Mstar (sup psi_*),
         outside (row disjoint from I), edge (row straddles an endpoint of I).
-        Declared -inf limit points inside a row force m = -inf exactly.
+        Declared -inf limit points inside a row force m = -inf exactly; a
+        row where every sample fails keeps m = +inf.
         """
         facts = self.facts
         y_edges = np.asarray(y_edges, dtype=float)
@@ -941,17 +900,7 @@ class PiecewiseDefiningFunction:
                     Mstar[jj] = max(Mstar[jj], lim.limsup)
         return {"M": M, "m": m, "Mstar": Mstar, "outside": outside, "edge": edge}
 
-    # -- global bounds ----------------------------------------------------------
-
-    def sup_inf(self, lo, hi):
-        """(sup, inf) of psi on [lo, hi] from the pieces' bounds."""
-        sup, inf = NEG_INF, POS_INF
-        for p in self.pieces:
-            a, b = max(lo, p.span[0]), min(hi, p.span[1])
-            if a <= b:
-                s, i = p.sup_inf(a, b)
-                sup, inf = max(sup, s), min(inf, i)
-        return sup, inf
+    # -- tails and translation -------------------------------------------------
 
     def tail_envelopes(self, side):
         """(lower, upper) declared envelopes on the +inf or -inf tail."""

@@ -87,13 +87,18 @@ class RasterGrid:
 def rasterize(psi: PiecewiseDefiningFunction, window, n, with_coarse=True) -> RasterGrid:
     """Classify an n-by-n window; deterministic for fixed inputs."""
     psi.require_validated()
-    if n < 64:
-        raise ValueError("resolution must be at least 64")
     x0, x1, y0, y1 = window
     if not (x0 < x1 and y0 < y1):
         raise ValueError("empty window")
     if y1 <= psi.interval_lo or y0 >= psi.interval_hi:
         raise WindowError("window is disjoint from the domain's height interval")
+    if n < 64:
+        raise ValueError("resolution must be at least 64")
+    if with_coarse and n < 128:
+        raise ValueError(
+            "resolution must be at least 128: verdicts are checked against a "
+            "coarse grid of n/2, which needs at least 64"
+        )
     x_edges = np.linspace(x0, x1, n + 1)
     y_edges = np.linspace(y0, y1, n + 1)
     prof = psi.row_profiles(y_edges)

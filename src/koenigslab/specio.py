@@ -54,8 +54,8 @@ def _span(obj):
     return (_as_float(a), _as_float(b))
 
 
-def _limits(obj, key="limits"):
-    lims = obj.get(key) or {}
+def _limits(obj):
+    lims = obj.get("limits") or {}
     left = LimitData.from_json(lims["left"]) if "left" in lims else None
     right = LimitData.from_json(lims["right"]) if "right" in lims else None
     return left, right

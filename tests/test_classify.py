@@ -89,7 +89,10 @@ def test_minorant_none_when_upper_envelopes_leave_no_slope():
              "tail_upper": {"kind": "affine", "m": 1.0, "c": 0.0}},
         ],
     })
-    assert affine_minorant(psi).status is TriState.NO
+    am = affine_minorant(psi)
+    assert am.status is TriState.NO
+    # the envelopes grow on the upper tail, so the reason must not say decay
+    assert am.reason == "declared upper envelopes exclude every slope"
     # each tail alone leaves slopes; together none survive
     assert slope_brackets(psi, ("upper",)) == (None, (-math.inf, 1.0))
     assert slope_brackets(psi, ("lower",)) == (None, (2.0, math.inf))

@@ -195,6 +195,23 @@ def test_comb_regularizations_vanish():
     assert eq is TriState.NO and witnesses
 
 
+def test_undeclared_carrier_gap_sup_is_a_sampled_row():
+    # undeclared, the sup of the off part is the max over 64 midpoints of
+    # the carrier's hull [0, 1], the same rule as a row of row_profiles
+    from koenigslab.cantor import CantorSet
+    from koenigslab.domain import CantorCarrierPiece
+
+    def piece(off):
+        return CantorCarrierPiece(
+            span=(-0.5, 1.5), carrier=CantorSet(0.0, 1.0), on_value=2.0,
+            off_evaluator=parse_expression(off),
+        )
+
+    assert piece("y").carrier_gap_sup() == (127.0 / 128.0, False)
+    # an off part that never evaluates has no sampled sup
+    assert piece("log(-1-y*y)").carrier_gap_sup() == (NEG_INF, False)
+
+
 def test_oscillation_regularization_recovers_psi():
     # the oscillation sweeps [-1, 1] beside every carrier point: the liminf
     # envelope dips to -1 there but its usc envelope climbs back to 1 = psi

@@ -1,10 +1,11 @@
 """Callers read pieces through the ``Piece`` protocol, never by kind,
-and tail envelopes through their one form, never by spelling.
+tail envelopes through their one form, never by spelling, and sampled
+bounds on psi through ``row_profiles``, never by a second rule.
 
 Only the spec loader maps kinds to classes and envelope spellings to
 ``TailEnvelope``; anywhere else an ``isinstance`` test on a piece class,
 or a string naming an envelope spelling, is a ladder that a new kind
-would have to extend.
+would have to extend.  Only ``domain`` samples an evaluator.
 """
 
 import ast
@@ -76,5 +77,43 @@ def test_no_envelope_spellings_outside_the_loader():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "specio.py"
         and (hits := envelope_spellings(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, found
+
+
+RETIRED = {"sup_inf"}  # the interval bounds that row profiles replaced
+SAMPLERS = {"_row_samples", "_evaluate"}  # domain's private evaluator sampling
+
+
+def identifiers(source, names):
+    """(line, identifier) of every name, attribute, definition or import
+    spelled as one of ``names``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+            ident = node.name
+        else:
+            continue
+        if ident in names:
+            hits.append((node.lineno, ident))
+    return hits
+
+
+def test_bounds_on_psi_come_from_row_profiles_only():
+    assert identifiers("_, v = psi.sup_inf(lo, hi)", RETIRED) == [(1, "sup_inf")]
+    assert identifiers("def sup_inf(self, lo, hi): pass", RETIRED) == [(1, "sup_inf")]
+    assert identifiers("from .domain import _evaluate as ev", SAMPLERS) == [(1, "_evaluate")]
+    assert identifiers("psi.row_profiles(edges)['m']", RETIRED | SAMPLERS) == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := identifiers(
+            path.read_text(encoding="utf-8"),
+            RETIRED if path.name == "domain.py" else RETIRED | SAMPLERS,
+        ))
     }
     assert found == {}, found

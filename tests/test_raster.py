@@ -96,8 +96,13 @@ def test_interval_outside_window_errors():
 
 
 def test_minimum_resolution_enforced():
+    psi = battery_entry("strip").psi
     with pytest.raises(ValueError):
-        rasterize(battery_entry("strip").psi, (-1, 1, -1, 1), 32)
+        rasterize(psi, (-1, 1, -1, 1), 32)
+    # the coarse grid of n = 100 would have 50 rows: rejected before any work
+    with pytest.raises(ValueError, match="at least 128"):
+        rasterize(psi, (-4, 4, -2.4, 2.4), 100)
+    assert rasterize(psi, (-4, 4, -2.4, 2.4), 100, with_coarse=False).n == 100
 
 
 def test_labels_match_component_count():
