@@ -288,7 +288,6 @@ def strip_sample_grid():
 class FitResult:
     exp_sum: ExpSum
     error: float
-    gram_condition: float
     # error at the refinement radius; None after a conditioning failure
     _refined_error: Optional[Callable[[], float]] = field(default=None, repr=False, compare=False)
 
@@ -331,18 +330,17 @@ def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> Fit
     try:
         coef = np.linalg.solve(G_r, rhs)
     except np.linalg.LinAlgError:
-        return FitResult(ExpSum(()), math.inf, math.inf)
+        return FitResult(ExpSum(()), math.inf)
     if not np.all(np.isfinite(coef)):
-        return FitResult(ExpSum(()), math.inf, math.inf)
+        return FitResult(ExpSum(()), math.inf)
 
     def rms_error(A, b):
         return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
 
     err = rms_error(A, b)
-    cond = float(np.linalg.cond(G_r))
     s = ExpSum(tuple((complex(c), l) for c, l in zip(coef, freqs)))
     return FitResult(
-        s, err, cond,
+        s, err,
         _refined_error=lambda: rms_error(*design(1.0 - (1.0 - _FIT_RHO) / 2.0)),
     )
 

@@ -1,9 +1,10 @@
 """Shipped test battery: named defining functions with known ground truth.
 
-Each entry returns a validated PiecewiseDefiningFunction plus the expected
-analysis results (semigroup class, complement component count, whether the
-domain equals the interior of its closure, completeness verdicts, and a
-raster window/resolution at which the geometry oracle resolves it).
+Each entry returns a PiecewiseDefiningFunction, which validates itself
+when built, plus the expected analysis results (semigroup class,
+complement component count, whether the domain equals the interior of its
+closure, completeness verdicts, and a raster window/resolution at which
+the geometry oracle resolves it).
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def strip_domain():
     """Half-strip: psi = 0 on a bounded interval."""
     w = math.pi / 2
     psi = PiecewiseDefiningFunction(-w, w, (_flat((-w, w)),), name="strip")
-    psi.validate()
     return BatteryEntry(
         "strip", psi, "hyperbolic", "yes", 1, "yes", (-4.0, 4.0, -2.4, 2.4), 512
     )
@@ -117,7 +117,6 @@ def half_plane_domain():
         tail_upper=TailEnvelope(),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="half_plane")
-    psi.validate()
     return BatteryEntry(
         "half_plane", psi, "parabolic_zero_step", "yes", 1, "yes",
         (-4.0, 4.0, -4.0, 4.0), 512,
@@ -130,7 +129,6 @@ def upper_half_plane_domain():
     psi = PiecewiseDefiningFunction(
         0.0, POS_INF, (MinusInfinity(span=(0.0, POS_INF)),), name="upper_half_plane"
     )
-    psi.validate()
     return BatteryEntry(
         "upper_half_plane", psi, "parabolic_positive_step", "yes", 1, "yes",
         (-4.0, 4.0, -2.0, 6.0), 512,
@@ -147,7 +145,6 @@ def quadrant_domain():
         tail_upper=TailEnvelope(),
     )
     psi = PiecewiseDefiningFunction(0.0, POS_INF, (piece,), name="quadrant")
-    psi.validate()
     return BatteryEntry(
         "quadrant", psi, "parabolic_positive_step", "yes", 1, "yes",
         (-4.0, 4.0, -2.0, 6.0), 512,
@@ -158,7 +155,6 @@ def spike_domain():
     """Isolated exceedance over a flat background (a boundary slit)."""
     piece = PointSpike(span=(-1.0, 1.0), c0=0.0, spike_value=1.0, background=0.0)
     psi = PiecewiseDefiningFunction(-1.0, 1.0, (piece,), name="spike")
-    psi.validate()
     return BatteryEntry(
         "spike", psi, "hyperbolic", "no", 1, "no", (-2.0, 3.0, -1.5, 1.5), 1024,
         p_complete="no",
@@ -170,7 +166,6 @@ def double_spike_domain():
     p1 = PointSpike(span=(-1.0, 0.0), c0=-0.5, spike_value=1.0, background=0.0)
     p2 = PointSpike(span=(0.0, 1.0), c0=0.5, spike_value=1.0, background=0.0)
     psi = PiecewiseDefiningFunction(-1.0, 1.0, (p1, p2), name="double_spike")
-    psi.validate()
     return BatteryEntry(
         "double_spike", psi, "hyperbolic", "no", 1, "no",
         (-2.0, 3.0, -1.5, 1.5), 1024, p_complete="no",
@@ -189,7 +184,6 @@ def comb_domain():
         off_liminf_at_carrier=0.0,
     )
     psi = PiecewiseDefiningFunction(-0.5, 1.5, (piece,), name="comb")
-    psi.validate()
     return BatteryEntry(
         "comb", psi, "hyperbolic", "no", 1, "no", (-2.0, 3.0, -1.0, 2.0), 2048
     )
@@ -213,7 +207,6 @@ def oscillation_cantor_domain():
         off_liminf_at_carrier=-1.0,
     )
     psi = PiecewiseDefiningFunction(0.0, 1.0, (piece,), name="oscillation_cantor")
-    psi.validate()
     return BatteryEntry(
         "oscillation_cantor", psi, "hyperbolic", "yes", 1, "yes",
         (-3.0, 3.0, -0.5, 1.5), 2048,
@@ -228,7 +221,6 @@ def gap_domain():
         _flat((1.0, 2.0)),
     )
     psi = PiecewiseDefiningFunction(-1.0, 2.0, pieces, name="gap")
-    psi.validate()
     return BatteryEntry(
         "gap", psi, "hyperbolic", "yes", 2, "yes", (-4.0, 4.0, -1.5, 2.5), 512
     )
@@ -244,7 +236,6 @@ def double_gap_domain():
         _flat((3.0, 4.0)),
     )
     psi = PiecewiseDefiningFunction(-1.0, 4.0, pieces, name="double_gap")
-    psi.validate()
     return BatteryEntry(
         "double_gap", psi, "hyperbolic", "yes", 3, "no", (-4.0, 4.0, -1.5, 4.5), 1024
     )
@@ -262,7 +253,6 @@ def log_demo_domain():
         tail_upper=TailEnvelope(C=0.4, a=1.0, valid_from=4.0),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="log_demo")
-    psi.validate()
     return BatteryEntry(
         "log_demo", psi, "parabolic_zero_step", "yes", 1, "no",
         (-6.0, 6.0, -20.0, 20.0), 1024,
@@ -281,7 +271,6 @@ def log_minorant_domain():
         tail_upper=TailEnvelope(c=1.0, C=1.0, a=0.5),
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="log_minorant")
-    psi.validate()
     return BatteryEntry(
         "log_minorant", psi, "parabolic_zero_step", "yes", 1, "no",
         (-6.0, 6.0, -20.0, 20.0), 1024,
@@ -428,7 +417,6 @@ def eta_domain_psi(a=1.0, name="eta1"):
     psi = PiecewiseDefiningFunction(
         NEG_INF, POS_INF, (piece,), name=name, canonical=eta_domain(a)
     )
-    psi.validate()
     return psi
 
 
@@ -456,7 +444,6 @@ def du_oscillation_domain():
     psi = PiecewiseDefiningFunction(
         -1.0, 1.0, (left, right), name="du_oscillation", point_values={0.0: 0.0}
     )
-    psi.validate()
     return BatteryEntry(
         "du_oscillation", psi, "hyperbolic", "yes", 2, "yes",
         (-10.0, 4.0, -1.5, 1.5), 1024,
@@ -481,7 +468,6 @@ def exceptional_arc_domain():
     psi = PiecewiseDefiningFunction(
         0.0, POS_INF, (osc, top), name="exceptional_arc", point_values={2.0: 0.0}
     )
-    psi.validate()
     return BatteryEntry(
         "exceptional_arc", psi, "parabolic_positive_step", "yes", 1, "yes",
         (-10.0, 4.0, -1.0, 5.0), 1024,
@@ -509,7 +495,6 @@ def pos_step_du_domain():
     psi = PiecewiseDefiningFunction(
         0.0, POS_INF, (below, above), name="pos_step_du", point_values={1.0: 0.0}
     )
-    psi.validate()
     return BatteryEntry(
         "pos_step_du", psi, "parabolic_positive_step", "yes", 2, "no",
         (-10.0, 4.0, -0.5, 4.0), 1024,
@@ -525,7 +510,6 @@ def vee_domain():
         tail_upper=None,
     )
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (piece,), name="vee")
-    psi.validate()
     return BatteryEntry(
         "vee", psi, "parabolic_zero_step", "yes", 1, "yes",
         (-4.0, 8.0, -6.0, 6.0), 512,

@@ -39,7 +39,6 @@ class SemigroupClass:
 def classify(psi: PiecewiseDefiningFunction) -> SemigroupClass:
     """Hyperbolic iff I bounded; positive step iff I a proper half-line;
     zero step iff I = R.  The whole-plane domain is rejected at validation."""
-    psi.require_validated()
     lo, hi = psi.interval_lo, psi.interval_hi
     lo_fin, hi_fin = math.isfinite(lo), math.isfinite(hi)
     if lo_fin and hi_fin:
@@ -117,7 +116,6 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     tails.  Missing declarations, or a middle row where psi has no finite
     sample, yield Unknown rather than a guess.
     """
-    psi.require_validated()
     if math.isfinite(psi.interval_lo) or math.isfinite(psi.interval_hi):
         raise ValueError("affine minorants are computed for I = R only")
 

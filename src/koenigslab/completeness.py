@@ -88,7 +88,6 @@ def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
     4. an inconclusive psi = psi~ test gives UNKNOWN;
     5. otherwise YES.
     """
-    psi.require_validated()
     kind = classify(psi).kind
 
     def verdict(state, text, witnesses=()):
@@ -124,7 +123,6 @@ def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
 def decide_topological(psi: PiecewiseDefiningFunction, window, resolution):
     """Raster route: interior-of-closure equality plus component count,
     assembled per the class dispatch."""
-    psi.require_validated()
     cls = classify(psi)
     grid = rasterize(psi, window, resolution)
     ic, _ = int_closure_equals_domain(grid)
@@ -171,7 +169,6 @@ def predicted_components(psi: PiecewiseDefiningFunction):
 def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
     """Verdict for density of the exponential span in H^p, p < infinity."""
     check_p(p)
-    psi.require_validated()
     return _p_report(psi, p, decide_weak_star(psi))
 
 

@@ -9,9 +9,10 @@ Everything numeric is flagged; declared structure is treated as exact.
 
 The module also computes the two regularizations used by the completeness
 criteria: the lower semicontinuous envelope ``psi_*`` (pointwise liminf)
-and the upper semicontinuous envelope of that, ``psi~``.  Validation
+and the upper semicontinuous envelope of that, ``psi~``.  A psi is
+validated when it is built and is immutable from then on; validation
 builds a ``DomainFacts`` record with every structural fact the criteria
-read, so each one is computed once per psi.
+read, so each one is computed once per psi and cannot go stale.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -50,6 +52,20 @@ def _as_float(v):
             return NEG_INF
         return float(v)
     return float(v)
+
+
+def psi_value(v):
+    """v as a value of psi, which lies in [-inf, +inf)."""
+    if math.isnan(v) or v == POS_INF:
+        raise ValidationError(f"a value of psi must lie in [-inf, +inf), got {v}")
+    return v
+
+
+def point_value(y, v, lo, hi):
+    """A declared psi(y) = v: y strictly inside I = (lo, hi), v a value of psi."""
+    if not lo < y < hi:
+        raise ValidationError(f"height {y} is not inside I = ({lo}, {hi})")
+    return psi_value(v)
 
 
 def _json_float(v):
@@ -392,6 +408,8 @@ class PointSpike(Piece):
         a, b = self.span
         if not (a < self.c0 < b):
             raise ValidationError("spike location must be interior to its span")
+        psi_value(self.spike_value)
+        psi_value(self.background)
 
     def value(self, y):
         return self.spike_value if y == self.c0 else self.background
@@ -443,6 +461,7 @@ class CantorCarrierPiece(Piece):
         a, b = self.span
         if not (a <= self.carrier.lo and self.carrier.hi <= b):
             raise ValidationError("carrier must sit inside the piece span")
+        psi_value(self.on_value)
 
     def _off(self, y):
         return self.off_evaluator(y)
@@ -558,8 +577,9 @@ def _merge(intervals, joins=lambda b, a: True):
 class DomainFacts:
     """The structural facts the criteria read off psi, computed once.
 
-    ``validate()`` builds them, so they exist from validation on and no
-    call order or cache state can change them.  ``limits`` holds the
+    ``PiecewiseDefiningFunction.validate`` builds them when psi is built,
+    and psi is immutable, so no call order or cache state can change them
+    and no later edit of psi can leave them stale.  ``limits`` holds the
     one-sided limits at ``heights``: the special heights plus the finite
     ends of I.  ``carriers`` pairs each Cantor carrier piece with the sup of
     its off part near the carrier and whether that sup is declared.
@@ -658,30 +678,38 @@ class DomainFacts:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiecewiseDefiningFunction:
+    """psi on I = (interval_lo, interval_hi): building one sorts the
+    pieces, freezes ``point_values`` and sets ``facts`` from ``validate()``,
+    so an invalid psi raises ``ValidationError`` and a built one never
+    changes (``dataclasses.replace`` builds and validates a new psi)."""
+
     interval_lo: float
     interval_hi: float
     pieces: tuple
     name: str = ""
     # explicit psi values at junction heights where no piece evaluator
     # applies (e.g. the endpoint value of an oscillatory piece)
-    point_values: dict = field(default_factory=dict)
+    point_values: Mapping = field(default_factory=dict)
     # the hardy.CanonicalDomain of this same domain up to translation, when
     # known: the membership oracle then answers for psi itself
     canonical: object = None
-    _starts: list = field(init=False, repr=False, default_factory=list)
-    _facts: Optional[DomainFacts] = field(init=False, repr=False, default=None)
+    facts: DomainFacts = field(init=False, repr=False, compare=False)
+    _starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.pieces = tuple(sorted(self.pieces, key=lambda p: p.span[0]))
-        self._starts = [p.span[0] for p in self.pieces]
+        pieces = tuple(sorted(self.pieces, key=lambda p: p.span[0]))
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "point_values", MappingProxyType(dict(self.point_values)))
+        object.__setattr__(self, "_starts", tuple(p.span[0] for p in pieces))
+        object.__setattr__(self, "facts", self.validate())
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self):
-        """Coverage, degenerate-domain rejection, semicontinuity check;
-        builds the structural facts."""
+    def validate(self) -> DomainFacts:
+        """Coverage, declared values, degenerate-domain rejection and the
+        semicontinuity check; returns the structural facts."""
         if not (self.interval_lo < self.interval_hi):
             raise ValidationError("the height interval I is empty")
         if not self.pieces:
@@ -698,6 +726,8 @@ class PiecewiseDefiningFunction:
                 raise ValidationError(
                     f"pieces must tile I; gap or overlap at {p.span[1]} vs {q.span[0]}"
                 )
+        for y, v in self.point_values.items():
+            point_value(y, v, self.interval_lo, self.interval_hi)
         if (
             self.interval_lo == NEG_INF
             and self.interval_hi == POS_INF
@@ -711,17 +741,7 @@ class PiecewiseDefiningFunction:
             raise ValidationError(
                 "psi is not upper semicontinuous: " + "; ".join(facts.usc_problems)
             )
-        self._facts = facts
-        return list(facts.usc_problems)  # warnings, possibly empty
-
-    def require_validated(self):
-        if self._facts is None:
-            self.validate()
-
-    @property
-    def facts(self) -> DomainFacts:
-        self.require_validated()
-        return self._facts
+        return facts
 
     # -- evaluation ---------------------------------------------------------
 
@@ -747,7 +767,6 @@ class PiecewiseDefiningFunction:
 
     def contains(self, z) -> bool:
         """Is z in the domain {x + iy : y in I, x > psi(y)}?"""
-        self.require_validated()
         y = z.imag if isinstance(z, complex) else complex(z).imag
         x = z.real if isinstance(z, complex) else complex(z).real
         if not (self.interval_lo < y < self.interval_hi):
@@ -818,8 +837,7 @@ class PiecewiseDefiningFunction:
 
     def equals_regularized(self):
         """Does psi equal psi~ everywhere on I?  (TriState, witnesses)."""
-        facts = self.facts
-        return facts.equals_regularized, list(facts.witnesses)
+        return self.facts.equals_regularized, list(self.facts.witnesses)
 
     # -- liminf = -inf structure ----------------------------------------------
 
@@ -841,8 +859,7 @@ class PiecewiseDefiningFunction:
         Returns (intervals, exact).  Exact when every -inf conclusion comes
         from declared structure.
         """
-        facts = self.facts
-        return list(facts.E), facts.E_exact
+        return list(self.facts.E), self.facts.E_exact
 
     # -- sampled bounds --------------------------------------------------------
 
@@ -855,7 +872,6 @@ class PiecewiseDefiningFunction:
         Declared -inf limit points inside a row force m = -inf exactly; a
         row where every sample fails keeps m = +inf.
         """
-        facts = self.facts
         y_edges = np.asarray(y_edges, dtype=float)
         nrows = y_edges.size - 1
         M = np.full(nrows, NEG_INF)
@@ -891,7 +907,7 @@ class PiecewiseDefiningFunction:
             for y0, side in ends:
                 if not math.isfinite(y0):
                     continue
-                lim = facts.limits[y0].side(side)
+                lim = self.facts.limits[y0].side(side)
                 if not lim.exact:
                     continue
                 for jj in rows_at(y0):

@@ -7,6 +7,10 @@ discontinuities (one-sided liminf -inf with finite limsup), contact-arc
 coincidences (isolated exceedances), Cantor combs, and the attracting
 boundary point's discontinuity type.  Everything is expressed at the level
 of heights in R; no Riemann map is computed.
+
+Each detector is a filter over ``psi.facts`` and returns its feature
+alone; a height whose limits are inconclusive is left out, and
+``analyze`` names it in ``unknown_flags`` instead.
 """
 
 from __future__ import annotations
@@ -58,35 +62,30 @@ def detect_super_repelling(psi: PiecewiseDefiningFunction):
     """Heights outside the closure of the -inf gaps where a one-sided
     limit of psi is fully -inf (liminf = limsup = -inf)."""
     facts = psi.facts
-    heights = []
-    unknowns = []
-    for y0 in facts.heights:
-        if any(lo <= y0 <= hi for lo, hi in facts.minus_inf_components):
-            continue
-        lims = facts.limits[y0]
-        if lims.inconclusive:
-            unknowns.append(y0)
-            continue
-        if any(lim.limsup == NEG_INF for lim in lims.sides):
-            heights.append(y0)
-    return heights, unknowns
+    return [
+        y0
+        for y0, lims in _conclusive_limits(facts)
+        if not any(lo <= y0 <= hi for lo, hi in facts.minus_inf_components)
+        and any(lim.limsup == NEG_INF for lim in lims.sides)
+    ]
 
 
 def detect_unbounded_discontinuities(psi: PiecewiseDefiningFunction):
-    """Heights with a side where liminf = -inf but limsup is finite."""
-    facts = psi.facts
-    out = []
-    unknowns = []
-    for y0 in facts.heights:
-        lims = facts.limits[y0]
-        if lims.inconclusive:
-            unknowns.append(y0)
-            continue
-        for side in ("left", "right"):
-            lim = lims.side(side)
-            if lim is not None and lim.liminf == NEG_INF and math.isfinite(lim.limsup):
-                out.append((y0, side))
-    return out, unknowns
+    """(height, side) pairs where liminf = -inf but limsup is finite."""
+    return [
+        (y0, side)
+        for y0, lims in _conclusive_limits(psi.facts)
+        for side in ("left", "right")
+        if (lim := lims.side(side)) is not None
+        and lim.liminf == NEG_INF
+        and math.isfinite(lim.limsup)
+    ]
+
+
+def _conclusive_limits(facts):
+    """(height, limits) at the special heights whose limits are decided;
+    ``analyze`` flags the others."""
+    return [(y0, facts.limits[y0]) for y0 in facts.heights if not facts.limits[y0].inconclusive]
 
 
 def detect_contact_spikes(psi: PiecewiseDefiningFunction):
@@ -102,18 +101,20 @@ def detect_contact_spikes(psi: PiecewiseDefiningFunction):
     return out
 
 
+def _is_comb(p, off_sup, declared):
+    """The off part stays below on_value near the carrier; a sampled sup
+    must clear it by 1e-7."""
+    return p.on_value > off_sup + (0.0 if declared else 1e-7)
+
+
 def detect_cantor_combs(psi: PiecewiseDefiningFunction):
     """Carrier pieces whose off part stays below a level q < on_value near
     the carrier, with the on-values usc-attained along the carrier."""
-    out = []
-    unknowns = []
-    for p, off_sup, declared in psi.facts.carriers:
-        if p.on_value > off_sup + (0.0 if declared else 1e-7):
-            q = 0.5 * (p.on_value + off_sup)
-            out.append(((p.carrier.lo, p.carrier.hi), q, p.carrier.to_json()))
-        elif not declared:
-            unknowns.append(p.span)
-    return out, unknowns
+    return [
+        ((p.carrier.lo, p.carrier.hi), 0.5 * (p.on_value + off_sup), p.carrier.to_json())
+        for p, off_sup, declared in psi.facts.carriers
+        if _is_comb(p, off_sup, declared)
+    ]
 
 
 def dw_discontinuity(psi: PiecewiseDefiningFunction):
@@ -121,30 +122,18 @@ def dw_discontinuity(psi: PiecewiseDefiningFunction):
     endpoint of I qualifies when liminf = -inf and limsup = +inf there."""
     cls = classify(psi)
     if cls.kind == PARABOLIC_ZERO:
-        return "none", []
-    unknowns = []
-
-    def endpoint_blows(y0, side):
-        lims = psi.facts.limits[y0]
-        if lims.inconclusive:
-            unknowns.append(y0)
-            return None
-        lim = lims.side(side)
-        return lim.liminf == NEG_INF and lim.limsup == POS_INF
-
-    flags = []
-    if math.isfinite(psi.interval_lo):
-        flags.append(endpoint_blows(psi.interval_lo, "right"))
-    if math.isfinite(psi.interval_hi):
-        flags.append(endpoint_blows(psi.interval_hi, "left"))
-    if any(f is None for f in flags):
-        return "unknown", unknowns
-    n = sum(1 for f in flags if f)
+        return "none"
+    ends = [
+        psi.facts.limits[y0].side(side)
+        for y0, side in ((psi.interval_lo, "right"), (psi.interval_hi, "left"))
+        if math.isfinite(y0)
+    ]
+    if any(lim.inconclusive for lim in ends):
+        return "unknown"
+    n = sum(lim.liminf == NEG_INF and lim.limsup == POS_INF for lim in ends)
     if n == 0:
-        return "none", unknowns
-    if n == 2 and cls.kind == HYPERBOLIC:
-        return "double", unknowns
-    return "simple", unknowns
+        return "none"
+    return "double" if n == 2 and cls.kind == HYPERBOLIC else "simple"
 
 
 def unbounded_gap(psi: PiecewiseDefiningFunction):
@@ -160,26 +149,27 @@ def exceptional_arc_to_unbounded(psi: PiecewiseDefiningFunction):
     """I a half-line with psi = -inf beyond some height a, a finite value
     psi(a), and from inside: liminf -inf, limsup = psi(a)."""
     if classify(psi).kind != PARABOLIC_POSITIVE:
-        return False, []
+        return False
     gap = unbounded_gap(psi)
     if gap is None:
-        return False, []
+        return False
     a, inner = (gap[0], "left") if gap[1] == POS_INF else (gap[1], "right")
     try:
         va = psi.value(a)
     except ValueError:
-        return False, []
-    if not math.isfinite(va):
-        return False, []
+        return False
     lims = psi.facts.limits[a]
-    if lims.inconclusive:
-        return False, [a]
+    if not math.isfinite(va) or lims.inconclusive:
+        return False
     lim = lims.side(inner)
-    return lim is not None and lim.liminf == NEG_INF and lim.limsup == va, []
+    return lim is not None and lim.liminf == NEG_INF and lim.limsup == va
 
 
 def analyze(psi: PiecewiseDefiningFunction) -> FeatureReport:
-    psi.require_validated()
+    """Every feature of psi, read off ``psi.facts``.  ``unknown_flags``
+    names each special height whose limits are inconclusive and each
+    carrier whose undeclared off part may reach its on_value."""
+    facts = psi.facts
     rep = FeatureReport()
     comps = psi.minus_infinity_components()
     rep.minus_inf_components = comps
@@ -189,16 +179,20 @@ def analyze(psi: PiecewiseDefiningFunction) -> FeatureReport:
     rep.unbounded_gap_intervals = [
         (lo, hi) for lo, hi in comps if not (math.isfinite(lo) and math.isfinite(hi))
     ]
-    rep.super_repelling_heights, unk1 = detect_super_repelling(psi)
-    rep.unbounded_discontinuities, unk2 = detect_unbounded_discontinuities(psi)
+    rep.super_repelling_heights = detect_super_repelling(psi)
+    rep.unbounded_discontinuities = detect_unbounded_discontinuities(psi)
     rep.spikes = detect_contact_spikes(psi)
-    rep.cantor_combs, unk3 = detect_cantor_combs(psi)
-    rep.dw_discontinuity, unk4 = dw_discontinuity(psi)
-    rep.exceptional_arc_to_unbounded, unk5 = exceptional_arc_to_unbounded(psi)
+    rep.cantor_combs = detect_cantor_combs(psi)
+    rep.dw_discontinuity = dw_discontinuity(psi)
+    rep.exceptional_arc_to_unbounded = exceptional_arc_to_unbounded(psi)
     eq, _ = psi.equals_regularized()
     rep.correspondence_caveat = eq is not TriState.YES
     rep.unknown_flags = sorted(
-        {f"height:{u}" for u in unk1 + unk2 + unk4 + unk5}
-        | {f"span:{u}" for u in unk3}
+        {f"height:{y0}" for y0 in facts.heights if facts.limits[y0].inconclusive}
+        | {
+            f"span:{p.span}"
+            for p, off_sup, declared in facts.carriers
+            if not (declared or _is_comb(p, off_sup, declared))
+        }
     )
     return rep

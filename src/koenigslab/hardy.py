@@ -413,7 +413,6 @@ class FrequencyRegion:
 
 def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
     """Exact description of the bounded-exponential directions."""
-    psi.require_validated()
     cls = classify(psi)
     plus_i = TriState.from_bool(math.isfinite(psi.interval_lo))
     minus_i = TriState.from_bool(math.isfinite(psi.interval_hi))

@@ -84,21 +84,27 @@ class RasterGrid:
             fh.write(img.tobytes())
 
 
-def rasterize(psi: PiecewiseDefiningFunction, window, n, with_coarse=True) -> RasterGrid:
-    """Classify an n-by-n window; deterministic for fixed inputs."""
-    psi.require_validated()
+def rasterize(psi: PiecewiseDefiningFunction, window, n) -> RasterGrid:
+    """Classify an n-by-n window, with the n/2 grid of the same window as
+    ``coarse``; deterministic for fixed inputs."""
     x0, x1, y0, y1 = window
     if not (x0 < x1 and y0 < y1):
         raise ValueError("empty window")
     if y1 <= psi.interval_lo or y0 >= psi.interval_hi:
         raise WindowError("window is disjoint from the domain's height interval")
-    if n < 64:
-        raise ValueError("resolution must be at least 64")
-    if with_coarse and n < 128:
+    if n < 128:
         raise ValueError(
             "resolution must be at least 128: verdicts are checked against a "
             "coarse grid of n/2, which needs at least 64"
         )
+    grid = _grid(psi, window, n)
+    grid.coarse = _grid(psi, window, n // 2)
+    return grid
+
+
+def _grid(psi, window, n):
+    """The n-by-n grid of the window, without a coarse grid."""
+    x0, x1, y0, y1 = window
     x_edges = np.linspace(x0, x1, n + 1)
     y_edges = np.linspace(y0, y1, n + 1)
     prof = psi.row_profiles(y_edges)
@@ -107,7 +113,7 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n, with_coarse=True) -> Ra
     seal = np.zeros(n, dtype=bool)
     for elo, ehi in E:
         seal |= (hi_r >= elo) & (lo_r <= ehi)
-    grid = RasterGrid(
+    return RasterGrid(
         window=tuple(window),
         n=n,
         x_edges=x_edges,
@@ -120,9 +126,6 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n, with_coarse=True) -> Ra
         seal=seal,
         seal_exact=e_exact,
     )
-    if with_coarse:
-        grid.coarse = rasterize(psi, window, n // 2, with_coarse=False)
-    return grid
 
 
 def _check_window_fits(psi, grid):
@@ -179,7 +182,7 @@ def int_closure_equals_domain(grid: RasterGrid):
     scales: at most tol at both (yes) or clearly above it at both (no).
     """
     if grid.coarse is None:
-        raise ValueError("two-scale grid required (rasterize with_coarse=True)")
+        raise ValueError("two-scale grid required")
     results = []
     for g in (grid, grid.coarse):
         tol = 4.0 * g.dx + 1e-9

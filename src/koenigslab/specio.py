@@ -45,6 +45,7 @@ from .domain import (
     ValidationError,
     _as_float,
     _json_float,
+    point_value,
 )
 from .expr import Expression, parse_expression
 
@@ -200,16 +201,16 @@ def psi_from_dict(obj) -> PiecewiseDefiningFunction:
         pieces.append(_at(path, piece_from_json, _expect(path, pobj, dict, "an object")))
     values_at = {}
     for k, v in _expect("/values_at", obj.get("values_at") or {}, dict, "an object").items():
-        values_at[_at(f"/values_at/{k}", float, k)] = _at(f"/values_at/{k}", _as_float, v)
-    psi = PiecewiseDefiningFunction(
+        path = f"/values_at/{k}"
+        y = _at(path, float, k)
+        values_at[y] = _at(path, lambda s: point_value(y, _as_float(s), lo, hi), v)
+    return PiecewiseDefiningFunction(
         lo,
         hi,
         tuple(pieces),
         name=obj.get("name", ""),
         point_values=values_at,
     )
-    psi.validate()
-    return psi
 
 
 def psi_to_dict(psi: PiecewiseDefiningFunction):

@@ -306,12 +306,6 @@ def test_refinement_delta_is_computed_when_read():
     assert delta == abs(err2 - fit.error)
 
 
-def test_fit_reports_conditioning():
-    hp = half_plane_right()
-    fit = least_squares_fit(lambda z: np.exp(-z), hp, [-1.0, -1.0 - 1e-14], n_nodes=2**10)
-    assert fit.gram_condition > 1.0
-
-
 # -- the rational map ----------------------------------------------------------
 
 

@@ -186,3 +186,16 @@ def test_freq_unknown_domain_exits_without_traceback():
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "'foo'" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field, value", [("value", "nan"), ("value", "inf")])
+def test_spike_value_outside_the_extended_line_exits_2(tmp_path, field, value):
+    # a NaN or +inf value of psi has no verdict: it is rejected at load
+    spec = {"interval": [-1.0, 1.0], "pieces": [
+        {"kind": "point_spike", "span": [-1.0, 1.0], "c0": 0.0,
+         "value": 1.0, "background": 0.0, field: value}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    r = run_cli("decide", str(bad), "--p", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "/pieces/0" in r.stderr and "Traceback" not in r.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +45,6 @@ def flat(span, v=0.0):
 
 def test_contains_half_plane_sides():
     psi = PiecewiseDefiningFunction(NEG_INF, POS_INF, (flat((NEG_INF, POS_INF)),))
-    psi.validate()
     assert psi.contains(1 + 0j)
     assert not psi.contains(-1 + 0j)
     assert psi.contains(0.001 + 100j)
@@ -97,7 +97,6 @@ def test_declared_oscillation_limits():
     psi = PiecewiseDefiningFunction(
         0.0, 2.0, (piece, flat((1.0, 2.0), 1.0)), point_values={1.0: 1.0}
     )
-    psi.validate()
     lims = psi.one_sided_limits(1.0)
     assert lims.left.liminf == -1.0 and lims.left.limsup == 1.0
 
@@ -115,7 +114,6 @@ def test_interior_limit_matches_evaluator():
     src = "y^2 - 1"
     piece = FiniteAnalytic(span=(-2.0, 2.0), evaluator=parse_expression(src))
     psi = PiecewiseDefiningFunction(-2.0, 2.0, (piece,))
-    psi.validate()
     lims = psi.one_sided_limits(0.5)
     assert lims.left.liminf == pytest.approx(-0.75)
     assert lims.right.limsup == pytest.approx(-0.75)
@@ -133,41 +131,33 @@ def test_usc_rejects_low_junction_value():
     # two pieces tending to 1 at 0 but psi(0) = 0: not usc
     p1 = flat((-1.0, 0.0), 1.0)
     p2 = flat((0.0, 1.0), 1.0)
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, (p1, p2), point_values={0.0: 0.0})
     with pytest.raises(ValidationError):
-        psi.validate()
+        PiecewiseDefiningFunction(-1.0, 1.0, (p1, p2), point_values={0.0: 0.0})
 
 
 def test_whole_plane_rejected():
-    psi = PiecewiseDefiningFunction(
-        NEG_INF, POS_INF, (MinusInfinity(span=(NEG_INF, POS_INF)),)
-    )
     with pytest.raises(ValidationError):
-        psi.validate()
+        PiecewiseDefiningFunction(NEG_INF, POS_INF, (MinusInfinity(span=(NEG_INF, POS_INF)),))
 
 
 def test_empty_interval_rejected():
-    psi = PiecewiseDefiningFunction(1.0, 1.0, (flat((1.0, 1.0)),))
     with pytest.raises(ValidationError):
-        psi.validate()
+        PiecewiseDefiningFunction(1.0, 1.0, (flat((1.0, 1.0)),))
 
 
 def test_empty_piece_rejected():
     # a piece of zero length would own psi at its height and nowhere else
     pieces = (flat((-1.0, 0.0)), flat((0.0, 0.0), 5.0), flat((0.0, 1.0)))
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, pieces)
     with pytest.raises(ValidationError):
-        psi.validate()
+        PiecewiseDefiningFunction(-1.0, 1.0, pieces)
     # a reversed span is reported as empty, not as a coverage gap
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, (flat((1.0, -1.0)),))
     with pytest.raises(ValidationError, match=r"piece span \(1.0, -1.0\) is empty"):
-        psi.validate()
+        PiecewiseDefiningFunction(-1.0, 1.0, (flat((1.0, -1.0)),))
 
 
 def test_coverage_gaps_rejected():
-    psi = PiecewiseDefiningFunction(0.0, 2.0, (flat((0.0, 0.9)), flat((1.0, 2.0))))
     with pytest.raises(ValidationError):
-        psi.validate()
+        PiecewiseDefiningFunction(0.0, 2.0, (flat((0.0, 0.9)), flat((1.0, 2.0))))
 
 
 # -- regularizations -----------------------------------------------------------
@@ -306,7 +296,6 @@ def test_adjacent_minus_inf_pieces_merge_when_value_is_minus_inf():
         (flat((-1.0, 0.0)), p1, p2, flat((2.0, 3.0))),
         point_values={1.0: NEG_INF},
     )
-    psi.validate()
     assert psi.minus_infinity_components() == [(0.0, 2.0)]
 
 
@@ -319,7 +308,6 @@ def test_adjacent_minus_inf_pieces_split_at_finite_value():
         (flat((-1.0, 0.0)), p1, p2, flat((2.0, 3.0))),
         point_values={1.0: 0.0},
     )
-    psi.validate()
     assert psi.minus_infinity_components() == [(0.0, 1.0), (1.0, 2.0)]
     # but the liminf set is still one interval: the liminf at 1 is -inf
     E, exact = psi.liminf_neg_inf_set()
@@ -342,7 +330,6 @@ def test_spike_over_minus_inf_background():
 
     piece = PointSpike(span=(-1.0, 1.0), c0=0.0, spike_value=2.0, background=NEG_INF)
     psi = PiecewiseDefiningFunction(-1.0, 1.0, (piece,), name="spike_over_gap")
-    psi.validate()
     assert psi.minus_infinity_components() == [(-1.0, 0.0), (0.0, 1.0)]
     E, exact = psi.liminf_neg_inf_set()
     assert E == [(-1.0, 1.0)] and exact
@@ -359,7 +346,6 @@ def test_spike_over_minus_inf_background():
 def test_translation_shifts_values():
     psi = du_oscillation_domain().psi
     moved = psi.translated(2.0, -1.0)
-    moved.validate()
     assert moved.value(-1.0) == psi.value(0.0) + 2.0
     assert moved.contains(complex(2.5, -0.5)) == psi.contains(complex(0.5, 0.5))
     E0, _ = psi.liminf_neg_inf_set()
@@ -369,7 +355,7 @@ def test_translation_shifts_values():
 
 @pytest.mark.parametrize("name", ["oscillation_cantor", "double_gap"])
 def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
-    # validation builds the structural facts; no consumer recomputes them
+    # building psi builds the structural facts; no consumer recomputes them
     from collections import Counter
 
     from koenigslab import CantorCarrierPiece, PointSpike
@@ -380,11 +366,6 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
     from koenigslab.raster import complement_components, rasterize
 
     entry = battery_entry(name)
-    src = entry.psi
-    psi = PiecewiseDefiningFunction(
-        src.interval_lo, src.interval_hi, src.pieces, name=src.name,
-        point_values=dict(src.point_values),
-    )
     calls = Counter()
     for cls in (FiniteAnalytic, MinusInfinity, PointSpike, CantorCarrierPiece):
         def counted(self, y0, side, _orig=cls.side_limits):
@@ -392,7 +373,7 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
             return _orig(self, y0, side)
 
         monkeypatch.setattr(cls, "side_limits", counted)
-    psi.validate()
+    psi = dataclasses.replace(entry.psi)  # built, and so validated, once
     decide(psi, p=1.0)
     analyze(psi)
     lambda_infty(psi)
@@ -400,3 +381,36 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
     grid = rasterize(psi, entry.window, 256)
     complement_components(psi, grid)
     assert calls and max(calls.values()) == 1, calls
+
+
+# -- immutability ------------------------------------------------------------------
+
+
+def test_built_psi_cannot_be_edited_behind_its_facts():
+    # the facts are computed when psi is built, so an edit afterwards
+    # would leave them stale: a built psi is read-only
+    psi = battery_entry("du_oscillation").psi
+    assert psi.facts.usc is TriState.YES
+    with pytest.raises(TypeError):
+        psi.point_values[0.0] = -5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.name = "renamed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.facts = None
+    assert psi.point_values == {0.0: 0.0}
+
+
+def test_replace_rebuilds_and_revalidates():
+    psi = battery_entry("du_oscillation").psi
+    with pytest.raises(ValidationError, match=r"limsup 0.0 exceeds psi\(0.0\) = -5.0"):
+        dataclasses.replace(psi, point_values={0.0: -5.0})
+    moved = dataclasses.replace(psi, point_values={0.0: 1.0})
+    assert moved.value(0.0) == 1.0 and moved.facts is not psi.facts
+
+
+def test_point_values_are_copied_at_build():
+    values = {0.0: 0.0}
+    psi = battery_entry("du_oscillation").psi
+    psi = dataclasses.replace(psi, point_values=values)
+    values[0.0] = -5.0
+    assert psi.value(0.0) == 0.0

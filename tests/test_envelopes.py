@@ -207,7 +207,6 @@ def test_mixed_envelope_does_not_serialize():
         (FiniteAnalytic(span=(NEG_INF, POS_INF), evaluator=parse_expression("abs(y)"),
                         tail_lower=mixed),),
     )
-    psi.validate()
     with pytest.raises(ValidationError, match="both a slope and a log term"):
         psi_to_dict(psi)
 

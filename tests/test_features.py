@@ -57,12 +57,10 @@ def test_super_repelling_cusp():
     psi = PiecewiseDefiningFunction(
         -1.0, 1.0, (left, right), point_values={0.0: 0.0}
     )
-    psi.validate()
-    heights, unknowns = detect_super_repelling(psi)
-    assert heights == [0.0] and not unknowns
+    assert detect_super_repelling(psi) == [0.0]
+    assert analyze(psi).unknown_flags == []
     # a full -inf limit is not an unbounded discontinuity (limsup not finite)
-    du, _ = detect_unbounded_discontinuities(psi)
-    assert du == []
+    assert detect_unbounded_discontinuities(psi) == []
 
 
 def test_du_oscillation_is_left_sided():
@@ -108,12 +106,11 @@ def test_spike_detection_levels():
 
 
 def test_comb_detection_and_oscillation_rejection():
-    combs, _ = detect_cantor_combs(battery_entry("comb").psi)
+    combs = detect_cantor_combs(battery_entry("comb").psi)
     assert len(combs) == 1
     span, q, carrier = combs[0]
     assert span == (0.0, 1.0) and 0.0 < q < 1.0
-    combs2, _ = detect_cantor_combs(battery_entry("oscillation_cantor").psi)
-    assert combs2 == []
+    assert detect_cantor_combs(battery_entry("oscillation_cantor").psi) == []
 
 
 def test_comb_has_no_isolated_spikes():
@@ -128,8 +125,7 @@ def test_dw_simple_and_double():
         limits_right=LimitData(math.sin(1.0), math.sin(1.0), exact=False),
     )
     psi = PiecewiseDefiningFunction(0.0, 1.0, (osc,))
-    psi.validate()
-    assert dw_discontinuity(psi)[0] == "simple"
+    assert dw_discontinuity(psi) == "simple"
 
     src2 = "sin(1/(y*(1-y)))/(y*(1-y))"
     osc2 = OscillatorySample(
@@ -138,12 +134,11 @@ def test_dw_simple_and_double():
         limits_right=LimitData(NEG_INF, POS_INF),
     )
     psi2 = PiecewiseDefiningFunction(0.0, 1.0, (osc2,))
-    psi2.validate()
-    assert dw_discontinuity(psi2)[0] == "double"
+    assert dw_discontinuity(psi2) == "double"
 
 
 def test_dw_none_for_bounded_flat():
-    assert dw_discontinuity(battery_entry("strip").psi)[0] == "none"
+    assert dw_discontinuity(battery_entry("strip").psi) == "none"
 
 
 def test_exceptional_arc_pattern():
@@ -169,7 +164,6 @@ def test_exceptional_arc_needs_oscillation():
     psi = PiecewiseDefiningFunction(
         0.0, POS_INF, (flat_piece, MinusInfinity(span=(2.0, POS_INF)))
     )
-    psi.validate()
     rep = analyze(psi)
     assert not rep.exceptional_arc_to_unbounded
 

@@ -181,7 +181,6 @@ def test_region_full_strip_is_vertical_axis():
     psi = PiecewiseDefiningFunction(
         -np.pi / 2, np.pi / 2, (MinusInfinity(span=(-np.pi / 2, np.pi / 2)),)
     )
-    psi.validate()
     reg = lambda_infty(psi)
     assert reg.contains(1j) is TriState.YES
     assert reg.contains(-3j) is TriState.YES

@@ -5,7 +5,9 @@ bounds on psi through ``row_profiles``, never by a second rule.
 Only the spec loader maps kinds to classes and envelope spellings to
 ``TailEnvelope``; anywhere else an ``isinstance`` test on a piece class,
 or a string naming an envelope spelling, is a ladder that a new kind
-would have to extend.  Only ``domain`` samples an evaluator.
+would have to extend.  Only ``domain`` samples an evaluator, and only
+``domain`` validates psi: it does so when psi is built, so no caller
+validates again or builds the structural facts itself.
 """
 
 import ast
@@ -116,4 +118,38 @@ def test_bounds_on_psi_come_from_row_profiles_only():
             RETIRED if path.name == "domain.py" else RETIRED | SAMPLERS,
         ))
     }
+    assert found == {}, found
+
+
+LAZY = {"require_validated"}  # the guard that built facts on first read
+
+
+def validation_calls(source):
+    """(line, call) of every ``.validate(...)`` or ``DomainFacts.of(...)``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr == "validate":
+            hits.append((node.lineno, "validate"))
+        elif func.attr == "of" and _names(func.value) == {"DomainFacts"}:
+            hits.append((node.lineno, "DomainFacts.of"))
+    return hits
+
+
+def test_psi_is_validated_only_when_built():
+    assert identifiers("psi.require_validated()", LAZY) == [(1, "require_validated")]
+    assert validation_calls("psi.validate()\nfacts = domain.DomainFacts.of(psi)") == [
+        (1, "validate"), (2, "DomainFacts.of"),
+    ]
+    assert validation_calls("psi.facts; validate(psi); DomainFacts(of=1)") == []
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        hits = identifiers(source, LAZY)
+        if path.name != "domain.py":
+            hits += validation_calls(source)
+        if hits:
+            found[path.name] = hits
     assert found == {}, found

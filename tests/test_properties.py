@@ -48,7 +48,6 @@ def test_specs_cover_the_serializable_battery():
 def test_translation_keeps_verdicts_and_shifts_gaps(name, dx, dy):
     psi = psi_from_dict(SPECS[name][1])
     moved = psi.translated(dx, dy)
-    moved.validate()
     before, after = decide(psi, p=1.0), decide(moved, p=1.0)
     for key in ("weak_star_complete", "route", "p_complete", "p_route"):
         assert before[key] == after[key], key

@@ -19,7 +19,7 @@ from koenigslab.raster import (
 
 def test_flat_right_cells_inside():
     psi = battery_entry("half_plane").psi
-    grid = rasterize(psi, (-1.0, 1.0, -1.0, 1.0), 64, with_coarse=False)
+    grid = rasterize(psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
     inside = grid.inside_mask()
     # columns strictly right of 0 are inside, left of 0 outside
     xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
@@ -29,7 +29,7 @@ def test_flat_right_cells_inside():
 
 def test_comb_teeth_visible_as_slits():
     e = battery_entry("comb")
-    grid = rasterize(e.psi, e.window, 1024, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 1024)
     # rows meeting the carrier have their frontier at the tooth tip (x = 1),
     # rows inside gaps at the background (x = 0)
     rows_in_base = (grid.y_edges[:-1] >= 0.0) & (grid.y_edges[1:] <= 1.0)
@@ -43,7 +43,7 @@ def test_comb_teeth_visible_as_slits():
 
 def test_spike_slit_row():
     e = battery_entry("spike")
-    grid = rasterize(e.psi, e.window, 1024, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 1024)
     j = int(np.searchsorted(grid.y_edges, 0.0, side="right")) - 1
     # the slit registers in the row(s) whose span meets the spike height
     assert max(grid.M[j - 1], grid.M[j]) == pytest.approx(1.0)
@@ -99,10 +99,10 @@ def test_minimum_resolution_enforced():
     psi = battery_entry("strip").psi
     with pytest.raises(ValueError):
         rasterize(psi, (-1, 1, -1, 1), 32)
+    assert rasterize(psi, (-4, 4, -2.4, 2.4), 128).coarse.n == 64
     # the coarse grid of n = 100 would have 50 rows: rejected before any work
     with pytest.raises(ValueError, match="at least 128"):
         rasterize(psi, (-4, 4, -2.4, 2.4), 100)
-    assert rasterize(psi, (-4, 4, -2.4, 2.4), 100, with_coarse=False).n == 100
 
 
 def test_labels_match_component_count():
@@ -116,7 +116,7 @@ def test_labels_match_component_count():
 
 def test_pgm_output(tmp_path):
     e = battery_entry("strip")
-    grid = rasterize(e.psi, e.window, 128, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 128)
     path = tmp_path / "strip.pgm"
     grid.to_pgm(path)
     head = path.read_bytes()[:20]
@@ -126,7 +126,7 @@ def test_pgm_output(tmp_path):
 def test_right_translation_monotone_rows():
     # within each row, cells right of an inside cell are inside
     e = battery_entry("oscillation_cantor")
-    grid = rasterize(e.psi, e.window, 256, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 256)
     inside = grid.inside_mask()
     first_true = np.argmax(inside, axis=1)
     for iy in range(grid.n):
@@ -137,7 +137,7 @@ def test_right_translation_monotone_rows():
 def test_inside_cells_contain_centers():
     # the raster invariant: every inside cell's center lies in the domain
     e = battery_entry("du_oscillation")
-    grid = rasterize(e.psi, e.window, 256, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 256)
     inside = grid.inside_mask()
     xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
     yc = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
@@ -161,7 +161,7 @@ def test_translation_invariance_of_verdicts():
 
 @given(st.lists(st.booleans(), min_size=1, max_size=64))
 def test_component_count_is_the_number_of_unsealed_runs(seal):
-    grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 64, with_coarse=False)
+    grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
     grid = dataclasses.replace(grid, seal=np.array(seal))
     runs, prev, ids = 0, True, []
     for sealed in seal:
@@ -180,7 +180,7 @@ def test_top_row_counts_when_the_bottom_row_is_outside():
     # row 0 lies below I; the one-row dilation of the skip mask must not
     # wrap around and drop the top row from the violation
     e = battery_entry("quadrant")
-    grid = rasterize(e.psi, e.window, 64, with_coarse=False)
+    grid = rasterize(e.psi, e.window, 128).coarse
     assert grid.outside[0] and not (grid.outside[-1] or grid.edge[-1])
     grid.M[-1] = 5.0
     assert _int_closure_violation(grid) == 5.0

@@ -123,3 +123,46 @@ def test_values_at_round_trip(tmp_path):
     path = tmp_path / "exc.json"
     save_psi(psi, path)
     assert load_psi(path).value(2.0) == 0.0
+
+
+def _spike(value="1.0", background="0.0"):
+    return {"interval": [-1.0, 1.0], "pieces": [
+        {"kind": "point_spike", "span": [-1.0, 1.0], "c0": 0.0,
+         "value": value, "background": background}]}
+
+
+def _comb(on_value):
+    return {"interval": [-0.5, 1.5], "pieces": [
+        {"kind": "cantor_comb", "span": [-0.5, 1.5], "carrier": {"base": [0.0, 1.0]},
+         "on_value": on_value, "off_expr": "0",
+         "off_limsup_at_carrier": 0.0, "off_liminf_at_carrier": 0.0}]}
+
+
+def _flat_with(values_at):
+    return {"interval": [-1.0, 1.0], "values_at": values_at, "pieces": [
+        {"kind": "finite_analytic", "span": [-1.0, 1.0], "expr": "0"}]}
+
+
+@pytest.mark.parametrize("spec, pointer", [
+    (_spike(value="nan"), "/pieces/0"),
+    (_spike(value="inf"), "/pieces/0"),
+    (_spike(background="nan"), "/pieces/0"),
+    (_spike(background="inf"), "/pieces/0"),
+    (_comb("nan"), "/pieces/0"),
+    (_comb("inf"), "/pieces/0"),
+    (_flat_with({"0.5": "inf"}), "/values_at/0.5"),
+    (_flat_with({"0.5": "nan"}), "/values_at/0.5"),
+    (_flat_with({"5.0": 3.0}), "/values_at/5.0"),
+    (_flat_with({"nan": 1.0}), "/values_at/nan"),
+    (_flat_with({"-1.0": 0.0}), "/values_at/-1.0"),
+])
+def test_values_of_psi_outside_the_extended_line_are_rejected(spec, pointer):
+    # psi takes values in [-inf, +inf) at heights strictly inside I
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(spec)
+    assert str(err.value).startswith(pointer + ":"), err.value
+
+
+def test_minus_inf_values_of_psi_still_load():
+    psi = psi_from_dict(_spike(background="-inf"))
+    assert psi.value(0.5) == -math.inf and psi.value(0.0) == 1.0
