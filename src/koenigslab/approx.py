@@ -13,6 +13,12 @@ frequencies lie on one grid, a Horner evaluation in e^{dz} with a running
 error bound screens the points, and the term loop runs again only on the
 few that can hold the max.  The bound assumes libm's complex exp is
 within 4 ulps per component.
+
+``least_squares_fit`` takes every frequency budget of a demo in one call.
+The budgets' lists are sub-lists of the longest one, so the quadrature
+nodes are transplanted once per radius and the longest list's design
+matrix is exponentiated once; each fit copies out its own columns and runs
+the Gram matrix, solve and error of a fit of that list alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -305,27 +311,72 @@ _FIT_RHO = 1.0 - 2.0**-12  # quadrature radius in the disc
 _FIT_RIDGE = 1e-12
 
 
-def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> FitResult:
-    """Best coefficients for target ~ sum c_k e^{lam_k z} in the
-    transplanted boundary L2 metric at radius rho = _FIT_RHO.
+def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -> list[FitResult]:
+    """One fit per frequency list in ``freq_lists``: the best coefficients
+    for target ~ sum c_k e^{lam_k z} in the transplanted boundary L2
+    metric at radius rho = _FIT_RHO.
 
     Normal equations with a fixed ridge; the exponential Gram matrix is
     ill-conditioned by nature, so the achieved error and a rho-refinement
     delta are reported for honesty rather than claiming exact Hardy norms.
+
+    Every list must be a sub-list of the longest one: each frequency equals
+    one of the longest list's exactly, as a float.  The nodes are
+    transplanted once per radius and the design matrix e^{lam_k z_j} is
+    built once, for the longest list; a list's fit copies out its columns.
+    Each entry of the design is one exp of one product, so the copy holds
+    the bits a fit of that list alone would build, and the Gram matrix,
+    right-hand side, solve and rms error then run the same BLAS calls on
+    the same array: every result is that fit's, bit for bit.  The Gram
+    matrix is not shared in the same way, because a BLAS product's entry
+    need not match the same entry of a product over fewer columns (the
+    edge tiles of a block kernel sum in another order).
     """
-    freqs = [complex(l) for l in freqs]
+    lists = [[complex(l) for l in freqs] for freqs in freq_lists]
+    full = max(lists, key=len)
+    column = {l: k for k, l in enumerate(full)}
+    idxs = []
+    for i, freqs in enumerate(lists):
+        missing = [l for l in freqs if l not in column]
+        if missing:
+            raise ValueError(
+                f"frequency list {i} is not a sub-list of the longest list "
+                f"({len(full)} frequencies): {missing[0]!r} is not in it"
+            )
+        idxs.append([column[l] for l in freqs])
     theta = (np.arange(n_nodes) + 0.5) * (2.0 * math.pi / n_nodes)
 
-    def design(r):
+    def nodes(r):
         z = dom.transplant(r * np.exp(1j * theta))
-        A = np.exp(np.multiply.outer(z, np.asarray(freqs)))
-        b = np.asarray(target(z), dtype=complex)
-        return A, b
+        return z, np.asarray(target(z), dtype=complex)
 
-    A, b = design(_FIT_RHO)
+    z, b = nodes(_FIT_RHO)
+    A = _design(z, full)
+    refined = functools.cache(lambda: nodes(1.0 - (1.0 - _FIT_RHO) / 2.0))
+    whole = list(range(len(full)))
+    return [
+        _fit_one(A if idx == whole else np.take(A, idx, axis=1), b, freqs, refined)
+        for freqs, idx in zip(lists, idxs)
+    ]
+
+
+def _design(z, freqs):
+    """e^{lam_k z_j}, exponentiated in place."""
+    A = np.multiply.outer(z, np.asarray(freqs))
+    np.exp(A, out=A)
+    return A
+
+
+def _rms_error(A, coef, b):
+    return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
+
+
+def _fit_one(A, b, freqs, refined) -> FitResult:
+    n_nodes = len(b)
     Ah = A.conj().T
     G = (Ah @ A) / n_nodes
     rhs = (Ah @ b) / n_nodes
+    del Ah
     G_r = G + _FIT_RIDGE * np.eye(len(freqs))
     try:
         coef = np.linalg.solve(G_r, rhs)
@@ -334,15 +385,12 @@ def least_squares_fit(target, dom: CanonicalDomain, freqs, n_nodes=2**14) -> Fit
     if not np.all(np.isfinite(coef)):
         return FitResult(ExpSum(()), math.inf)
 
-    def rms_error(A, b):
-        return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
+    def refined_error():
+        z, b = refined()
+        return _rms_error(_design(z, freqs), coef, b)
 
-    err = rms_error(A, b)
     s = ExpSum(tuple((complex(c), l) for c, l in zip(coef, freqs)))
-    return FitResult(
-        s, err,
-        _refined_error=lambda: rms_error(*design(1.0 - (1.0 - _FIT_RHO) / 2.0)),
-    )
+    return FitResult(s, _rms_error(A, coef, b), _refined_error=refined_error)
 
 
 # ---------------------------------------------------------------------------

@@ -266,21 +266,23 @@ def cmd_approx(args):
         dom = half_plane_right()
         target = lambda z: 1.0 / (z + 1.0) ** 2
         m = args.budget or 64
-        for mm in (m, 2 * m, 4 * m):
-            freqs = [-k / 8 for k in range(1, mm + 1)]
-            fit = least_squares_fit(target, dom, freqs)
-            rows.append((mm, fit.error))
-        out["rho_refinement_delta"] = fit.rho_refinement_delta
+        budgets = (m, 2 * m, 4 * m)
+        fits = least_squares_fit(
+            target, dom, [[-k / 8 for k in range(1, mm + 1)] for mm in budgets]
+        )
+        rows = [(mm, fit.error) for mm, fit in zip(budgets, fits)]
+        out["rho_refinement_delta"] = fits[-1].rho_refinement_delta
     elif args.demo == "eta":
         # pole at -5 lies left of the frontier (psi <= -log 3), and the
         # frequencies stay inside the p = 2 admissible interval (-1/2, 0]
         dom = eta_domain(1.0)
         target = lambda z: 1.0 / (z + 5.0)
         m = args.budget or 32
-        for mm in (m, 2 * m):
-            freqs = [-0.45 * k / mm for k in range(1, mm + 1)]
-            fit = least_squares_fit(target, dom, freqs)
-            rows.append((mm, fit.error))
+        budgets = (m, 2 * m)
+        fits = least_squares_fit(
+            target, dom, [[-0.45 * k / mm for k in range(1, mm + 1)] for mm in budgets]
+        )
+        rows = [(mm, fit.error) for mm, fit in zip(budgets, fits)]
     elif args.demo == "logdomain":
         spec = LogDomainSpec(
             psi=parse_expression("-(1/2)*log(abs(y)+1)"),

@@ -61,6 +61,16 @@ def psi_value(v):
     return v
 
 
+def reject_nan(obj, *names):
+    """Reject NaN in the declared numbers ``names`` of ``obj``: a NaN
+    compares false with everything, so every check that reads it would
+    let it through and the verdict could be a silent yes."""
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and math.isnan(v):
+            raise ValidationError(f"{name} must be a number, got {v}")
+
+
 def point_value(y, v, lo, hi):
     """A declared psi(y) = v: y strictly inside I = (lo, hi), v a value of psi."""
     if not lo < y < hi:
@@ -91,6 +101,7 @@ class LimitData:
     inconclusive: bool = False
 
     def __post_init__(self):
+        reject_nan(self, "liminf", "limsup")
         if not self.inconclusive and self.liminf > self.limsup:
             raise ValidationError("declared liminf exceeds limsup")
 
@@ -144,6 +155,9 @@ class TailEnvelope:
     C: float = 0.0
     a: float = 0.0
     valid_from: float = 0.0
+
+    def __post_init__(self):
+        reject_nan(self, "m", "c", "C", "a", "valid_from")
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -462,6 +476,7 @@ class CantorCarrierPiece(Piece):
         if not (a <= self.carrier.lo and self.carrier.hi <= b):
             raise ValidationError("carrier must sit inside the piece span")
         psi_value(self.on_value)
+        reject_nan(self, "off_limsup_at_carrier", "off_liminf_at_carrier")
 
     def _off(self, y):
         return self.off_evaluator(y)

@@ -57,9 +57,14 @@ def _span(obj):
 
 def _limits(obj):
     lims = obj.get("limits") or {}
-    left = LimitData.from_json(lims["left"]) if "left" in lims else None
-    right = LimitData.from_json(lims["right"]) if "right" in lims else None
-    return left, right
+    return tuple(
+        _at(f"/limits/{side}", LimitData.from_json, lims[side]) if side in lims else None
+        for side in ("left", "right")
+    )
+
+
+def _tail(obj, key):
+    return _at(f"/{key}", envelope_from_json, obj[key]) if key in obj else None
 
 
 def envelope_from_json(obj) -> TailEnvelope:
@@ -97,8 +102,8 @@ def piece_from_json(obj):
             evaluator=parse_expression(obj["expr"]),
             limits_left=left,
             limits_right=right,
-            tail_lower=envelope_from_json(obj["tail_lower"]) if "tail_lower" in obj else None,
-            tail_upper=envelope_from_json(obj["tail_upper"]) if "tail_upper" in obj else None,
+            tail_lower=_tail(obj, "tail_lower"),
+            tail_upper=_tail(obj, "tail_upper"),
         )
     if kind == "minus_infinity":
         return MinusInfinity(span=_span(obj))
@@ -177,11 +182,13 @@ def piece_to_json(p):
 
 
 def _at(path, convert, arg):
-    """convert(arg), with a malformed-input error pointing at path."""
+    """convert(arg), with a malformed-input error pointing at path; an
+    error that already points at a sub-path is extended to the full one."""
     try:
         return convert(arg)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        msg = str(exc)
+        raise ValidationError(f"{path}{'' if msg.startswith('/') else ': '}{msg}") from exc
 
 
 def _expect(path, value, kind, what):

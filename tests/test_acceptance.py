@@ -275,11 +275,10 @@ def test_criterion_6_strip_discretization_order():
 def _half_plane_fit_errors():
     hp = half_plane_right()
     target = lambda z: 1.0 / (z + 1.0) ** 2
-    errs = []
-    for m in (64, 128, 256):
-        fit = least_squares_fit(target, hp, [-k / 8 for k in range(1, m + 1)])
-        errs.append(fit.error)
-    return errs
+    fits = least_squares_fit(
+        target, hp, [[-k / 8 for k in range(1, m + 1)] for m in (64, 128, 256)]
+    )
+    return [fit.error for fit in fits]
 
 
 @pytest.mark.xfail(

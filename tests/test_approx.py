@@ -263,8 +263,8 @@ def test_atoms_outside_support_rejected():
 
 def test_exact_representation_recovers_target():
     hp = half_plane_right()
-    fit = least_squares_fit(
-        lambda z: np.exp(-z), hp, [-1.0, -2.0, -3.0], n_nodes=2**12
+    [fit] = least_squares_fit(
+        lambda z: np.exp(-z), hp, [[-1.0, -2.0, -3.0]], n_nodes=2**12
     )
     assert fit.error < 1e-10
     coefs = dict((l, c) for c, l in fit.exp_sum.terms)
@@ -274,26 +274,31 @@ def test_exact_representation_recovers_target():
 def test_error_nonincreasing_in_budget():
     hp = half_plane_right()
     target = lambda z: 1.0 / (z + 1.0) ** 2
-    errs = []
-    for m in (16, 32, 64):
-        fit = least_squares_fit(target, hp, [-k / 8 for k in range(1, m + 1)], n_nodes=2**12)
-        errs.append(fit.error)
+    fits = least_squares_fit(
+        target, hp, [[-k / 8 for k in range(1, m + 1)] for m in (16, 32, 64)], n_nodes=2**12
+    )
+    errs = [fit.error for fit in fits]
     assert errs[1] <= errs[0] * (1 + 1e-9)
     assert errs[2] <= errs[1] * (1 + 1e-9)
 
 
-def test_refinement_delta_is_computed_when_read():
-    hp = half_plane_right()
+def _counting(dom):
+    """dom with a transplant that records the radius of each call."""
     radii = []
 
     def transplant(u):
         radii.append(float(np.abs(u[0])))
-        return hp.transplant(u)
+        return dom.transplant(u)
 
-    dom = dataclasses.replace(hp, transplant=transplant)
+    return dataclasses.replace(dom, transplant=transplant), radii
+
+
+def test_refinement_delta_is_computed_when_read():
+    hp = half_plane_right()
+    dom, radii = _counting(hp)
     target = lambda z: 1.0 / (z + 1.0) ** 2
     freqs = [-k / 8 for k in range(1, 9)]
-    fit = least_squares_fit(target, dom, freqs, n_nodes=2**10)
+    [fit] = least_squares_fit(target, dom, [freqs], n_nodes=2**10)
     assert len(radii) == 1
     delta = fit.rho_refinement_delta
     assert len(radii) == 2 and fit.rho_refinement_delta == delta
@@ -304,6 +309,49 @@ def test_refinement_delta_is_computed_when_read():
     coef = np.array([c for c, _ in fit.exp_sum.terms])
     err2 = float(np.sqrt(np.mean(np.abs(A @ coef - target(z)) ** 2)))
     assert delta == abs(err2 - fit.error)
+
+
+def _budget_lists(demo):
+    """The frequency lists of the halfplane demo (prefixes of the longest)
+    and of the eta demo (the shorter one is every other entry)."""
+    if demo == "halfplane":
+        dom, target = half_plane_right(), lambda z: 1.0 / (z + 1.0) ** 2
+        return dom, target, [[-k / 8 for k in range(1, m + 1)] for m in (6, 12, 24)]
+    dom, target = eta_domain(1.0), lambda z: 1.0 / (z + 5.0)
+    return dom, target, [[-0.45 * k / m for k in range(1, m + 1)] for m in (7, 14)]
+
+
+@pytest.mark.parametrize("demo", ["halfplane", "eta"])
+def test_list_form_equals_separate_fits_bit_for_bit(demo):
+    dom, target, lists = _budget_lists(demo)
+    together = least_squares_fit(target, dom, lists, n_nodes=2**10)
+    for freqs, fit in zip(lists, together):
+        [alone] = least_squares_fit(target, dom, [freqs], n_nodes=2**10)
+        assert fit.error == alone.error
+        assert fit.exp_sum.terms == alone.exp_sum.terms
+        assert fit.rho_refinement_delta == alone.rho_refinement_delta
+
+
+def test_list_form_transplants_once_per_radius():
+    hp, target, lists = _budget_lists("halfplane")
+    dom, radii = _counting(hp)
+    fits = least_squares_fit(target, dom, lists, n_nodes=2**10)
+    assert radii == pytest.approx([approx._FIT_RHO])
+    assert math.isfinite(fits[-1].rho_refinement_delta)
+    assert radii == pytest.approx([approx._FIT_RHO, (1.0 + approx._FIT_RHO) / 2.0])
+    # the refinement radius is transplanted once for every fit of the call
+    assert math.isfinite(fits[0].rho_refinement_delta)
+    assert len(radii) == 2
+
+
+@pytest.mark.parametrize("lists, bad", [
+    ([[-1.0, -2.0, -3.0], [-1.0, -2.5]], 1),
+    ([[-1.0, -2.0], [-1.0, -2.0, -3.0], [-3.0, -2.0, -4.0]], 2),
+])
+def test_list_outside_the_longest_is_rejected(lists, bad):
+    target = lambda z: 1.0 / (z + 1.0) ** 2
+    with pytest.raises(ValueError, match=f"frequency list {bad} is not a sub-list"):
+        least_squares_fit(target, half_plane_right(), lists, n_nodes=2**6)
 
 
 # -- the rational map ----------------------------------------------------------

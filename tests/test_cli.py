@@ -199,3 +199,20 @@ def test_spike_value_outside_the_extended_line_exits_2(tmp_path, field, value):
     r = run_cli("decide", str(bad), "--p", "1")
     assert r.returncode == 2 and r.stdout == ""
     assert "/pieces/0" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("value, code", [("nan", 2), (0.0, 0)])
+def test_nan_comb_declaration_exits_2(tmp_path, value, code):
+    # a NaN off_limsup_at_carrier once read as weak-star "yes" on the comb
+    spec = {"interval": [-0.5, 1.5], "pieces": [
+        {"kind": "cantor_comb", "span": [-0.5, 1.5], "carrier": {"base": [0.0, 1.0]},
+         "on_value": 1.0, "off_expr": "0",
+         "off_limsup_at_carrier": value, "off_liminf_at_carrier": 0.0}]}
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli("decide", str(path), "--p", "1")
+    assert r.returncode == code and "Traceback" not in r.stderr
+    if code == 2:
+        assert r.stdout == "" and "/pieces/0: off_limsup_at_carrier" in r.stderr
+    else:
+        assert json.loads(r.stdout)["weak_star_complete"] == "no"

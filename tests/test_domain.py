@@ -11,6 +11,7 @@ from koenigslab import (
     MinusInfinity,
     OscillatorySample,
     PiecewiseDefiningFunction,
+    TailEnvelope,
     TriState,
     ValidationError,
     parse_expression,
@@ -414,3 +415,29 @@ def test_point_values_are_copied_at_build():
     psi = dataclasses.replace(psi, point_values=values)
     values[0.0] = -5.0
     assert psi.value(0.0) == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LimitData(math.nan, 0.0),
+    lambda: LimitData(0.0, math.nan),
+    lambda: LimitData(math.nan, math.nan, exact=False, inconclusive=True),
+])
+def test_limit_data_rejects_nan_at_build(build):
+    with pytest.raises(ValidationError, match="must be a number, got nan"):
+        build()
+
+
+@pytest.mark.parametrize("field", ["m", "c", "C", "a", "valid_from"])
+def test_tail_envelope_rejects_nan_at_build(field):
+    with pytest.raises(ValidationError, match=f"^{field} must be a number, got nan"):
+        TailEnvelope(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["off_limsup_at_carrier", "off_liminf_at_carrier"])
+def test_comb_rejects_nan_declarations_at_build(field):
+    # carrier_gap_sup reads off_limsup_at_carrier when it is declared, so
+    # it cannot report a NaN either
+    piece = comb_domain().psi.pieces[0]
+    with pytest.raises(ValidationError, match=f"^{field} must be a number, got nan"):
+        dataclasses.replace(piece, **{field: math.nan})
+    assert not math.isnan(dataclasses.replace(piece, **{field: 0.0}).carrier_gap_sup()[0])

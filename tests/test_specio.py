@@ -166,3 +166,45 @@ def test_values_of_psi_outside_the_extended_line_are_rejected(spec, pointer):
 def test_minus_inf_values_of_psi_still_load():
     psi = psi_from_dict(_spike(background="-inf"))
     assert psi.value(0.5) == -math.inf and psi.value(0.0) == 1.0
+
+
+# -- declared numbers that are not values of psi -------------------------------
+
+
+def _with_limit(**limit):
+    lim = {"liminf": 0.0, "limsup": 0.0, **limit}
+    return {"interval": [-1.0, 1.0], "pieces": [
+        {"kind": "finite_analytic", "span": [-1.0, 1.0], "expr": "0",
+         "limits": {"left": lim, "right": {"liminf": 0.0, "limsup": 0.0}}}]}
+
+
+def _with_tail(**env):
+    env = {"kind": "affine", "m": 0.0, "c": 0.0, **env}
+    return {"interval": ["-inf", "inf"], "pieces": [
+        {"kind": "finite_analytic", "span": ["-inf", "inf"], "expr": "0",
+         "tail_lower": env}]}
+
+
+def _comb_with(**declared):
+    spec = _comb(1.0)
+    spec["pieces"][0].update(declared)
+    return spec
+
+
+@pytest.mark.parametrize("spec, pointer, field", [
+    (_with_limit(liminf="nan"), "/pieces/0/limits/left", "liminf"),
+    (_with_limit(limsup=math.nan), "/pieces/0/limits/left", "limsup"),
+    (_with_tail(m="nan"), "/pieces/0/tail_lower", "m"),
+    (_with_tail(c=math.nan), "/pieces/0/tail_lower", "c"),
+    (_with_tail(kind="log_pow", C="nan", a=1.0, D=0.0), "/pieces/0/tail_lower", "C"),
+    (_with_tail(kind="log_pow", C=1.0, a="nan", D=0.0), "/pieces/0/tail_lower", "a"),
+    (_with_tail(valid_from="nan"), "/pieces/0/tail_lower", "valid_from"),
+    (_comb_with(off_limsup_at_carrier="nan"), "/pieces/0", "off_limsup_at_carrier"),
+    (_comb_with(off_liminf_at_carrier=math.nan), "/pieces/0", "off_liminf_at_carrier"),
+])
+def test_nan_declared_numbers_are_rejected_at_their_path(spec, pointer, field):
+    # a NaN compares false with everything, so it would pass every check
+    # that reads it and could turn a verdict into a silent "yes"
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(spec)
+    assert str(err.value).startswith(f"{pointer}: {field} must be a number"), err.value
