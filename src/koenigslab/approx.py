@@ -482,12 +482,12 @@ def eta_prime(z):
 @dataclass
 class LogDomainSpec:
     """A logarithmic starlike-at-infinity domain: |psi'| <= lip_bound and
-    psi(y) >= -log_exponent * log|y| for |y| >= log_radius."""
+    psi(y) >= -log_exponent * log|y| far out (``choose_b`` checks its
+    translate on 1 <= |y| <= 1e4)."""
 
     psi: Callable = None
     lip_bound: float = 1.0
     log_exponent: float = 0.5
-    log_radius: float = 2.0
     name: str = ""
 
 

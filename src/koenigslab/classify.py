@@ -147,7 +147,7 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     m = feasible_m
     # certified intercept: row infima over the middle, envelope bound on tails
     edges = np.linspace(-_GRID_HALFWIDTH, _GRID_HALFWIDTH, _GRID_ROWS + 1)
-    low = psi.row_profiles(edges)["m"]
+    low = psi.row_profiles(edges).m
     empty = np.flatnonzero(low == POS_INF)  # psi never takes +inf: no sample was finite
     if empty.size:
         lo, hi = edges[empty[0]], edges[empty[0] + 1]

@@ -152,8 +152,11 @@ def cmd_freq(args):
         _emit(out, args.out)
         return 0
     dom = _canonical(args.domain)
-    grid_re = np.linspace(args.grid[0], args.grid[1], args.grid_n)
-    grid_im = np.linspace(args.grid[2], args.grid[3], args.grid_n)
+    # a zero-width axis is one point, not grid_n copies of it
+    grid_re, grid_im = (
+        np.linspace(lo, hi, args.grid_n if lo != hi else 1)
+        for lo, hi in (args.grid[:2], args.grid[2:])
+    )
     rows = []
     for u in grid_re:
         for v in grid_im:
@@ -288,7 +291,6 @@ def cmd_approx(args):
             psi=parse_expression("-(1/2)*log(abs(y)+1)"),
             lip_bound=0.5,
             log_exponent=0.6,
-            log_radius=5.0,
             name="log_demo",
         )
         b = choose_b(spec)

@@ -20,12 +20,15 @@ disagreement means a bug in exactly one of them.  ``p_completeness_report``
 adds the p < infinity routes: inheritance from the weak-star verdict,
 the isolated-exceedance obstruction, the bounded-frequency-interval
 obstruction, and the logarithmic-envelope domination sufficient condition.
+
+Every route answers with one ``Verdict``; ``decide`` alone turns verdicts
+into JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +50,13 @@ from .raster import (
 from .tri import TriState
 
 
-@dataclass
-class CompletenessVerdict:
-    weak_star_complete: TriState
+@dataclass(frozen=True)
+class Verdict:
+    """A route's answer, the route that gave it and the witnesses it rests on."""
+
+    state: TriState
     route: str
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple = ()
 
 
 # route prefix of each class, and its YES route
@@ -77,7 +82,7 @@ def _misplaced_minus_inf(psi, kind, E):
     return bad, "liminf -inf outside the unbounded gap"
 
 
-def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
+def decide_weak_star(psi: PiecewiseDefiningFunction) -> Verdict:
     """The defining-function criteria as one ladder for the three classes:
 
     1. I = R only: no containing half-plane gives NO, an undecided one
@@ -91,7 +96,7 @@ def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
     kind = classify(psi).kind
 
     def verdict(state, text, witnesses=()):
-        return CompletenessVerdict(state, f"{_PREFIX[kind]}: {text}", list(witnesses))
+        return Verdict(state, f"{_PREFIX[kind]}: {text}", tuple(witnesses))
 
     if kind == PARABOLIC_ZERO:
         am = affine_minorant(psi)
@@ -122,37 +127,31 @@ def decide_weak_star(psi: PiecewiseDefiningFunction) -> CompletenessVerdict:
 
 def decide_topological(psi: PiecewiseDefiningFunction, window, resolution):
     """Raster route: interior-of-closure equality plus component count,
-    assembled per the class dispatch."""
-    cls = classify(psi)
+    assembled per the class dispatch.  Returns (verdict, the
+    interior-of-closure TriState, the component count or None)."""
+    kind = classify(psi).kind
     grid = rasterize(psi, window, resolution)
     ic, _ = int_closure_equals_domain(grid)
     count, count_status = complement_components(psi, grid)
-    result = {"int_closure_ok": ic.value, "complement_components": count}
-    if cls.kind == PARABOLIC_ZERO:
+
+    def verdict(state, route):
+        return Verdict(state, route), ic, count
+
+    if kind == PARABOLIC_ZERO:
         am = affine_minorant(psi)
         if am.status is TriState.NO:
-            result["verdict"] = TriState.NO
-            result["route"] = "whole-line interval: no containing half-plane"
-            return result
+            return verdict(TriState.NO, "whole-line interval: no containing half-plane")
         if am.status is TriState.UNKNOWN:
-            result["verdict"] = TriState.UNKNOWN
-            result["route"] = "whole-line interval: containment undecided"
-            return result
-        result["verdict"] = ic
-        result["route"] = "whole-line interval: interior-of-closure test on the raster"
-        return result
+            return verdict(TriState.UNKNOWN, "whole-line interval: containment undecided")
+        return verdict(ic, "whole-line interval: interior-of-closure test on the raster")
     if ic is TriState.UNKNOWN or count_status is not TriState.YES:
-        result["verdict"] = TriState.UNKNOWN
-        result["route"] = "raster inconclusive"
-        return result
-    limit = 2 if cls.kind == HYPERBOLIC else 1
-    ok = (ic is TriState.YES) and count <= limit
-    result["verdict"] = TriState.from_bool(ok)
-    result["route"] = (
+        return verdict(TriState.UNKNOWN, "raster inconclusive")
+    limit = 2 if kind == HYPERBOLIC else 1
+    return verdict(
+        TriState.from_bool(ic is TriState.YES and count <= limit),
         f"raster: interior-of-closure {ic.value}, {count} complement "
-        f"component(s) against a limit of {limit}"
+        f"component(s) against a limit of {limit}",
     )
-    return result
 
 
 def predicted_components(psi: PiecewiseDefiningFunction):
@@ -166,38 +165,33 @@ def predicted_components(psi: PiecewiseDefiningFunction):
     return 1 + sum(1 for lo, hi in E if math.isfinite(lo) and math.isfinite(hi))
 
 
-def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0):
+def p_completeness_report(psi: PiecewiseDefiningFunction, p=1.0) -> Verdict:
     """Verdict for density of the exponential span in H^p, p < infinity."""
     check_p(p)
     return _p_report(psi, p, decide_weak_star(psi))
 
 
-def _p_report(psi, p, ws: CompletenessVerdict):
+def _p_report(psi, p, ws: Verdict) -> Verdict:
     """``p_completeness_report`` given the weak-star verdict ``ws`` of psi."""
-    if ws.weak_star_complete is TriState.YES:
-        return {
-            "p_complete": TriState.YES,
-            "route": "inherited: weak-star completeness implies density in "
-            "every H^p",
-        }
+    if ws.state is TriState.YES:
+        return Verdict(
+            TriState.YES, "inherited: weak-star completeness implies density in every H^p"
+        )
     spikes = detect_contact_spikes(psi)
     if spikes:
-        return {
-            "p_complete": TriState.NO,
-            "route": "isolated exceedance: two boundary arcs share a final "
-            "point, separating evaluations that exponentials cannot",
-            "witnesses": spikes,
-        }
+        return Verdict(
+            TriState.NO, "isolated exceedance: two boundary arcs share a final point, "
+            "separating evaluations that exponentials cannot", tuple(spikes),
+        )
     if classify(psi).kind == PARABOLIC_ZERO:
         for route in (_bounded_interval_obstruction, _log_envelope_domination):
             verdict = route(psi, p)
             if verdict is not None:
                 return verdict
-    return {
-        "p_complete": TriState.UNKNOWN,
-        "route": "no applicable route (necessity of the topological "
+    return Verdict(
+        TriState.UNKNOWN, "no applicable route (necessity of the topological "
         "conditions for p < infinity is open)",
-    }
+    )
 
 
 def _bounded_interval_obstruction(psi, p):
@@ -208,7 +202,7 @@ def _bounded_interval_obstruction(psi, p):
     _, upper_dn = psi.tail_envelopes("lower")
     if upper is None or upper_dn is None:
         return None
-    if not math.isfinite(psi.row_profiles([-64.0, 64.0])["M"][0]):
+    if not math.isfinite(psi.row_profiles([-64.0, 64.0]).M[0]):
         return None
 
     # bounded frequency interval: exact non-members on the negative real
@@ -228,56 +222,62 @@ def _bounded_interval_obstruction(psi, p):
             break
     if m_cut is None:
         return None
-    return {
-        "p_complete": TriState.NO,
-        "route": "bounded frequency interval: admissible frequencies are "
-        "confined to a bounded real interval while the domain contains a "
-        "right half-plane",
-        "witnesses": [f"non-member at {m_cut} and off-axis samples {off_axis}"],
-    }
+    return Verdict(
+        TriState.NO, "bounded frequency interval: admissible frequencies are confined to "
+        "a bounded real interval while the domain contains a right half-plane",
+        (f"non-member at {m_cut} and off-axis samples {off_axis}",),
+    )
 
 
 def _log_envelope_domination(psi, p):
     """Sufficient condition for I = R: psi continuous (regularized), the
-    complement connected, and psi bounded below by C1 - (log(|y|+3))^a
-    with a < 1; then density in H^p holds."""
-    eq, _ = psi.equals_regularized()
-    if eq is not TriState.YES:
-        return None
+    complement connected, and psi bounded below by K - C (log(|y|+3))^a
+    with a < 1; then density in H^p holds.
+
+    The witness holds on all of R, up to the row sampling: sampled rows
+    bound K out to R, past 64 and into both envelopes' ranges; beyond R an
+    envelope c_e - C_e L^(a_e), L = log(|y|+3) > 1, is at least K - C L^a,
+    by K <= c_e, C >= C_e and a >= a_e if it drifts, and by
+    K <= c_e - max(C_e, 0) if not."""
     E, e_exact = psi.liminf_neg_inf_set()
-    if not e_exact or E:
+    if psi.equals_regularized()[0] is not TriState.YES or not e_exact or E:
         return None
-    lower, _ = psi.tail_envelopes("upper")
-    lower_dn, _ = psi.tail_envelopes("lower")
-    if lower is None or lower_dn is None:
+    envs = (psi.tail_envelopes("upper")[0], psi.tail_envelopes("lower")[0])
+    if None in envs:
         return None
-    envs = (lower, lower_dn)
     if any(env.m != 0 or (env.drifts and env.a >= 1.0) for env in envs):
         return None
-    # middle certification: C1 = inf over 256 rows of psi + (log(|y|+3))^a
-    a = max((env.a for env in envs if env.drifts), default=0.5)
-    ys = np.linspace(-64.0, 64.0, 257)
-    low = psi.row_profiles(ys)["m"]
+    drifting = [env for env in envs if env.drifts]
+    a = max((env.a for env in drifting), default=0.5)
+    coef = max([1.0] + [env.C for env in drifting])
+    # an envelope holds past its valid_from, on its own tail piece
+    inner = [abs(t) for t in (psi.pieces[-1].span[0], psi.pieces[0].span[1]) if math.isfinite(t)]
+    reach = max(64.0, *(env.valid_from for env in envs), *inner)
+    ys = np.linspace(-reach, reach, 257)
+    low = psi.row_profiles(ys).m
     if np.any(low == POS_INF):  # no finite sample of psi on some row
         return None
-    c1 = float(np.min(low + np.log(np.minimum(np.abs(ys[:-1]), np.abs(ys[1:])) + 3.0) ** a))
-    if not math.isfinite(c1):
+    logs = np.log(np.minimum(np.abs(ys[:-1]), np.abs(ys[1:])) + 3.0) ** a
+    consts = [env.c if env.drifts else env.c - max(env.C, 0.0) for env in envs]
+    k = min(float(np.min(low + coef * logs)), *consts)
+    if not math.isfinite(k):
         return None
-    return {
-        "p_complete": TriState.YES,
-        "route": "logarithmic envelope domination: the domain sits inside a "
+    scale = "" if coef == 1.0 else f"{coef:.4g}*"
+    return Verdict(
+        TriState.YES, "logarithmic envelope domination: the domain sits inside a "
         "log-perturbed half-plane whose exponentials are dense",
-        "witnesses": [f"psi >= {c1:.4g} - (log(|y|+3))^{a}"],
-    }
+        (f"psi >= {k:.4g} - {scale}(log(|y|+3))^{a}",),
+    )
 
 
 def decide(psi, p=None, cross_check=False, window=None, resolution=1024):
-    """Orchestrated verdict dictionary (library face of the CLI)."""
+    """Orchestrated verdict dictionary (library face of the CLI): the one
+    place that turns verdicts into JSON."""
     if p is not None:
         check_p(p)
     ws = decide_weak_star(psi)
     out = {
-        "weak_star_complete": ws.weak_star_complete.value,
+        "weak_star_complete": ws.state.value,
         "route": ws.route,
         "witnesses": [repr(w) for w in ws.witnesses],
         "features": analyze(psi).to_json(),
@@ -285,25 +285,19 @@ def decide(psi, p=None, cross_check=False, window=None, resolution=1024):
     if p is not None:
         rep = _p_report(psi, p, ws)
         out["p"] = p
-        out["p_complete"] = rep["p_complete"].value
-        out["p_route"] = rep["route"]
-        if "witnesses" in rep:
-            out["p_witnesses"] = [repr(w) for w in rep["witnesses"]]
+        out["p_complete"] = rep.state.value
+        out["p_route"] = rep.route
+        if rep.witnesses:
+            out["p_witnesses"] = [repr(w) for w in rep.witnesses]
     if cross_check:
         if window is None:
             raise ValueError("cross-check needs a window")
-        topo = decide_topological(psi, window, resolution)
+        topo, ic, count = decide_topological(psi, window, resolution)
         out["topological"] = {
-            "verdict": topo["verdict"].value,
-            "route": topo["route"],
-            "int_closure_ok": topo["int_closure_ok"],
-            "complement_components": topo["complement_components"],
+            "verdict": topo.state.value, "route": topo.route,
+            "int_closure_ok": ic.value, "complement_components": count,
         }
-        ws_v = ws.weak_star_complete
-        tp_v = topo["verdict"]
-        out["routes_agree"] = (
-            "yes"
-            if (ws_v.definite and tp_v.definite and ws_v is tp_v)
-            else ("indeterminate" if not (ws_v.definite and tp_v.definite) else "no")
-        )
+        both = ws.state.definite and topo.state.definite
+        agree = "yes" if ws.state is topo.state else "no"
+        out["routes_agree"] = agree if both else "indeterminate"
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -588,6 +588,24 @@ def _merge(intervals, joins=lambda b, a: True):
     return tuple((lo, hi) for lo, hi in merged)
 
 
+@dataclass(frozen=True, eq=False)
+class RowProfile:
+    """Sampled bounds on psi over the rows between consecutive ``y_edges``:
+    M (sup psi), m (inf psi), Mstar (sup psi_*), outside (row disjoint from
+    I), edge (row straddles an end of I).  The arrays are read-only."""
+
+    y_edges: np.ndarray
+    M: np.ndarray
+    m: np.ndarray
+    Mstar: np.ndarray
+    outside: np.ndarray
+    edge: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+
 @dataclass(frozen=True)
 class DomainFacts:
     """The structural facts the criteria read off psi, computed once.
@@ -878,16 +896,15 @@ class PiecewiseDefiningFunction:
 
     # -- sampled bounds --------------------------------------------------------
 
-    def row_profiles(self, y_edges):
+    def row_profiles(self, y_edges) -> RowProfile:
         """Per-row sup/inf of psi and sup of psi_* between consecutive edges:
         every sampled bound on psi comes from here.
 
-        Returns dict of arrays: M (sup psi), m (inf psi), Mstar (sup psi_*),
-        outside (row disjoint from I), edge (row straddles an endpoint of I).
         Declared -inf limit points inside a row force m = -inf exactly; a
-        row where every sample fails keeps m = +inf.
+        row where every sample fails keeps m = +inf.  The profile holds its
+        own copy of the edges.
         """
-        y_edges = np.asarray(y_edges, dtype=float)
+        y_edges = np.array(y_edges, dtype=float)
         nrows = y_edges.size - 1
         M = np.full(nrows, NEG_INF)
         m = np.full(nrows, POS_INF)
@@ -929,7 +946,7 @@ class PiecewiseDefiningFunction:
                     M[jj] = max(M[jj], lim.limsup)
                     m[jj] = min(m[jj], lim.liminf)
                     Mstar[jj] = max(Mstar[jj], lim.limsup)
-        return {"M": M, "m": m, "Mstar": Mstar, "outside": outside, "edge": edge}
+        return RowProfile(y_edges, M, m, Mstar, outside, edge)
 
     # -- tails and translation -------------------------------------------------
 

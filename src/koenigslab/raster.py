@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
+from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction, RowProfile
 from .tri import TriState
 
 
@@ -36,12 +36,7 @@ class RasterGrid:
     window: tuple  # (x0, x1, y0, y1)
     n: int  # cells per side
     x_edges: np.ndarray
-    y_edges: np.ndarray
-    M: np.ndarray
-    m: np.ndarray
-    Mstar: np.ndarray
-    outside: np.ndarray
-    edge: np.ndarray
+    rows: RowProfile  # the row bounds on psi, on the grid's y-edges
     seal: np.ndarray  # rows meeting the liminf = -inf set
     seal_exact: bool
     coarse: "RasterGrid | None" = None
@@ -50,26 +45,20 @@ class RasterGrid:
     def dx(self):
         return (self.window[1] - self.window[0]) / self.n
 
-    # -- frontier profiles -------------------------------------------------
-
-    def inside_frontier(self):
-        f = self.M.copy()
-        f[self.outside | self.edge] = POS_INF
-        return f
-
-    def closure_frontier(self):
-        """One-row dilation of the row-inf profile."""
-        g = self.m.copy()
-        g[self.outside] = POS_INF
-        return _dilate(g, np.minimum)
+    # -- frontier masks ----------------------------------------------------
 
     def inside_mask(self):
+        f = self.rows.M.copy()
+        f[self.rows.outside | self.rows.edge] = POS_INF
         xc = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
-        return xc[None, :] > self.inside_frontier()[:, None]
+        return xc[None, :] > f[:, None]
 
     def closure_mask(self):
+        """Cells right of the one-row dilation of the row-inf profile."""
+        g = self.rows.m.copy()
+        g[self.rows.outside] = POS_INF
         xc = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
-        return xc[None, :] >= self.closure_frontier()[:, None]
+        return xc[None, :] >= _dilate(g, np.minimum)[:, None]
 
     def to_pgm(self, path):
         """P5 image: complement 0, closure band 128, domain 255; row 0 at top."""
@@ -105,24 +94,17 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n) -> RasterGrid:
 def _grid(psi, window, n):
     """The n-by-n grid of the window, without a coarse grid."""
     x0, x1, y0, y1 = window
-    x_edges = np.linspace(x0, x1, n + 1)
-    y_edges = np.linspace(y0, y1, n + 1)
-    prof = psi.row_profiles(y_edges)
+    rows = psi.row_profiles(np.linspace(y0, y1, n + 1))
     E, e_exact = psi.liminf_neg_inf_set()
-    lo_r, hi_r = y_edges[:-1], y_edges[1:]
+    lo_r, hi_r = rows.y_edges[:-1], rows.y_edges[1:]
     seal = np.zeros(n, dtype=bool)
     for elo, ehi in E:
         seal |= (hi_r >= elo) & (lo_r <= ehi)
     return RasterGrid(
         window=tuple(window),
         n=n,
-        x_edges=x_edges,
-        y_edges=y_edges,
-        M=prof["M"],
-        m=prof["m"],
-        Mstar=prof["Mstar"],
-        outside=prof["outside"],
-        edge=prof["edge"],
+        x_edges=np.linspace(x0, x1, n + 1),
+        rows=rows,
         seal=seal,
         seal_exact=e_exact,
     )
@@ -146,7 +128,7 @@ def _check_window_fits(psi, grid):
                     "extend the y-range"
                 )
     # the domain frontier must enter through the right part of the window
-    fin = grid.M[~(grid.outside | grid.edge)]
+    fin = grid.rows.M[~(grid.rows.outside | grid.rows.edge)]
     fin = fin[np.isfinite(fin)]
     if fin.size and float(np.max(fin)) > x1 - 2 * grid.dx:
         raise WindowError(
@@ -166,10 +148,11 @@ def _dilate(a, op):
 
 def _int_closure_violation(grid: RasterGrid):
     """Max over rows of (row sup of psi) - (dilated row sup of psi_*)."""
-    M = grid.M
-    skip = _dilate(grid.outside | grid.edge, np.logical_or)
+    rows = grid.rows
+    M = rows.M
+    skip = _dilate(rows.outside | rows.edge, np.logical_or)
     with np.errstate(invalid="ignore"):
-        viol = M - _dilate(grid.Mstar, np.maximum)
+        viol = M - _dilate(rows.Mstar, np.maximum)
     viol[skip] = NEG_INF
     viol[~np.isfinite(M)] = NEG_INF
     return float(np.max(viol)) if viol.size else NEG_INF
@@ -183,33 +166,20 @@ def int_closure_equals_domain(grid: RasterGrid):
     """
     if grid.coarse is None:
         raise ValueError("two-scale grid required")
-    results = []
-    for g in (grid, grid.coarse):
-        tol = 4.0 * g.dx + 1e-9
-        v = _int_closure_violation(g)
-        results.append((v, tol))
-    definite_yes = all(v <= tol for v, tol in results)
-    definite_no = all(v > 3.0 * tol for v, tol in results)
-    if definite_yes:
+    results = [(_int_closure_violation(g), 4.0 * g.dx + 1e-9) for g in (grid, grid.coarse)]
+    if all(v <= tol for v, tol in results):
         return TriState.YES, results
-    if definite_no:
+    if all(v > 3.0 * tol for v, tol in results):
         return TriState.NO, results
     return TriState.UNKNOWN, results
 
 
-def _run_ids(grid: RasterGrid):
-    """Per row, the index (1, 2, ...) of its run of consecutive unsealed
-    rows; 0 on sealed rows, whose closure contains the full line."""
-    bearing = ~grid.seal
-    starts = bearing.copy()
-    starts[1:] &= ~bearing[:-1]
-    return np.where(bearing, np.cumsum(starts), 0)
-
-
 def _component_count_single(grid: RasterGrid):
     """Merged complement component count on one grid: each run of
-    unsealed rows is one component."""
-    return int(_run_ids(grid).max(initial=0))
+    consecutive unsealed rows is one component (a sealed row's closure
+    contains the full line), so count the rows that start a run."""
+    bearing = ~grid.seal
+    return int(bearing[0]) + int(np.count_nonzero(bearing[1:] & ~bearing[:-1]))
 
 
 def complement_components(psi, grid: RasterGrid):
@@ -223,17 +193,5 @@ def complement_components(psi, grid: RasterGrid):
     _check_window_fits(psi, grid)
     if not grid.seal_exact:
         return None, TriState.UNKNOWN
-    n1 = _component_count_single(grid)
-    n2 = _component_count_single(grid.coarse)
-    if n1 == n2:
-        return n1, TriState.YES
-    return None, TriState.UNKNOWN
-
-
-def component_labels(grid: RasterGrid):
-    """Cell labels of the in-window complement (coarse visualization aid):
-    0 inside closure, k >= 1 the merged component index."""
-    xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
-    c = grid.closure_frontier()
-    comp = xc[None, :] < c[:, None]
-    return np.where(comp, _run_ids(grid)[:, None], 0).astype(np.int32)
+    n1, n2 = (_component_count_single(g) for g in (grid, grid.coarse))
+    return (n1, TriState.YES) if n1 == n2 else (None, TriState.UNKNOWN)

@@ -31,6 +31,7 @@ as ``affine`` with m = 0.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 from .cantor import CantorSet
 from .domain import (
@@ -46,6 +47,7 @@ from .domain import (
     _as_float,
     _json_float,
     point_value,
+    reject_nan,
 )
 from .expr import Expression, parse_expression
 
@@ -67,18 +69,22 @@ def _tail(obj, key):
     return _at(f"/{key}", envelope_from_json, obj[key]) if key in obj else None
 
 
+# the TailEnvelope field that each JSON key of a spelling declares
+_ENVELOPE_FIELDS = {
+    "affine": {"m": "m", "c": "c"}, "const": {"c": "c"}, "log_pow": {"C": "C", "a": "a", "D": "c"},
+}
+
+
 def envelope_from_json(obj) -> TailEnvelope:
-    """A ``TailEnvelope`` from any of its three spellings."""
-    kind, valid_from = obj["kind"], float(obj.get("valid_from", 0.0))
-    if kind == "affine":
-        return TailEnvelope(m=float(obj["m"]), c=float(obj["c"]), valid_from=valid_from)
-    if kind == "const":
-        return TailEnvelope(c=float(obj["c"]), valid_from=valid_from)
-    if kind == "log_pow":
-        return TailEnvelope(
-            c=float(obj["D"]), C=float(obj["C"]), a=float(obj["a"]), valid_from=valid_from
-        )
-    raise ValidationError(f"unknown envelope kind {kind!r}")
+    """A ``TailEnvelope`` from any of its three spellings; a NaN is
+    reported under its JSON key."""
+    keys = _ENVELOPE_FIELDS.get(obj["kind"])
+    if keys is None:
+        raise ValidationError(f"unknown envelope kind {obj['kind']!r}")
+    declared = {"valid_from": float(obj.get("valid_from", 0.0))}
+    declared.update((key, float(obj[key])) for key in keys)
+    reject_nan(SimpleNamespace(**declared), *declared)
+    return TailEnvelope(**{keys.get(key, key): v for key, v in declared.items()})
 
 
 def envelope_to_json(env: TailEnvelope):

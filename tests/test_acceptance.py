@@ -126,8 +126,8 @@ def test_criterion_3_main_dispatch_agreement():
     five pinned headline verdicts hold."""
     disagreements = []
     for e in full_battery():
-        ws = decide_weak_star(e.psi).weak_star_complete
-        tp = decide_topological(e.psi, e.window, min(e.resolution, 1024))["verdict"]
+        ws = decide_weak_star(e.psi).state
+        tp = decide_topological(e.psi, e.window, min(e.resolution, 1024))[0].state
         if ws.definite and tp.definite and ws is not tp:
             disagreements.append(e.name)
     pinned = {
@@ -138,9 +138,9 @@ def test_criterion_3_main_dispatch_agreement():
         "log_demo": "no",  # whole-line interval without a containing half-plane
     }
     wrong = {
-        name: decide_weak_star(battery_entry(name).psi).weak_star_complete.value
+        name: decide_weak_star(battery_entry(name).psi).state.value
         for name in pinned
-        if decide_weak_star(battery_entry(name).psi).weak_star_complete.value
+        if decide_weak_star(battery_entry(name).psi).state.value
         != pinned[name]
     }
     ok = not disagreements and not wrong
@@ -327,7 +327,6 @@ def test_criterion_8_alpha_map_and_univalence():
         psi=parse_expression("-(1/2)*log(abs(y)+1)"),
         lip_bound=0.5,
         log_exponent=0.6,
-        log_radius=5.0,
         name="log_demo",
     )
     b = choose_b(spec)
@@ -354,22 +353,22 @@ def test_criterion_9_obstruction_routes():
     rep_eta = p_completeness_report(battery_entry("eta1").psi, 1.0)
     rep_log = p_completeness_report(battery_entry("log_minorant").psi, 1.0)
     ok = (
-        rep_spike["p_complete"] is TriState.NO
-        and "exceedance" in rep_spike["route"]
-        and rep_eta["p_complete"] is TriState.NO
-        and "bounded frequency interval" in rep_eta["route"]
-        and rep_log["p_complete"] is TriState.YES
-        and "envelope domination" in rep_log["route"]
+        rep_spike.state is TriState.NO
+        and "exceedance" in rep_spike.route
+        and rep_eta.state is TriState.NO
+        and "bounded frequency interval" in rep_eta.route
+        and rep_log.state is TriState.YES
+        and "envelope domination" in rep_log.route
     )
     _report(
         9,
         ok,
-        f"double_spike: {rep_spike['p_complete'].value}; "
-        f"eta1: {rep_eta['p_complete'].value}; log_minorant: {rep_log['p_complete'].value}",
+        f"double_spike: {rep_spike.state.value}; "
+        f"eta1: {rep_eta.state.value}; log_minorant: {rep_log.state.value}",
     )
-    assert rep_spike["p_complete"] is TriState.NO
-    assert "exceedance" in rep_spike["route"]
-    assert rep_eta["p_complete"] is TriState.NO
-    assert "bounded frequency interval" in rep_eta["route"]
-    assert rep_log["p_complete"] is TriState.YES
-    assert "envelope domination" in rep_log["route"]
+    assert rep_spike.state is TriState.NO
+    assert "exceedance" in rep_spike.route
+    assert rep_eta.state is TriState.NO
+    assert "bounded frequency interval" in rep_eta.route
+    assert rep_log.state is TriState.YES
+    assert "envelope domination" in rep_log.route

@@ -412,7 +412,6 @@ def test_choose_b_and_univalence_for_log_demo():
         psi=parse_expression("-(1/2)*log(abs(y)+1)"),
         lip_bound=0.5,
         log_exponent=0.6,
-        log_radius=5.0,
         name="log_demo",
     )
     b = choose_b(spec)
@@ -467,7 +466,6 @@ def test_log_domain_pipeline_demo_converges():
         psi=parse_expression("-(1/2)*log(abs(y)+1)"),
         lip_bound=0.5,
         log_exponent=0.6,
-        log_radius=5.0,
     )
     b, rows = log_domain_pipeline_demo(
         spec, lambda z: 1.0 / (z + 5.0), degrees=(2, 4, 8), n_boundary=1024
@@ -486,7 +484,6 @@ def test_pipeline_window_guard():
         psi=parse_expression("-(1/2)*log(abs(y)+1)"),
         lip_bound=0.5,
         log_exponent=0.6,
-        log_radius=5.0,
     )
     with pytest.raises(ValueError):
         log_domain_pipeline_demo(

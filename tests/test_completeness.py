@@ -1,5 +1,9 @@
+import dataclasses
+import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from koenigslab import TriState, completeness
@@ -11,27 +15,28 @@ from koenigslab.completeness import (
     p_completeness_report,
     predicted_components,
 )
+from koenigslab.specio import psi_from_dict
 
 
 def test_weak_star_battery():
     for e in full_battery():
         v = decide_weak_star(e.psi)
-        assert v.weak_star_complete.value == e.weak_star, (e.name, v.route)
-        if v.weak_star_complete is TriState.NO:
+        assert v.state.value == e.weak_star, (e.name, v.route)
+        if v.state is TriState.NO:
             assert v.witnesses or "half-plane" in v.route
 
 
 def test_topological_battery():
     for e in full_battery():
-        topo = decide_topological(e.psi, e.window, min(e.resolution, 1024))
-        assert topo["verdict"].value == e.weak_star, (e.name, topo["route"])
+        topo, _, _ = decide_topological(e.psi, e.window, min(e.resolution, 1024))
+        assert topo.state.value == e.weak_star, (e.name, topo.route)
 
 
 def test_two_routes_agree_everywhere_definite():
     # the central cross-validation: analytic and raster routes coincide
     for e in full_battery():
-        ws = decide_weak_star(e.psi).weak_star_complete
-        tp = decide_topological(e.psi, e.window, min(e.resolution, 1024))["verdict"]
+        ws = decide_weak_star(e.psi).state
+        tp = decide_topological(e.psi, e.window, min(e.resolution, 1024))[0].state
         if ws.definite and tp.definite:
             assert ws is tp, e.name
 
@@ -42,17 +47,17 @@ def test_component_predictions():
 
 
 def test_headline_verdicts():
-    assert decide_weak_star(battery_entry("strip").psi).weak_star_complete is TriState.YES
-    assert decide_weak_star(battery_entry("comb").psi).weak_star_complete is TriState.NO
+    assert decide_weak_star(battery_entry("strip").psi).state is TriState.YES
+    assert decide_weak_star(battery_entry("comb").psi).state is TriState.NO
     assert (
-        decide_weak_star(battery_entry("oscillation_cantor").psi).weak_star_complete
+        decide_weak_star(battery_entry("oscillation_cantor").psi).state
         is TriState.YES
     )
     assert (
-        decide_weak_star(battery_entry("double_spike").psi).weak_star_complete
+        decide_weak_star(battery_entry("double_spike").psi).state
         is TriState.NO
     )
-    assert decide_weak_star(battery_entry("log_demo").psi).weak_star_complete is TriState.NO
+    assert decide_weak_star(battery_entry("log_demo").psi).state is TriState.NO
 
 
 def test_comb_witness_is_carrier_point():
@@ -63,21 +68,21 @@ def test_comb_witness_is_carrier_point():
 
 def test_double_gap_witness_is_interval_pair():
     v = decide_weak_star(battery_entry("double_gap").psi)
-    assert v.weak_star_complete is TriState.NO
+    assert v.state is TriState.NO
     assert len(v.witnesses) == 2
 
 
 def test_p_routes():
     rep = p_completeness_report(battery_entry("double_spike").psi, 1.0)
-    assert rep["p_complete"] is TriState.NO and "exceedance" in rep["route"]
+    assert rep.state is TriState.NO and "exceedance" in rep.route
     rep = p_completeness_report(battery_entry("eta1").psi, 1.0)
-    assert rep["p_complete"] is TriState.NO and "bounded frequency interval" in rep["route"]
+    assert rep.state is TriState.NO and "bounded frequency interval" in rep.route
     rep = p_completeness_report(battery_entry("log_minorant").psi, 1.0)
-    assert rep["p_complete"] is TriState.YES and "envelope domination" in rep["route"]
+    assert rep.state is TriState.YES and "envelope domination" in rep.route
     rep = p_completeness_report(battery_entry("strip").psi, 2.0)
-    assert rep["p_complete"] is TriState.YES and "inherited" in rep["route"]
+    assert rep.state is TriState.YES and "inherited" in rep.route
     rep = p_completeness_report(battery_entry("comb").psi, 1.0)
-    assert rep["p_complete"] is TriState.UNKNOWN  # open problem, by design
+    assert rep.state is TriState.UNKNOWN  # open problem, by design
 
 
 def test_a_borrowed_eta_name_does_not_choose_the_eta_oracle():
@@ -85,14 +90,14 @@ def test_a_borrowed_eta_name_does_not_choose_the_eta_oracle():
     # bounded-frequency-interval route, whatever it is called
     psi = replace(battery_entry("log_demo").psi, name="eta_impostor")
     rep = p_completeness_report(psi, 1.0)
-    assert rep["p_complete"] is TriState.UNKNOWN
-    assert rep["route"].startswith("no applicable route")
+    assert rep.state is TriState.UNKNOWN
+    assert rep.route.startswith("no applicable route")
 
 
 def test_a_renamed_eta_domain_keeps_its_oracle():
     psi = replace(battery_entry("eta1").psi, name="renamed")
     rep = p_completeness_report(psi, 1.0)
-    assert rep["p_complete"] is TriState.NO and "bounded frequency interval" in rep["route"]
+    assert rep.state is TriState.NO and "bounded frequency interval" in rep.route
     assert psi.translated(2.0, -1.0).canonical is psi.canonical
 
 
@@ -132,15 +137,15 @@ def test_weak_star_yes_implies_p_yes():
     for e in full_battery():
         if e.weak_star == "yes":
             rep = p_completeness_report(e.psi, 1.5)
-            assert rep["p_complete"] is TriState.YES, e.name
+            assert rep.state is TriState.YES, e.name
 
 
 def test_verdict_invariant_under_translation():
     for name in ("comb", "gap", "eta1", "du_oscillation"):
         psi = battery_entry(name).psi
-        v0 = decide_weak_star(psi).weak_star_complete
-        assert decide_weak_star(psi.translated(dx=2.5)).weak_star_complete is v0
-        assert decide_weak_star(psi.translated(dy=-1.25)).weak_star_complete is v0
+        v0 = decide_weak_star(psi).state
+        assert decide_weak_star(psi.translated(dx=2.5)).state is v0
+        assert decide_weak_star(psi.translated(dy=-1.25)).state is v0
 
 
 def test_decide_dictionary_face():
@@ -172,7 +177,7 @@ def test_decide_computes_the_weak_star_verdict_once(monkeypatch):
         out = decide(psi, p=1.0)
         assert len(calls) == 1, name
         calls.clear()
-        assert out["p_route"] == p_completeness_report(psi, 1.0)["route"]
+        assert out["p_route"] == p_completeness_report(psi, 1.0).route
         assert len(calls) == 1, name
 
 
@@ -199,3 +204,46 @@ def test_psi_with_no_finite_value_gets_no_yes():
     out = decide(psi, p=1.0)
     assert out["weak_star_complete"] == "unknown"
     assert out["p_complete"] == "unknown"
+
+
+SQRT_LOG = "-2*sqrt(log(abs(y)+3))"
+DIP = SQRT_LOG + " - 3*exp(0-((abs(y)-80)/4)^2)"  # a dip at |y| = 80
+
+
+def _log_spec(expr, valid_from=0.0, cuts=()):
+    """psi = expr on R, pieces split at ``cuts``, both tail pieces bounded
+    below by 0 - 2 (log(|y|+3))^0.5 where |y| >= valid_from."""
+    env = {"kind": "log_pow", "C": 2.0, "a": 0.5, "D": 0.0, "valid_from": valid_from}
+    ends = ["-inf", *cuts, "inf"]
+    pieces = [{"kind": "finite_analytic", "span": [lo, hi], "expr": expr}
+              for lo, hi in zip(ends, ends[1:])]
+    pieces[0]["tail_lower"] = pieces[-1]["tail_lower"] = env
+    return {"interval": ["-inf", "inf"], "pieces": pieces}
+
+
+@pytest.mark.parametrize("spec", [
+    _log_spec(SQRT_LOG),
+    # the dip lies where no envelope holds: the rows must reach past it
+    _log_spec(DIP, valid_from=100.0),
+    _log_spec(DIP, cuts=(-100.0, 100.0)),
+], ids=["envelope", "valid_from", "tail_pieces"])
+def test_log_envelope_witness_holds_on_the_whole_line(spec):
+    psi = psi_from_dict(spec)
+    out = decide(psi, p=1.0)
+    assert out["p_complete"] == "yes"
+    assert out["p_route"].startswith("logarithmic envelope domination")
+    (witness,) = out["p_witnesses"]
+    k, coef, a = map(float, re.fullmatch(
+        r"'psi >= (\S+) - (\S+)\*\(log\(\|y\|\+3\)\)\^(\S+)'", witness
+    ).groups())
+    assert coef == 2.0 and a == 0.5
+    ys = np.geomspace(64.0, 1e12, 400)
+    for y in np.concatenate([ys, -ys]):
+        assert psi.value(y) >= k - coef * math.log(abs(y) + 3.0) ** a, y
+
+
+def test_route_results_are_frozen_records():
+    v = p_completeness_report(battery_entry("log_minorant").psi, 1.0)
+    assert v.witnesses == ("psi >= 0.9294 - (log(|y|+3))^0.5",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.state = TriState.NO

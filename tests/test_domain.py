@@ -340,7 +340,7 @@ def test_spike_over_minus_inf_background():
     assert rep.super_repelling_heights == []  # 0 closes the gap set
     assert rep.unbounded_discontinuities == []
     v = decide_weak_star(psi)
-    assert v.weak_star_complete is TriState.NO
+    assert v.state is TriState.NO
     assert predicted_components(psi) == 2
 
 

@@ -117,7 +117,7 @@ def test_log_envelope_domination_reads_the_form(tail_lower, accepted):
                     "expr": "log(abs(y)+3)", "tail_lower": tail_lower}],
     })
     rep = completeness._log_envelope_domination(psi, 2.0)
-    assert (rep is not None and rep["p_complete"] is TriState.YES) is accepted
+    assert (rep is not None and rep.state is TriState.YES) is accepted
 
 
 def test_drifting_envelope_opens_its_slope():

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koenigslab import TriState, hardy
 from koenigslab.battery import battery_entry, eta_domain_psi
@@ -353,3 +354,50 @@ def test_exact_route_names_the_end_that_excludes_lam(domains):
     res = exact_membership(-0.3j, domains["eta"], 1.0)
     assert res.status == NON_MEMBER and "pole end" in res.certificate
     assert exact_membership(-0.5, domains["eta"], 1.0).levels_used == 0
+
+
+# -- metamorphic checks of the exact route ---------------------------------
+
+# lam on a box, with the real axis and the lattice points drawn often
+BOX_COORD = st.one_of(
+    st.just(0.0), st.integers(-8, 8).map(lambda k: k / 4.0), st.floats(-4.0, 4.0)
+)
+LAMS = st.builds(complex, BOX_COORD, BOX_COORD)
+ETA_A = st.floats(0.0, 1.0, exclude_min=True)
+EDGES = st.floats(-1e3, 1e3)
+SIDES = st.sampled_from(["upper", "lower"])
+DOMAINS = st.one_of(
+    st.just(half_plane_right()),
+    st.just(strip_width_pi()),
+    st.builds(horizontal_half_plane, EDGES, SIDES),
+    st.builds(eta_domain, ETA_A),
+)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """1 <= p < q <= 4."""
+    p = draw(st.floats(1.0, 4.0, exclude_max=True))
+    return p, draw(st.floats(p, 4.0, exclude_min=True))
+
+
+@given(DOMAINS, LAMS, exponent_pairs())
+@settings(max_examples=300, deadline=None)
+def test_exact_members_in_h_q_are_members_in_h_p(dom, lam, pq):
+    p, q = pq
+    if exact_membership(lam, dom, q).status == MEMBER:
+        assert exact_membership(lam, dom, p).status == MEMBER
+
+
+@given(EDGES, SIDES, LAMS, st.floats(1.0, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_horizontal_half_plane_answers_do_not_depend_on_the_edge(edge, side, lam, p):
+    moved = exact_membership(lam, horizontal_half_plane(edge, side), p)
+    assert moved.status == exact_membership(lam, horizontal_half_plane(0.0, side), p).status
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), LAMS, st.floats(1.0, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_eta_below_one_admits_exactly_the_real_nonpositive_lambdas(a, lam, p):
+    member = exact_membership(lam, eta_domain(a), p).status == MEMBER
+    assert member == (lam.imag == 0.0 and lam.real <= 0.0)

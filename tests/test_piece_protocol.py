@@ -1,6 +1,7 @@
 """Callers read pieces through the ``Piece`` protocol, never by kind,
 tail envelopes through their one form, never by spelling, and sampled
-bounds on psi through ``row_profiles``, never by a second rule.
+bounds on psi through ``row_profiles``, never by a second rule, and by
+the attributes of its ``RowProfile``, never by string keys.
 
 Only the spec loader maps kinds to classes and envelope spellings to
 ``TailEnvelope``; anywhere else an ``isinstance`` test on a piece class,
@@ -109,7 +110,7 @@ def test_bounds_on_psi_come_from_row_profiles_only():
     assert identifiers("_, v = psi.sup_inf(lo, hi)", RETIRED) == [(1, "sup_inf")]
     assert identifiers("def sup_inf(self, lo, hi): pass", RETIRED) == [(1, "sup_inf")]
     assert identifiers("from .domain import _evaluate as ev", SAMPLERS) == [(1, "_evaluate")]
-    assert identifiers("psi.row_profiles(edges)['m']", RETIRED | SAMPLERS) == []
+    assert identifiers("psi.row_profiles(edges).m", RETIRED | SAMPLERS) == []
     found = {
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
@@ -117,6 +118,52 @@ def test_bounds_on_psi_come_from_row_profiles_only():
             path.read_text(encoding="utf-8"),
             RETIRED if path.name == "domain.py" else RETIRED | SAMPLERS,
         ))
+    }
+    assert found == {}, found
+
+
+def row_profile_key_reads(source):
+    """(line, key) of every string subscript of a ``row_profiles(...)``
+    call, directly or through a name bound to one."""
+    tree = ast.parse(source)
+
+    def is_profile_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "row_profiles"
+        )
+
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_profile_call(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return [
+        (node.lineno, node.slice.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+        and (
+            is_profile_call(node.value)
+            or (isinstance(node.value, ast.Name) and node.value.id in bound)
+        )
+    ]
+
+
+def test_row_profiles_are_read_by_attribute():
+    # a RowProfile has fields, not keys: a new bound is a new field that
+    # every reader finds by name
+    assert row_profile_key_reads("low = psi.row_profiles(edges)['m']") == [(1, "m")]
+    assert row_profile_key_reads("prof = psi.row_profiles(e)\nM = prof['M']") == [(2, "M")]
+    assert row_profile_key_reads("low = psi.row_profiles(edges).m; d['m']; p[0]") == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := row_profile_key_reads(path.read_text(encoding="utf-8")))
     }
     assert found == {}, found
 

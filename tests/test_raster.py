@@ -11,7 +11,6 @@ from koenigslab.raster import (
     _component_count_single,
     _int_closure_violation,
     complement_components,
-    component_labels,
     int_closure_equals_domain,
     rasterize,
 )
@@ -32,23 +31,23 @@ def test_comb_teeth_visible_as_slits():
     grid = rasterize(e.psi, e.window, 1024)
     # rows meeting the carrier have their frontier at the tooth tip (x = 1),
     # rows inside gaps at the background (x = 0)
-    rows_in_base = (grid.y_edges[:-1] >= 0.0) & (grid.y_edges[1:] <= 1.0)
-    toothed = rows_in_base & (grid.M > 0.5)
-    gap_rows = rows_in_base & (grid.M < 0.5)
+    rows_in_base = (grid.rows.y_edges[:-1] >= 0.0) & (grid.rows.y_edges[1:] <= 1.0)
+    toothed = rows_in_base & (grid.rows.M > 0.5)
+    gap_rows = rows_in_base & (grid.rows.M < 0.5)
     assert toothed.sum() > 50
     assert gap_rows.sum() > 50
     # the slit signal: tooth rows sit right of the dilated regularized sup
-    assert float(np.max(grid.M[rows_in_base] - grid.Mstar[rows_in_base])) > 0.9
+    assert float(np.max(grid.rows.M[rows_in_base] - grid.rows.Mstar[rows_in_base])) > 0.9
 
 
 def test_spike_slit_row():
     e = battery_entry("spike")
     grid = rasterize(e.psi, e.window, 1024)
-    j = int(np.searchsorted(grid.y_edges, 0.0, side="right")) - 1
+    j = int(np.searchsorted(grid.rows.y_edges, 0.0, side="right")) - 1
     # the slit registers in the row(s) whose span meets the spike height
-    assert max(grid.M[j - 1], grid.M[j]) == pytest.approx(1.0)
-    assert grid.M[j + 2] == pytest.approx(0.0)
-    assert grid.M[j - 2] == pytest.approx(0.0)
+    assert max(grid.rows.M[j - 1], grid.rows.M[j]) == pytest.approx(1.0)
+    assert grid.rows.M[j + 2] == pytest.approx(0.0)
+    assert grid.rows.M[j - 2] == pytest.approx(0.0)
 
 
 def test_int_closure_battery_verdicts():
@@ -105,15 +104,6 @@ def test_minimum_resolution_enforced():
         rasterize(psi, (-4, 4, -2.4, 2.4), 100)
 
 
-def test_labels_match_component_count():
-    e = battery_entry("double_gap")
-    grid = rasterize(e.psi, e.window, 512)
-    labels = component_labels(grid)
-    found = sorted(set(labels.ravel()) - {0})
-    count, _ = complement_components(e.psi, grid)
-    assert len(found) == count
-
-
 def test_pgm_output(tmp_path):
     e = battery_entry("strip")
     grid = rasterize(e.psi, e.window, 128)
@@ -140,7 +130,7 @@ def test_inside_cells_contain_centers():
     grid = rasterize(e.psi, e.window, 256)
     inside = grid.inside_mask()
     xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
-    yc = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
+    yc = 0.5 * (grid.rows.y_edges[:-1] + grid.rows.y_edges[1:])
     rng = np.random.default_rng(3)
     iys = rng.integers(0, 256, 200)
     ixs = rng.integers(0, 256, 200)
@@ -163,17 +153,11 @@ def test_translation_invariance_of_verdicts():
 def test_component_count_is_the_number_of_unsealed_runs(seal):
     grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
     grid = dataclasses.replace(grid, seal=np.array(seal))
-    runs, prev, ids = 0, True, []
+    runs, prev = 0, True
     for sealed in seal:
         runs += prev and not sealed
         prev = sealed
-        ids.append(0 if sealed else runs)
     assert _component_count_single(grid) == runs
-    # labels carry the same run ids; sealed padding rows fill the grid out
-    padded = np.array(seal + [True] * (grid.n - len(seal)))
-    labels = component_labels(dataclasses.replace(grid, seal=padded))
-    assert labels[: len(seal), 0].tolist() == ids
-    assert not labels[len(seal):].any()
 
 
 def test_top_row_counts_when_the_bottom_row_is_outside():
@@ -181,6 +165,22 @@ def test_top_row_counts_when_the_bottom_row_is_outside():
     # wrap around and drop the top row from the violation
     e = battery_entry("quadrant")
     grid = rasterize(e.psi, e.window, 128).coarse
-    assert grid.outside[0] and not (grid.outside[-1] or grid.edge[-1])
-    grid.M[-1] = 5.0
+    assert grid.rows.outside[0] and not (grid.rows.outside[-1] or grid.rows.edge[-1])
+    M = grid.rows.M.copy()
+    M[-1] = 5.0
+    grid = dataclasses.replace(grid, rows=dataclasses.replace(grid.rows, M=M))
     assert _int_closure_violation(grid) == 5.0
+
+
+def test_the_grid_keeps_its_row_profile_read_only():
+    e = battery_entry("gap")
+    grid = rasterize(e.psi, e.window, 128)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.rows.M = grid.rows.m
+    for f in dataclasses.fields(grid.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid.rows, f.name)[0] = 0
+    # the profile is the one that row_profiles gives on the grid's y-edges
+    again = e.psi.row_profiles(grid.rows.y_edges)
+    for f in dataclasses.fields(again):
+        assert np.array_equal(getattr(again, f.name), getattr(grid.rows, f.name))

@@ -33,7 +33,7 @@ def digests(entry):
         prof = entry.psi.row_profiles(np.linspace(y0, y1, n + 1))
         for key in KEYS:
             out[f"{n}:{key}"] = hashlib.sha256(
-                np.ascontiguousarray(prof[key]).tobytes()
+                np.ascontiguousarray(getattr(prof, key)).tobytes()
             ).hexdigest()[:16]
     return out
 

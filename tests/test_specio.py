@@ -208,3 +208,20 @@ def test_nan_declared_numbers_are_rejected_at_their_path(spec, pointer, field):
     with pytest.raises(ValidationError) as err:
         psi_from_dict(spec)
     assert str(err.value).startswith(f"{pointer}: {field} must be a number"), err.value
+
+
+ENVELOPES = {
+    "affine": {"kind": "affine", "m": 0.0, "c": 0.0, "valid_from": 0.0},
+    "const": {"kind": "const", "c": 0.0, "valid_from": 0.0},
+    "log_pow": {"kind": "log_pow", "C": 1.0, "a": 0.5, "D": 0.0, "valid_from": 0.0},
+}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, env in ENVELOPES.items() for key in env if key != "kind"
+])
+def test_nan_envelope_numbers_are_reported_under_their_json_key(kind, key):
+    # log_pow's D sets the envelope's constant c, but the message names D
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(_with_tail(**{**ENVELOPES[kind], key: "nan"}))
+    assert str(err.value) == f"/pieces/0/tail_lower: {key} must be a number, got nan"
