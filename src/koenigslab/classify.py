@@ -4,8 +4,8 @@ The model set swept by the domain under left translation is the whole
 plane when I = R, a horizontal half-plane when I is a proper half-line,
 and a strip when I is bounded; that trichotomy is the semigroup class.
 Containment of the domain in a tilted half-plane reduces to an affine
-minorant of psi and is decided from declared tail envelopes plus grid
-certification.
+minorant of psi: its slope from the declared tail envelopes, its
+intercept from ``line_floor``, the one whole-line floor on psi.
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ class AffineMinorant:
     reason: str = ""
 
 
-def _tail_slopes(env, tail):
-    """Slopes m for which (envelope - m y) stays bounded below on one tail,
-    as an interval (None when no envelope is declared).
-
-    For a lower envelope these slopes are feasible on that tail; an upper
-    envelope kills every other slope, since psi - m y runs to -inf there.
-    A drifting envelope runs to -inf slower than any line, so its own
-    slope is excluded: the interval is open at env.m.
-    """
-    if env is None:
-        return None
-    towards = NEG_INF if tail == "upper" else POS_INF
-    m0 = math.nextafter(env.m, towards) if env.drifts else env.m
-    return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
-
-
 def _isect(a, b):
     lo, hi = max(a[0], b[0]), min(a[1], b[1])
     return (lo, hi) if lo <= hi else None
@@ -96,25 +80,51 @@ def slope_brackets(psi: PiecewiseDefiningFunction, tails):
     feasible = possible = everything
     for tail in tails:
         lower, upper = psi.tail_envelopes(tail)
-        slopes = _tail_slopes(lower, tail)
-        feasible = feasible and slopes and _isect(feasible, slopes)
-        possible = possible and _isect(possible, _tail_slopes(upper, tail) or everything)
+        feasible = feasible and lower and _isect(feasible, lower.slopes(tail))
+        possible = possible and _isect(possible, upper.slopes(tail) if upper else everything)
     return feasible, possible
 
 
-# the intercept grid: 64 rows of psi's row profiles over [-64, 64]
-_GRID_ROWS = 64
-_GRID_HALFWIDTH = 64.0
+def line_floor(psi: PiecewiseDefiningFunction, m=0.0, coef=0.0, a=0.0):
+    """K with psi(y) >= m y + K - coef (log(|y|+3))^a on I = R, as
+    ``(K, "")``, or ``(None, reason)``; needs coef, a >= 0.
+
+    256 row infima from ``row_profiles`` bound [-R, R], R the largest of 64,
+    each lower envelope's ``valid_from`` and each tail piece's inner end.
+    On a row, m y is at most its value at an end and the log term at least
+    its value at the end nearer 0, a row edge.  Beyond R each tail is
+    bounded by ``TailEnvelope.floor``.  The rows are sampled, so K is
+    lowered by 1e-9 (1 + |K|) as a guard against sampling optimism.
+    """
+    lower, upper = psi.tail_envelopes("lower")[0], psi.tail_envelopes("upper")[0]
+    if lower is None or upper is None:
+        return None, "a tail declares no lower envelope"
+    inner = [abs(t) for t in (psi.pieces[0].span[1], psi.pieces[-1].span[0]) if math.isfinite(t)]
+    R = max(64.0, lower.valid_from, upper.valid_from, *inner)
+    edges = np.linspace(-R, R, 257)
+    low = psi.row_profiles(edges).m
+    lo, hi = edges[:-1], edges[1:]
+    empty = np.flatnonzero(low == POS_INF)  # psi never takes +inf: no sample was finite
+    if empty.size:
+        return None, f"no finite sample of psi on [{lo[empty[0]]}, {hi[empty[0]]}]"
+    logs = np.log(np.minimum(np.abs(lo), np.abs(hi)) + 3.0) ** a
+    rows = low + np.minimum(-m * lo, -m * hi) + coef * logs
+    tails = [lower.floor(m - lower.m, R, coef, a), upper.floor(upper.m - m, R, coef, a)]
+    if None in tails:
+        return None, "a lower tail envelope gives no closed-form floor"
+    k = float(np.min(np.append(rows, tails)))
+    if not math.isfinite(k):
+        return None, "the floor is not finite"
+    return k - 1e-9 * (1.0 + abs(k)), ""
 
 
 def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     """A feasible (m, c) with psi(y) >= m y + c on R, if one exists.
 
-    Requires I = R.  Tail feasibility is decided from the declared
-    envelopes of the outermost pieces; the intercept is certified from the
-    row infima of psi over the middle plus the envelope values on the
-    tails.  Missing declarations, or a middle row where psi has no finite
-    sample, yield Unknown rather than a guess.
+    Requires I = R.  The slope is decided from the declared envelopes of
+    the outermost pieces and the intercept is certified by ``line_floor``.
+    Missing declarations, or an intercept that ``line_floor`` cannot
+    certify, yield Unknown rather than a guess.
     """
     if math.isfinite(psi.interval_lo) or math.isfinite(psi.interval_hi):
         raise ValueError("affine minorants are computed for I = R only")
@@ -126,48 +136,18 @@ def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
             reason="psi reaches -inf; no half-plane contains the domain",
         )
 
-    lo_up, _ = psi.tail_envelopes("upper")
-    lo_dn, _ = psi.tail_envelopes("lower")
     feas, poss = slope_brackets(psi, ("upper", "lower"))
-
-    # candidate slopes: 0 first, then envelope-suggested slopes
-    candidates = [0.0] + [env.m for env in (lo_up, lo_dn) if env is not None]
+    # candidate slopes: 0 first, then those of the lower envelopes
+    lowers = [psi.tail_envelopes(tail)[0] for tail in ("upper", "lower")]
+    candidates = [0.0] + [env.m for env in lowers if env is not None]
     feasible_m = next((m for m in candidates if feas and feas[0] <= m <= feas[1]), None)
 
     if feasible_m is None:
         if poss is None:
-            return AffineMinorant(
-                TriState.NO,
-                reason="declared upper envelopes exclude every slope",
-            )
-        return AffineMinorant(
-            TriState.UNKNOWN, reason="tail declarations insufficient to decide"
-        )
+            return AffineMinorant(TriState.NO, reason="declared upper envelopes exclude every slope")
+        return AffineMinorant(TriState.UNKNOWN, reason="tail declarations insufficient to decide")
 
-    m = feasible_m
-    # certified intercept: row infima over the middle, envelope bound on tails
-    edges = np.linspace(-_GRID_HALFWIDTH, _GRID_HALFWIDTH, _GRID_ROWS + 1)
-    low = psi.row_profiles(edges).m
-    empty = np.flatnonzero(low == POS_INF)  # psi never takes +inf: no sample was finite
-    if empty.size:
-        lo, hi = edges[empty[0]], edges[empty[0] + 1]
-        return AffineMinorant(
-            TriState.UNKNOWN,
-            reason=f"intercept certification failed: no finite sample of psi on [{lo}, {hi}]",
-        )
-    c_mid = float(np.min(low - m * (edges[:-1] if m <= 0 else edges[1:])))
-
-    def tail_c(env, tail):
-        if env is None:
-            return POS_INF
-        ts = np.geomspace(max(env.valid_from, _GRID_HALFWIDTH), 1e9, 2048)
-        if tail == "lower":
-            ts = -ts
-        g = env.value(ts)
-        return float(np.min(g - m * ts))
-
-    c = min(c_mid, tail_c(lo_up, "upper"), tail_c(lo_dn, "lower"))
-    if not math.isfinite(c):
-        return AffineMinorant(TriState.UNKNOWN, reason="intercept certification failed")
-    c -= 1e-9 * (1.0 + abs(c))  # guard against grid-sampling optimism
-    return AffineMinorant(TriState.YES, m=m, c=c)
+    c, why = line_floor(psi, feasible_m)
+    if c is None:
+        return AffineMinorant(TriState.UNKNOWN, reason=f"intercept certification failed: {why}")
+    return AffineMinorant(TriState.YES, m=feasible_m, c=c)

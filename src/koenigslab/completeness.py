@@ -30,16 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
     HYPERBOLIC,
     PARABOLIC_POSITIVE,
     PARABOLIC_ZERO,
     affine_minorant,
     classify,
+    line_floor,
 )
-from .domain import POS_INF, PiecewiseDefiningFunction
+from .domain import PiecewiseDefiningFunction
 from .features import analyze, detect_contact_spikes, unbounded_gap
 from .hardy import NON_MEMBER, check_p, exact_membership
 from .raster import (
@@ -232,35 +231,19 @@ def _bounded_interval_obstruction(psi, p):
 def _log_envelope_domination(psi, p):
     """Sufficient condition for I = R: psi continuous (regularized), the
     complement connected, and psi bounded below by K - C (log(|y|+3))^a
-    with a < 1; then density in H^p holds.
-
-    The witness holds on all of R, up to the row sampling: sampled rows
-    bound K out to R, past 64 and into both envelopes' ranges; beyond R an
-    envelope c_e - C_e L^(a_e), L = log(|y|+3) > 1, is at least K - C L^a,
-    by K <= c_e, C >= C_e and a >= a_e if it drifts, and by
-    K <= c_e - max(C_e, 0) if not."""
+    with a < 1; then density in H^p holds.  ``line_floor`` certifies K
+    on all of R."""
     E, e_exact = psi.liminf_neg_inf_set()
     if psi.equals_regularized()[0] is not TriState.YES or not e_exact or E:
         return None
     envs = (psi.tail_envelopes("upper")[0], psi.tail_envelopes("lower")[0])
-    if None in envs:
-        return None
-    if any(env.m != 0 or (env.drifts and env.a >= 1.0) for env in envs):
+    if None in envs or any(env.m != 0 or (env.drifts and env.a >= 1.0) for env in envs):
         return None
     drifting = [env for env in envs if env.drifts]
     a = max((env.a for env in drifting), default=0.5)
     coef = max([1.0] + [env.C for env in drifting])
-    # an envelope holds past its valid_from, on its own tail piece
-    inner = [abs(t) for t in (psi.pieces[-1].span[0], psi.pieces[0].span[1]) if math.isfinite(t)]
-    reach = max(64.0, *(env.valid_from for env in envs), *inner)
-    ys = np.linspace(-reach, reach, 257)
-    low = psi.row_profiles(ys).m
-    if np.any(low == POS_INF):  # no finite sample of psi on some row
-        return None
-    logs = np.log(np.minimum(np.abs(ys[:-1]), np.abs(ys[1:])) + 3.0) ** a
-    consts = [env.c if env.drifts else env.c - max(env.C, 0.0) for env in envs]
-    k = min(float(np.min(low + coef * logs)), *consts)
-    if not math.isfinite(k):
+    k, _ = line_floor(psi, 0.0, coef, a)
+    if k is None:
         return None
     scale = "" if coef == 1.0 else f"{coef:.4g}*"
     return Verdict(

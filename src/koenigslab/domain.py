@@ -171,6 +171,50 @@ class TailEnvelope:
         """g - m*y runs to -inf, more slowly than any line."""
         return self.C > 0 and self.a > 0
 
+    def slopes(self, tail):
+        """Slopes s for which g - s*y stays bounded below on ``tail``
+        ('upper' or 'lower'), as an interval.
+
+        For a lower envelope these slopes are feasible on that tail; an
+        upper envelope kills every other slope, since psi - s*y runs to
+        -inf there.  A drifting envelope runs to -inf slower than any
+        line, so its own slope is excluded: the interval is open at m.
+        """
+        towards = NEG_INF if tail == "upper" else POS_INF
+        m0 = math.nextafter(self.m, towards) if self.drifts else self.m
+        return (NEG_INF, m0) if tail == "upper" else (m0, POS_INF)
+
+    def floor(self, s, R, coef, a):
+        """A closed-form floor on f(t) = s*t + c - C*L**b + coef*L**a over
+        t >= R, where b = self.a and L = log(t + 3) > 1, or None.
+
+        On the tail where y has sign sg, f(|y|) = g(y) - m*y + coef*L**a
+        for s = (self.m - m)*sg.  Needs s >= 0 (else None) and coef, a >= 0,
+        so that coef*L**a >= 0 may be dropped.  With h = s*t + c - C*L**b:
+
+        * not drifting (C <= 0, or b <= 0 and L**b <= 1): s*R + c - max(C, 0);
+        * coef >= C and a >= b: coef*L**a >= C*L**b, so s*R + c;
+        * s > 0, L(R) >= b - 1 and s >= C*b*L(R)**(b-1)/(R+3): h(R), since
+          h' = s - C*b*L**(b-1)/(t+3), and L**(b-1)/(t+3) has derivative
+          L**(b-2)*(b-1-L)/(t+3)**2 <= 0 once L >= b - 1;
+        * s > 0 and b <= 1: L**b <= L, and s*t + c - C*log(t+3) is convex
+          with its minimum over t >= R at t = max(R, C/s - 3).
+        """
+        if s < 0:
+            return None
+        if not self.drifts:
+            return s * R + self.c - max(self.C, 0.0)
+        if coef >= self.C and a >= self.a:
+            return s * R + self.c
+        if s > 0:
+            b, L = self.a, math.log(R + 3.0)
+            if L >= b - 1.0 and s >= self.C * b * L ** (b - 1.0) / (R + 3.0):
+                return s * R + self.c - self.C * L ** b
+            if b <= 1.0:
+                t = max(R, self.C / s - 3.0)
+                return s * t + self.c - self.C * math.log(t + 3.0)
+        return None
+
     def translated(self, dx, dy, role):
         """A bound of the same role ('lower' or 'upper') on psi(y - dy) + dx.
 

@@ -4,14 +4,14 @@ Grammar (precedence low to high)::
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := unary ('^' factor)?            # right associative
-    unary  := '-' unary | atom
+    factor := '-' factor | atom ('^' factor)?   # right associative
     atom   := NUMBER | 'y' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
 
 Supported functions: log, exp, sin, cos, abs, sqrt.  ``**`` is accepted as
-an alias for ``^``.  Compiled expressions evaluate on scalars or numpy
-arrays; non-finite results raise :class:`EvaluatorError` unless the caller
-opts out.
+an alias for ``^``.  As in Python, ``-a^b`` is ``-(a^b)`` and ``a^-b`` is
+``a^(-b)``.  Compiled expressions evaluate on scalars or numpy arrays;
+non-finite results raise :class:`EvaluatorError` unless the caller opts
+out.
 """
 
 from __future__ import annotations
@@ -157,21 +157,18 @@ class _Parser:
                 return node
 
     def factor(self):
-        base = self.unary()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            inner = self.factor()
+            return lambda y, a=inner: -a(y)
+        base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
             expo = self.factor()
             return lambda y, a=base, b=expo: np.power(a(y), b(y))
         return base
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            inner = self.unary()
-            return lambda y, a=inner: -a(y)
-        return self.atom()
 
     def atom(self):
         kind, val, pos = self.next()

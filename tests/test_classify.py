@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koenigslab import TriState
 from koenigslab.battery import battery_entry, full_battery
 from koenigslab.classify import affine_minorant, classify, slope_brackets
+from koenigslab.specio import psi_from_dict
 
 
 def test_kind_from_interval_shape():
@@ -76,8 +78,6 @@ def test_container_shifts_with_vertical_translation():
 def test_minorant_none_when_upper_envelopes_leave_no_slope():
     # psi <= 2y on the lower tail needs m >= 2, psi <= y on the upper tail
     # needs m <= 1: no affine minorant exists
-    from koenigslab.specio import psi_from_dict
-
     psi = psi_from_dict({
         "interval": ["-inf", "inf"],
         "pieces": [
@@ -107,3 +107,59 @@ def test_slope_brackets_pin_the_half_plane_to_slope_zero():
     strip = battery_entry("strip").psi
     assert slope_brackets(strip, ("upper", "lower")) == (None, (-math.inf, math.inf))
 
+
+def _bump_spec(h, cut=None):
+    """psi = -1.5 (u + |u|), u = 1 - ((|y| - h)/4)^2: -3 at |y| = h and 0
+    beyond h + 4.  Lower envelopes 0 hold on tail pieces cut at +-cut, or,
+    with no cut, on one whole-line piece where |y| >= h + 4."""
+    u = f"(1-((abs(y)-{h!r})/4)^2)"
+    expr = f"-1.5*({u}+abs({u}))"
+    env = {"kind": "const", "c": 0.0}
+    if cut is None:
+        env["valid_from"] = h + 4.0
+        pieces = [{"kind": "finite_analytic", "span": ["-inf", "inf"], "expr": expr,
+                   "tail_lower": env}]
+    else:
+        ends = ["-inf", -cut, cut, "inf"]
+        pieces = [{"kind": "finite_analytic", "span": [lo, hi], "expr": expr}
+                  for lo, hi in zip(ends, ends[1:])]
+        pieces[0]["tail_lower"] = pieces[-1]["tail_lower"] = env
+    return {"interval": ["-inf", "inf"], "pieces": pieces}
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.floats(0.0, 300.0), gap=st.floats(4.0, 200.0), whole=st.booleans())
+def test_minorant_sees_a_dip_before_the_envelopes_hold(h, gap, whole):
+    # the intercept rows must reach every height where no envelope holds:
+    # once they stopped at 64 and certified c = -1e-9 for a dip at 80
+    psi = psi_from_dict(_bump_spec(h, None if whole else h + gap))
+    am = affine_minorant(psi)
+    assert am.status is TriState.YES and am.m == 0.0
+    assert am.c <= -3.0 + 1e-3
+    ys = np.geomspace(64.0, 1e12, 400)
+    for y in np.concatenate([ys, -ys]):
+        assert am.c <= psi.value(y), y
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_minorant_certified_past_a_drifting_tail(a):
+    # psi = |y| - 1 below 0, log(3)^a - log(y+3)^a - 1 above: the upper
+    # envelope drifts, so slope 0 is out and m = -1 must be certified in
+    # closed form on both tails
+    psi = psi_from_dict({
+        "interval": ["-inf", "inf"],
+        "pieces": [
+            {"kind": "finite_analytic", "span": ["-inf", 0.0], "expr": "abs(y) - 1",
+             "tail_lower": {"kind": "affine", "m": -1.0, "c": -1.0}},
+            {"kind": "finite_analytic", "span": [0.0, "inf"],
+             "expr": f"log(3)^{a} - log(y+3)^{a} - 1",
+             "tail_lower": {"kind": "log_pow", "C": 1.0, "a": a,
+                            "D": math.log(3.0) ** a - 1.0}},
+        ],
+    })
+    am = affine_minorant(psi)
+    assert am.status is TriState.YES and am.m == -1.0
+    assert -1.5 - 1e-6 <= am.c <= -1.0  # a row of width 1/2 costs |m|/2
+    ys = np.concatenate([np.linspace(-64.0, 64.0, 2001), np.geomspace(64.0, 1e12, 400)])
+    for y in np.concatenate([ys, -ys]):
+        assert am.c <= psi.value(y) + y, y

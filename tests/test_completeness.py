@@ -207,7 +207,7 @@ def test_psi_with_no_finite_value_gets_no_yes():
 
 
 SQRT_LOG = "-2*sqrt(log(abs(y)+3))"
-DIP = SQRT_LOG + " - 3*exp(0-((abs(y)-80)/4)^2)"  # a dip at |y| = 80
+DIP = SQRT_LOG + " - 3*exp(-((abs(y)-80)/4)^2)"  # a dip at |y| = 80
 
 
 def _log_spec(expr, valid_from=0.0, cuts=()):

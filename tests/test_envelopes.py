@@ -215,3 +215,30 @@ def test_unknown_envelope_spelling_reports_pointer():
     spec = zero_spec({"kind": "quadratic", "c": 0.0})
     with pytest.raises(ValidationError, match="/pieces/0.*unknown envelope kind 'quadratic'"):
         psi_from_dict(spec)
+
+
+FLOOR_CASES = {
+    # name: (envelope, s, R, coef, a, closed form expected)
+    "flat": (TailEnvelope(c=0.5, C=-1.0, a=1.0), 0.3, 64.0, 0.0, 0.0, True),
+    "bounded log term": (TailEnvelope(c=0.5, C=2.0, a=0.0), 0.0, 64.0, 0.0, 0.0, True),
+    "drift cancelled": (TailEnvelope(c=1.0, C=1.0, a=0.5), 0.0, 64.0, 2.0, 0.75, True),
+    "monotone beyond R": (TailEnvelope(C=1.0, a=2.0), 1.0, 64.0, 0.0, 0.0, True),
+    "convex under log": (TailEnvelope(C=50.0, a=1.0), 0.1, 64.0, 0.0, 0.0, True),
+    "convex under log, a < 1": (TailEnvelope(c=2.0, C=10.0, a=0.5), 0.01, 100.0, 0.5, 0.25, True),
+    "no closed form": (TailEnvelope(C=50.0, a=2.0), 0.1, 64.0, 0.0, 0.0, False),
+    "drift uncancelled at s = 0": (TailEnvelope(C=1.0, a=0.5), 0.0, 64.0, 0.5, 0.5, False),
+}
+
+
+@pytest.mark.parametrize("name", FLOOR_CASES)
+def test_tail_floor_never_exceeds_the_dense_minimum(name):
+    env, s, R, coef, a, closed = FLOOR_CASES[name]
+    floor = env.floor(s, R, coef, a)
+    assert (floor is not None) is closed
+    assert env.floor(-1e-3, R, coef, a) is None
+    if floor is None:
+        return
+    t = np.concatenate([np.linspace(R, R + 1e4, 100_001), np.geomspace(R + 1e4, 1e12, 100_001)])
+    L = np.log(t + 3.0)
+    f = s * t + env.c - env.C * L ** env.a + coef * L ** a
+    assert floor <= f.min() + 1e-12 * (1.0 + abs(f.min()))

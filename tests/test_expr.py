@@ -25,6 +25,11 @@ def test_unary_minus():
     assert parse_expression("-y")(2.0) == -2.0
     assert parse_expression("--y")(2.0) == 2.0
     assert parse_expression("3 - -y")(1.0) == 4.0
+    # unary minus binds looser than ^, as in Python: -a^b = -(a^b)
+    assert parse_expression("exp(-y^2)")(1.0) == math.exp(-1.0)
+    assert parse_expression("-y**2")(3.0) == -9.0
+    assert parse_expression("-2^2")(0.0) == -4.0
+    assert parse_expression("2^-1")(0.0) == 0.5
 
 
 def test_functions_and_constants():
