@@ -27,9 +27,10 @@ def bisection_reference(y, a):
     return np.real(boundary(0.5 * (lo + hi)))
 
 
-def raster_heights(n):
-    """The heights row_profiles samples on eta1's window at resolution n."""
-    _, _, y0, y1 = battery_entry("eta1").window
+def row_heights(name, n):
+    """The heights row_profiles samples on a battery entry's window at
+    resolution n, 64 per raster row."""
+    _, _, y0, y1 = battery_entry(name).window
     y_edges = np.linspace(y0, y1, n + 1)
     lo, hi = y_edges[:-1], y_edges[1:]
     frac = (np.arange(64) + 0.5) / 64
@@ -87,7 +88,7 @@ def mpmath_psi(y, a):
 def test_eta_psi_is_within_8_ulps_of_a_200_bit_root(a):
     rng = np.random.default_rng(7)
     ev = battery._eta_defining_function(a)
-    for ys in (raster_heights(1024), raster_heights(512), random_heights()):
+    for ys in (row_heights("eta1", 1024), row_heights("eta1", 512), random_heights()):
         ys = rng.choice(ys.ravel(), 200, replace=False)
         want = np.array([mpmath_psi(y, a) for y in ys])
         assert ulps(ev(ys), want).max() <= 8
@@ -96,7 +97,7 @@ def test_eta_psi_is_within_8_ulps_of_a_200_bit_root(a):
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_within_8_ulps_of_the_bisection_on_every_raster_height(a):
     ev = battery._eta_defining_function(a)
-    for ys in (raster_heights(1024), raster_heights(512)):
+    for ys in (row_heights("eta1", 1024), row_heights("eta1", 512)):
         assert ulps(ev(ys), bisection_reference(ys, a).reshape(ys.shape)).max() <= 8
 
 
@@ -128,14 +129,14 @@ def test_eta_psi_is_minus_inf_at_infinite_heights(a):
 
 def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(monkeypatch):
     monkeypatch.setattr(battery, "_ETA_NEWTON_STEPS", 1)
-    ys = raster_heights(512)[::16].ravel()
+    ys = row_heights("eta1", 512)[::16].ravel()
     assert not battery._eta_root(ys, 1.0)[1].any()
     assert same_bits(battery._eta_defining_function(1.0)(ys), bisection_reference(ys, 1.0))
 
 
 def test_eta_psi_of_a_height_does_not_depend_on_the_array():
     ev = battery._eta_defining_function(1.0)
-    ys = np.concatenate([raster_heights(512).ravel(), random_heights(6_000)])
+    ys = np.concatenate([row_heights("eta1", 512).ravel(), random_heights(6_000)])
     perm = np.random.default_rng(3).permutation(ys.size)
     got = ev(ys)
     assert same_bits(ev(ys[perm]), got[perm])
@@ -157,26 +158,129 @@ def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
 def test_eta_inversion_evaluates_the_boundary_at_most_10_times_per_height(monkeypatch):
     # the plain bisection evaluates the boundary 81 times per height
     count = 0
-    terms = battery._eta_terms
 
-    def counted(t, a):
-        nonlocal count
-        count += np.size(t)
-        return terms(t, a)
+    def counted(kernel):
+        def run(t, a):
+            nonlocal count
+            count += np.size(t)
+            return kernel(t, a)
 
-    monkeypatch.setattr(battery, "_eta_terms", counted)
+        return run
+
+    monkeypatch.setattr(battery, "_eta_im", counted(battery._eta_im))
+    monkeypatch.setattr(battery, "_eta_re", counted(battery._eta_re))
     psi = battery_entry("eta1").psi
     _, _, y0, y1 = battery_entry("eta1").window
     psi.row_profiles(np.linspace(y0, y1, 1025))
     assert 0 < count <= 10 * 65_536, count / 65_536
 
 
+# boundary parameters beyond 1.3e154, where t^2 overflows, up to 1e308
+HUGE_T = np.exp(np.random.default_rng(5).uniform(np.log(1.3e154), np.log(1e308), 2_000))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_real_kernels_agree_with_the_complex_boundary(a):
+    ts = np.concatenate([
+        random_heights(), row_heights("eta1", 1024).ravel(), HUGE_T, -HUGE_T, [0.0, 1.3e154, 1e308],
+    ])
+    with np.errstate(all="ignore"):
+        want = battery._eta_boundary(ts, a)
+        im, slope = battery._eta_im(ts, a)
+        # d/dt Im eta(i t) = 1 - Im a L^(a-1) i/w, w = 3 + i t, L = log w
+        w = 1j * ts + 3.0
+        L = np.log(w)
+        want_slope = 1.0 - np.imag(a * np.exp((a - 1.0) * np.log(L)) * 1j / w)
+    assert np.isfinite(want).all()
+    assert ulps(battery._eta_re(ts, a), want.real).max() <= 8
+    assert ulps(im, want.imag).max() <= 8
+    assert np.abs(slope - want_slope).max() <= 1e-15
+    # the slope of Im eta(i t) lies in [1 - a/3, 1 + a/3]
+    assert np.all((slope >= 1.0 - a / 3.0) & (slope <= 1.0 + a / 3.0))
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1.5, 2.0, np.nan, np.inf])
+def test_eta_domain_psi_rejects_an_exponent_outside_0_1(a):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        battery.eta_domain_psi(a)
+
+
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_declared_envelopes_bound_psi(a):
     piece = battery.eta_domain_psi(a).pieces[0]
     ev = battery._eta_defining_function(a)
-    ys = np.concatenate([raster_heights(1024).ravel(), random_heights(), [1e300, -1e300]])
+    ys = np.concatenate([row_heights("eta1", 1024).ravel(), random_heights(), [1e300, -1e300]])
     psi = ev(ys)
     assert np.all(psi <= piece.tail_upper.value(ys))
     far = np.abs(ys) >= piece.tail_lower.valid_from
     assert np.all(psi[far] >= piece.tail_lower.value(ys[far]))
+
+
+def full_array_gap_descent(carrier):
+    """The gap evaluator as a descent over the whole array at every level:
+    the reference for the one that keeps only the undecided heights."""
+
+    def ev(y):
+        scalar = np.ndim(y) == 0
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        out = np.full(y.shape, 1.0)
+        clo = np.full(y.shape, carrier.lo)
+        chi = np.full(y.shape, carrier.hi)
+        active = (y >= carrier.lo) & (y <= carrier.hi)
+        f = carrier.keep_fraction
+        for _ in range(battery._GAP_LEVELS):
+            if not active.any():
+                break
+            w = (chi - clo) * f
+            glo = clo + w
+            ghi = chi - w
+            in_gap = active & (y > glo) & (y < ghi)
+            if in_gap.any():
+                denom = (ghi[in_gap] - y[in_gap]) * (y[in_gap] - glo[in_gap])
+                out[in_gap] = np.sin(1.0 / denom)
+                active = active & ~in_gap
+            go_left = active & (y <= glo)
+            chi = np.where(go_left, glo, chi)
+            go_right = active & (y >= ghi)
+            clo = np.where(go_right, ghi, clo)
+        return float(out[0]) if scalar else out
+
+    return ev
+
+
+def gap_test_heights(carrier):
+    edges = np.array(sorted({e for gap in carrier.gaps(12) for e in gap}))
+    points = np.array(carrier.sample_points(8))
+    near = np.concatenate([
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+    ])
+    outside = np.array([
+        -np.inf, -1e300, -1.0, -5e-324, np.nextafter(carrier.hi, np.inf), 2.0, np.inf, np.nan,
+    ])
+    rng = np.random.default_rng(11)
+    return np.concatenate([
+        edges, points, near, outside,
+        rng.uniform(carrier.lo, carrier.hi, 100_000), rng.uniform(-1.0, 2.0, 10_000),
+    ])
+
+
+def test_gap_evaluator_matches_the_full_array_descent_bit_for_bit():
+    carrier = battery_entry("oscillation_cantor").psi.pieces[0].carrier
+    ev = battery.gap_oscillation_evaluator(carrier)
+    ref = full_array_gap_descent(carrier)
+    for name in ("comb", "oscillation_cantor"):
+        n = battery_entry(name).resolution
+        for ys in (row_heights(name, n), row_heights(name, n // 2)):
+            assert same_bits(ev(ys), ref(ys))
+    ys = gap_test_heights(carrier)
+    got = ev(ys)
+    assert same_bits(got, ref(ys))
+    # a height's value does not depend on the rest of the array
+    perm = np.random.default_rng(12).permutation(ys.size)
+    assert same_bits(ev(ys[perm]), got[perm])
+    picks = np.concatenate([np.arange(200), np.random.default_rng(13).choice(ys.size, 500)])
+    scalars = [ev(float(ys[i])) for i in picks]
+    assert all(isinstance(v, float) for v in scalars)
+    assert same_bits(np.array(scalars), got[picks])
+    assert same_bits(np.array([ref(float(ys[i])) for i in picks]), got[picks])
