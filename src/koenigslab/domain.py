@@ -37,6 +37,7 @@ POS_INF = float("inf")
 _DIVERGE_RATIO = 0.9
 _STAB_TOL = 1e-9
 _DYADIC_DEPTH = 40
+_ROW_SAMPLES = 64  # midpoints sampled per row by ``row_bounds``
 
 
 class ValidationError(ValueError):
@@ -338,10 +339,10 @@ class Piece:
         raise NotImplementedError
 
 
-def _row_samples(evaluator, lo, hi, k=64):
-    """(max, min) of the evaluator over k midpoints of each row [lo, hi];
-    NaN on a row where every sample fails."""
-    frac = (np.arange(k) + 0.5) / k
+def _row_samples(evaluator, lo, hi):
+    """(max, min) of the evaluator over _ROW_SAMPLES midpoints of each row
+    [lo, hi]; NaN on a row where every sample fails."""
+    frac = (np.arange(_ROW_SAMPLES) + 0.5) / _ROW_SAMPLES
     vals = _evaluate(evaluator, lo[:, None] + (hi - lo)[:, None] * frac[None, :])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -351,7 +352,7 @@ def _row_samples(evaluator, lo, hi, k=64):
 def _evaluate(evaluator, ys):
     """The evaluator on an array of heights, NaN wherever it fails."""
     try:
-        vs = evaluator(ys, check=False) if isinstance(evaluator, Expression) else evaluator(ys)
+        vs = evaluator(ys, check=False) if isinstance(evaluator, _CHECKED) else evaluator(ys)
         return np.broadcast_to(np.asarray(vs, dtype=float), ys.shape)
     except Exception:
         return np.vectorize(lambda t: _safe_eval(evaluator, t), otypes=[float])(ys)
@@ -364,8 +365,22 @@ def _safe_eval(evaluator, t):
         return math.nan
 
 
-def _shifted_evaluator(ev, dx, dy):
-    return lambda y, ev=ev, dx=dx, dy=dy: ev(np.asarray(y) - dy) + dx
+@dataclass(frozen=True)
+class _Translated:
+    """y -> ev(y - dy) + dx.  It takes ``check`` and hands it down as an
+    Expression does (batch samples stay batched), but is none: it has no
+    source to save."""
+
+    ev: Callable
+    dx: float
+    dy: float
+
+    def __call__(self, y, check=True):
+        y = np.asarray(y) - self.dy
+        return (self.ev(y, check=check) if isinstance(self.ev, _CHECKED) else self.ev(y)) + self.dx
+
+
+_CHECKED = (Expression, _Translated)  # evaluators that take ``check``
 
 
 @dataclass(frozen=True)
@@ -415,7 +430,7 @@ class FiniteAnalytic(Piece):
         return replace(
             self,
             span=(self.span[0] + dy, self.span[1] + dy),
-            evaluator=_shifted_evaluator(self.evaluator, dx, dy),
+            evaluator=_Translated(self.evaluator, dx, dy),
             limits_left=None if self.limits_left is None else self.limits_left.shifted(dx),
             limits_right=None if self.limits_right is None else self.limits_right.shifted(dx),
             tail_lower=self.tail_lower and self.tail_lower.translated(dx, dy, "lower"),
@@ -596,7 +611,7 @@ class CantorCarrierPiece(Piece):
                 self.carrier.keep_fraction, self.carrier.depth,
             ),
             on_value=_shift(self.on_value, dx),
-            off_evaluator=_shifted_evaluator(self.off_evaluator, dx, dy),
+            off_evaluator=_Translated(self.off_evaluator, dx, dy),
             off_limsup_at_carrier=_shift(self.off_limsup_at_carrier, dx),
             off_liminf_at_carrier=_shift(self.off_liminf_at_carrier, dx),
         )

@@ -16,7 +16,7 @@ logarithmically divergent boundary integral is decided exactly there.
 ``hardy_membership`` is the independent quadrature route.  The p-th
 power means over circles |u| = r are nondecreasing in r, and membership
 is equivalent to their boundedness.  The oracle climbs a dyadic schedule
-r = 1 - 2^-j with a node budget per level and certifies one of
+r = 1 - 2^-j with a node count per level and certifies one of
 
   * divergence: means exceed 1e12 and keep growing (non-member),
   * stabilization: relative Cauchy differences below 1e-6 (member),
@@ -319,20 +319,15 @@ def _trend_verdict(logs):
     return INCONCLUSIVE, "increment ratio too close to 1 to certify"
 
 
-def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> MembershipResult:
+def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
     """Tri-state membership of e^{lam z} in H^p(dom), by quadrature."""
     lam = _check_query(lam, p)
     if lam == 0:
         return MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
     logs = []
-    nodes_spent = 0
-    cert = None
-    status = None
+    status = cert = None
     for j, r, n in dom.plan.levels():
-        if budget is not None and nodes_spent + n > budget:
-            break
         logs.append(_log_mean(dom, lam, p, j, r, n))
-        nodes_spent += n
         if len(logs) >= 4:
             tail = logs[-4:]
             if tail[-1] > _LOG_DIV and all(b > a for a, b in zip(tail, tail[1:])):
@@ -342,11 +337,10 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0, budget=None) -> Membershi
             if all(d < _CAUCHY_TOL for d in deltas):
                 status, cert = MEMBER, "relative Cauchy differences below tolerance"
                 break
-    if status is None:
-        if len(logs) >= 6:
-            status, cert = _trend_verdict(logs)
-        else:
-            status, cert = INCONCLUSIVE, "budget exhausted before any certificate"
+    if status is None and len(logs) >= 6:
+        status, cert = _trend_verdict(logs)
+    elif status is None:  # a user-built plan can end before six levels
+        status, cert = INCONCLUSIVE, "the plan ended before any certificate"
     return MembershipResult(status, lam, p, cert, logs, len(logs))
 
 

@@ -6,11 +6,14 @@ so the grid is encoded by per-row frontier profiles: M = row sup of psi
 Mstar = row sup of the lower regularization psi_*.  Morphological closure
 and interior are one-row dilation/erosion of these profiles.  The
 interior-of-closure test compares M against the dilated Mstar.  Complement
-components are counted as maximal runs of consecutive rows outside the
-sealed rows: a row meeting the set E where the liminf of psi is -inf lies
-in the closure along its whole length and separates the rows above it
-from those below, while consecutive unsealed rows connect through the far
-left of the plane.
+components are counted as maximal runs of consecutive unsealed rows.  A
+row is sealed when its own profile says so: an inside row whose row inf
+m is -inf (undilated) lies in the closure along its whole length and
+separates the rows above it from those below, while consecutive unsealed
+rows connect through the far left of the plane.  Rows outside I keep
+m = +inf and stay complement rows.  Only ``complement_components`` reads
+psi's structural facts: the window check and the exactness gate read the
+set E where the liminf of psi is -inf.
 
 Verdicts are tri-state: a definite answer must be stable across the
 resolution pair (n, n/2).
@@ -31,19 +34,20 @@ class WindowError(ValueError):
     """The window cannot resolve the question; message carries guidance."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RasterGrid:
     window: tuple  # (x0, x1, y0, y1)
     n: int  # cells per side
-    x_edges: np.ndarray
     rows: RowProfile  # the row bounds on psi, on the grid's y-edges
-    seal: np.ndarray  # rows meeting the liminf = -inf set
-    seal_exact: bool
     coarse: "RasterGrid | None" = None
 
     @property
     def dx(self):
         return (self.window[1] - self.window[0]) / self.n
+
+    @property
+    def x_edges(self):
+        return np.linspace(self.window[0], self.window[1], self.n + 1)
 
     # -- frontier masks ----------------------------------------------------
 
@@ -86,31 +90,14 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n) -> RasterGrid:
             "resolution must be at least 128: verdicts are checked against a "
             "coarse grid of n/2, which needs at least 64"
         )
-    grid = _grid(psi, window, n)
-    grid.coarse = _grid(psi, window, n // 2)
-    return grid
+
+    def grid(k, coarse):
+        return RasterGrid(tuple(window), k, psi.row_profiles(np.linspace(y0, y1, k + 1)), coarse)
+
+    return grid(n, grid(n // 2, None))
 
 
-def _grid(psi, window, n):
-    """The n-by-n grid of the window, without a coarse grid."""
-    x0, x1, y0, y1 = window
-    rows = psi.row_profiles(np.linspace(y0, y1, n + 1))
-    E, e_exact = psi.liminf_neg_inf_set()
-    lo_r, hi_r = rows.y_edges[:-1], rows.y_edges[1:]
-    seal = np.zeros(n, dtype=bool)
-    for elo, ehi in E:
-        seal |= (hi_r >= elo) & (lo_r <= ehi)
-    return RasterGrid(
-        window=tuple(window),
-        n=n,
-        x_edges=np.linspace(x0, x1, n + 1),
-        rows=rows,
-        seal=seal,
-        seal_exact=e_exact,
-    )
-
-
-def _check_window_fits(psi, grid):
+def _check_window_fits(psi, E, grid):
     x0, x1, y0, y1 = grid.window
     margin_y = 0.05 * (y1 - y0)
     for e in (psi.interval_lo, psi.interval_hi):
@@ -119,7 +106,6 @@ def _check_window_fits(psi, grid):
                 f"interval endpoint {e} outside the window margin; extend the "
                 f"y-range beyond [{y0}, {y1}]"
             )
-    E, _ = psi.liminf_neg_inf_set()
     for lo, hi in E:
         for e in (lo, hi):
             if math.isfinite(e) and not (y0 <= e <= y1):
@@ -176,9 +162,10 @@ def int_closure_equals_domain(grid: RasterGrid):
 
 def _component_count_single(grid: RasterGrid):
     """Merged complement component count on one grid: each run of
-    consecutive unsealed rows is one component (a sealed row's closure
-    contains the full line), so count the rows that start a run."""
-    bearing = ~grid.seal
+    consecutive unsealed rows is one component (a sealed row, an inside
+    row with m = -inf, has the full line in its closure), so count the
+    rows that start a run."""
+    bearing = grid.rows.outside | (grid.rows.m != NEG_INF)
     return int(bearing[0]) + int(np.count_nonzero(bearing[1:] & ~bearing[:-1]))
 
 
@@ -190,8 +177,9 @@ def complement_components(psi, grid: RasterGrid):
     """
     if grid.coarse is None:
         raise ValueError("two-scale grid required")
-    _check_window_fits(psi, grid)
-    if not grid.seal_exact:
+    E, e_exact = psi.liminf_neg_inf_set()
+    _check_window_fits(psi, E, grid)
+    if not e_exact:
         return None, TriState.UNKNOWN
     n1, n2 = (_component_count_single(g) for g in (grid, grid.coarse))
     return (n1, TriState.YES) if n1 == n2 else (None, TriState.UNKNOWN)

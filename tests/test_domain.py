@@ -354,6 +354,44 @@ def test_translation_shifts_values():
     assert [(lo - 1.0, hi - 1.0) for lo, hi in E0] == pytest.approx(E1)
 
 
+def test_a_translated_expression_piece_samples_like_the_untranslated_one():
+    # the translated piece once fell off the batch path: every sample was
+    # evaluated alone, and a non-finite one turned into a failed sample
+    from koenigslab.expr import EvaluatorError, Expression
+    from koenigslab.specio import psi_to_dict
+
+    def one_piece(source, calls):
+        compiled = parse_expression(source)
+
+        def fn(y):
+            calls.append(np.shape(y))
+            return compiled._fn(y)
+
+        piece = FiniteAnalytic(span=(-1.0, 1.0), evaluator=Expression(source, fn))
+        return PiecewiseDefiningFunction(-1.0, 1.0, (piece,))
+
+    calls = []
+    psi = one_piece("log(abs(y))", calls)
+    moved = psi.translated(0.0, 0.0)
+    row = np.array([-31.5 / 64, 32.5 / 64])  # its middle sample is y = 0
+    for edges in (row, np.linspace(-1.0, 1.0, 1025)):
+        a, b = psi.row_profiles(edges), moved.row_profiles(edges)
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    assert moved.row_profiles(row).m[0] == NEG_INF
+    with pytest.raises(EvaluatorError):
+        moved.pieces[0].value(0.0)
+    with pytest.raises(ValidationError, match="without expression source"):
+        psi_to_dict(moved)
+
+    # one batch call per piece, not one call per sample
+    calls = []
+    moved = one_piece("sqrt(y)", calls).translated(0.0, 0.0)
+    del calls[:]
+    moved.row_profiles(np.linspace(-1.0, 1.0, 1025))
+    assert calls == [(1024, 64)]
+
+
 @pytest.mark.parametrize("name", ["oscillation_cantor", "double_gap"])
 def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
     # building psi builds the structural facts; no consumer recomputes them

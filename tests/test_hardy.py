@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -141,16 +142,12 @@ def test_eta_exponent_validation():
         eta_domain(1.5)
 
 
-def test_compute_budget_bounds_work():
-    res = hardy_membership(-0.75, eta_domain(1.0), 1.0, budget=2**10)
-    assert res.status == INCONCLUSIVE
-    assert "budget" in res.certificate
-
-
-def test_budgeted_result_is_not_served_to_unbudgeted_call():
-    capped = hardy_membership(-0.5, half_plane_right(), 2, budget=100)
-    assert capped.status == INCONCLUSIVE
-    assert hardy_membership(-0.5, half_plane_right(), 2).status == MEMBER
+def test_a_plan_that_ends_early_is_inconclusive():
+    # a user-built plan can stop before the six levels the trend test needs
+    short = dataclasses.replace(eta_domain(1.0), plan=hardy.QuadraturePlan(3, 5, 9, True))
+    res = hardy_membership(-0.75, short, 1.0)
+    assert (res.status, res.levels_used) == (INCONCLUSIVE, 3)
+    assert res.certificate == "the plan ended before any certificate"
 
 
 # -- betsakos band --------------------------------------------------------

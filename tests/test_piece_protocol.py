@@ -200,3 +200,37 @@ def test_psi_is_validated_only_when_built():
         if hits:
             found[path.name] = hits
     assert found == {}, found
+
+
+FACT_READS = {"liminf_neg_inf_set", "facts"}  # psi's structural facts
+
+
+def fact_reads(source, owner):
+    """(line, name) of every read of psi's structural facts outside the
+    function named ``owner``."""
+    tree = ast.parse(source)
+    owned = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return [
+        (node.lineno, ident)
+        for node in ast.walk(tree)
+        if id(node) not in owned
+        and (ident := node.attr if isinstance(node, ast.Attribute)
+             else node.id if isinstance(node, ast.Name) else None) in FACT_READS
+    ]
+
+
+def test_the_raster_reads_facts_in_complement_components_only():
+    # the seal comes from the row profile; E still feeds the window check
+    # and the exactness gate, and only through this one function
+    owner = "complement_components"
+    assert fact_reads("def complement_components(psi):\n    psi.liminf_neg_inf_set()", owner) == []
+    assert fact_reads("def _grid(psi):\n    E = psi.facts.E", owner) == [(2, "facts")]
+    assert fact_reads("def f(psi):\n    return liminf_neg_inf_set(psi)", owner) == [
+        (2, "liminf_neg_inf_set")
+    ]
+    assert fact_reads((SRC / "raster.py").read_text(encoding="utf-8"), owner) == []

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from koenigslab import TriState
 from koenigslab.battery import battery_entry, full_battery
+from koenigslab.domain import NEG_INF, RowProfile
 from koenigslab.raster import (
     WindowError,
     _component_count_single,
@@ -151,13 +152,55 @@ def test_translation_invariance_of_verdicts():
 
 @given(st.lists(st.booleans(), min_size=1, max_size=64))
 def test_component_count_is_the_number_of_unsealed_runs(seal):
+    # a sealed row is an inside row whose row inf is -inf
     grid = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
-    grid = dataclasses.replace(grid, seal=np.array(seal))
+    k = len(seal)
+    rows = grid.rows
+    rows = RowProfile(
+        rows.y_edges[: k + 1], rows.M[:k], np.where(seal, NEG_INF, rows.m[:k]),
+        rows.Mstar[:k], rows.outside[:k], rows.edge[:k],
+    )
+    grid = dataclasses.replace(grid, n=k, rows=rows)
     runs, prev = 0, True
     for sealed in seal:
         runs += prev and not sealed
         prev = sealed
     assert _component_count_single(grid) == runs
+
+
+def test_rows_outside_the_interval_stay_complement_rows():
+    # a row below I holds no height of psi: even an m of -inf there seals nothing
+    grid = rasterize(battery_entry("quadrant").psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
+    assert grid.rows.outside[10] and not grid.rows.outside[-1]
+    m = grid.rows.m.copy()
+    m[10] = NEG_INF
+    grid = dataclasses.replace(grid, rows=dataclasses.replace(grid.rows, m=m))
+    assert _component_count_single(grid) == 1
+
+
+@pytest.mark.parametrize("name", ["gap", "double_gap", "du_oscillation", "pos_step_du"])
+def test_scrambling_the_row_profile_changes_the_count(name):
+    # the count is read off the raster: zeroing M, m and Mstar on both
+    # scales must not leave it as it was
+    e = battery_entry(name)
+    grid = rasterize(e.psi, e.window, e.resolution)
+
+    def scrambled(g, coarse):
+        zero = np.zeros(g.n)
+        rows = dataclasses.replace(g.rows, M=zero, m=zero, Mstar=zero)
+        return dataclasses.replace(g, rows=rows, coarse=coarse)
+
+    bad = scrambled(grid, scrambled(grid.coarse, None))
+    assert complement_components(e.psi, grid) == (e.components, TriState.YES)
+    assert complement_components(e.psi, bad) != (e.components, TriState.YES)
+
+
+def test_the_raster_grid_is_frozen_with_four_fields():
+    grid = rasterize(battery_entry("strip").psi, (-4, 4, -2.4, 2.4), 128)
+    assert [f.name for f in dataclasses.fields(grid)] == ["window", "n", "rows", "coarse"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.coarse = None
+    assert np.array_equal(grid.x_edges, np.linspace(-4, 4, 129))
 
 
 def test_top_row_counts_when_the_bottom_row_is_outside():
