@@ -85,16 +85,26 @@ def slope_brackets(psi: PiecewiseDefiningFunction, tails):
     return feasible, possible
 
 
+def _row_floors(psi, edges, m, coef, a):
+    """Per row between consecutive edges: the sampled infimum of psi, plus
+    -m y at the row end where it is least and the log term at the end
+    nearer 0."""
+    lo, hi = edges[:-1], edges[1:]
+    logs = np.log(np.minimum(np.abs(lo), np.abs(hi)) + 3.0) ** a
+    return psi.row_profiles(edges).m + np.minimum(-m * lo, -m * hi) + coef * logs
+
+
 def line_floor(psi: PiecewiseDefiningFunction, m=0.0, coef=0.0, a=0.0):
     """K with psi(y) >= m y + K - coef (log(|y|+3))^a on I = R, as
     ``(K, "")``, or ``(None, reason)``; needs coef, a >= 0.
 
-    256 row infima from ``row_profiles`` bound [-R, R], R the largest of 64,
+    256 row floors (``_row_floors``) bound [-R, R], R the largest of 64,
     each lower envelope's ``valid_from`` and each tail piece's inner end.
-    On a row, m y is at most its value at an end and the log term at least
-    its value at the end nearer 0, a row edge.  Beyond R each tail is
-    bounded by ``TailEnvelope.floor``.  The rows are sampled, so K is
-    lowered by 1e-9 (1 + |K|) as a guard against sampling optimism.
+    Beyond R each tail is bounded by ``TailEnvelope.floor``.  The rows are
+    sampled, and a dip between samples hides up to the square of their
+    spacing: so the lowest row and its neighbours are split into 64 rows,
+    then the lowest of those and its neighbours (at most 8 times), while K
+    still drops by more than the guard 1e-9 (1 + |K|) it is lowered by.
     """
     lower, upper = psi.tail_envelopes("lower")[0], psi.tail_envelopes("upper")[0]
     if lower is None or upper is None:
@@ -102,17 +112,22 @@ def line_floor(psi: PiecewiseDefiningFunction, m=0.0, coef=0.0, a=0.0):
     inner = [abs(t) for t in (psi.pieces[0].span[1], psi.pieces[-1].span[0]) if math.isfinite(t)]
     R = max(64.0, lower.valid_from, upper.valid_from, *inner)
     edges = np.linspace(-R, R, 257)
-    low = psi.row_profiles(edges).m
-    lo, hi = edges[:-1], edges[1:]
-    empty = np.flatnonzero(low == POS_INF)  # psi never takes +inf: no sample was finite
+    rows = _row_floors(psi, edges, m, coef, a)
+    empty = np.flatnonzero(rows == POS_INF)  # psi never takes +inf: no sample was finite
     if empty.size:
-        return None, f"no finite sample of psi on [{lo[empty[0]]}, {hi[empty[0]]}]"
-    logs = np.log(np.minimum(np.abs(lo), np.abs(hi)) + 3.0) ** a
-    rows = low + np.minimum(-m * lo, -m * hi) + coef * logs
+        return None, f"no finite sample of psi on [{edges[empty[0]]}, {edges[empty[0] + 1]}]"
     tails = [lower.floor(m - lower.m, R, coef, a), upper.floor(upper.m - m, R, coef, a)]
     if None in tails:
         return None, "a lower tail envelope gives no closed-form floor"
-    k = float(np.min(np.append(rows, tails)))
+    j = int(np.argmin(rows))
+    k, lo, hi = min(float(rows[j]), *tails), edges[max(j - 1, 0)], edges[min(j + 2, rows.size)]
+    for _ in range(8):
+        sub = np.linspace(lo, hi, 65)
+        floors = _row_floors(psi, sub, m, coef, a)
+        s = int(np.argmin(floors))
+        if not floors[s] < k - 1e-9 * (1.0 + abs(k)):
+            break
+        k, lo, hi = float(floors[s]), sub[max(s - 1, 0)], sub[min(s + 2, 64)]
     if not math.isfinite(k):
         return None, "the floor is not finite"
     return k - 1e-9 * (1.0 + abs(k)), ""
