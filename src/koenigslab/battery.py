@@ -26,7 +26,7 @@ from .domain import (
     TailEnvelope,
 )
 from .expr import parse_expression
-from .hardy import eta_domain
+from .hardy import eta_domain, log_power
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -302,26 +302,9 @@ _ETA_MARGIN = 1e-12
 _DBL_MAX = np.finfo(float).max
 
 
-def _eta_power(t, a):
-    """L = log(3 + i t) = l + i phi and L^a = p + i q for real t, in real
-    arithmetic.
-
-    l = log hypot(3, t) (t^2 overflows above 1.3e154) and phi = atan2(t, 3).
-    For a = 1, L^a = L exactly; otherwise L^a = |L|^a (cos a theta,
-    sin a theta) with theta = atan2(phi, l).
-    """
-    l = np.log(np.hypot(3.0, t))
-    phi = np.arctan2(t, 3.0)
-    if a == 1.0:
-        return l, phi, l, phi
-    r = np.hypot(l, phi)
-    a_theta = a * np.arctan2(phi, l)
-    ra = r**a
-    return l, phi, ra * np.cos(a_theta), ra * np.sin(a_theta)
-
-
 def _eta_im(t, a):
-    """Im eta(i t) = t - Im L^a and its t-derivative: one boundary evaluation.
+    """Im eta(i t) = t - Im L^a, with L = log(3 + i t) from
+    ``hardy.log_power``, and its t-derivative: one boundary evaluation.
 
     dL/dt = i/(3 + i t) = (t + 3i)/(9 + t^2), so the slope is
     1 - a Im(L^a/L (t + 3i))/(9 + t^2), with L^a/L = L^a conj(L)/|L|^2;
@@ -330,7 +313,7 @@ def _eta_im(t, a):
     """
     if a == 1.0:
         return t - np.arctan2(t, 3.0), 1.0 - 3.0 / (9.0 + t * t)
-    l, phi, p, q = _eta_power(t, a)
+    l, phi, p, q = log_power(3.0, t, a)
     v = 1.0 / (9.0 + t * t)
     cross = (q * l - p * phi) * (t * v) + 3.0 * (p * l + q * phi) * v
     return t - q, 1.0 - a * cross / (l * l + phi * phi)
@@ -338,7 +321,7 @@ def _eta_im(t, a):
 
 def _eta_re(t, a):
     """Re eta(i t) = -Re L^a: one boundary evaluation."""
-    return -_eta_power(t, a)[2]
+    return -log_power(3.0, t, a)[2]
 
 
 def _eta_boundary(t, a):

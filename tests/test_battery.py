@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koenigslab import battery
+from koenigslab import battery, hardy
 from koenigslab.battery import battery_entry
 
 
@@ -284,3 +284,30 @@ def test_gap_evaluator_matches_the_full_array_descent_bit_for_bit():
     assert all(isinstance(v, float) for v in scalars)
     assert same_bits(np.array(scalars), got[picks])
     assert same_bits(np.array([ref(float(ys[i])) for i in picks]), got[picks])
+
+
+def written_out_log_power(s, t, a):
+    """log(s + i t) and its principal a-th power, one ufunc call at a time,
+    with a fresh array for every step."""
+    l = np.log(np.hypot(s, t))
+    phi = np.arctan2(t, s)
+    if a == 1.0:
+        return l, phi, l, phi
+    r = np.hypot(l, phi)
+    a_theta = a * np.arctan2(phi, l)
+    ra = r**a
+    return l, phi, ra * np.cos(a_theta), ra * np.sin(a_theta)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.75, 0.5, 0.25])
+def test_eta_psi_keeps_its_bits_through_the_shared_log_power(a, monkeypatch):
+    # battery evaluates eta's boundary with hardy's kernel, not a copy of it
+    assert not hasattr(battery, "_eta_power")
+    ys = np.concatenate([row_heights("eta1", 512).ravel(), random_heights(6_000), SPECIAL_HEIGHTS])
+    shared = battery._eta_defining_function(a)(ys)
+    monkeypatch.setattr(battery, "log_power", written_out_log_power)
+    assert same_bits(battery._eta_defining_function(a)(ys), shared)
+    with np.errstate(all="ignore"):
+        ts = np.concatenate([random_heights(6_000), HUGE_T, -HUGE_T])
+        got, want = hardy.log_power(3.0, ts, a), written_out_log_power(3.0, ts, a)
+    assert all(same_bits(g, w) for g, w in zip(got, want))

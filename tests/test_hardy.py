@@ -138,8 +138,21 @@ def test_domain_monotonicity_eta_family(domains):
 
 
 def test_eta_exponent_validation():
-    with pytest.raises(ValueError):
-        eta_domain(1.5)
+    for a in (1.5, 0.0, float("nan")):
+        with pytest.raises(ValueError, match=rf"eta_domain: the exponent a .*got {a!r}"):
+            eta_domain(a)
+
+
+@pytest.mark.parametrize("side", ["uper", "Upper", "", None])
+def test_horizontal_half_plane_rejects_an_unknown_side(side):
+    with pytest.raises(ValueError, match=rf"side must be 'upper' or 'lower', got {side!r}"):
+        horizontal_half_plane(0.0, side)
+
+
+@pytest.mark.parametrize("edge", [float("nan"), float("inf"), -float("inf")])
+def test_horizontal_half_plane_rejects_a_non_finite_edge(edge):
+    with pytest.raises(ValueError, match=rf"edge must be finite, got {edge!r}"):
+        horizontal_half_plane(edge, "upper")
 
 
 def test_a_plan_that_ends_early_is_inconclusive():

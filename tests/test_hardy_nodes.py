@@ -1,12 +1,15 @@
 """The half-circle node layer of the membership oracle.
 
-Each level transplants only the upper half of the midpoint rule and reads
-the lower half through ``CanonicalDomain.reflection``.  These tests check
-the reflection identity of every canonical transplant, compare the
-half-circle log-mean with the full-circle formula, and check that a
-frequency and its reflection give bit-identical answers.
+Each level builds only the upper half of the midpoint rule, in real
+arithmetic from the Cayley point, and reads the lower half through
+``CanonicalDomain.reflection``.  These tests check the nodes against a
+200-bit reference, the reflection identity of every canonical map,
+compare the half-circle log-mean with the full-circle formula, check that
+a frequency and its reflection give bit-identical answers, and that the
+node cache answers each domain from its own nodes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,11 +51,66 @@ def test_transplant_of_conjugate_is_reflected_conjugate(dom):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def cayley_point(r, theta):
+    """(Re w, Im w) of w = (1 + u)/(1 - u) at u = r e^{i theta}, from
+    |1 - u|^2 = (1 - r)^2 + 4 r sin^2(theta/2)."""
+    h = 1.0 - r
+    d = h * h + 4.0 * r * np.sin(0.5 * theta) ** 2
+    return h * (1.0 + r) / d, 2.0 * r * np.sin(theta) / d
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+def test_real_map_of_conjugate_is_reflected_conjugate_bit_for_bit(dom):
+    _, r, n = list(dom.plan.levels())[-1]
+    x, y = cayley_point(r, (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n))
+    re, im = dom.real_map(x.copy(), y.copy())
+    got_re, got_im = dom.real_map(x.copy(), -y)
+    assert np.array_equal(got_re, dom.reflection * re)
+    assert np.array_equal(got_im, -dom.reflection * im)
+
+
+def mp_map(dom, w):
+    """T at the Cayley point w, in mpmath, for the domains above."""
+    import mpmath
+
+    kind, _, params = dom.key.partition(":")
+    if kind == "half_plane_right":
+        return w
+    if kind == "strip_width_pi":
+        return mpmath.log(w)
+    if kind == "eta_domain":
+        return w - mpmath.log(w + 3) ** mpmath.mpf(float(params))
+    edge, side = params.split(":")
+    return 1j * mpmath.mpf(float(edge)) + (1 if side == "upper" else -1) * 1j * w
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+def test_nodes_are_within_8_ulps_of_a_200_bit_map(dom):
+    # the rule's nodes are the float angles theta_k; T is evaluated there
+    mpmath = pytest.importorskip("mpmath")
+    hardy._transplant_cache.clear()
+    levels = list(dom.plan.levels())
+    for j, r, n in (levels[0], levels[len(levels) // 2], levels[-1]):
+        x, y = hardy._nodes(dom, j, r, n)
+        theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+        m = n // 2
+        # both ends of the half circle and 48 nodes spread between them
+        picks = np.unique(np.r_[
+            np.arange(min(m, 48)), np.linspace(0, m - 1, 48).astype(int), np.arange(max(0, m - 48), m)
+        ])
+        with mpmath.workprec(200):
+            for k in picks:
+                u = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(float(theta[k])))
+                T = mp_map(dom, (1 + u) / (1 - u))
+                err = abs(mpmath.mpc(float(x[k]), float(y[k])) - T)
+                assert err <= 8 * math.ulp(float(abs(T))), (j, k)
+
+
 def full_circle_log_mean(dom, lam, p, r, n):
     """The log p-th power mean over all n midpoint nodes of |u| = r."""
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    w = dom.transplant(r * np.exp(1j * theta))
-    L = p * (lam.real * w.real - lam.imag * w.imag)
+    x, y = dom.real_map(*cayley_point(r, theta))
+    L = p * (lam.real * x - lam.imag * y)
     Lmax = float(np.max(L))
     return Lmax + math.log(float(np.mean(np.exp(L - Lmax))))
 
@@ -70,6 +128,18 @@ def test_half_circle_log_mean_matches_full_circle(dom):
                 want = full_circle_log_mean(dom, lam, p, r, n)
                 got = hardy._log_mean(dom, lam, p, j, r, n)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (j, lam, p)
+
+
+def test_the_node_cache_keys_on_the_domain_not_its_name():
+    eta = eta_domain(1.0)
+    twin = dataclasses.replace(eta, real_map=half_plane_right().real_map)
+    assert twin.key == eta.key
+    hardy._transplant_cache.clear()
+    eta_means = hardy_membership(-0.5, eta, 1.0).log_means
+    twin_means = hardy_membership(-0.5, twin, 1.0).log_means
+    hardy._transplant_cache.clear()
+    assert twin_means == hardy_membership(-0.5, twin, 1.0).log_means
+    assert twin_means[0] != eta_means[0]
 
 
 COORDS = st.sampled_from((-1.5, -0.75, -0.3, -0.0, 0.0, 0.35, 1.0))
