@@ -16,7 +16,7 @@ within 4 ulps per component.
 
 ``least_squares_fit`` takes every frequency budget of a demo in one call.
 The budgets' lists are sub-lists of the longest one, so the quadrature
-nodes are transplanted once per radius and the longest list's design
+nodes are read once per radius and the longest list's design
 matrix is exponentiated once; each fit copies out its own columns and runs
 the Gram matrix, solve and error of a fit of that list alone, bit for bit.
 """
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hardy import CanonicalDomain
+from .hardy import CanonicalDomain, circle_nodes
 
 STRIP_HALF_WIDTH = math.pi / 2.0
 _U = 2.0**-53  # unit roundoff of a double
@@ -307,23 +307,26 @@ class FitResult:
         return abs(self._refined_error() - self.error)
 
 
-_FIT_RHO = 1.0 - 2.0**-12  # quadrature radius in the disc
+# quadrature radius rho = 1 - 2^-12 in the disc, the level of
+# ``hardy.circle_nodes``; the refinement radius (1 + rho)/2 is the next level
+_FIT_LEVEL = 12
 _FIT_RIDGE = 1e-12
 
 
 def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -> list[FitResult]:
     """One fit per frequency list in ``freq_lists``: the best coefficients
-    for target ~ sum c_k e^{lam_k z} in the transplanted boundary L2
-    metric at radius rho = _FIT_RHO.
+    for target ~ sum c_k e^{lam_k z} in the L2 metric of the canonical map
+    on the circle of radius rho = 1 - 2^-_FIT_LEVEL.
 
     Normal equations with a fixed ridge; the exponential Gram matrix is
     ill-conditioned by nature, so the achieved error and a rho-refinement
     delta are reported for honesty rather than claiming exact Hardy norms.
 
     Every list must be a sub-list of the longest one: each frequency equals
-    one of the longest list's exactly, as a float.  The nodes are
-    transplanted once per radius and the design matrix e^{lam_k z_j} is
-    built once, for the longest list; a list's fit copies out its columns.
+    one of the longest list's exactly, as a float.  The nodes are read
+    from ``circle_nodes`` once per radius and the design matrix
+    e^{lam_k z_j} is built once, for the longest list; a list's fit copies
+    out its columns.
     Each entry of the design is one exp of one product, so the copy holds
     the bits a fit of that list alone would build, and the Gram matrix,
     right-hand side, solve and rms error then run the same BLAS calls on
@@ -332,6 +335,9 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     need not match the same entry of a product over fewer columns (the
     edge tiles of a block kernel sum in another order).
     """
+    if not (n_nodes > 0 and n_nodes % 2 == 0):
+        # the lower half circle is the mirror of the upper one
+        raise ValueError(f"n_nodes must be positive and even, got {n_nodes!r}")
     lists = [[complex(l) for l in freqs] for freqs in freq_lists]
     full = max(lists, key=len)
     column = {l: k for k, l in enumerate(full)}
@@ -344,15 +350,17 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
                 f"({len(full)} frequencies): {missing[0]!r} is not in it"
             )
         idxs.append([column[l] for l in freqs])
-    theta = (np.arange(n_nodes) + 0.5) * (2.0 * math.pi / n_nodes)
 
-    def nodes(r):
-        z = dom.transplant(r * np.exp(1j * theta))
+    def nodes(j):
+        # the upper half circle, then its mirror: theta_{n-1-k} = 2 pi - theta_k
+        x, y = circle_nodes(dom, j, n_nodes)
+        up = x + 1j * y
+        z = np.concatenate((up, dom.reflection * np.conj(up[::-1])))
         return z, np.asarray(target(z), dtype=complex)
 
-    z, b = nodes(_FIT_RHO)
+    z, b = nodes(_FIT_LEVEL)
     A = _design(z, full)
-    refined = functools.cache(lambda: nodes(1.0 - (1.0 - _FIT_RHO) / 2.0))
+    refined = functools.cache(lambda: nodes(_FIT_LEVEL + 1))
     whole = list(range(len(full)))
     return [
         _fit_one(A if idx == whole else np.take(A, idx, axis=1), b, freqs, refined)

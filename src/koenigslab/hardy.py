@@ -28,19 +28,20 @@ integral (increment ratio 1) is one such case for this route.
 
 Each level is the periodic trapezoid rule on n midpoint nodes
 theta_k = (k + 1/2) 2 pi / n, a set closed under conjugation.  Every
-canonical transplant T satisfies T(conj u) = reflection * conj T(u) with
+canonical map T satisfies T(conj u) = reflection * conj T(u) with
 reflection = +1 or -1, so only the n/2 nodes on the upper half circle
-are transplanted; the lower half is read from them by that symmetry.
+are mapped; the lower half is read from them by that symmetry.
 
-The nodes are built in real arithmetic: ``_nodes`` forms the Cayley point
-w = (1 + u)/(1 - u) from sines of the node angles with no cancellation,
-and each domain's ``real_map`` carries (Re w, Im w) to (Re T, Im T).  On
-the five canonical domains every node is within 8 ulps of |T| (about 4 at
-worst) against a 200-bit evaluation at the same float angle; forming T
-from complex u lost up to ~2*10^4 ulps to the cancellation in 1 - u near
-theta = 0.  The complex ``transplant`` stays, because ``approx`` fits on
-it and its bits pin the approx CLI digests.  The node cache keeps each
-upper half as two real arrays (x, y), keyed by the domain itself.
+``circle_nodes`` is the one way into a canonical map: it forms the Cayley
+point w = (1 + u)/(1 - u) from sines of the node angles with no
+cancellation, and each domain's ``real_map`` carries (Re w, Im w) to
+(Re T, Im T).  On the five canonical domains every node is within 8 ulps
+of |T| (about 4 at worst) against a 200-bit evaluation at the same float
+angle; forming T from complex u would lose up to ~2*10^4 ulps to the
+cancellation in 1 - u near theta = 0.  The oracle and
+``approx.least_squares_fit`` both read these nodes.  The node cache keeps
+each upper half as two read-only real arrays (x, y), keyed by the domain
+itself.
 """
 
 from __future__ import annotations
@@ -161,27 +162,20 @@ class CanonicalDomain:
     every pole end admits lam, and then F is in H^p iff every logarithmic
     end keeps the boundary integral finite.
 
-    T is given twice.  ``real_map`` takes the Cayley point w = (1 + u)/(1 - u)
-    as two real arrays (Re w, Im w) and returns (Re T, Im T); it may
-    overwrite its arguments.  The quadrature nodes are built with it.
-    ``transplant`` is the same map on complex u, the one
-    ``approx.least_squares_fit`` fits on; its bits pin the approx CLI
-    digests, so it stays complex, though 1 - u cancels near u = 1."""
+    T is given once, as ``real_map``: it takes the Cayley point
+    w = (1 + u)/(1 - u) as two real arrays (Re w, Im w) and returns
+    (Re T, Im T); it may overwrite its arguments.  ``circle_nodes`` is its
+    one caller."""
 
     key: str
-    transplant: Callable  # u in D (ndarray complex) -> domain points
     real_map: Callable  # (Re w, Im w) -> (Re T, Im T), w the Cayley point of u
     plan: QuadraturePlan
-    # +1.0 or -1.0: T(conj u) = reflection * conj T(u), in both forms of T
+    # +1.0 or -1.0: T(conj u) = reflection * conj T(u)
     reflection: float
     ends: tuple
 
     def __repr__(self):
         return f"CanonicalDomain({self.key})"
-
-
-def _cayley(u):
-    return (1.0 + u) / (1.0 - u)
 
 
 def _identity(x, y):
@@ -190,7 +184,7 @@ def _identity(x, y):
 
 def half_plane_right() -> CanonicalDomain:
     return CanonicalDomain(
-        "half_plane_right", _cayley, _identity, QuadraturePlan(2, 14, 5, False), 1.0,
+        "half_plane_right", _identity, QuadraturePlan(2, 14, 5, False), 1.0,
         (PoleEnd(1.0),),
     )
 
@@ -204,9 +198,6 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         raise ValueError(f"horizontal_half_plane: edge must be finite, got {edge!r}")
     sgn = 1.0 if side == "upper" else -1.0
 
-    def tr(u):
-        return 1j * edge + sgn * 1j * _cayley(u)
-
     def real_map(x, y):
         y *= -sgn
         x *= sgn
@@ -214,20 +205,17 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         return y, x
 
     return CanonicalDomain(
-        f"horizontal_half_plane:{edge}:{side}", tr, real_map, QuadraturePlan(2, 14, 5, False),
+        f"horizontal_half_plane:{edge}:{side}", real_map, QuadraturePlan(2, 14, 5, False),
         -1.0, (PoleEnd(complex(0.0, sgn)),),
     )
 
 
 def strip_width_pi() -> CanonicalDomain:
-    def tr(u):
-        return np.log(_cayley(u))
-
     def real_map(x, y):
         return np.log(np.hypot(x, y)), np.arctan2(y, x)
 
     return CanonicalDomain(
-        "strip_width_pi", tr, real_map, QuadraturePlan(2, 14, 5, False), 1.0,
+        "strip_width_pi", real_map, QuadraturePlan(2, 14, 5, False), 1.0,
         (LogEnd(1.0, 1.0), LogEnd(-1.0, 1.0)),
     )
 
@@ -263,11 +251,6 @@ def eta_domain(a=1.0) -> CanonicalDomain:
     if not (0.0 < a <= 1.0):
         raise ValueError(f"eta_domain: the exponent a must lie in (0, 1], got {a!r}")
 
-    def tr(u):
-        w = _cayley(u)
-        lg = np.log(w + 3.0)
-        return w - np.exp(a * np.log(lg))
-
     def real_map(x, y):
         _, _, p, q = log_power(x + 3.0, y, a)
         x -= p
@@ -275,7 +258,7 @@ def eta_domain(a=1.0) -> CanonicalDomain:
         return x, y
 
     return CanonicalDomain(
-        f"eta_domain:{a}", tr, real_map, QuadraturePlan(3, 22, 9, True), 1.0,
+        f"eta_domain:{a}", real_map, QuadraturePlan(3, 22, 9, True), 1.0,
         (PoleEnd(1.0), LogEnd(-1.0, a)),
     )
 
@@ -326,7 +309,7 @@ def exact_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
 
 # nodes of each level, keyed by (domain, j, n): the domain itself, so that
 # two domains with one key never share nodes
-_transplant_cache: dict = {}
+_node_cache: dict = {}
 
 
 @functools.lru_cache(maxsize=32)
@@ -341,19 +324,21 @@ def _half_circle_sines(n):
     return s, sn
 
 
-def _nodes(dom, j, r, n):
-    """Transplanted upper half circle of level j: real arrays (x, y) at the
-    nodes theta_k, k < n/2; the rule's lower half is their reflection.
+def circle_nodes(dom, j, n):
+    """T on the upper half of the circle |u| = r = 1 - 2^-j: read-only real
+    arrays (x, y) = (Re T, Im T) at the midpoint nodes theta_k, k < n/2.
+    The lower half, theta_{n-1-k} = 2 pi - theta_k, is their reflection.
 
-    With h = 1 - r, s = sin(theta/2) and D = |1 - u|^2 = h^2 + 4 r s^2, the
-    Cayley point of u = r e^{i theta} is Re w = h (1 + r)/D and
+    With h = 1 - r = 2^-j, s = sin(theta/2) and D = |1 - u|^2 = h^2 + 4 r s^2,
+    the Cayley point of u = r e^{i theta} is Re w = h (1 + r)/D and
     Im w = 2 r sin(theta)/D.  Every term of D is positive, so nothing
     cancels, and ``dom.real_map`` carries w to T."""
     key = (dom, j, n)
-    xy = _transplant_cache.get(key)
+    xy = _node_cache.get(key)
     if xy is None:
         s, sn = _half_circle_sines(n)
-        h = 1.0 - r  # 2^-j, exactly
+        h = 2.0 ** (-j)
+        r = 1.0 - h
         d = np.multiply(s, s)
         d *= 4.0 * r
         d += h * h
@@ -361,20 +346,22 @@ def _nodes(dom, j, r, n):
         y = np.divide(sn, d, out=d)
         y *= 2.0 * r
         xy = dom.real_map(x, y)
-        if len(_transplant_cache) > 40:
-            _transplant_cache.clear()
-        _transplant_cache[key] = xy
+        for a in xy:
+            a.flags.writeable = False
+        if len(_node_cache) > 40:
+            _node_cache.clear()
+        _node_cache[key] = xy
     return xy
 
 
-def _log_mean(dom, lam, p, j, r, n):
-    """log of the p-th power mean of |e^{lam z}| over the circle |u| = r.
+def _log_mean(dom, lam, p, j, n):
+    """log of the p-th power mean of |e^{lam z}| over the circle of level j.
 
     At w = x + iy on the upper half, log|e^{p lam w}| = a x - b y with
     (a, b) = p (Re lam, Im lam); at the mirrored node it is
     reflection * (a x + b y).  For real lam and reflection +1 the two
     agree, and one half carries the whole mean."""
-    x, y = _nodes(dom, j, r, n)
+    x, y = circle_nodes(dom, j, n)
     a, b = p * lam.real, p * lam.imag
     if dom.reflection > 0 and b == 0:
         halves = (a * x,)
@@ -420,8 +407,8 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
         return MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
     logs = []
     status = cert = None
-    for j, r, n in dom.plan.levels():
-        logs.append(_log_mean(dom, lam, p, j, r, n))
+    for j, _, n in dom.plan.levels():
+        logs.append(_log_mean(dom, lam, p, j, n))
         if len(logs) >= 4:
             tail = logs[-4:]
             if tail[-1] > _LOG_DIV and all(b > a for a, b in zip(tail, tail[1:])):
@@ -535,89 +522,3 @@ def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
         left, exact = TriState.YES, poss is not None and feas == poss
         notes = "" if exact else "feasible slopes are a certified lower bound"
     return FrequencyRegion(plus_i, minus_i, left, feas, poss, exact=exact, notes=notes)
-
-
-# -- frequency algebra checks -------------------------------------------------
-
-
-def scaling_law_check(dom: CanonicalDomain, p, q, grid):
-    """For each lam with definite H^p status, (p/q) lam must have the same
-    H^q status.  Returns agreement counts and mismatches."""
-    agree = 0
-    mismatch = []
-    skipped = 0
-    factor = p / q
-    for lam in grid:
-        s1 = hardy_membership(lam, dom, p)
-        s2 = hardy_membership(factor * complex(lam), dom, q)
-        if s1.status == INCONCLUSIVE or s2.status == INCONCLUSIVE:
-            skipped += 1
-            continue
-        if s1.status == s2.status:
-            agree += 1
-        else:
-            mismatch.append((complex(lam), s1.status, s2.status))
-    return {
-        "p": p,
-        "q": q,
-        "agree": agree,
-        "mismatch": mismatch,
-        "skipped_inconclusive": skipped,
-    }
-
-
-_BAND_TOL = 0.02  # bracket width, in units of 1/p
-_BAND_MAX_ITER = 12
-
-
-def betsakos_band(dom: CanonicalDomain, p):
-    """Bracket the member/non-member transitions of H^p membership along
-    the real axis, one bracket per side, for a strip-type domain.
-    Returns dict with per-side brackets scaled by p (the band constants)
-    and spot checks on the imaginary axis."""
-
-    def status(u):
-        return hardy_membership(complex(u, 0.0), dom, p).status
-
-    def bracket(sign):
-        hi = 4.0 / p
-        # find a definite non-member endpoint
-        for _ in range(8):
-            if status(sign * hi) == NON_MEMBER:
-                break
-            hi *= 1.5
-        else:
-            return None
-        # member edge: largest |u| certified member (inconclusive counts up)
-        a, b = 0.0, hi
-        for _ in range(_BAND_MAX_ITER):
-            if b - a < _BAND_TOL / p:
-                break
-            mid = 0.5 * (a + b)
-            if status(sign * mid) == MEMBER:
-                a = mid
-            else:
-                b = mid
-        member_edge = a
-        # non-member edge: smallest |u| certified non-member
-        a2, b2 = member_edge, hi
-        for _ in range(_BAND_MAX_ITER):
-            if b2 - a2 < _BAND_TOL / p:
-                break
-            mid = 0.5 * (a2 + b2)
-            if status(sign * mid) == NON_MEMBER:
-                b2 = mid
-            else:
-                a2 = mid
-        return (p * member_edge, p * b2)
-
-    axis_checks = {
-        repr(v): hardy_membership(complex(0.0, v), dom, p).status
-        for v in (0.5, -1.0, 5.0)
-    }
-    return {
-        "c2_bracket": bracket(+1.0),
-        "c1_bracket": bracket(-1.0),
-        "imaginary_axis": axis_checks,
-        "p": p,
-    }

@@ -6,8 +6,8 @@ inline; a copy is also written to acceptance_report.txt.
 
 Criterion 7's error threshold is a known impossibility: with frequency
 spacing 1/8 the fitted family is 16*pi-periodic along the boundary, so the
-true distance of 1/(z+1)^2 from the span in the canonical transplant
-metric is 1.38e-2, above the 1e-2 target (the exact boundary Gram gives
+true distance of 1/(z+1)^2 from the span in the canonical map's L² metric
+at radius ρ is 1.38e-2, above the 1e-2 target (the exact boundary Gram gives
 2.56e-2 at the boundary itself).  The assertion runs unweakened and is
 marked xfail; halving the spacing reaches 1.4e-3.
 """
@@ -221,7 +221,7 @@ def test_criterion_5_eta_domain_frequencies():
     non-member at -1.25, -1.5; -1 may stay inconclusive.  < 120 s."""
     from koenigslab import hardy
 
-    hardy._transplant_cache.clear()
+    hardy._node_cache.clear()
     t0 = time.time()
     dom = eta_domain(1.0)
     stats = {
@@ -286,7 +286,7 @@ def _half_plane_fit_errors():
     reason="the frequency spacing 1/8 makes the fitted family 16*pi-periodic "
     "along the boundary; the first replica carries harmonic-measure weight "
     "~1.4e-4, so the true distance of the target from the span in the "
-    "canonical transplant metric is 1.38e-2, above the 1e-2 target.  "
+    "canonical map's L² metric at radius ρ is 1.38e-2, above the 1e-2 target.  "
     "Halving the spacing reaches 1.4e-3.",
 )
 def test_criterion_7_error_threshold():

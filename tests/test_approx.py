@@ -1,11 +1,10 @@
-import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
-from koenigslab import approx
+from koenigslab import approx, hardy
 from koenigslab.approx import (
     AtomicMeasure,
     ExpSum,
@@ -282,29 +281,36 @@ def test_error_nonincreasing_in_budget():
     assert errs[2] <= errs[1] * (1 + 1e-9)
 
 
-def _counting(dom):
-    """dom with a transplant that records the radius of each call."""
-    radii = []
+@pytest.fixture
+def levels(monkeypatch):
+    """The level j of every ``circle_nodes`` call the fit makes."""
+    calls = []
 
-    def transplant(u):
-        radii.append(float(np.abs(u[0])))
-        return dom.transplant(u)
+    def counting(dom, j, n):
+        calls.append(j)
+        return hardy.circle_nodes(dom, j, n)
 
-    return dataclasses.replace(dom, transplant=transplant), radii
+    monkeypatch.setattr(approx, "circle_nodes", counting)
+    return calls
 
 
-def test_refinement_delta_is_computed_when_read():
+def _full_circle(dom, j, n):
+    """The fit's n nodes at level j: the upper half, then its mirror."""
+    x, y = hardy.circle_nodes(dom, j, n)
+    up = x + 1j * y
+    return np.concatenate((up, dom.reflection * np.conj(up[::-1])))
+
+
+def test_refinement_delta_is_computed_when_read(levels):
     hp = half_plane_right()
-    dom, radii = _counting(hp)
     target = lambda z: 1.0 / (z + 1.0) ** 2
     freqs = [-k / 8 for k in range(1, 9)]
-    [fit] = least_squares_fit(target, dom, [freqs], n_nodes=2**10)
-    assert len(radii) == 1
+    [fit] = least_squares_fit(target, hp, [freqs], n_nodes=2**10)
+    assert levels == [approx._FIT_LEVEL]
     delta = fit.rho_refinement_delta
-    assert len(radii) == 2 and fit.rho_refinement_delta == delta
+    assert len(levels) == 2 and fit.rho_refinement_delta == delta
     # the same arithmetic as the fit's own error, at radius (1 + rho)/2
-    theta = (np.arange(2**10) + 0.5) * (2.0 * math.pi / 2**10)
-    z = hp.transplant((1.0 - (1.0 - approx._FIT_RHO) / 2.0) * np.exp(1j * theta))
+    z = _full_circle(hp, approx._FIT_LEVEL + 1, 2**10)
     A = np.exp(np.multiply.outer(z, np.asarray([complex(l) for l in freqs])))
     coef = np.array([c for c, _ in fit.exp_sum.terms])
     err2 = float(np.sqrt(np.mean(np.abs(A @ coef - target(z)) ** 2)))
@@ -332,16 +338,46 @@ def test_list_form_equals_separate_fits_bit_for_bit(demo):
         assert fit.rho_refinement_delta == alone.rho_refinement_delta
 
 
-def test_list_form_transplants_once_per_radius():
-    hp, target, lists = _budget_lists("halfplane")
-    dom, radii = _counting(hp)
+def test_list_form_transplants_once_per_radius(levels):
+    dom, target, lists = _budget_lists("halfplane")
     fits = least_squares_fit(target, dom, lists, n_nodes=2**10)
-    assert radii == pytest.approx([approx._FIT_RHO])
+    assert levels == [approx._FIT_LEVEL]
     assert math.isfinite(fits[-1].rho_refinement_delta)
-    assert radii == pytest.approx([approx._FIT_RHO, (1.0 + approx._FIT_RHO) / 2.0])
-    # the refinement radius is transplanted once for every fit of the call
+    assert levels == [approx._FIT_LEVEL, approx._FIT_LEVEL + 1]
+    # the refinement radius is read once for every fit of the call
     assert math.isfinite(fits[0].rho_refinement_delta)
-    assert len(radii) == 2
+    assert len(levels) == 2
+
+
+@pytest.mark.parametrize("n_nodes", [0, -2, 3, 2**10 + 1])
+def test_fit_rejects_an_odd_or_non_positive_node_count(n_nodes):
+    with pytest.raises(ValueError, match=f"n_nodes must be positive and even, got {n_nodes}"):
+        least_squares_fit(np.exp, half_plane_right(), [[-1.0]], n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("dom", [half_plane_right(), eta_domain(1.0)], ids=lambda d: d.key)
+def test_fit_nodes_are_within_8_ulps_of_a_200_bit_map(dom):
+    # the upper half holds T at the float angles theta_k, the lower half T
+    # at their conjugates -theta_k, both at radius rho and at the refinement radius
+    pytest.importorskip("mpmath")
+    from test_hardy_nodes import assert_within_8_ulps, half_circle_picks
+
+    seen = []
+
+    def target(z):
+        seen.append(z)
+        return np.zeros_like(z)
+
+    n = 2**14
+    [fit] = least_squares_fit(target, dom, [[-1.0]], n_nodes=n)
+    fit.rho_refinement_delta  # reads the nodes at the refinement radius
+    assert len(seen) == 2
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    picks = half_circle_picks(n // 2)
+    for j, z in zip((approx._FIT_LEVEL, approx._FIT_LEVEL + 1), seen):
+        r = 1.0 - 2.0**-j
+        assert_within_8_ulps(dom, r, theta[picks], z[picks])
+        assert_within_8_ulps(dom, r, -theta[picks], z[n - 1 - picks])
 
 
 @pytest.mark.parametrize("lists, bad", [

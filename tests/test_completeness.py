@@ -108,9 +108,9 @@ def test_eta_p_routes_decide_without_transplanting(monkeypatch):
     from koenigslab.battery import eta_domain_psi
 
     def refuse(*args):
-        raise AssertionError("the quadrature route transplanted nodes")
+        raise AssertionError("the quadrature route built nodes")
 
-    monkeypatch.setattr(hardy, "_nodes", refuse)
+    monkeypatch.setattr(hardy, "circle_nodes", refuse)
     got = digests(BATTERY["eta1"])
     want = _golden()["eta1"]
     for key in ("decide-p1-cross", "decide-p2.5"):

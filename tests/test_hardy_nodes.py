@@ -1,12 +1,13 @@
 """The half-circle node layer of the membership oracle.
 
 Each level builds only the upper half of the midpoint rule, in real
-arithmetic from the Cayley point, and reads the lower half through
-``CanonicalDomain.reflection``.  These tests check the nodes against a
-200-bit reference, the reflection identity of every canonical map,
-compare the half-circle log-mean with the full-circle formula, check that
-a frequency and its reflection give bit-identical answers, and that the
-node cache answers each domain from its own nodes.
+arithmetic from the Cayley point (``hardy.circle_nodes``), and reads the
+lower half through ``CanonicalDomain.reflection``.  These tests check the
+nodes against a 200-bit reference, the reflection identity of every
+canonical map, compare the half-circle log-mean with the full-circle
+formula, check that a frequency and its reflection give bit-identical
+answers, that the node cache answers each domain from its own nodes, and
+that the cached nodes cannot be written into.
 """
 
 import dataclasses
@@ -43,14 +44,6 @@ def test_reflection_values():
             assert horizontal_half_plane(edge, side).reflection == -1.0
 
 
-@pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
-def test_transplant_of_conjugate_is_reflected_conjugate(dom):
-    u = 0.9 * np.exp(1j * (np.arange(64) + 0.3) * (2.0 * math.pi / 64))
-    got = dom.transplant(np.conj(u))
-    want = dom.reflection * np.conj(dom.transplant(u))
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-
-
 def cayley_point(r, theta):
     """(Re w, Im w) of w = (1 + u)/(1 - u) at u = r e^{i theta}, from
     |1 - u|^2 = (1 - r)^2 + 4 r sin^2(theta/2)."""
@@ -84,26 +77,36 @@ def mp_map(dom, w):
     return 1j * mpmath.mpf(float(edge)) + (1 if side == "upper" else -1) * 1j * w
 
 
+def half_circle_picks(m):
+    """Both ends of a half circle of m nodes and 48 nodes spread between them."""
+    return np.unique(np.r_[
+        np.arange(min(m, 48)), np.linspace(0, m - 1, 48).astype(int), np.arange(max(0, m - 48), m)
+    ])
+
+
+def assert_within_8_ulps(dom, r, theta, z):
+    """Each z[k] is T at u = r e^{i theta[k]}, within 8 ulps of |T|."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        for k, (t, zk) in enumerate(zip(theta, z)):
+            u = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(float(t)))
+            T = mp_map(dom, (1 + u) / (1 - u))
+            err = abs(mpmath.mpc(float(zk.real), float(zk.imag)) - T)
+            assert err <= 8 * math.ulp(float(abs(T))), (r, float(t), k)
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
 def test_nodes_are_within_8_ulps_of_a_200_bit_map(dom):
     # the rule's nodes are the float angles theta_k; T is evaluated there
-    mpmath = pytest.importorskip("mpmath")
-    hardy._transplant_cache.clear()
+    pytest.importorskip("mpmath")
+    hardy._node_cache.clear()
     levels = list(dom.plan.levels())
     for j, r, n in (levels[0], levels[len(levels) // 2], levels[-1]):
-        x, y = hardy._nodes(dom, j, r, n)
+        x, y = hardy.circle_nodes(dom, j, n)
         theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
-        m = n // 2
-        # both ends of the half circle and 48 nodes spread between them
-        picks = np.unique(np.r_[
-            np.arange(min(m, 48)), np.linspace(0, m - 1, 48).astype(int), np.arange(max(0, m - 48), m)
-        ])
-        with mpmath.workprec(200):
-            for k in picks:
-                u = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(float(theta[k])))
-                T = mp_map(dom, (1 + u) / (1 - u))
-                err = abs(mpmath.mpc(float(x[k]), float(y[k])) - T)
-                assert err <= 8 * math.ulp(float(abs(T))), (j, k)
+        picks = half_circle_picks(n // 2)
+        assert_within_8_ulps(dom, r, theta[picks], x[picks] + 1j * y[picks])
 
 
 def full_circle_log_mean(dom, lam, p, r, n):
@@ -126,7 +129,7 @@ def test_half_circle_log_mean_matches_full_circle(dom):
         for lam in map(complex, LAMBDAS):
             for p in P_VALUES:
                 want = full_circle_log_mean(dom, lam, p, r, n)
-                got = hardy._log_mean(dom, lam, p, j, r, n)
+                got = hardy._log_mean(dom, lam, p, j, n)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (j, lam, p)
 
 
@@ -134,12 +137,22 @@ def test_the_node_cache_keys_on_the_domain_not_its_name():
     eta = eta_domain(1.0)
     twin = dataclasses.replace(eta, real_map=half_plane_right().real_map)
     assert twin.key == eta.key
-    hardy._transplant_cache.clear()
+    hardy._node_cache.clear()
     eta_means = hardy_membership(-0.5, eta, 1.0).log_means
     twin_means = hardy_membership(-0.5, twin, 1.0).log_means
-    hardy._transplant_cache.clear()
+    hardy._node_cache.clear()
     assert twin_means == hardy_membership(-0.5, twin, 1.0).log_means
     assert twin_means[0] != eta_means[0]
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+def test_cached_nodes_are_read_only(dom):
+    j, _, n = next(dom.plan.levels())
+    for a in hardy.circle_nodes(dom, j, n):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    x, _ = hardy.circle_nodes(dom, j, n)
+    assert x is hardy.circle_nodes(dom, j, n)[0]
 
 
 COORDS = st.sampled_from((-1.5, -0.75, -0.3, -0.0, 0.0, 0.35, 1.0))
