@@ -65,15 +65,6 @@ def test_strip_band(domains):
     for v in (0.5, -1.0, 5.0):
         assert hardy_membership(complex(0, v), st, 2.0).status == MEMBER
     assert hardy_membership(0.3 + 2j, st, 2.0).status == MEMBER
-    # both edges of the band, scaled by p
-    for p in (1.0, 2.0):
-        for u in (0.8, -0.8, 1.25, -1.25):
-            lam = u / p
-            want = MEMBER if abs(lam) < 1.0 / p else NON_MEMBER
-            assert hardy_membership(lam, st, p).status == want, (lam, p)
-            assert exact_membership(lam, st, p).status == want, (lam, p)
-    for lam in (0.5j, -1j, 5j):
-        assert hardy_membership(lam, st, 1.0).status == MEMBER
 
 
 def test_upper_half_plane_vertical_ray(domains):
@@ -171,6 +162,23 @@ def test_a_plan_that_ends_early_is_inconclusive():
     res = hardy_membership(-0.75, short, 1.0)
     assert (res.status, res.levels_used) == (INCONCLUSIVE, 3)
     assert res.certificate == "the plan ended before any certificate"
+
+
+# -- strip band -----------------------------------------------------------
+
+
+def test_band_brackets_scale_with_p(domains):
+    # the centred strip's band is -c1/p < Re lam < c2/p with c1 = c2 = 1:
+    # both edges, scaled by p, sit at the same place for p = 1, 2
+    st = domains["strip"]
+    for p in (1.0, 2.0):
+        for u in (0.8, -0.8, 1.25, -1.25):
+            lam = u / p
+            want = MEMBER if abs(lam) < 1.0 / p else NON_MEMBER
+            assert hardy_membership(lam, st, p).status == want, (lam, p)
+            assert exact_membership(lam, st, p).status == want, (lam, p)
+    for lam in (0.5j, -1j, 5j):
+        assert hardy_membership(lam, st, 1.0).status == MEMBER
 
 
 # -- exact region -----------------------------------------------------------
