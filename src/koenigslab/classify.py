@@ -1,10 +1,14 @@
-"""Semigroup type and canonical containing domain, read off the interval I.
+"""Semigroup type and canonical containing domain, read off the interval I,
+and the directions of bounded exponentials.
 
 The model set swept by the domain under left translation is the whole
 plane when I = R, a horizontal half-plane when I is a proper half-line,
 and a strip when I is bounded; that trichotomy is the semigroup class.
-Containment of the domain in a tilted half-plane reduces to an affine
-minorant of psi: its slope from the declared tail envelopes, its
+``lambda_infty`` is the one decision of which slopes admit an affine
+minorant of psi, bracketed from the declared tail envelopes by
+``slope_brackets``; e^{lam z} is bounded on the domain along those
+directions.  Containment of the domain in a tilted half-plane reads that
+decision: ``affine_minorant`` takes its slope from the bracket and its
 intercept from ``line_floor``, the one whole-line floor on psi.
 """
 
@@ -85,6 +89,103 @@ def slope_brackets(psi: PiecewiseDefiningFunction, tails):
     return feasible, possible
 
 
+@dataclass
+class FrequencyRegion:
+    """Description of the directions lam with e^{lam z} bounded on the domain.
+
+    The region is {0}, plus the vertical directions allowed by the height
+    interval, plus rays into the open left half-plane whose slope
+    v/u (lam = u + iv, u < 0) admits an affine minorant of psi.  Feasible
+    slopes are bracketed: ``slopes_feasible`` is certified inside,
+    ``slopes_possible`` certified outside its complement; they coincide
+    exactly when declarations pin the region.
+    """
+
+    includes_plus_i: TriState
+    includes_minus_i: TriState
+    left_directions: TriState  # any u < 0 direction at all
+    slopes_feasible: Optional[tuple]  # closed interval or None
+    slopes_possible: Optional[tuple]
+    exact: bool
+    notes: str = ""
+
+    def contains(self, lam) -> TriState:
+        lam = complex(lam)
+        if lam == 0:
+            return TriState.YES
+        u, v = lam.real, lam.imag
+        if u > 0:
+            return TriState.NO
+        if u == 0:
+            return self.includes_plus_i if v > 0 else self.includes_minus_i
+        if self.left_directions is TriState.NO:
+            return TriState.NO
+        m = v / u
+        if self.slopes_feasible is not None and (
+            self.slopes_feasible[0] <= m <= self.slopes_feasible[1]
+        ):
+            return TriState.YES
+        if self.slopes_possible is None or not (
+            self.slopes_possible[0] <= m <= self.slopes_possible[1]
+        ):
+            return TriState.NO
+        return TriState.UNKNOWN
+
+    def to_json(self):
+        return {
+            "includes_plus_i": self.includes_plus_i.value,
+            "includes_minus_i": self.includes_minus_i.value,
+            "left_directions": self.left_directions.value,
+            "slopes_feasible": list(self.slopes_feasible)
+            if self.slopes_feasible
+            else None,
+            "slopes_possible": list(self.slopes_possible)
+            if self.slopes_possible
+            else None,
+            "exact": self.exact,
+            "notes": self.notes,
+        }
+
+
+def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
+    """The bounded-exponential directions, bracketed from the declared
+    envelopes; ``exact`` says when the bracket pins them."""
+    cls = classify(psi)
+    plus_i = TriState.from_bool(math.isfinite(psi.interval_lo))
+    minus_i = TriState.from_bool(math.isfinite(psi.interval_hi))
+    E, e_exact = psi.liminf_neg_inf_set()
+    if E:
+        return FrequencyRegion(
+            plus_i,
+            minus_i,
+            TriState.NO if e_exact else TriState.UNKNOWN,
+            None,
+            None,
+            exact=e_exact,
+            notes="psi reaches -inf: no left directions",
+        )
+    if cls.kind == HYPERBOLIC:
+        # psi_* > -inf on the compact closure of I, so psi is bounded
+        # below and every slope admits an intercept
+        return FrequencyRegion(
+            plus_i, minus_i, TriState.YES, (NEG_INF, POS_INF), (NEG_INF, POS_INF),
+            exact=True, notes="bounded interval and psi bounded below",
+        )
+    tails = ("upper", "lower") if cls.kind == PARABOLIC_ZERO else (cls.container["side"],)
+    feas, poss = slope_brackets(psi, tails)
+    if feas is None and poss is None:
+        left, exact, notes = TriState.NO, True, "declared upper envelopes exclude every slope"
+    elif feas is None:
+        left, exact = TriState.UNKNOWN, False
+        bare = " and ".join(f"the {t} tail" for t in tails if psi.tail_envelopes(t)[0] is None)
+        notes = f"lower-bound-only: no tail_lower on {bare}" if bare else (
+            "declared lower envelopes too weak to certify a slope")
+    else:
+        left, exact = TriState.YES, poss is not None and feas == poss
+        notes = "" if exact else "feasible slopes are a certified lower bound"
+    return FrequencyRegion(plus_i, minus_i, left, feas, poss, exact=exact, notes=notes)
+
+
 def _row_floors(psi, edges, m, coef, a):
     """Per row between consecutive edges: the sampled infimum of psi, plus
     -m y at the row end where it is least and the log term at the end
@@ -136,33 +237,22 @@ def line_floor(psi: PiecewiseDefiningFunction, m=0.0, coef=0.0, a=0.0):
 def affine_minorant(psi: PiecewiseDefiningFunction) -> AffineMinorant:
     """A feasible (m, c) with psi(y) >= m y + c on R, if one exists.
 
-    Requires I = R.  The slope is decided from the declared envelopes of
-    the outermost pieces and the intercept is certified by ``line_floor``.
-    Missing declarations, or an intercept that ``line_floor`` cannot
-    certify, yield Unknown rather than a guess.
+    Requires I = R.  Whether any slope admits a minorant is
+    ``lambda_infty``'s left-direction decision, with its notes as the
+    reason when that is not yes.  The slope is the first of 0, the lower
+    envelopes' own slopes and the midpoint of the feasible bracket (bounded
+    for I = R) that the bracket admits, and the intercept is certified by
+    ``line_floor``; an intercept it cannot certify yields Unknown.
     """
     if math.isfinite(psi.interval_lo) or math.isfinite(psi.interval_hi):
         raise ValueError("affine minorants are computed for I = R only")
-
-    E, e_exact = psi.liminf_neg_inf_set()
-    if E:
-        return AffineMinorant(
-            TriState.NO if e_exact else TriState.UNKNOWN,
-            reason="psi reaches -inf; no half-plane contains the domain",
-        )
-
-    feas, poss = slope_brackets(psi, ("upper", "lower"))
-    # candidate slopes: 0 first, then those of the lower envelopes
-    lowers = [psi.tail_envelopes(tail)[0] for tail in ("upper", "lower")]
-    candidates = [0.0] + [env.m for env in lowers if env is not None]
-    feasible_m = next((m for m in candidates if feas and feas[0] <= m <= feas[1]), None)
-
-    if feasible_m is None:
-        if poss is None:
-            return AffineMinorant(TriState.NO, reason="declared upper envelopes exclude every slope")
-        return AffineMinorant(TriState.UNKNOWN, reason="tail declarations insufficient to decide")
-
-    c, why = line_floor(psi, feasible_m)
+    region = lambda_infty(psi)
+    if region.left_directions is not TriState.YES:
+        return AffineMinorant(region.left_directions, reason=region.notes)
+    lo, hi = region.slopes_feasible
+    lowers = [psi.tail_envelopes(tail)[0].m for tail in ("upper", "lower")]
+    m = next(m for m in (0.0, *lowers, 0.5 * lo + 0.5 * hi) if lo <= m <= hi)
+    c, why = line_floor(psi, m)
     if c is None:
         return AffineMinorant(TriState.UNKNOWN, reason=f"intercept certification failed: {why}")
-    return AffineMinorant(TriState.YES, m=feasible_m, c=c)
+    return AffineMinorant(TriState.YES, m=m, c=c)

@@ -30,7 +30,7 @@ from .approx import (
     univalence_winding_check,
 )
 from .battery import battery_entry
-from .classify import affine_minorant, classify
+from .classify import affine_minorant, classify, lambda_infty
 from .completeness import decide
 from .expr import parse_expression
 from .features import analyze
@@ -39,7 +39,6 @@ from .hardy import (
     half_plane_right,
     hardy_membership,
     horizontal_half_plane,
-    lambda_infty,
     strip_width_pi,
 )
 from .raster import (
@@ -62,6 +61,21 @@ def _emit(obj, path=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(header, rows, path, out):
+    """Write the header and rows as CSV to ``path``, and name it in ``out``,
+    or write them to stdout when there is no path."""
+    text = io.StringIO()
+    wr = csv.writer(text)
+    wr.writerow(header)
+    wr.writerows(rows)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text.getvalue())
+        out["csv"] = path
+    else:
+        sys.stdout.write(text.getvalue())
 
 
 def _load(path):
@@ -171,16 +185,7 @@ def cmd_freq(args):
         },
     }
     csv_path = args.csv or (args.out.rsplit(".", 1)[0] + ".csv" if args.out else None)
-    text = io.StringIO()
-    wr = csv.writer(text)
-    wr.writerow(["re_lambda", "im_lambda", "status"])
-    wr.writerows(rows)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text.getvalue())
-        out["csv"] = csv_path
-    else:
-        sys.stdout.write(text.getvalue())
+    _write_csv(["re_lambda", "im_lambda", "status"], rows, csv_path, out)
     _emit(out, args.out)
     return 0
 
@@ -302,18 +307,7 @@ def cmd_approx(args):
         _, prows = log_domain_pipeline_demo(spec, lambda z: 1.0 / (z + 5.0))
         rows = [(deg, err) for deg, err, _ in prows]
     if rows:
-        text = io.StringIO()
-        wr = csv.writer(text)
-        wr.writerow(["budget", "error"])
-        for r in rows:
-            wr.writerow([r[0], f"{r[1]:.9e}"])
-        csv_path = args.csv
-        if csv_path:
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text.getvalue())
-            out["csv"] = csv_path
-        else:
-            sys.stdout.write(text.getvalue())
+        _write_csv(["budget", "error"], [(b, f"{e:.9e}") for b, e in rows], args.csv, out)
         out["final_error"] = rows[-1][1]
         if args.svg:
             _svg_convergence(rows, args.svg)

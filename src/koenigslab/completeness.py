@@ -28,7 +28,7 @@ into JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
     HYPERBOLIC,
@@ -40,7 +40,7 @@ from .classify import (  # noqa: F401 (HYPERBOLIC et al. re-exported)
 )
 from .domain import PiecewiseDefiningFunction
 from .features import analyze, detect_contact_spikes, unbounded_gap
-from .hardy import NON_MEMBER, check_p, exact_membership
+from .hardy import check_p, frequency_floor
 from .raster import (
     complement_components,
     int_closure_equals_domain,
@@ -193,38 +193,31 @@ def _p_report(psi, p, ws: Verdict) -> Verdict:
     )
 
 
+def _bounded_above(env, tail):
+    """The envelope g is bounded above on ``tail``: -g admits slope 0 there."""
+    lo, hi = replace(env, m=-env.m, c=-env.c, C=-env.C).slopes(tail)
+    return lo <= 0.0 <= hi
+
+
 def _bounded_interval_obstruction(psi, p):
     """I = R, frequencies confined to a bounded real interval while the
-    domain contains a right half-plane: density fails."""
-    # the domain must contain a translated right half-plane: psi bounded above
-    _, upper = psi.tail_envelopes("upper")
-    _, upper_dn = psi.tail_envelopes("lower")
-    if upper is None or upper_dn is None:
-        return None
-    if not math.isfinite(psi.row_profiles([-64.0, 64.0]).M[0]):
-        return None
+    domain contains a right half-plane: density fails.
 
-    # bounded frequency interval: exact non-members on the negative real
-    # axis and off it, decided from the ends of the canonical domain
+    Lambda_p is read off the ends of the canonical domain.  psi is usc, so
+    bounded above on every compact set; it is bounded above, and the domain
+    contains a right half-plane, when each tail's upper envelope is."""
     dom = psi.canonical
-    if dom is None:
+    lo = None if dom is None else frequency_floor(dom, p)
+    if lo is None or psi.facts.usc is not TriState.YES:
         return None
-    off_axis = [complex(-0.3, 0.35), complex(-0.3, -0.35), complex(0.0, 0.25), complex(0.0, -0.25)]
-    for lam in off_axis:
-        if exact_membership(lam, dom, p).status != NON_MEMBER:
+    for tail in ("upper", "lower"):
+        upper = psi.tail_envelopes(tail)[1]
+        if upper is None or not _bounded_above(upper, tail):
             return None
-    # bracket the real-axis cutoff
-    m_cut = None
-    for u in (-1.25, -1.5, -2.0, -3.0):
-        if exact_membership(complex(u, 0.0), dom, p).status == NON_MEMBER:
-            m_cut = u
-            break
-    if m_cut is None:
-        return None
     return Verdict(
         TriState.NO, "bounded frequency interval: admissible frequencies are confined to "
         "a bounded real interval while the domain contains a right half-plane",
-        (f"non-member at {m_cut} and off-axis samples {off_axis}",),
+        (f"Lambda_p in ({lo}, 0] by the ends {dom.ends}",),
     )
 
 

@@ -1,5 +1,6 @@
-"""Frequency sets: the exact bounded-exponential region, and two routes to
-the membership of e^{lam z} in H^p of the canonical domains.
+"""Frequency sets of the canonical domains: two routes to the membership of
+e^{lam z} in H^p, and the bounded real interval that the ends may confine
+Lambda_p to.
 
 A canonical domain is the image of the unit disc under an explicit map T,
 and e^{lam z} is in H^p of it exactly when F = e^{lam T} is in H^p(D).
@@ -12,6 +13,8 @@ map and g in every H^q, q < inf, and a logarithmic end, where
 log|F| = Re(lam k) (log 1/delta)^a + O(1) on the boundary at distance
 delta from it.  The proofs are in ``PoleEnd`` and ``LogEnd``; a
 logarithmically divergent boundary integral is decided exactly there.
+``frequency_floor`` reads off the same ends when they confine Lambda_p,
+the lam it admits, to a bounded real interval (lo, 0].
 
 ``hardy_membership`` is the independent quadrature route.  The p-th
 power means over circles |u| = r are nondecreasing in r, and membership
@@ -50,13 +53,13 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .classify import HYPERBOLIC, PARABOLIC_ZERO, classify, slope_brackets
-from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction
-from .tri import TriState
+# benchmarks/worker.py and its tracer call hardy.lambda_infty; it lives in classify
+from .classify import FrequencyRegion, lambda_infty  # noqa: F401
+from .domain import POS_INF
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -305,6 +308,22 @@ def exact_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
     )
 
 
+def frequency_floor(dom: CanonicalDomain, p=2.0):
+    """lo with Lambda_p(dom), the lam that ``exact_membership`` admits,
+    inside (lo, 0], read off the ends of dom; None when they do not
+    confine it so.
+
+    A pole end with real c > 0 admits only real lam <= 0, and then each
+    logarithmic end k < 0 with a = 1 admits only p lam k < 1, that is
+    lam > 1/(p k).  For eta_1, lo = -1/p."""
+    check_p(p)
+    poles = [complex(e.c) for e in dom.ends if isinstance(e, PoleEnd)]
+    if not any(c.imag == 0 and c.real > 0 for c in poles):
+        return None
+    cuts = [1.0 / (p * e.k) for e in dom.ends if isinstance(e, LogEnd) and e.a == 1.0 and e.k < 0]
+    return max(cuts, default=None)
+
+
 # -- the quadrature route ----------------------------------------------------
 
 # nodes of each level, keyed by (domain, j, n): the domain itself, so that
@@ -423,102 +442,3 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
     elif status is None:  # a user-built plan can end before six levels
         status, cert = INCONCLUSIVE, "the plan ended before any certificate"
     return MembershipResult(status, lam, p, cert, logs, len(logs))
-
-
-# -- exact bounded-exponential region ----------------------------------------
-
-
-@dataclass
-class FrequencyRegion:
-    """Description of the directions lam with e^{lam z} bounded on the domain.
-
-    The region is {0}, plus the vertical directions allowed by the height
-    interval, plus rays into the open left half-plane whose slope
-    v/u (lam = u + iv, u < 0) admits an affine minorant of psi.  Feasible
-    slopes are bracketed: ``slopes_feasible`` is certified inside,
-    ``slopes_possible`` certified outside its complement; they coincide
-    exactly when declarations pin the region.
-    """
-
-    includes_plus_i: TriState
-    includes_minus_i: TriState
-    left_directions: TriState  # any u < 0 direction at all
-    slopes_feasible: Optional[tuple]  # closed interval or None
-    slopes_possible: Optional[tuple]
-    exact: bool
-    notes: str = ""
-
-    def contains(self, lam) -> TriState:
-        lam = complex(lam)
-        if lam == 0:
-            return TriState.YES
-        u, v = lam.real, lam.imag
-        if u > 0:
-            return TriState.NO
-        if u == 0:
-            return self.includes_plus_i if v > 0 else self.includes_minus_i
-        if self.left_directions is TriState.NO:
-            return TriState.NO
-        m = v / u
-        if self.slopes_feasible is not None and (
-            self.slopes_feasible[0] <= m <= self.slopes_feasible[1]
-        ):
-            return TriState.YES
-        if self.slopes_possible is None or not (
-            self.slopes_possible[0] <= m <= self.slopes_possible[1]
-        ):
-            return TriState.NO
-        return TriState.UNKNOWN
-
-    def to_json(self):
-        return {
-            "includes_plus_i": self.includes_plus_i.value,
-            "includes_minus_i": self.includes_minus_i.value,
-            "left_directions": self.left_directions.value,
-            "slopes_feasible": list(self.slopes_feasible)
-            if self.slopes_feasible
-            else None,
-            "slopes_possible": list(self.slopes_possible)
-            if self.slopes_possible
-            else None,
-            "exact": self.exact,
-            "notes": self.notes,
-        }
-
-
-def lambda_infty(psi: PiecewiseDefiningFunction) -> FrequencyRegion:
-    """Exact description of the bounded-exponential directions."""
-    cls = classify(psi)
-    plus_i = TriState.from_bool(math.isfinite(psi.interval_lo))
-    minus_i = TriState.from_bool(math.isfinite(psi.interval_hi))
-    E, e_exact = psi.liminf_neg_inf_set()
-    if E:
-        return FrequencyRegion(
-            plus_i,
-            minus_i,
-            TriState.NO if e_exact else TriState.UNKNOWN,
-            None,
-            None,
-            exact=e_exact,
-            notes="psi reaches -inf: no left directions",
-        )
-    if cls.kind == HYPERBOLIC:
-        # psi_* > -inf on the compact closure of I, so psi is bounded
-        # below and every slope admits an intercept
-        return FrequencyRegion(
-            plus_i, minus_i, TriState.YES, (NEG_INF, POS_INF), (NEG_INF, POS_INF),
-            exact=True, notes="bounded interval and psi bounded below",
-        )
-    tails = ("upper", "lower") if cls.kind == PARABOLIC_ZERO else (cls.container["side"],)
-    feas, poss = slope_brackets(psi, tails)
-    if feas is None and poss is None:
-        left, exact, notes = TriState.NO, True, "declared upper envelopes exclude every slope"
-    elif feas is None:
-        left, exact = TriState.UNKNOWN, False
-        bare = " and ".join(f"the {t} tail" for t in tails if psi.tail_envelopes(t)[0] is None)
-        notes = f"lower-bound-only: no tail_lower on {bare}" if bare else (
-            "declared lower envelopes too weak to certify a slope")
-    else:
-        left, exact = TriState.YES, poss is not None and feas == poss
-        notes = "" if exact else "feasible slopes are a certified lower bound"
-    return FrequencyRegion(plus_i, minus_i, left, feas, poss, exact=exact, notes=notes)

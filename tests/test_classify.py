@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from koenigslab import TriState
+from koenigslab import TailEnvelope, TriState
 from koenigslab.battery import battery_entry, full_battery
-from koenigslab.classify import affine_minorant, classify, slope_brackets
+from koenigslab.classify import affine_minorant, classify, lambda_infty, slope_brackets
+from koenigslab.completeness import decide
+from koenigslab.domain import NEG_INF, POS_INF, FiniteAnalytic, LimitData, PiecewiseDefiningFunction
+from koenigslab.expr import parse_expression
 from koenigslab.specio import psi_from_dict
 
 
@@ -166,3 +169,69 @@ def test_minorant_certified_past_a_drifting_tail(a):
     ys = np.concatenate([np.linspace(-64.0, 64.0, 2001), np.geomspace(64.0, 1e12, 400)])
     for y in np.concatenate([ys, -ys]):
         assert am.c <= psi.value(y) + y, y
+
+
+def two_piece_psi(s, t, below, above):
+    """psi = s y on (-inf, 0) and t y on (0, inf), with limit 0 at 0; each
+    of ``below`` and ``above`` is that tail's (tail_lower, tail_upper)."""
+    pieces = tuple(
+        FiniteAnalytic(
+            span=span, evaluator=parse_expression(f"{slope!r}*y"),
+            limits_left=ends[0], limits_right=ends[1],
+            tail_lower=envs[0], tail_upper=envs[1],
+        )
+        for span, slope, envs, ends in (
+            ((NEG_INF, 0.0), s, below, (None, LimitData(0.0, 0.0))),
+            ((0.0, POS_INF), t, above, (LimitData(0.0, 0.0), None)),
+        )
+    )
+    return PiecewiseDefiningFunction(NEG_INF, POS_INF, pieces)
+
+
+def assert_minorant_holds(psi, am, n=2001, far=400):
+    """c <= psi(y) - m y on linspace(-64, 64, n) and +-geomspace(64, 1e12, far)."""
+    ys = np.concatenate([np.linspace(-64.0, 64.0, n), np.geomspace(64.0, 1e12, far)])
+    for y in np.concatenate([ys, -ys[n:]]):
+        assert am.c <= psi.value(y) - am.m * y, y
+
+
+def test_minorant_takes_the_midpoint_between_two_drifting_slopes():
+    # psi = y below 0 and 2y above, with lower envelopes of slopes 1 and 2
+    # that drift: every slope strictly between them is feasible, and
+    # neither 0 nor either envelope's own slope is
+    psi = two_piece_psi(
+        1.0, 2.0,
+        (TailEnvelope(m=1.0, C=1.0, a=1.0), None),
+        (TailEnvelope(m=2.0, C=1.0, a=1.0), None),
+    )
+    assert lambda_infty(psi).left_directions is TriState.YES
+    am = affine_minorant(psi)
+    assert am.status is TriState.YES and am.m == 1.5
+    assert_minorant_holds(psi, am)
+    out = decide(psi, p=1.0)
+    assert out["weak_star_complete"] == "yes"
+    assert out["route"] == "whole-line interval: contained in a half-plane and psi regularized"
+
+
+SLOPES = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def tail_declarations(draw, slope):
+    """A true lower envelope of slope ``slope`` on psi = slope*y, drifting
+    or not, and maybe the true upper envelope psi itself."""
+    drift = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.5), (0.5, 1.0), (1.0, 2.0)]))
+    lower = TailEnvelope(m=slope, C=drift[0], a=drift[1])
+    return lower, TailEnvelope(m=slope) if draw(st.booleans()) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=SLOPES, t=SLOPES)
+def test_minorant_agrees_with_the_left_direction_decision(data, s, t):
+    psi = two_piece_psi(s, t, data.draw(tail_declarations(s)), data.draw(tail_declarations(t)))
+    am = affine_minorant(psi)
+    if am.reason.startswith("intercept certification failed"):
+        return
+    assert am.status is lambda_infty(psi).left_directions
+    if am.status is TriState.YES:
+        assert_minorant_holds(psi, am, n=201, far=50)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from koenigslab import TriState, completeness
+from koenigslab import TailEnvelope, TriState, completeness
 from koenigslab.battery import battery_entry, full_battery
 from koenigslab.completeness import (
     decide,
@@ -118,10 +118,43 @@ def test_eta_p_routes_decide_without_transplanting(monkeypatch):
     for p in (1.0, 2.0):
         out = decide(eta_domain_psi(1.0), p=p)
         assert out["p_complete"] == "no" and out["p_route"].startswith("bounded frequency interval")
-        assert out["p_witnesses"][0].startswith("'non-member at -1.25 ")
+        assert out["p_witnesses"][0].startswith(f"'Lambda_p in ({-1.0 / p}, 0] by the ends ")
         # eta_half admits every real lam <= 0, so its frequencies are unbounded
         out = decide(eta_domain_psi(0.5, "etah"), p=p)
         assert "bounded frequency interval" not in out["p_route"]
+
+
+ENVELOPES = [
+    TailEnvelope(m=-0.5, c=1.0, C=-3.0, a=2.0),  # m < 0, a growing log term
+    TailEnvelope(c=1.0),                         # m = 0, C = 0
+    TailEnvelope(c=0.35, C=1.0, a=1.0),          # m = 0, C > 0: eta's
+    TailEnvelope(C=-1.0, a=0.0),                 # m = 0, C < 0 with a = 0: constant
+    TailEnvelope(C=-1.0, a=0.5),                 # m = 0, C < 0 and a > 0
+    TailEnvelope(m=1e-3, C=10.0, a=2.0),         # m > 0, a falling log term
+]
+
+
+@pytest.mark.parametrize("tail", ["upper", "lower"])
+@pytest.mark.parametrize("env", ENVELOPES, ids=range(len(ENVELOPES)))
+def test_bounded_above_reads_the_negated_slopes(env, tail):
+    # g is bounded above on the tail iff it does not grow from |y| = 1e6
+    # to 1e300 there
+    sg = 1.0 if tail == "upper" else -1.0
+    want = env.value(sg * 1e300) <= env.value(sg * 1e6)
+    assert completeness._bounded_above(env, tail) is bool(want)
+
+
+def test_bounded_interval_obstruction_needs_bounded_upper_envelopes():
+    from koenigslab.battery import eta_domain_psi
+
+    psi = eta_domain_psi(1.0)
+    assert completeness._bounded_interval_obstruction(psi, 1.0).state is TriState.NO
+    (piece,) = psi.pieces
+    growing = replace(piece, tail_upper=TailEnvelope(C=-1.0, a=1.0))
+    assert completeness._bounded_interval_obstruction(
+        replace(psi, pieces=(growing,)), 1.0
+    ) is None
+    assert completeness._bounded_interval_obstruction(replace(psi, canonical=None), 1.0) is None
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, float("nan"), float("inf")])

@@ -398,10 +398,9 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
     from collections import Counter
 
     from koenigslab import CantorCarrierPiece, PointSpike
-    from koenigslab.classify import classify
+    from koenigslab.classify import classify, lambda_infty
     from koenigslab.completeness import decide
     from koenigslab.features import analyze
-    from koenigslab.hardy import lambda_infty
     from koenigslab.raster import complement_components, rasterize
 
     entry = battery_entry(name)

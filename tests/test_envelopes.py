@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from koenigslab import TailEnvelope, TriState, ValidationError, cli, completeness
-from koenigslab.classify import slope_brackets
+from koenigslab.classify import lambda_infty, slope_brackets
 from koenigslab.completeness import decide
 from koenigslab.domain import NEG_INF, POS_INF, FiniteAnalytic, PiecewiseDefiningFunction
 from koenigslab.expr import parse_expression
-from koenigslab.hardy import lambda_infty
 from koenigslab.specio import load_psi, psi_from_dict, psi_to_dict, save_psi
 
 SQRT_LOG3 = math.sqrt(math.log(3.0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from koenigslab import TriState, hardy
 from koenigslab.battery import battery_entry, eta_domain_psi
+from koenigslab.classify import lambda_infty
 from koenigslab.hardy import (
     INCONCLUSIVE,
     MEMBER,
@@ -17,7 +18,6 @@ from koenigslab.hardy import (
     half_plane_right,
     hardy_membership,
     horizontal_half_plane,
-    lambda_infty,
     strip_width_pi,
 )
 
@@ -411,3 +411,29 @@ def test_horizontal_half_plane_answers_do_not_depend_on_the_edge(edge, side, lam
 def test_eta_below_one_admits_exactly_the_real_nonpositive_lambdas(a, lam, p):
     member = exact_membership(lam, eta_domain(a), p).status == MEMBER
     assert member == (lam.imag == 0.0 and lam.real <= 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+def test_frequency_floor_reads_lambda_p_off_the_ends(p):
+    # only eta_1 confines Lambda_p to a bounded real interval, (-1/p, 0]:
+    # its pole end keeps lam real and <= 0, its log end (k = -1, a = 1)
+    # cuts the ray at p lam k < 1
+    doms = (half_plane_right(), horizontal_half_plane(0.0, "upper"), strip_width_pi(),
+            eta_domain(0.5), eta_domain(1.0))
+    floors = {dom.key: hardy.frequency_floor(dom, p) for dom in doms}
+    assert floors == {dom.key: None for dom in doms[:-1]} | {"eta_domain:1.0": -1.0 / p}
+    eta, lo = doms[-1], -1.0 / p
+    for lam in (lo, lo - 0.5, complex(0.5 * lo, 0.1), 0.25j, -0.25j, 0.1):
+        assert exact_membership(lam, eta, p).status == NON_MEMBER, lam
+    for lam in (0.999 * lo, 0.5 * lo, 0.0):
+        assert exact_membership(lam, eta, p).status == MEMBER, lam
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        hardy.frequency_floor(eta, 0.5)
+
+
+def test_lambda_infty_still_resolves_in_hardy():
+    # benchmarks/worker.py and its tracer call hardy.lambda_infty
+    from koenigslab import classify
+
+    assert hardy.lambda_infty is classify.lambda_infty
+    assert hardy.FrequencyRegion is classify.FrequencyRegion

@@ -168,3 +168,50 @@ def test_reflected_frequency_gives_identical_means(dom, re, im, p):
     b = hardy_membership(mirrored, dom, p)
     assert a.status == b.status
     assert a.log_means == b.log_means
+
+
+def end_angles(dom):
+    """The angle of each declared end, in units of pi: the strip's ends sit
+    at theta = 0 and pi, every other end at theta = 0, where the Cayley
+    point w = (1 + u)/(1 - u) is infinite."""
+    return (0, 1) if dom.key == "strip_width_pi" else (0,) * len(dom.ends)
+
+
+def pole_remainder_bound(dom, theta):
+    """The docstring bound on g = T - c w of each pole end at u = e^{i theta}:
+    0 for the right half-plane, |edge| for a horizontal one (g = i edge)
+    and, for eta_a, (log(8/|1-u|) + pi/2)^a with |1-u| = 2|sin(theta/2)|."""
+    import mpmath
+
+    kind, _, params = dom.key.partition(":")
+    if kind == "eta_domain":
+        gap = 2 * abs(mpmath.sin(theta / 2))
+        return (mpmath.log(8 / gap) + mpmath.pi / 2) ** mpmath.mpf(float(params))
+    if kind == "horizontal_half_plane":
+        return abs(float(params.split(":")[0]))
+    return 0
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+def test_declared_ends_hold_far_beyond_float_reach(dom):
+    # T on the boundary at arc distance delta from each end, for delta down
+    # to 1e-300 (log 1/delta ~ 690, where quadrature reaches ~16): at a
+    # LogEnd(k, a), Re T - k (log 1/delta)^a stays bounded; at a
+    # PoleEnd(c), |T - c w| obeys its docstring bound.  On |u| = 1,
+    # w = i cot(theta/2) exactly.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(2400):
+        for end, angle in zip(dom.ends, end_angles(dom)):
+            for e in range(20, 301, 40):
+                delta = mpmath.mpf(10) ** -e
+                for side in (-1, 1):
+                    theta = angle * mpmath.pi + side * delta
+                    w = 1j * mpmath.cot(theta / 2)
+                    T = mp_map(dom, w)
+                    if isinstance(end, hardy.LogEnd):
+                        drift = T.real - end.k * mpmath.log(1 / delta) ** mpmath.mpf(end.a)
+                        assert abs(drift) <= 2, (end, e, side, float(drift))
+                    else:
+                        g = abs(T - complex(end.c) * w)
+                        bound = pole_remainder_bound(dom, theta)
+                        assert g <= bound + mpmath.mpf(10) ** -100, (end, e, side)

@@ -234,3 +234,35 @@ def test_the_raster_reads_facts_in_complement_components_only():
         (2, "liminf_neg_inf_set")
     ]
     assert fact_reads((SRC / "raster.py").read_text(encoding="utf-8"), owner) == []
+
+
+def calls(source, names):
+    """(line, name) of every call of a function or method named in ``names``."""
+    return [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for name in sorted(_names(node.func) & names)
+    ]
+
+
+PROBES = {"row_profiles", "exact_membership", "hardy_membership"}
+
+
+def test_whole_line_routes_read_closed_forms_not_probes():
+    # completeness reads Lambda_p off the canonical ends and bounds psi
+    # above by its envelopes, so it samples no row and probes no lam;
+    # only classify brackets slopes, so the slope decision has one home
+    assert calls("psi.row_profiles([-64.0, 64.0]).M[0]", PROBES) == [(1, "row_profiles")]
+    assert calls("if exact_membership(lam, dom, p).status: pass", PROBES) == [
+        (1, "exact_membership")
+    ]
+    assert calls("f = psi.row_profiles; frequency_floor(dom, p)", PROBES) == []
+    assert calls((SRC / "completeness.py").read_text(encoding="utf-8"), PROBES) == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "classify.py"
+        and (hits := calls(path.read_text(encoding="utf-8"), {"slope_brackets"}))
+    }
+    assert found == {}, found

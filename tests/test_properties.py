@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from koenigslab import ValidationError
 from koenigslab.battery import full_battery
+from koenigslab.classify import lambda_infty
 from koenigslab.completeness import decide, predicted_components
 from koenigslab.features import analyze
-from koenigslab.hardy import lambda_infty
 from koenigslab.raster import rasterize
 from koenigslab.specio import psi_from_dict, psi_to_dict
 
