@@ -333,7 +333,14 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     the same array: every result is that fit's, bit for bit.  The Gram
     matrix is not shared in the same way, because a BLAS product's entry
     need not match the same entry of a product over fewer columns (the
-    edge tiles of a block kernel sum in another order).
+    edge tiles of a block kernel sum in another order).  A prefix list is
+    copied too, not read as the view ``A[:, :m]``: the view saved no
+    measurable time and raised the peak RSS of a run of the four approx
+    demos by up to 15 MB, with numpy's traced peak unchanged.
+
+    When every frequency is real and ``dom.reflection`` is +1, the lower
+    half of the circle is the conjugate mirror of the upper half, and so
+    is e^{lam z}: only the upper half is exponentiated (``_design``).
     """
     if not (n_nodes > 0 and n_nodes % 2 == 0):
         # the lower half circle is the mirror of the upper one
@@ -359,19 +366,30 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
         return z, np.asarray(target(z), dtype=complex)
 
     z, b = nodes(_FIT_LEVEL)
-    A = _design(z, full)
+    mirrored = dom.reflection > 0 and all(l.imag == 0.0 for l in full)
+    A = _design(z, full, mirrored)
     refined = functools.cache(lambda: nodes(_FIT_LEVEL + 1))
     whole = list(range(len(full)))
     return [
-        _fit_one(A if idx == whole else np.take(A, idx, axis=1), b, freqs, refined)
+        _fit_one(A if idx == whole else np.take(A, idx, axis=1), b, freqs, refined, mirrored)
         for freqs, idx in zip(lists, idxs)
     ]
 
 
-def _design(z, freqs):
-    """e^{lam_k z_j}, exponentiated in place."""
+def _design(z, freqs, mirrored):
+    """e^{lam_k z_j}, exponentiated in place.  With ``mirrored`` the lower
+    half of z is conj(z[h-1::-1]) and every lam is real, so the lower half
+    of the matrix is the conjugate of the upper half in reverse: e^{lam
+    conj z} = conj e^{lam z}, with the same bits, as lam conj z is the
+    conjugate of lam z exactly and exp(x)(cos y, sin y) is odd in y.  The
+    one exception is the sign of a zero imaginary part, at lam = 0."""
     A = np.multiply.outer(z, np.asarray(freqs))
-    np.exp(A, out=A)
+    if not mirrored:
+        np.exp(A, out=A)
+        return A
+    h = len(z) // 2
+    np.exp(A[:h], out=A[:h])
+    np.conjugate(A[h - 1 :: -1], out=A[h:])
     return A
 
 
@@ -379,7 +397,7 @@ def _rms_error(A, coef, b):
     return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
 
 
-def _fit_one(A, b, freqs, refined) -> FitResult:
+def _fit_one(A, b, freqs, refined, mirrored) -> FitResult:
     n_nodes = len(b)
     Ah = A.conj().T
     G = (Ah @ A) / n_nodes
@@ -395,7 +413,7 @@ def _fit_one(A, b, freqs, refined) -> FitResult:
 
     def refined_error():
         z, b = refined()
-        return _rms_error(_design(z, freqs), coef, b)
+        return _rms_error(_design(z, freqs, mirrored), coef, b)
 
     s = ExpSum(tuple((complex(c), l) for c, l in zip(coef, freqs)))
     return FitResult(s, _rms_error(A, coef, b), _refined_error=refined_error)

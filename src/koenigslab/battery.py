@@ -291,14 +291,16 @@ def log_minorant_domain():
 
 
 # heights inverted together: the work is elementwise, so chunking changes no
-# bit, and it keeps the temporaries of a raster's worth of heights small.
-# Of 2,048 to 65,536 heights per chunk, 8,192 inverted eta1's 1024-row
-# raster fastest on a 2-core Xeon VM with 4 MB of L2 cache (about 7 ms,
-# against 13 ms for the whole raster at once)
+# bit, and it bounds the temporaries of a large call (about a dozen arrays of
+# 64 KiB each).  Raster rows no longer come here: ``row_range`` inverts only
+# their edges, and sampled heights arrive from the rows whose edges fail
+# the check, from limit estimates and from direct calls
 _ETA_CHUNK = 8192
 _ETA_NEWTON_STEPS = 8
 # half-width of the checked root bracket, relative to max(1, |t*|)
 _ETA_MARGIN = 1e-12
+# ulps by which ``row_range`` widens its two rounded values outward
+_ETA_ROW_ULPS = 16
 _DBL_MAX = np.finfo(float).max
 
 
@@ -383,7 +385,8 @@ def _eta_bisect(y, a):
     return np.real(_eta_boundary(0.5 * lo + 0.5 * hi, a))
 
 
-def _eta_defining_function(a=1.0):
+@dataclass(frozen=True)
+class _EtaDefiningFunction:
     """Numeric defining function of the image of the right half-plane
     under w - (log(w+3))^a, via monotone inversion of the boundary curve.
 
@@ -410,9 +413,15 @@ def _eta_defining_function(a=1.0):
     above ~3.6e307 so can lo + hi.  Halving is exact on the brackets that
     arise, so lo/2 + hi/2 has the bits of (lo + hi)/2 wherever that sum is
     finite.
+
+    ``row_range`` bounds psi on rows of heights from the roots at the row
+    edges alone.
     """
 
-    def psi_of_y(y):
+    a: float = 1.0
+
+    def __call__(self, y):
+        a = self.a
         scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         flat = y.ravel()
@@ -428,13 +437,50 @@ def _eta_defining_function(a=1.0):
                 out[failed] = _eta_bisect(flat[failed], a)
         return float(out[0]) if scalar else out.reshape(y.shape)
 
-    return psi_of_y
+    def row_range(self, lo, hi):
+        """(sup, inf) of psi on each row [lo, hi] of two 1-D arrays, from
+        one ``_eta_root`` per distinct edge: n + 1 roots for n adjacent
+        rows.  A row with an edge whose root fails the check gets NaN, and
+        the caller samples it instead.
+
+        Each edge root t is widened by its bracket margin m, so the roots
+        of the row's heights lie in T = [t(lo) - m(lo), t(hi) + m(hi)]: the
+        root t*(y) increases in y, since the slope of Im eta(i t) is at
+        least 1 - a/3 > 0.  On T, psi = Re eta(i t) = -Re L^a with
+        L = log(3 + i t) decreases strictly in |t| for every a in (0, 1].
+        For t > 0, d/dt Re L^a = Re(a L^(a-1) i/(3 + i t)) =
+        -a Im(L^(a-1)/(3 + i t)); arg 1/(3 + i t) lies in (-pi/2, 0) and
+        arg L^(a-1) = (a - 1) arg L in (-1, 0], as 0 < arg L < 1.  So the
+        argument of L^(a-1)/(3 + i t) lies in (-1 - pi/2, 0), its imaginary
+        part is negative and the derivative positive.  For t < 0, L(-t) =
+        conj L(t) makes Re L^a even in t.  Hence the row sup is ``_eta_re``
+        at the point of T nearest 0, and the row inf at the end of T
+        farther from 0.  Both are then widened by _ETA_ROW_ULPS ulps, as
+        the values that ``__call__`` gives are rounded (8 ulps of the
+        200-bit value, its contract) and so are these two.  Like the
+        check, this trusts the evaluations to a few ulps; it is not an
+        interval enclosure.
+        """
+        n = lo.size
+        ys, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        t, checked = _eta_root(ys, self.a)
+        m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
+        t_lo, t_hi = (t - m)[at[:n]], (t + m)[at[n:]]
+        near = np.minimum(np.maximum(t_lo, 0.0), t_hi)
+        far = np.where(-t_lo > t_hi, t_lo, t_hi)
+        with np.errstate(all="ignore"):
+            vals = _eta_re(np.concatenate((near, far)), self.a)
+        widen = _ETA_ROW_ULPS * np.spacing(np.abs(vals))
+        sup, inf = vals[:n] + widen[:n], vals[n:] - widen[n:]
+        failed = ~(checked[at[:n]] & checked[at[n:]])
+        sup[failed] = inf[failed] = np.nan
+        return sup, inf
 
 
 def eta_domain_psi(a=1.0, name="eta1"):
     if not 0.0 < a <= 1.0:
         raise ValueError(f"eta_domain_psi: the exponent a must lie in (0, 1], got {a!r}")
-    ev = _eta_defining_function(a)
+    ev = _EtaDefiningFunction(a)
     # Envelopes for 0 < a <= 1.  psi = -Re L^a with L = log(3 + it) =
     # l + i phi, l = log|3 + it| >= log 3 > 1, |phi| < pi/2 and
     # theta = arg L, |theta| < 1.  Im L^a has the sign of t and slope at

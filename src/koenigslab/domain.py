@@ -292,7 +292,7 @@ class Piece:
     Callers read a piece only through this protocol and never test its
     kind: ``value``, ``side_limits`` (limits of psi), ``side_limits_lsc``
     (limits of psi_*), ``row_bounds`` (bounds on rows of heights, the one
-    sampled-bounds rule), ``minus_inf_intervals``, ``interior_heights``
+    row-bounds rule: sampled, or from the evaluator's own ``row_range``), ``minus_inf_intervals``, ``interior_heights``
     (heights inside the span where psi may jump), ``carrier_gap_sup``,
     the declared tail envelopes ``tail_lower``/``tail_upper`` and
     ``translate``.  Only the spec loader knows the concrete kinds.
@@ -349,6 +349,20 @@ def _row_samples(evaluator, lo, hi):
         return np.nanmax(vals, axis=1), np.nanmin(vals, axis=1)
 
 
+def _row_range(evaluator, lo, hi):
+    """(sup, inf) of the evaluator on each row [lo, hi]: from its own
+    ``row_range(lo, hi)`` where it has one, and from ``_row_samples`` on
+    every row where it has none or where that gives NaN."""
+    own = getattr(evaluator, "row_range", None)
+    if own is None:
+        return _row_samples(evaluator, lo, hi)
+    sup, inf = own(lo, hi)
+    left = np.isnan(sup) | np.isnan(inf)
+    if left.any():
+        sup[left], inf[left] = _row_samples(evaluator, lo[left], hi[left])
+    return sup, inf
+
+
 def _evaluate(evaluator, ys):
     """The evaluator on an array of heights, NaN wherever it fails."""
     try:
@@ -378,6 +392,15 @@ class _Translated:
     def __call__(self, y, check=True):
         y = np.asarray(y) - self.dy
         return (self.ev(y, check=check) if isinstance(self.ev, _CHECKED) else self.ev(y)) + self.dx
+
+    def row_range(self, lo, hi):
+        """ev's own row bounds, moved with it; NaN, which leaves every row
+        to sampling, where ev has none."""
+        own = getattr(self.ev, "row_range", None)
+        if own is None:
+            return np.full(lo.shape, np.nan), np.full(lo.shape, np.nan)
+        sup, inf = own(lo - self.dy, hi - self.dy)
+        return sup + self.dx, inf + self.dx
 
 
 _CHECKED = (Expression, _Translated)  # evaluators that take ``check``
@@ -422,7 +445,7 @@ class FiniteAnalytic(Piece):
         return dyadic_limit_estimate(lambda t: self.evaluator(t), y0, side, delta)
 
     def row_bounds(self, lo, hi):
-        row_max, row_min = _row_samples(self.evaluator, lo, hi)
+        row_max, row_min = _row_range(self.evaluator, lo, hi)
         a, b = self.span
         return row_max, row_min, row_max, ((a, "right"), (b, "left"))
 
@@ -649,9 +672,10 @@ def _merge(intervals, joins=lambda b, a: True):
 
 @dataclass(frozen=True, eq=False)
 class RowProfile:
-    """Sampled bounds on psi over the rows between consecutive ``y_edges``:
-    M (sup psi), m (inf psi), Mstar (sup psi_*), outside (row disjoint from
-    I), edge (row straddles an end of I).  The arrays are read-only."""
+    """Bounds on psi, sampled or bounded by the evaluator, over the rows
+    between consecutive ``y_edges``: M (sup psi), m (inf psi), Mstar (sup
+    psi_*), outside (row disjoint from I), edge (row straddles an end of
+    I).  The arrays are read-only."""
 
     y_edges: np.ndarray
     M: np.ndarray
@@ -957,7 +981,7 @@ class PiecewiseDefiningFunction:
 
     def row_profiles(self, y_edges) -> RowProfile:
         """Per-row sup/inf of psi and sup of psi_* between consecutive edges:
-        every sampled bound on psi comes from here.
+        every bound on psi over rows comes from here.
 
         Declared -inf limit points inside a row force m = -inf exactly; a
         row where every sample fails keeps m = +inf.  The profile holds its

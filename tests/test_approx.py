@@ -349,6 +349,21 @@ def test_list_form_transplants_once_per_radius(levels):
     assert len(levels) == 2
 
 
+@pytest.mark.parametrize(
+    "dom", [half_plane_right(), eta_domain(1.0), eta_domain(0.5)], ids=lambda d: d.key
+)
+def test_mirrored_design_has_the_bits_of_the_full_exp(dom):
+    # real frequencies on a domain with reflection +1: the lower half is
+    # the conjugate mirror of the upper half, bit for bit, but for the sign
+    # of the zero imaginary part at lam = 0 (the last column)
+    z = _full_circle(dom, approx._FIT_LEVEL, 2**10)
+    freqs = [complex(l) for l in [-0.45 * k / 14 for k in range(1, 15)] + [-3.0, 0.25, 0.0]]
+    want = np.exp(np.multiply.outer(z, np.asarray(freqs)))
+    got = approx._design(z, freqs, True)
+    assert np.array_equal(got[:, :-1].view(np.int64), want[:, :-1].view(np.int64))
+    assert np.array_equal(got[:, -1], want[:, -1])
+
+
 @pytest.mark.parametrize("n_nodes", [0, -2, 3, 2**10 + 1])
 def test_fit_rejects_an_odd_or_non_positive_node_count(n_nodes):
     with pytest.raises(ValueError, match=f"n_nodes must be positive and even, got {n_nodes}"):

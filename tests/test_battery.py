@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from koenigslab import battery, hardy
+from koenigslab import battery, domain, hardy, raster
 from koenigslab.battery import battery_entry
 
 
@@ -87,7 +88,7 @@ def mpmath_psi(y, a):
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_within_8_ulps_of_a_200_bit_root(a):
     rng = np.random.default_rng(7)
-    ev = battery._eta_defining_function(a)
+    ev = battery._EtaDefiningFunction(a)
     for ys in (row_heights("eta1", 1024), row_heights("eta1", 512), random_heights()):
         ys = rng.choice(ys.ravel(), 200, replace=False)
         want = np.array([mpmath_psi(y, a) for y in ys])
@@ -96,14 +97,14 @@ def test_eta_psi_is_within_8_ulps_of_a_200_bit_root(a):
 
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_within_8_ulps_of_the_bisection_on_every_raster_height(a):
-    ev = battery._eta_defining_function(a)
+    ev = battery._EtaDefiningFunction(a)
     for ys in (row_heights("eta1", 1024), row_heights("eta1", 512)):
         assert ulps(ev(ys), bisection_reference(ys, a).reshape(ys.shape)).max() <= 8
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 1.5])
 def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
-    ev = battery._eta_defining_function(a)
+    ev = battery._EtaDefiningFunction(a)
     with np.errstate(all="ignore"):
         _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
         # NaN, +-inf and |y| >= 1e307 fail for every a; every height fails for a > 1
@@ -121,7 +122,7 @@ def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_minus_inf_at_infinite_heights(a):
     # the bisection bracket y -+ (3 + 3|y|) is NaN there, with a RuntimeWarning
-    ev = battery._eta_defining_function(a)
+    ev = battery._EtaDefiningFunction(a)
     assert ev(np.inf) == ev(-np.inf) == -np.inf
     got = ev(np.array([np.inf, 0.0, -np.inf]))
     assert got[0] == got[2] == -np.inf and np.isfinite(got[1])
@@ -131,11 +132,11 @@ def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(
     monkeypatch.setattr(battery, "_ETA_NEWTON_STEPS", 1)
     ys = row_heights("eta1", 512)[::16].ravel()
     assert not battery._eta_root(ys, 1.0)[1].any()
-    assert same_bits(battery._eta_defining_function(1.0)(ys), bisection_reference(ys, 1.0))
+    assert same_bits(battery._EtaDefiningFunction(1.0)(ys), bisection_reference(ys, 1.0))
 
 
 def test_eta_psi_of_a_height_does_not_depend_on_the_array():
-    ev = battery._eta_defining_function(1.0)
+    ev = battery._EtaDefiningFunction(1.0)
     ys = np.concatenate([row_heights("eta1", 512).ravel(), random_heights(6_000)])
     perm = np.random.default_rng(3).permutation(ys.size)
     got = ev(ys)
@@ -146,7 +147,7 @@ def test_eta_psi_of_a_height_does_not_depend_on_the_array():
 
 def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
     # for a = 1, psi(y) = -log|3 + i t| with t within a few units of y
-    ev = battery._eta_defining_function(1.0)
+    ev = battery._EtaDefiningFunction(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = ev(OVERFLOW_HEIGHTS)
@@ -208,7 +209,7 @@ def test_eta_domain_psi_rejects_an_exponent_outside_0_1(a):
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_declared_envelopes_bound_psi(a):
     piece = battery.eta_domain_psi(a).pieces[0]
-    ev = battery._eta_defining_function(a)
+    ev = battery._EtaDefiningFunction(a)
     ys = np.concatenate([row_heights("eta1", 1024).ravel(), random_heights(), [1e300, -1e300]])
     psi = ev(ys)
     assert np.all(psi <= piece.tail_upper.value(ys))
@@ -304,10 +305,115 @@ def test_eta_psi_keeps_its_bits_through_the_shared_log_power(a, monkeypatch):
     # battery evaluates eta's boundary with hardy's kernel, not a copy of it
     assert not hasattr(battery, "_eta_power")
     ys = np.concatenate([row_heights("eta1", 512).ravel(), random_heights(6_000), SPECIAL_HEIGHTS])
-    shared = battery._eta_defining_function(a)(ys)
+    shared = battery._EtaDefiningFunction(a)(ys)
     monkeypatch.setattr(battery, "log_power", written_out_log_power)
-    assert same_bits(battery._eta_defining_function(a)(ys), shared)
+    assert same_bits(battery._EtaDefiningFunction(a)(ys), shared)
     with np.errstate(all="ignore"):
         ts = np.concatenate([random_heights(6_000), HUGE_T, -HUGE_T])
         got, want = hardy.log_power(3.0, ts, a), written_out_log_power(3.0, ts, a)
     assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+# -- row bounds from the edge roots ------------------------------------------
+
+SAMPLE_FRACTIONS = (np.arange(64) + 0.5) / 64  # the 64 midpoints of a sampled row
+
+
+def row_strategy():
+    """(lo, hi) rows: ordinary, straddling 0, tiny, and at |y| ~ 1e6; at
+    most 0.25 high, where 64 samples find the sup to within 1e-3."""
+    ordinary = st.tuples(st.floats(-40.0, 40.0), st.floats(1e-6, 0.25))
+    straddling = st.tuples(st.floats(-0.25, 0.0), st.floats(1e-9, 0.25))
+    tiny = st.tuples(st.floats(-0.1, 0.1) | st.floats(-2.0, 2.0), st.floats(1e-15, 1e-9))
+    far = st.tuples(
+        st.floats(1e5, 1e7) | st.floats(-1e7, -1e5), st.floats(1e-9, 0.25)
+    )
+    return st.one_of(ordinary, straddling, tiny, far).map(lambda r: (r[0], r[0] + r[1]))
+
+
+def assert_row_range_holds_the_samples(a, lo, hi):
+    """Check that eta_a's row_range bounds all 64 midpoint values of each
+    row; return its sup and the sampled max."""
+    ev = battery._EtaDefiningFunction(a)
+    sup, inf = ev.row_range(lo, hi)
+    assert not np.isnan(sup).any() and not np.isnan(inf).any()
+    vals = ev(lo[:, None] + (hi - lo)[:, None] * SAMPLE_FRACTIONS[None, :])
+    assert np.all(vals.max(axis=1) <= sup)
+    assert np.all(vals.min(axis=1) >= inf)
+    return sup, vals.max(axis=1)
+
+
+@given(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.lists(row_strategy(), min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_eta_row_range_bounds_every_sampled_height(a, rows):
+    lo, hi = (np.array(v) for v in zip(*rows))
+    sup, row_max = assert_row_range_holds_the_samples(a, lo, hi)
+    assert np.all(sup - row_max <= 1e-3)
+
+
+@pytest.mark.parametrize("a", [0.999, 0.5, 0.25])
+def test_eta_row_range_allows_for_rounding_on_flat_rows(a):
+    # on rows this short near y = 0, psi varies by less than an ulp, and its
+    # rounding is not monotone in |t|: about 2 rows in 1,000 have a sample
+    # 1 or 2 ulps beyond the unwidened value at an end of the root bracket
+    rng = np.random.default_rng(17)
+    lo = rng.uniform(-0.1, 0.1, 10_000)
+    hi = lo + np.exp(rng.uniform(np.log(1e-15), np.log(1e-9), lo.size))
+    assert_row_range_holds_the_samples(a, lo, hi)
+
+
+def test_eta_raster_rows_invert_only_their_edges(monkeypatch):
+    heights, sampled = [], []
+
+    def counted_root(y, a):
+        heights.append(y.size)
+        return root(y, a)
+
+    def counted_samples(evaluator, lo, hi):
+        sampled.append(lo.size)
+        return samples(evaluator, lo, hi)
+
+    root, samples = battery._eta_root, domain._row_samples
+    monkeypatch.setattr(battery, "_eta_root", counted_root)
+    monkeypatch.setattr(domain, "_row_samples", counted_samples)
+    e = battery_entry("eta1")
+    grid = raster.rasterize(e.psi, e.window, e.resolution)
+    assert (grid.n, grid.coarse.n) == (1024, 512)
+    assert sum(heights) <= 1025 + 513
+    assert sampled == []
+
+
+def test_eta_rows_with_a_failed_edge_are_sampled():
+    # |y| >= 1e307 fails the bracket check, so the rows touching it are
+    # sampled, and the others keep their edge-root bounds
+    psi = battery.eta_domain_psi(1.0)
+    ev = psi.pieces[0].evaluator
+    edges = np.array([-1.0, 1e306, 2e307, 4e307])
+    lo, hi = edges[:-1], edges[1:]
+    sup, inf = ev.row_range(lo, hi)
+    assert np.isfinite(sup[0]) and np.isfinite(inf[0])
+    assert np.isnan(sup[1:]).all() and np.isnan(inf[1:]).all()
+    prof = psi.row_profiles(edges)
+    want_M, want_m = domain._row_samples(ev, lo[1:], hi[1:])
+    assert same_bits(prof.M, np.concatenate(([sup[0]], want_M)))
+    assert same_bits(prof.m, np.concatenate(([inf[0]], want_m)))
+
+
+def test_translated_eta_keeps_its_edge_root_bounds(monkeypatch):
+    # dyadic edges and shifts, so that (y + dy) - dy is y exactly
+    psi = battery.eta_domain_psi(0.5)
+    dx, dy = 0.5, 2.0
+    moved = psi.translated(dx, dy)
+    edges = np.linspace(-30.0, 30.0, 257)
+    sampled = []
+    samples = domain._row_samples
+    monkeypatch.setattr(
+        domain, "_row_samples", lambda ev, lo, hi: sampled.append(lo.size) or samples(ev, lo, hi)
+    )
+    here, there = psi.row_profiles(edges), moved.row_profiles(edges + dy)
+    assert sampled == []
+    for key in ("M", "m", "Mstar"):
+        assert same_bits(getattr(there, key), getattr(here, key) + dx), key
