@@ -47,54 +47,150 @@ class BatteryEntry:
 
 
 _GAP_LEVELS = 52
+# ``row_range`` widens 1/((ghi - y)(y - glo)) by this many units of 2^-52,
+# relative, and the sines of its ends by this many ulps
+_GAP_ROW_ULPS = 8
 
 
-def gap_oscillation_evaluator(carrier: CantorSet):
-    """Vectorized evaluator: sin(1/((b-y)(y-a))) on each complementary gap
-    (a, b) of the carrier, and the carrier value 1 on the carrier itself.
+def _gap_descent(carrier: CantorSet, y):
+    """The float gap (glo, ghi) of the carrier that each height of the 1-D
+    array y falls in, and NaN for a height in no gap: on the carrier, off
+    its hull, NaN, or still undecided after _GAP_LEVELS levels, that is
+    within f^52 (hi - lo) of the carrier for keep fraction f.
 
     The descent keeps only the heights still undecided: each level splits
     their cells [clo, chi] at glo = clo + w and ghi = chi - w, w = (chi -
     clo) f, and drops the heights that fall in the gap (glo, ghi).  A
     height meets the same float operations whatever else is in the array,
-    so its value depends on it alone.  Points still undecided after 52
-    levels are within 3^-52 of the carrier and get the carrier value.
+    so its gap depends on it alone.
+    """
+    gap_lo = np.full(y.shape, np.nan)
+    gap_hi = np.full(y.shape, np.nan)
+    live = np.flatnonzero((y >= carrier.lo) & (y <= carrier.hi))
+    yl = y[live]
+    clo = np.full(yl.shape, carrier.lo)
+    chi = np.full(yl.shape, carrier.hi)
+    f = carrier.keep_fraction
+    for _ in range(_GAP_LEVELS):
+        if not live.size:
+            break
+        w = chi - clo
+        w *= f
+        glo = clo + w
+        ghi = np.subtract(chi, w, out=w)
+        in_gap = (yl > glo) & (yl < ghi)
+        gap_lo[live[in_gap]] = glo[in_gap]
+        gap_hi[live[in_gap]] = ghi[in_gap]
+        left = yl <= glo
+        # in place, and freed before the compaction, so that no level
+        # holds more arrays than the descent over the whole array did
+        np.copyto(chi, glo, where=left)
+        np.copyto(clo, ghi, where=~left)
+        del glo, ghi, w
+        keep = ~in_gap
+        live = live[keep]
+        yl = yl[keep]
+        clo = clo[keep]
+        chi = chi[keep]
+    return gap_lo, gap_hi
+
+
+def _sin_sup(u0, u1):
+    """sup of sin on each [u0, u1]: 1 where the range may hold a peak
+    pi/2 + 2k pi, else the larger end value, widened by _GAP_ROW_ULPS ulps
+    for the rounding of sin here and in the evaluator.
+
+    The peaks in range are the integers k in [(u0 - pi/2)/(2 pi),
+    (u1 - pi/2)/(2 pi)].  Each quotient is three roundings and the float
+    pi away from its exact value, a relative error below 2^-51, so the test
+    widens them by 2^-50 (1 + |quotient|) and errs only towards 1.  Off the
+    peaks sin has no interior maximum, so its sup lies at an end.
+    """
+    with np.errstate(invalid="ignore"):
+        k0 = (u0 - np.pi / 2) / (2 * np.pi)
+        k1 = (u1 - np.pi / 2) / (2 * np.pi)
+        peak = np.floor(k1 + 2.0**-50 * (1 + np.abs(k1))) >= np.ceil(
+            k0 - 2.0**-50 * (1 + np.abs(k0))
+        )
+        ends = np.maximum(np.sin(u0), np.sin(u1))
+    ends += _GAP_ROW_ULPS * np.spacing(np.abs(ends))
+    return np.where(peak, 1.0, np.minimum(ends, 1.0))
+
+
+@dataclass(frozen=True)
+class _GapOscillation:
+    """Vectorized evaluator: sin(1/((b-y)(y-a))) on each complementary gap
+    (a, b) of the carrier, and the carrier value 1 on the carrier itself
+    (and off its hull).  ``__call__`` and ``row_range`` read the gaps from
+    the one descent, ``_gap_descent``.
     """
 
-    def ev(y):
+    carrier: CantorSet
+
+    def __call__(self, y):
         scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         flat = y.ravel()
+        glo, ghi = _gap_descent(self.carrier, flat)
         out = np.full(flat.shape, 1.0)
-        live = np.flatnonzero((flat >= carrier.lo) & (flat <= carrier.hi))
-        yl = flat[live]
-        clo = np.full(yl.shape, carrier.lo)
-        chi = np.full(yl.shape, carrier.hi)
-        f = carrier.keep_fraction
-        for _ in range(_GAP_LEVELS):
-            if not live.size:
-                break
-            w = chi - clo
-            w *= f
-            glo = clo + w
-            ghi = np.subtract(chi, w, out=w)
-            in_gap = (yl > glo) & (yl < ghi)
-            g = yl[in_gap]
-            out[live[in_gap]] = np.sin(1.0 / ((ghi[in_gap] - g) * (g - glo[in_gap])))
-            left = yl <= glo
-            # in place, and freed before the compaction, so that no level
-            # holds more arrays than the descent over the whole array did
-            np.copyto(chi, glo, where=left)
-            np.copyto(clo, ghi, where=~left)
-            del glo, ghi, w
-            keep = ~in_gap
-            live = live[keep]
-            yl = yl[keep]
-            clo = clo[keep]
-            chi = chi[keep]
+        g = ~np.isnan(glo)
+        yg = flat[g]
+        out[g] = np.sin(1.0 / ((ghi[g] - yg) * (yg - glo[g])))
         return float(out[0]) if scalar else out.reshape(y.shape)
 
-    return ev
+    def row_range(self, lo, hi):
+        """(sup, inf) of the evaluator on each row [lo, hi] of two 1-D
+        arrays, from one descent per distinct edge: n + 1 heights for n
+        adjacent rows, where 64 sampled heights per row took 64 n.
+
+        A row whose two edges fall in the same float gap (glo, ghi) lies in
+        it.  Each level sends a height left (y <= glo), into the gap or
+        right (y >= ghi), three intervals of y, so two edges that take the
+        same path take every height between them along it.  Edges on
+        different paths end in different float gaps: where the paths split,
+        the left child's gaps lie at or below that level's glo, the right
+        child's at or above its ghi, and glo <= ghi, as 2w <= chi - clo
+        holds in floats whenever 2f < 1 - 2^-53 (every float f in (0, 1/2)
+        but the last, which the rule excludes).
+
+        On the gap u(y) = 1/((ghi - y)(y - glo)) is convex with its
+        minimum at the midpoint c, so over the row u lies between u at the
+        clamp of c into the row and the larger of u at the two edges.
+        Rounded to nearest, c = glo/2 + ghi/2 is the float nearest the
+        exact midpoint, and so the float of the row where u is least.  The
+        evaluator's u is four roundings from the exact u, a relative error
+        e of about 2^-51, and so are these three values; so every computed
+        u of the row lies within the factors (1 -+ e)/(1 +- e), about
+        1 -+ 2^-50, of them.  The range is widened by the factors
+        1 -+ _GAP_ROW_ULPS 2^-52 = 1 -+ 2^-49, twice that (an infinite u
+        stays infinite).  The sup of sin over the widened range comes from
+        ``_sin_sup``, and the inf is minus the sup over its negation.
+
+        Any other row meets a cell boundary, and near one the oscillation
+        sweeps [-1, 1]; it gets (1, -1), valid because |sin| <= 1 and the
+        carrier value is 1.  Like eta's ``row_range`` this trusts sin to a
+        few ulps; it is not an interval enclosure.
+        """
+        n = lo.size
+        ys, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        glo, ghi = _gap_descent(self.carrier, ys)
+        i, j = at[:n], at[n:]
+        same = (glo[i] == glo[j]) & (ghi[i] == ghi[j])
+        same &= 2.0 * self.carrier.keep_fraction < 1.0 - 2.0**-53
+        sup, inf = np.full(n, 1.0), np.full(n, -1.0)
+        a, b, l, h = glo[i][same], ghi[i][same], lo[same], hi[same]
+        c = np.minimum(np.maximum(0.5 * a + 0.5 * b, l), h)
+        with np.errstate(divide="ignore", over="ignore"):
+            u_min, u_l, u_h = (1.0 / ((b - y) * (y - a)) for y in (c, l, h))
+        u_max = np.maximum(u_l, u_h)
+        widen = _GAP_ROW_ULPS * 2.0**-52
+        u0, u1 = u_min * (1.0 - widen), u_max * (1.0 + widen)
+        sup[same], inf[same] = _sin_sup(u0, u1), -_sin_sup(-u1, -u0)
+        return sup, inf
+
+
+# the oscillation_cantor evaluator, by the name its callers know
+gap_oscillation_evaluator = _GapOscillation
 
 
 def _const_limits(v):

@@ -607,16 +607,16 @@ class CantorCarrierPiece(Piece):
         return LimitData(min(lo, v), v, exact=True)
 
     def carrier_gap_sup(self):
-        # undeclared, the sup is sampled over the carrier's hull as one row
+        # undeclared, the sup is read over the carrier's hull as one row
         if self.off_limsup_at_carrier is not None:
             return self.off_limsup_at_carrier, True
-        row_max, _ = _row_samples(
+        row_max, _ = _row_range(
             self.off_evaluator, np.array([self.carrier.lo]), np.array([self.carrier.hi])
         )
         return float(np.fmax(row_max[0], NEG_INF)), False
 
     def row_bounds(self, lo, hi):
-        row_max, row_min = _row_samples(self.off_evaluator, lo, hi)
+        row_max, row_min = _row_range(self.off_evaluator, lo, hi)
         hit = self.carrier.intersects_many(lo, hi)
         M, Mstar = row_max.copy(), row_max.copy()
         M[hit] = np.fmax(M[hit], self.on_value)

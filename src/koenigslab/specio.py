@@ -123,7 +123,7 @@ def piece_from_json(obj):
     if kind == "cantor_comb":
         return CantorCarrierPiece(
             span=_span(obj),
-            carrier=CantorSet.from_json(obj["carrier"]),
+            carrier=_at("/carrier", CantorSet.from_json, obj["carrier"]),
             on_value=float(obj["on_value"]),
             off_evaluator=parse_expression(obj.get("off_expr", "0")),
             off_limsup_at_carrier=(
@@ -189,11 +189,14 @@ def piece_to_json(p):
 
 def _at(path, convert, arg):
     """convert(arg), with a malformed-input error pointing at path; an
-    error that already points at a sub-path is extended to the full one."""
+    error that already points at a sub-path is extended to the full one,
+    and a key missing from the object arg points at that key."""
     try:
         return convert(arg)
     except (KeyError, TypeError, ValueError) as exc:
         msg = str(exc)
+        if isinstance(exc, KeyError) and isinstance(arg, dict) and exc.args[0] not in arg:
+            msg = f"/{exc.args[0]}: missing required key"
         raise ValidationError(f"{path}{'' if msg.startswith('/') else ': '}{msg}") from exc
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from koenigslab import battery, domain, hardy, raster
 from koenigslab.battery import battery_entry
+from koenigslab.cantor import CantorSet
 
 
 def bisection_reference(y, a):
@@ -29,8 +30,8 @@ def bisection_reference(y, a):
 
 
 def row_heights(name, n):
-    """The heights row_profiles samples on a battery entry's window at
-    resolution n, 64 per raster row."""
+    """The 64 midpoint heights of each raster row on a battery entry's
+    window at resolution n, the heights a sampled row profile reads."""
     _, _, y0, y1 = battery_entry(name).window
     y_edges = np.linspace(y0, y1, n + 1)
     lo, hi = y_edges[:-1], y_edges[1:]
@@ -331,10 +332,9 @@ def row_strategy():
     return st.one_of(ordinary, straddling, tiny, far).map(lambda r: (r[0], r[0] + r[1]))
 
 
-def assert_row_range_holds_the_samples(a, lo, hi):
-    """Check that eta_a's row_range bounds all 64 midpoint values of each
-    row; return its sup and the sampled max."""
-    ev = battery._EtaDefiningFunction(a)
+def assert_row_range_holds_the_samples(ev, lo, hi):
+    """Check that the evaluator's row_range bounds all 64 midpoint values
+    of each row; return its sup and the sampled max."""
     sup, inf = ev.row_range(lo, hi)
     assert not np.isnan(sup).any() and not np.isnan(inf).any()
     vals = ev(lo[:, None] + (hi - lo)[:, None] * SAMPLE_FRACTIONS[None, :])
@@ -350,7 +350,7 @@ def assert_row_range_holds_the_samples(a, lo, hi):
 @settings(max_examples=300, deadline=None)
 def test_eta_row_range_bounds_every_sampled_height(a, rows):
     lo, hi = (np.array(v) for v in zip(*rows))
-    sup, row_max = assert_row_range_holds_the_samples(a, lo, hi)
+    sup, row_max = assert_row_range_holds_the_samples(battery._EtaDefiningFunction(a), lo, hi)
     assert np.all(sup - row_max <= 1e-3)
 
 
@@ -362,7 +362,7 @@ def test_eta_row_range_allows_for_rounding_on_flat_rows(a):
     rng = np.random.default_rng(17)
     lo = rng.uniform(-0.1, 0.1, 10_000)
     hi = lo + np.exp(rng.uniform(np.log(1e-15), np.log(1e-9), lo.size))
-    assert_row_range_holds_the_samples(a, lo, hi)
+    assert_row_range_holds_the_samples(battery._EtaDefiningFunction(a), lo, hi)
 
 
 def test_eta_raster_rows_invert_only_their_edges(monkeypatch):
@@ -415,5 +415,120 @@ def test_translated_eta_keeps_its_edge_root_bounds(monkeypatch):
     )
     here, there = psi.row_profiles(edges), moved.row_profiles(edges + dy)
     assert sampled == []
+    for key in ("M", "m", "Mstar"):
+        assert same_bits(getattr(there, key), getattr(here, key) + dx), key
+
+
+# -- Cantor gap-oscillation rows from their edges ---------------------------
+
+CANTOR = battery_entry("oscillation_cantor").psi.pieces[0]
+
+
+@st.composite
+def cantor_rows(draw):
+    """(lo, hi) rows of the oscillation_cantor carrier: inside one float gap
+    (straddling its midpoint, or from nextafter of its edges), tiny, across
+    cells, and touching the carrier's ends.  ``CantorSet.gaps`` splits its
+    cells with the float operations of the evaluator's descent, so its gaps
+    are the evaluator's."""
+    carrier = CANTOR.carrier
+    glo, ghi = draw(st.sampled_from(carrier.gaps(draw(st.integers(1, 10)))))
+    mid, half = 0.5 * glo + 0.5 * ghi, 0.5 * (ghi - glo)
+    kind = draw(st.sampled_from(["straddle", "nextafter", "tiny", "across", "ends"]))
+    if kind == "straddle":
+        lo = mid - half * draw(st.floats(0.0, 1.0, exclude_max=True))
+        hi = mid + half * draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif kind == "nextafter":
+        lo = np.nextafter(glo, np.inf)
+        hi = draw(st.sampled_from([np.nextafter(ghi, -np.inf), mid, np.nextafter(lo, np.inf)]))
+    elif kind == "tiny":
+        lo = draw(st.floats(carrier.lo, carrier.hi))
+        hi = lo + draw(st.floats(1e-15, 1e-9))
+    elif kind == "across":
+        lo = draw(st.floats(carrier.lo, glo))
+        hi = draw(st.floats(ghi, carrier.hi))
+    else:
+        lo, hi = draw(st.sampled_from([
+            (carrier.lo, ghi), (carrier.lo, mid), (glo, carrier.hi), (mid, carrier.hi),
+            (carrier.lo, carrier.hi),
+        ]))
+    return lo, min(hi, carrier.hi)
+
+
+@given(st.lists(cantor_rows(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_gap_row_range_bounds_every_sampled_height(rows):
+    lo, hi = (np.array(v, dtype=float) for v in zip(*rows))
+    sup, _ = assert_row_range_holds_the_samples(CANTOR.off_evaluator, lo, hi)
+    assert np.all(sup <= 1.0)
+
+
+def test_gap_row_range_allows_for_rounding_on_flat_rows():
+    # on a carrier across 0, ghi - y and y - glo round, so on rows a few
+    # ulps high u's rounding is not monotone: without the widening 169 of
+    # these 20,000 rows have a sample beyond the bounds
+    ev = battery.gap_oscillation_evaluator(CantorSet(-1.0, 1.0, 0.25))
+    rng = np.random.default_rng(29)
+    gaps = np.array(ev.carrier.gaps(4))[rng.integers(0, 15, 20_000)]
+    lo = gaps[:, 0] + (gaps[:, 1] - gaps[:, 0]) * rng.uniform(0.0, 1.0, 20_000)
+    hi = np.minimum(lo + np.spacing(np.abs(lo)) * rng.integers(1, 50, lo.size),
+                    np.nextafter(gaps[:, 1], -np.inf))
+    sup, _ = assert_row_range_holds_the_samples(ev, lo, hi)
+    assert (sup < 1.0).mean() > 0.9
+
+
+def test_gap_row_range_is_tight_below_one():
+    # within one gap the bound comes from the row's ends and midpoint; a
+    # dense sample that holds both ends finds it to within 1e-6
+    rng = np.random.default_rng(19)
+    gaps = np.array(CANTOR.carrier.gaps(8))[rng.integers(0, 255, 400)]
+    width = gaps[:, 1] - gaps[:, 0]
+    lo = gaps[:, 0] + width * rng.uniform(0.0, 1.0, 400)
+    hi = np.minimum(lo + width * np.exp(rng.uniform(np.log(1e-9), np.log(0.5), 400)),
+                    np.nextafter(gaps[:, 1], -np.inf))
+    ev = CANTOR.off_evaluator
+    sup, inf = ev.row_range(lo, hi)
+    vals = ev(lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 4096)[None, :])
+    below, above = sup < 1.0, inf > -1.0
+    assert below.sum() > 40 and above.sum() > 40
+    assert np.all(sup[below] - vals.max(axis=1)[below] <= 1e-6)
+    assert np.all(vals.min(axis=1)[above] - inf[above] <= 1e-6)
+
+
+def test_cantor_raster_rows_descend_only_their_edges(monkeypatch):
+    heights, sampled = [], []
+
+    def counted_descent(carrier, y):
+        heights.append(y.size)
+        return descent(carrier, y)
+
+    def counted_samples(evaluator, lo, hi):
+        sampled.append(lo.size)
+        return samples(evaluator, lo, hi)
+
+    descent, samples = battery._gap_descent, domain._row_samples
+    monkeypatch.setattr(battery, "_gap_descent", counted_descent)
+    monkeypatch.setattr(domain, "_row_samples", counted_samples)
+    e = battery_entry("oscillation_cantor")
+    grid = raster.rasterize(e.psi, e.window, e.resolution)
+    assert (grid.n, grid.coarse.n) == (2048, 1024)
+    assert sum(heights) <= 2049 + 1025
+    assert sampled == []
+
+
+def test_translated_cantor_piece_keeps_its_edge_bounds(monkeypatch):
+    # dyadic edges and shifts, so that (y + dy) - dy is y exactly
+    psi = battery_entry("oscillation_cantor").psi
+    dx, dy = 0.5, 2.0
+    moved = psi.translated(dx, dy)
+    edges = np.linspace(-0.5, 1.5, 513)
+    sampled = []
+    samples = domain._row_samples
+    monkeypatch.setattr(
+        domain, "_row_samples", lambda ev, lo, hi: sampled.append(lo.size) or samples(ev, lo, hi)
+    )
+    here, there = psi.row_profiles(edges), moved.row_profiles(edges + dy)
+    assert sampled == []
+    assert (here.m > -1.0).any()
     for key in ("M", "m", "Mstar"):
         assert same_bits(getattr(there, key), getattr(here, key) + dx), key

@@ -158,6 +158,24 @@ def test_malformed_spec_exits_without_traceback(tmp_path):
     assert "/pieces" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("drop, pointer", [
+    (("carrier",), "/pieces/0/carrier"), (("carrier", "base"), "/pieces/0/carrier/base"),
+])
+def test_missing_required_key_exits_2(tmp_path, drop, pointer):
+    spec = {"interval": [-0.5, 1.5], "pieces": [
+        {"kind": "cantor_comb", "span": [-0.5, 1.5], "carrier": {"base": [0.0, 1.0]},
+         "on_value": 1.0}]}
+    obj = spec["pieces"][0]
+    for key in drop[:-1]:
+        obj = obj[key]
+    del obj[drop[-1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    r = run_cli("decide", str(bad))
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert f"{pointer}: missing required key" in r.stderr
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_decide_rejects_non_finite_p(value):
     r = run_cli("decide", "battery:strip", "--p", value)

@@ -106,6 +106,19 @@ def identifiers(source, names):
     return hits
 
 
+def callers(source, name):
+    """Sorted names of the functions whose bodies mention ``name``."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+            for node in ast.walk(fn)
+        )
+    })
+
+
 def test_bounds_on_psi_come_from_row_profiles_only():
     assert identifiers("_, v = psi.sup_inf(lo, hi)", RETIRED) == [(1, "sup_inf")]
     assert identifiers("def sup_inf(self, lo, hi): pass", RETIRED) == [(1, "sup_inf")]
@@ -120,6 +133,11 @@ def test_bounds_on_psi_come_from_row_profiles_only():
         ))
     }
     assert found == {}, found
+    # inside domain, the one row-bounds rule is the only sampler of rows:
+    # every piece reaches _row_samples through _row_range
+    assert callers("def f(): g()\ndef h(): f()\ndef k(): h.f", "f") == ["h", "k"]
+    domain_source = (SRC / "domain.py").read_text(encoding="utf-8")
+    assert callers(domain_source, "_row_samples") == ["_row_range"]
 
 
 def row_profile_key_reads(source):

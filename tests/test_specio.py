@@ -225,3 +225,44 @@ def test_nan_envelope_numbers_are_reported_under_their_json_key(kind, key):
     with pytest.raises(ValidationError) as err:
         psi_from_dict(_with_tail(**{**ENVELOPES[kind], key: "nan"}))
     assert str(err.value) == f"/pieces/0/tail_lower: {key} must be a number, got nan"
+
+
+# -- missing required keys ------------------------------------------------------
+
+REQUIRED = {
+    "finite_analytic": ({"span": [-1.0, 1.0], "expr": "0"}, ("span", "expr")),
+    "oscillatory": (
+        {"span": [-1.0, 1.0], "expr": "0", "limits": {
+            "left": {"liminf": 0, "limsup": 0}, "right": {"liminf": 0, "limsup": 0}}},
+        ("span", "expr"),
+    ),
+    "minus_infinity": ({"span": [-1.0, 1.0]}, ("span",)),
+    "point_spike": (
+        {"span": [-1.0, 1.0], "c0": 0.0, "value": 1.0, "background": 0.0},
+        ("span", "c0", "value", "background"),
+    ),
+    "cantor_comb": (
+        {"span": [-1.0, 1.0], "carrier": {"base": [0.0, 1.0]}, "on_value": 1.0},
+        ("span", "carrier", "on_value"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (_, keys) in REQUIRED.items() for key in keys
+])
+def test_a_missing_required_key_is_reported_at_its_path(kind, key):
+    piece = {"kind": kind, **REQUIRED[kind][0]}
+    psi_from_dict({"interval": [-1.0, 1.0], "pieces": [piece]})
+    del piece[key]
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict({"interval": [-1.0, 1.0], "pieces": [piece]})
+    assert str(err.value) == f"/pieces/0/{key}: missing required key"
+
+
+def test_a_carrier_without_a_base_is_reported_at_its_path():
+    spec = _comb(1.0)
+    del spec["pieces"][0]["carrier"]["base"]
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(spec)
+    assert str(err.value) == "/pieces/0/carrier/base: missing required key"
