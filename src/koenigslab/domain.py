@@ -37,6 +37,7 @@ POS_INF = float("inf")
 _DIVERGE_RATIO = 0.9
 _STAB_TOL = 1e-9
 _DYADIC_DEPTH = 40
+_DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, _DYADIC_DEPTH + 1))  # 2^-k
 _ROW_SAMPLES = 64  # midpoints sampled per row by ``row_bounds``
 
 
@@ -247,18 +248,29 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0):
     Returns LimitData.  Stabilization: the last 8 samples agree to
     _STAB_TOL relative; monotone divergence is read as an infinite limit.
     Oscillation that neither stabilizes nor diverges is inconclusive.
+
+    The 40 heights are one array, with the association of a height-by-
+    height loop.  An ``Expression`` whose array calls keep the bits of its
+    scalar calls, alone or at the end of a ``_Translated`` chain, is called
+    once on all of them; any other f is called once per height.  Either way
+    the samples kept are those where f returns a number, in ladder order.
+    Pass the evaluator itself: a lambda around it hides it and costs the
+    40 calls.
     """
     sgn = -1.0 if side == "left" else 1.0
-    vals = []
-    for k in range(1, _DYADIC_DEPTH + 1):
-        t = y0 + sgn * delta * 2.0 ** (-k)
-        try:
-            v = float(f(t))
-        except (EvaluatorError, ArithmeticError, ValueError):
-            continue
-        if math.isnan(v):
-            continue
-        vals.append(v)
+    ts = y0 + sgn * delta * _DYADIC_STEPS
+    batch = _ladder_values(f, ts)
+    if batch is not None:
+        vals = batch[~np.isnan(batch)].tolist()
+    else:
+        vals = []
+        for t in ts.tolist():
+            try:
+                v = float(f(t))
+            except (EvaluatorError, ArithmeticError, ValueError):
+                continue
+            if not math.isnan(v):
+                vals.append(v)
     if len(vals) < 10:
         return LimitData.inconclusive_data()
     tail = vals[-8:]
@@ -278,6 +290,21 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0):
         if ratios and min(ratios) > _DIVERGE_RATIO:
             return LimitData(NEG_INF, NEG_INF, exact=False)
     return LimitData.inconclusive_data()
+
+
+def _ladder_values(f, ts):
+    """f(ts) from one array call, NaN at the heights where a scalar call
+    fails; None for an f that is not an array-exact ``Expression`` or a
+    ``_Translated`` chain ending in one.  A scalar call checks at the
+    ``Expression``, so a translation that overflows a finite value to inf
+    keeps it, as it does there."""
+    if isinstance(f, _Translated):
+        inner = _ladder_values(f.ev, ts - f.dy)
+        return None if inner is None else inner + f.dx
+    if isinstance(f, Expression) and f.array_exact:
+        vals = f(ts, check=False)
+        return np.where(np.isfinite(vals), vals, np.nan)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +469,7 @@ class FiniteAnalytic(Piece):
             if not est.inconclusive:
                 return est
         delta = min(1.0, (min(b, y0 + 1) - max(a, y0 - 1)) / 2 or 1.0)
-        return dyadic_limit_estimate(lambda t: self.evaluator(t), y0, side, delta)
+        return dyadic_limit_estimate(self.evaluator, y0, side, delta)
 
     def row_bounds(self, lo, hi):
         row_max, row_min = _row_range(self.evaluator, lo, hi)
@@ -560,13 +587,10 @@ class CantorCarrierPiece(Piece):
         psi_value(self.on_value)
         reject_nan(self, "off_limsup_at_carrier", "off_liminf_at_carrier")
 
-    def _off(self, y):
-        return self.off_evaluator(y)
-
     def value(self, y):
         if self.carrier.contains(y):
             return self.on_value
-        return float(self._off(y))
+        return float(self.off_evaluator(y))
 
     def _carrier_accumulates(self, y0, side):
         d = np.array([2.0 ** (-k) for k in (3, 8, 16, 28, 40)])
@@ -575,7 +599,7 @@ class CantorCarrierPiece(Piece):
 
     def _off_side(self, y0, side):
         delta = min(1.0, (self.span[1] - self.span[0]) / 4)
-        return dyadic_limit_estimate(self._off, y0, side, delta)
+        return dyadic_limit_estimate(self.off_evaluator, y0, side, delta)
 
     def side_limits(self, y0, side):
         if not self._carrier_accumulates(y0, side):

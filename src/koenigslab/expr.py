@@ -12,14 +12,26 @@ an alias for ``^``.  As in Python, ``-a^b`` is ``-(a^b)`` and ``a^-b`` is
 ``a^(-b)``.  Compiled expressions evaluate on scalars or numpy arrays;
 non-finite results raise :class:`EvaluatorError` unless the caller opts
 out.
+
+Compiling folds every y-free subformula once, through the ufunc a call
+would apply, on one-element arrays and with floating-point warnings off
+(``log(0)`` folds to -inf and a call still reports it).  In ``+ - * /``
+and the functions, the folded value then meets the array of heights as a
+scalar, which changes no bit.  ``^`` is never folded and keeps both
+operands at full size: given a scalar exponent of 0.5, 2 or -1 numpy's
+``power`` takes a sqrt, square or reciprocal shortcut whose last bit can
+differ from ``pow``.  A scalar call passes such an exponent as a scalar,
+as it always has, so only a formula without ``^`` promises the bits of
+a scalar call from an array call (``Expression.array_exact``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,10 +89,18 @@ def _tokenize(text):
 
 @dataclass(frozen=True)
 class Expression:
-    """A compiled formula over ``y``.  Immutable and safe to share."""
+    """A compiled formula over ``y``.  Immutable and safe to share.
+
+    ``constant`` is the value of a y-free formula, None for any other.
+    ``array_exact`` says that an array call gives every height the bits
+    of a scalar call there; a formula with ``^`` may differ in the last
+    bit (see the module docstring).
+    """
 
     source: str
     _fn: Callable
+    constant: Optional[float] = None
+    array_exact: bool = True
 
     def __call__(self, y, check=True):
         with np.errstate(all="ignore"):
@@ -96,8 +116,45 @@ class Expression:
             return float(out)
         return out
 
+    def row_range(self, lo, hi):
+        """(c, c) on every row [lo, hi] for a y-free formula of value c;
+        NaN, which leaves the rows to sampling, for any other formula."""
+        c = math.nan if self.constant is None else self.constant
+        return np.full(np.shape(lo), c), np.full(np.shape(lo), c)
+
     def __repr__(self):
         return f"Expression({self.source!r})"
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _apply(fn, a, b=None):
+    """The node fn(a) or fn(a, b).  A node is a float, the folded value of
+    a y-free subformula, or a function of y.  y-free operands are folded
+    once; otherwise a y-free operand meets the array as a scalar."""
+    if b is None:
+        return _fold(fn, a) if isinstance(a, float) else lambda y: fn(a(y))
+    if isinstance(a, float):
+        return _fold(fn, a, b) if isinstance(b, float) else lambda y: fn(a, b(y))
+    if isinstance(b, float):
+        return lambda y: fn(a(y), b)
+    return lambda y: fn(a(y), b(y))
+
+
+def _fold(fn, *values):
+    """fn on one-element arrays of the values, which calls the ufunc a call
+    would, with floating-point warnings off."""
+    with np.errstate(all="ignore"):
+        return float(fn(*(np.array([v]) for v in values))[0])
+
+
+def _materialized(node):
+    """An operand of ``^`` at full size: a y-free one as a full array on an
+    array of heights, as a scalar on one height."""
+    if isinstance(node, float):
+        return lambda y: np.full_like(y, node) if np.ndim(y) else node
+    return node
 
 
 class _Parser:
@@ -105,6 +162,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.powers = False  # does the formula hold a ``^``?
 
     def peek(self):
         return self.tokens[self.i]
@@ -132,12 +190,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                node = (
-                    (lambda a, b: lambda y: a(y) + b(y))
-                    if val == "+"
-                    else (lambda a, b: lambda y: a(y) - b(y))
-                )(node, rhs)
+                node = _apply(_BINARY[val], node, self.term())
             else:
                 return node
 
@@ -147,12 +200,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                rhs = self.factor()
-                node = (
-                    (lambda a, b: lambda y: a(y) * b(y))
-                    if val == "*"
-                    else (lambda a, b: lambda y: a(y) / b(y))
-                )(node, rhs)
+                node = _apply(_BINARY[val], node, self.factor())
             else:
                 return node
 
@@ -160,32 +208,30 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            inner = self.factor()
-            return lambda y, a=inner: -a(y)
+            return _apply(operator.neg, self.factor())
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            expo = self.factor()
-            return lambda y, a=base, b=expo: np.power(a(y), b(y))
+            self.powers = True
+            a, b = _materialized(base), _materialized(self.factor())
+            return lambda y: np.power(a(y), b(y))
         return base
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return lambda y, c=val: np.full_like(y, c, dtype=float) if np.ndim(y) else c
+            return val
         if kind == "name":
             if val == "y":
                 return lambda y: y
             if val in _CONSTS:
-                c = _CONSTS[val]
-                return lambda y, c=c: np.full_like(y, c, dtype=float) if np.ndim(y) else c
+                return _CONSTS[val]
             if val in _FUNCS:
-                fn = _FUNCS[val]
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return lambda y, f=fn, a=inner: f(a(y))
+                return _apply(_FUNCS[val], inner)
             raise ExprSyntaxError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -196,12 +242,10 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Compile ``text`` into an :class:`Expression` over the variable y."""
-    fn = _Parser(text).parse()
-
-    def call(y, fn=fn):
-        out = fn(y)
-        if np.ndim(y) and np.ndim(out) == 0:
-            out = np.full(np.shape(y), out, dtype=float)
-        return out
-
-    return Expression(text, call)
+    parser = _Parser(text)
+    node = parser.parse()
+    if isinstance(node, float):
+        return Expression(
+            text, lambda y: np.full(np.shape(y), node) if np.ndim(y) else node, constant=node
+        )
+    return Expression(text, node, array_exact=not parser.powers)

@@ -52,9 +52,19 @@ from .domain import (
 from .expr import Expression, parse_expression
 
 
-def _span(obj):
-    a, b = obj["span"]
+def _pair(value):
+    a, b = value
     return (_as_float(a), _as_float(b))
+
+
+def _field(obj, key, convert=float):
+    """convert(obj[key]), a malformed value reported at /key."""
+    return _at(f"/{key}", convert, obj[key])
+
+
+def _expression(obj, key):
+    """The formula obj[key], an error in it reported at /key."""
+    return _at(f"/{key}", parse_expression, _expect(f"/{key}", obj[key], str, "a string"))
 
 
 def _limits(obj):
@@ -104,38 +114,36 @@ def piece_from_json(obj):
     if kind in ("finite_analytic", "oscillatory"):
         left, right = _limits(obj)
         return (OscillatorySample if kind == "oscillatory" else FiniteAnalytic)(
-            span=_span(obj),
-            evaluator=parse_expression(obj["expr"]),
+            span=_field(obj, "span", _pair),
+            evaluator=_expression(obj, "expr"),
             limits_left=left,
             limits_right=right,
             tail_lower=_tail(obj, "tail_lower"),
             tail_upper=_tail(obj, "tail_upper"),
         )
     if kind == "minus_infinity":
-        return MinusInfinity(span=_span(obj))
+        return MinusInfinity(span=_field(obj, "span", _pair))
     if kind == "point_spike":
         return PointSpike(
-            span=_span(obj),
-            c0=float(obj["c0"]),
-            spike_value=float(obj["value"]),
-            background=_as_float(obj["background"]),
+            span=_field(obj, "span", _pair),
+            c0=_field(obj, "c0"),
+            spike_value=_field(obj, "value"),
+            background=_field(obj, "background", _as_float),
         )
     if kind == "cantor_comb":
+        declared = {
+            key: _field(obj, key)
+            for key in ("off_limsup_at_carrier", "off_liminf_at_carrier")
+            if obj.get(key) is not None
+        }
         return CantorCarrierPiece(
-            span=_span(obj),
-            carrier=_at("/carrier", CantorSet.from_json, obj["carrier"]),
-            on_value=float(obj["on_value"]),
-            off_evaluator=parse_expression(obj.get("off_expr", "0")),
-            off_limsup_at_carrier=(
-                None
-                if obj.get("off_limsup_at_carrier") is None
-                else float(obj["off_limsup_at_carrier"])
+            span=_field(obj, "span", _pair),
+            carrier=_field(obj, "carrier", CantorSet.from_json),
+            on_value=_field(obj, "on_value"),
+            off_evaluator=(
+                _expression(obj, "off_expr") if "off_expr" in obj else parse_expression("0")
             ),
-            off_liminf_at_carrier=(
-                None
-                if obj.get("off_liminf_at_carrier") is None
-                else float(obj["off_liminf_at_carrier"])
-            ),
+            **declared,
         )
     raise ValidationError(f"unknown piece kind {kind!r}")
 

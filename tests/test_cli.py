@@ -234,3 +234,23 @@ def test_nan_comb_declaration_exits_2(tmp_path, value, code):
         assert r.stdout == "" and "/pieces/0: off_limsup_at_carrier" in r.stderr
     else:
         assert json.loads(r.stdout)["weak_star_complete"] == "no"
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("finite_analytic", "expr", "log("), ("finite_analytic", "expr", 5),
+    ("finite_analytic", "span", ["a", 1.0]), ("cantor_comb", "off_expr", "2 +"),
+    ("cantor_comb", "on_value", "one"), ("point_spike", "c0", "zero"),
+])
+def test_a_bad_field_inside_a_piece_exits_2_at_its_path(tmp_path, kind, field, value):
+    piece = {
+        "finite_analytic": {"span": [-1.0, 1.0], "expr": "0"},
+        "cantor_comb": {"span": [-1.0, 1.0], "carrier": {"base": [0.0, 1.0]},
+                        "on_value": 1.0, "off_expr": "0"},
+        "point_spike": {"span": [-1.0, 1.0], "c0": 0.0, "value": 1.0, "background": 0.0},
+    }[kind]
+    spec = {"interval": [-1.0, 1.0], "pieces": [{"kind": kind, **piece, field: value}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    r = run_cli("decide", str(bad))
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert f"/pieces/0/{field}: " in r.stderr

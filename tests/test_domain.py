@@ -478,3 +478,72 @@ def test_comb_rejects_nan_declarations_at_build(field):
     with pytest.raises(ValidationError, match=f"^{field} must be a number, got nan"):
         dataclasses.replace(piece, **{field: math.nan})
     assert not math.isnan(dataclasses.replace(piece, **{field: 0.0}).carrier_gap_sup()[0])
+
+
+# -- batched evaluation ----------------------------------------------------------
+
+
+def test_validating_the_comb_reads_each_ladder_in_one_call(monkeypatch):
+    # its two dyadic ladders were 80 scalar calls of the off formula "0"
+    from koenigslab.expr import Expression
+
+    calls = []
+    original = Expression.__call__
+
+    def counted(self, y, check=True):
+        calls.append(np.shape(y))
+        return original(self, y, check)
+
+    monkeypatch.setattr(Expression, "__call__", counted)
+    comb_domain()
+    assert 0 < len(calls) <= 4 and set(calls) == {(40,)}, calls
+
+
+def _constant_pieces(source):
+    from koenigslab import CantorCarrierPiece, CantorSet
+
+    ev = parse_expression(source)
+    plain = FiniteAnalytic(span=(-1.0, 2.0), evaluator=ev)
+    return {
+        "plain": plain,
+        "translated": plain.translate(0.25, -0.5),
+        "cantor": CantorCarrierPiece(
+            span=(-1.0, 2.0), carrier=CantorSet(0.0, 1.0), on_value=1.0, off_evaluator=ev
+        ),
+    }
+
+
+ROW_EDGES = np.linspace(-1.0, 2.0, 97)
+CONSTANTS = {"0": 0.0, "-2.5": -2.5, "log(0)": NEG_INF, "0/0": math.nan}
+
+
+@pytest.mark.parametrize("source", ["0", "-2.5", "log(0)"])
+def test_a_constant_expression_piece_is_never_sampled(source, monkeypatch):
+    from koenigslab import domain
+
+    def refuse(*args):
+        raise AssertionError("a constant piece reached _row_samples")
+
+    monkeypatch.setattr(domain, "_row_samples", refuse)
+    c = CONSTANTS[source]
+    pieces = _constant_pieces(source)
+    for name, shift in (("plain", 0.0), ("translated", 0.25), ("cantor", 0.0)):
+        _, m, _, _ = pieces[name].row_bounds(ROW_EDGES[:-1], ROW_EDGES[1:])
+        assert (m == c + shift).all(), name
+    assert pieces["cantor"].carrier_gap_sup() == (c, False)
+
+
+@pytest.mark.parametrize("source", list(CONSTANTS))
+def test_constant_rows_have_the_bits_of_sampled_rows(source, monkeypatch):
+    from koenigslab.expr import Expression
+
+    pieces = _constant_pieces(source)
+    closed = {k: p.row_bounds(ROW_EDGES[:-1], ROW_EDGES[1:])[:3] for k, p in pieces.items()}
+    monkeypatch.delattr(Expression, "row_range")  # every row sampled, as before
+    for name, piece in pieces.items():
+        sampled = piece.row_bounds(ROW_EDGES[:-1], ROW_EDGES[1:])[:3]
+        for field, a, b in zip(("M", "m", "Mstar"), closed[name], sampled):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.array_equal(np.isnan(a), np.isnan(b)), (name, field)
+            ok = ~np.isnan(a)
+            assert a[ok].tobytes() == b[ok].tobytes(), (name, field)

@@ -284,3 +284,29 @@ def test_whole_line_routes_read_closed_forms_not_probes():
         and (hits := calls(path.read_text(encoding="utf-8"), {"slope_brackets"}))
     }
     assert found == {}, found
+
+
+def lambda_ladders(source):
+    """(line) of every ``dyadic_limit_estimate`` call handed a lambda."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _names(node.func) == {"dyadic_limit_estimate"}
+        and any(isinstance(arg, ast.Lambda) for arg in (*node.args, *(
+            kw.value for kw in node.keywords)))
+    ]
+
+
+def test_dyadic_ladders_are_handed_the_evaluator_itself():
+    # a lambda hides the Expression, and the ladder falls back to one
+    # scalar call per height without notice
+    assert lambda_ladders("dyadic_limit_estimate(lambda t: ev(t), y0, 'left')") == [1]
+    assert lambda_ladders("domain.dyadic_limit_estimate(f=lambda t: t, y0=0, side='left')") == [1]
+    assert lambda_ladders("dyadic_limit_estimate(self.evaluator, y0, side, d); f(lambda t: t)") == []
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := lambda_ladders(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, found

@@ -56,7 +56,7 @@ def test_unknown_kind_reports_pointer():
         ([{"kind": "mystery", "span": [0, 1]}], "/pieces/0"),
         (3, "/pieces"),
         ([3], "/pieces/0"),
-        ([{"kind": "minus_infinity", "span": 3}], "/pieces/0"),
+        ([{"kind": "minus_infinity", "span": 3}], "/pieces/0/span"),
     ):
         with pytest.raises(ValidationError) as err:
             psi_from_dict({"interval": [0.0, 1.0], "pieces": pieces})
@@ -266,3 +266,43 @@ def test_a_carrier_without_a_base_is_reported_at_its_path():
     with pytest.raises(ValidationError) as err:
         psi_from_dict(spec)
     assert str(err.value) == "/pieces/0/carrier/base: missing required key"
+
+
+# -- errors inside a piece point at the field -----------------------------------
+
+_FLAT = {"kind": "finite_analytic", "span": [-1.0, 1.0], "expr": "0"}
+_SPIKE = {"kind": "point_spike", "span": [-1.0, 1.0], "c0": 0.0, "value": 1.0, "background": 0.0}
+_COMB = {"kind": "cantor_comb", "span": [-1.0, 1.0], "carrier": {"base": [0.0, 1.0]},
+         "on_value": 1.0, "off_expr": "0"}
+
+# (piece, bad field, its value, the message after the field's path)
+BAD_FIELDS = [
+    (_FLAT, "expr", "log(", "expected a value (at position 4)"),
+    (_FLAT, "expr", 5, "expected a string, got int"),
+    (_FLAT, "span", ["a", 1.0], "could not convert string to float: 'a'"),
+    (_COMB, "off_expr", "2 +", "expected a value (at position 3)"),
+    (_COMB, "on_value", "one", "could not convert string to float: 'one'"),
+    (_SPIKE, "c0", "zero", "could not convert string to float: 'zero'"),
+    (_SPIKE, "value", None, "float() argument must be a string or a real number, not 'NoneType'"),
+    (_SPIKE, "background", "low", "could not convert string to float: 'low'"),
+]
+
+
+@pytest.mark.parametrize("piece, field, value, message", BAD_FIELDS)
+def test_an_error_inside_a_piece_is_reported_at_its_field(piece, field, value, message):
+    spec = {"interval": [-1.0, 1.0], "pieces": [{**piece, field: value}]}
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(spec)
+    assert str(err.value) == f"/pieces/0/{field}: {message}"
+
+
+def test_folding_leaves_the_saved_formula_as_written(tmp_path):
+    # the compile folds y-free subformulas; the source text is what saves
+    spec = {"interval": [-1.0, 1.0], "pieces": [
+        {"kind": "finite_analytic", "span": [-1.0, 1.0], "expr": "2*pi - (1/2)*y^2"},
+    ]}
+    psi = psi_from_dict(spec)
+    path = tmp_path / "d.json"
+    save_psi(psi, path)
+    assert json.loads(path.read_text())["pieces"][0]["expr"] == "2*pi - (1/2)*y^2"
+    assert psi_to_dict(load_psi(path)) == psi_to_dict(psi)
