@@ -13,12 +13,13 @@ from .domain import (
     ValidationError,
 )
 from .cantor import CantorSet
-from .expr import parse_expression
+from .expr import Evaluator, parse_expression
 from .tri import TriState
 
 __all__ = [
     "CantorCarrierPiece",
     "CantorSet",
+    "Evaluator",
     "FiniteAnalytic",
     "LimitData",
     "MinusInfinity",

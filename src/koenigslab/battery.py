@@ -25,7 +25,7 @@ from .domain import (
     PointSpike,
     TailEnvelope,
 )
-from .expr import parse_expression
+from .expr import Evaluator, parse_expression
 from .hardy import eta_domain, log_power
 
 NEG_INF = float("-inf")
@@ -118,7 +118,7 @@ def _sin_sup(u0, u1):
 
 
 @dataclass(frozen=True)
-class _GapOscillation:
+class _GapOscillation(Evaluator):
     """Vectorized evaluator: sin(1/((b-y)(y-a))) on each complementary gap
     (a, b) of the carrier, and the carrier value 1 on the carrier itself
     (and off its hull).  ``__call__`` and ``row_range`` read the gaps from
@@ -127,16 +127,16 @@ class _GapOscillation:
 
     carrier: CantorSet
 
-    def __call__(self, y):
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        flat = y.ravel()
+    def __call__(self, y, check=True):
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        flat = ys.ravel()
         glo, ghi = _gap_descent(self.carrier, flat)
         out = np.full(flat.shape, 1.0)
         g = ~np.isnan(glo)
         yg = flat[g]
         out[g] = np.sin(1.0 / ((ghi[g] - yg) * (yg - glo[g])))
-        return float(out[0]) if scalar else out.reshape(y.shape)
+        out = float(out[0]) if np.ndim(y) == 0 else out.reshape(ys.shape)
+        return self._checked(y, out) if check else out
 
     def row_range(self, lo, hi):
         """(sup, inf) of the evaluator on each row [lo, hi] of two 1-D
@@ -482,7 +482,7 @@ def _eta_bisect(y, a):
 
 
 @dataclass(frozen=True)
-class _EtaDefiningFunction:
+class _EtaDefiningFunction(Evaluator):
     """Numeric defining function of the image of the right half-plane
     under w - (log(w+3))^a, via monotone inversion of the boundary curve.
 
@@ -500,7 +500,8 @@ class _EtaDefiningFunction:
     psi(+-inf) = -inf, the limit of psi at both ends: psi(y) = -Re L^a with
     L = log(3 + i t*), |t*| >= |y| and |arg L| < atan((pi/2)/log 3) < 1, so
     -psi >= cos(1) (log|3 + i t*|)^a; ``eta_domain_psi`` proves the
-    sharper psi <= 0.35 - (log(|y| + 3))^a that it declares.
+    sharper psi <= 0.35 - (log(|y| + 3))^a that it declares.  Checked, a
+    call raises there, as at any value that is not finite.
 
     Any other height that fails the check gets ``_eta_bisect``, the plain
     bisection in complex arithmetic (``_eta_boundary``), bit for bit.  Its
@@ -516,11 +517,10 @@ class _EtaDefiningFunction:
 
     a: float = 1.0
 
-    def __call__(self, y):
+    def __call__(self, y, check=True):
         a = self.a
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        flat = y.ravel()
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        flat = ys.ravel()
         out = np.empty(flat.shape)
         for s in range(0, flat.size, _ETA_CHUNK):
             chunk = flat[s : s + _ETA_CHUNK]
@@ -531,7 +531,8 @@ class _EtaDefiningFunction:
             failed = s + np.flatnonzero(~checked & ~np.isinf(chunk))
             if failed.size:
                 out[failed] = _eta_bisect(flat[failed], a)
-        return float(out[0]) if scalar else out.reshape(y.shape)
+        out = float(out[0]) if np.ndim(y) == 0 else out.reshape(ys.shape)
+        return self._checked(y, out) if check else out
 
     def row_range(self, lo, hi):
         """(sup, inf) of psi on each row [lo, hi] of two 1-D arrays, from

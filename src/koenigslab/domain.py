@@ -22,12 +22,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .cantor import CantorSet
-from .expr import EvaluatorError, Expression
+from .expr import Evaluator
 from .tri import TriState
 
 NEG_INF = float("-inf")
@@ -249,34 +249,16 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0):
     _STAB_TOL relative; monotone divergence is read as an infinite limit.
     Oscillation that neither stabilizes nor diverges is inconclusive.
 
-    The 40 heights are one array, with the association of a height-by-
-    height loop.  An ``Expression`` whose array calls keep the bits of its
-    scalar calls, alone or at the end of a ``_Translated`` chain, is called
-    once on all of them; any other f is called once per height.  Either way
-    the samples kept are those where f returns a number, in ladder order.
-    Pass the evaluator itself: a lambda around it hides it and costs the
-    40 calls.
+    f is an ``Evaluator``, read through ``_ladder_values``: the 40 heights
+    are one array, with the association of a height-by-height loop, and
+    the samples kept are f's finite values there, in ladder order.
     """
     sgn = -1.0 if side == "left" else 1.0
-    ts = y0 + sgn * delta * _DYADIC_STEPS
-    batch = _ladder_values(f, ts)
-    if batch is not None:
-        vals = batch[~np.isnan(batch)].tolist()
-    else:
-        vals = []
-        for t in ts.tolist():
-            try:
-                v = float(f(t))
-            except (EvaluatorError, ArithmeticError, ValueError):
-                continue
-            if not math.isnan(v):
-                vals.append(v)
+    vals = _ladder_values(f, y0 + sgn * delta * _DYADIC_STEPS)
     if len(vals) < 10:
         return LimitData.inconclusive_data()
     tail = vals[-8:]
-    scale = max(1.0, max(abs(v) for v in tail if math.isfinite(v)) if any(
-        math.isfinite(v) for v in tail) else 1.0)
-    if all(math.isfinite(v) for v in tail) and max(tail) - min(tail) < _STAB_TOL * scale:
+    if max(tail) - min(tail) < _STAB_TOL * max(1.0, max(abs(v) for v in tail)):
         v = tail[-1]
         return LimitData(v, v, exact=False)
     # monotone divergence: increments keep their sign and do not decay
@@ -293,18 +275,14 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0):
 
 
 def _ladder_values(f, ts):
-    """f(ts) from one array call, NaN at the heights where a scalar call
-    fails; None for an f that is not an array-exact ``Expression`` or a
-    ``_Translated`` chain ending in one.  A scalar call checks at the
-    ``Expression``, so a translation that overflows a finite value to inf
-    keeps it, as it does there."""
-    if isinstance(f, _Translated):
-        inner = _ladder_values(f.ev, ts - f.dy)
-        return None if inner is None else inner + f.dx
-    if isinstance(f, Expression) and f.array_exact:
+    """The finite values of the evaluator f at the heights ts, in order:
+    from one unchecked array call when ``f.array_exact``, else from one
+    unchecked scalar call per height."""
+    if f.array_exact:
         vals = f(ts, check=False)
-        return np.where(np.isfinite(vals), vals, np.nan)
-    return None
+    else:
+        vals = np.array([f(t, check=False) for t in ts.tolist()])
+    return vals[np.isfinite(vals)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +297,11 @@ class Piece:
     Callers read a piece only through this protocol and never test its
     kind: ``value``, ``side_limits`` (limits of psi), ``side_limits_lsc``
     (limits of psi_*), ``row_bounds`` (bounds on rows of heights, the one
-    row-bounds rule: sampled, or from the evaluator's own ``row_range``), ``minus_inf_intervals``, ``interior_heights``
-    (heights inside the span where psi may jump), ``carrier_gap_sup``,
-    the declared tail envelopes ``tail_lower``/``tail_upper`` and
-    ``translate``.  Only the spec loader knows the concrete kinds.
+    row-bounds rule: the evaluator's own ``row_range``, else sampled),
+    ``minus_inf_intervals``, ``interior_heights`` (heights inside the span
+    where psi may jump), ``carrier_gap_sup``, the declared tail envelopes
+    ``tail_lower``/``tail_upper`` and ``translate``.  Only the spec loader
+    knows the concrete kinds.
     """
 
     span: tuple  # (a, b), a < b; may be +-inf
@@ -370,7 +349,7 @@ def _row_samples(evaluator, lo, hi):
     """(max, min) of the evaluator over _ROW_SAMPLES midpoints of each row
     [lo, hi]; NaN on a row where every sample fails."""
     frac = (np.arange(_ROW_SAMPLES) + 0.5) / _ROW_SAMPLES
-    vals = _evaluate(evaluator, lo[:, None] + (hi - lo)[:, None] * frac[None, :])
+    vals = evaluator(lo[:, None] + (hi - lo)[:, None] * frac[None, :], check=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return np.nanmax(vals, axis=1), np.nanmin(vals, axis=1)
@@ -378,59 +357,41 @@ def _row_samples(evaluator, lo, hi):
 
 def _row_range(evaluator, lo, hi):
     """(sup, inf) of the evaluator on each row [lo, hi]: from its own
-    ``row_range(lo, hi)`` where it has one, and from ``_row_samples`` on
-    every row where it has none or where that gives NaN."""
-    own = getattr(evaluator, "row_range", None)
-    if own is None:
-        return _row_samples(evaluator, lo, hi)
-    sup, inf = own(lo, hi)
+    ``row_range(lo, hi)``, and from ``_row_samples`` on every row where
+    that gives NaN."""
+    sup, inf = evaluator.row_range(lo, hi)
     left = np.isnan(sup) | np.isnan(inf)
     if left.any():
         sup[left], inf[left] = _row_samples(evaluator, lo[left], hi[left])
     return sup, inf
 
 
-def _evaluate(evaluator, ys):
-    """The evaluator on an array of heights, NaN wherever it fails."""
-    try:
-        vs = evaluator(ys, check=False) if isinstance(evaluator, _CHECKED) else evaluator(ys)
-        return np.broadcast_to(np.asarray(vs, dtype=float), ys.shape)
-    except Exception:
-        return np.vectorize(lambda t: _safe_eval(evaluator, t), otypes=[float])(ys)
-
-
-def _safe_eval(evaluator, t):
-    try:
-        return float(evaluator(t))
-    except Exception:
-        return math.nan
+def _require_evaluator(name, ev):
+    """Reject a piece's evaluator field ``name`` that is no ``Evaluator``."""
+    if not isinstance(ev, Evaluator):
+        raise ValidationError(f"{name} must be an Evaluator, got {type(ev).__name__}")
 
 
 @dataclass(frozen=True)
-class _Translated:
-    """y -> ev(y - dy) + dx.  It takes ``check`` and hands it down as an
-    Expression does (batch samples stay batched), but is none: it has no
-    source to save."""
+class _Translated(Evaluator):
+    """y -> ev(y - dy) + dx: ev's check, rows and ``array_exact`` moved
+    with it.  A checked call checks at ev, so a translation that overflows
+    a finite value to inf keeps it.  It has no source to save."""
 
-    ev: Callable
+    ev: Evaluator
     dx: float
     dy: float
 
+    @property
+    def array_exact(self):
+        return self.ev.array_exact
+
     def __call__(self, y, check=True):
-        y = np.asarray(y) - self.dy
-        return (self.ev(y, check=check) if isinstance(self.ev, _CHECKED) else self.ev(y)) + self.dx
+        return self.ev(np.asarray(y) - self.dy, check=check) + self.dx
 
     def row_range(self, lo, hi):
-        """ev's own row bounds, moved with it; NaN, which leaves every row
-        to sampling, where ev has none."""
-        own = getattr(self.ev, "row_range", None)
-        if own is None:
-            return np.full(lo.shape, np.nan), np.full(lo.shape, np.nan)
-        sup, inf = own(lo - self.dy, hi - self.dy)
+        sup, inf = self.ev.row_range(lo - self.dy, hi - self.dy)
         return sup + self.dx, inf + self.dx
-
-
-_CHECKED = (Expression, _Translated)  # evaluators that take ``check``
 
 
 @dataclass(frozen=True)
@@ -442,19 +403,21 @@ class FiniteAnalytic(Piece):
     height where the evaluator fails.
     """
 
-    evaluator: Callable = None
+    evaluator: Evaluator = None
     limits_left: Optional[LimitData] = None   # as y -> span[0]+
     limits_right: Optional[LimitData] = None  # as y -> span[1]-
     tail_lower: Optional[TailEnvelope] = None
     tail_upper: Optional[TailEnvelope] = None
 
+    def __post_init__(self):
+        _require_evaluator("evaluator", self.evaluator)
+
     def value(self, y):
-        v = self.evaluator(y)
-        return float(v)
+        return float(self.evaluator(y))
 
     def _interior_limit(self, y0):
-        v = _safe_eval(self.evaluator, y0)
-        if math.isnan(v):
+        v = self.evaluator(y0, check=False)
+        if not math.isfinite(v):
             return LimitData.inconclusive_data()
         return LimitData(v, v, exact=False)
 
@@ -497,6 +460,7 @@ class OscillatorySample(FiniteAnalytic):
     """
 
     def __post_init__(self):
+        super().__post_init__()
         if self.limits_left is None or self.limits_right is None:
             raise ValidationError("oscillatory pieces require declared endpoint limits")
 
@@ -576,11 +540,12 @@ class CantorCarrierPiece(Piece):
 
     carrier: CantorSet = None
     on_value: float = 1.0
-    off_evaluator: Callable = None
+    off_evaluator: Evaluator = None
     off_limsup_at_carrier: Optional[float] = None
     off_liminf_at_carrier: Optional[float] = None
 
     def __post_init__(self):
+        _require_evaluator("off_evaluator", self.off_evaluator)
         a, b = self.span
         if not (a <= self.carrier.lo and self.carrier.hi <= b):
             raise ValidationError("carrier must sit inside the piece span")
@@ -897,7 +862,7 @@ class PiecewiseDefiningFunction:
         for p in (right,) if left is right else (right, left):
             try:
                 cands.append(p.value(y))
-            except (EvaluatorError, ArithmeticError, ValueError):
+            except (ArithmeticError, ValueError):
                 continue
         if not cands:
             raise ValueError(

@@ -45,7 +45,34 @@ class ExprSyntaxError(ValueError):
 
 
 class EvaluatorError(ArithmeticError):
-    """Raised when a compiled expression produces a non-finite value."""
+    """Raised when a checked evaluator call produces a non-finite value."""
+
+
+class Evaluator:
+    """The one protocol of a piece's evaluator, which ``Expression`` and
+    every other evaluator subclass.  ``__call__(y, check=True)`` takes a
+    height or an array of heights: checked, it raises EvaluatorError where
+    a value is not finite; unchecked, it never raises, and gives NaN where
+    it is undefined.  ``row_range(lo, hi)`` gives (sup, inf) on each row
+    [lo, hi] of two 1-D arrays, NaN on a row left to sampling (every row,
+    here).  ``array_exact``: an array call gives the bits of scalar calls.
+    """
+
+    array_exact = False
+
+    def __call__(self, y, check=True):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def row_range(self, lo, hi):
+        return np.full(np.shape(lo), math.nan), np.full(np.shape(lo), math.nan)
+
+    def _checked(self, y, out):
+        """out, the values at y, unless one is not finite."""
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            where = np.asarray(y, dtype=float)[bad] if np.ndim(y) else y
+            raise EvaluatorError(f"{self!r} is non-finite at y={where!r}")
+        return out
 
 
 _TOKEN_RE = re.compile(
@@ -88,7 +115,7 @@ def _tokenize(text):
 
 
 @dataclass(frozen=True)
-class Expression:
+class Expression(Evaluator):
     """A compiled formula over ``y``.  Immutable and safe to share.
 
     ``constant`` is the value of a y-free formula, None for any other.
@@ -106,15 +133,8 @@ class Expression:
         with np.errstate(all="ignore"):
             out = self._fn(np.asarray(y, dtype=float))
         if check:
-            bad = ~np.isfinite(out)
-            if np.any(bad):
-                where = np.asarray(y, dtype=float)[bad] if np.ndim(y) else y
-                raise EvaluatorError(
-                    f"expression {self.source!r} is non-finite at y={where!r}"
-                )
-        if np.ndim(y) == 0:
-            return float(out)
-        return out
+            self._checked(y, out)
+        return float(out) if np.ndim(y) == 0 else out
 
     def row_range(self, lo, hi):
         """(c, c) on every row [lo, hi] for a y-free formula of value c;

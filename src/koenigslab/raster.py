@@ -11,9 +11,10 @@ row is sealed when its own profile says so: an inside row whose row inf
 m is -inf (undilated) lies in the closure along its whole length and
 separates the rows above it from those below, while consecutive unsealed
 rows connect through the far left of the plane.  Rows outside I keep
-m = +inf and stay complement rows.  Only ``complement_components`` reads
-psi's structural facts: the window check and the exactness gate read the
-set E where the liminf of psi is -inf.
+m = +inf and stay complement rows; a row inside I keeps it only when
+every sample failed, and then both tests answer unknown.  Only
+``complement_components`` reads psi's structural facts: the window check
+and the exactness gate read the set E where the liminf of psi is -inf.
 
 Verdicts are tri-state: a definite answer must be stable across the
 resolution pair (n, n/2).
@@ -144,15 +145,23 @@ def _int_closure_violation(grid: RasterGrid):
     return float(np.max(viol)) if viol.size else NEG_INF
 
 
+def _failed_rows(grid: RasterGrid):
+    """Does either scale hold a row inside I whose every sample failed?"""
+    return any((~g.rows.outside & (g.rows.m == POS_INF)).any() for g in (grid, grid.coarse))
+
+
 def int_closure_equals_domain(grid: RasterGrid):
     """TriState: does the domain equal the interior of its closure?
 
     Definite only when the violation statistic agrees across the two
-    scales: at most tol at both (yes) or clearly above it at both (no).
+    scales: at most tol at both (yes) or clearly above it at both (no),
+    and neither scale holds a row whose every sample failed.
     """
     if grid.coarse is None:
         raise ValueError("two-scale grid required")
     results = [(_int_closure_violation(g), 4.0 * g.dx + 1e-9) for g in (grid, grid.coarse)]
+    if _failed_rows(grid):
+        return TriState.UNKNOWN, results
     if all(v <= tol for v, tol in results):
         return TriState.YES, results
     if all(v > 3.0 * tol for v, tol in results):
@@ -179,7 +188,7 @@ def complement_components(psi, grid: RasterGrid):
         raise ValueError("two-scale grid required")
     E, e_exact = psi.liminf_neg_inf_set()
     _check_window_fits(psi, E, grid)
-    if not e_exact:
+    if not e_exact or _failed_rows(grid):
         return None, TriState.UNKNOWN
     n1, n2 = (_component_count_single(g) for g in (grid, grid.coarse))
     return (n1, TriState.YES) if n1 == n2 else (None, TriState.UNKNOWN)

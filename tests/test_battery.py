@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from koenigslab import battery, domain, hardy, raster
 from koenigslab.battery import battery_entry
 from koenigslab.cantor import CantorSet
+from koenigslab.expr import EvaluatorError
 
 
 def bisection_reference(y, a):
@@ -110,11 +111,12 @@ def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
         _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
         # NaN, +-inf and |y| >= 1e307 fail for every a; every height fails for a > 1
         assert list(checked) == [a <= 1.0] * 6 + [False] * 5
-        # +-inf get their limit -inf instead (see the test below)
+        # +-inf get their limit -inf instead (see the test below); unchecked,
+        # as a NaN height has a NaN value
         failed = SPECIAL_HEIGHTS[~checked & ~np.isinf(SPECIAL_HEIGHTS)]
-        assert same_bits(ev(failed), bisection_reference(failed, a))
+        assert same_bits(ev(failed, check=False), bisection_reference(failed, a))
         for y in failed:
-            got = ev(y)
+            got = ev(y, check=False)
             assert isinstance(got, float)
             assert same_bits(got, bisection_reference(y, a)[0])
 
@@ -123,10 +125,13 @@ def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_minus_inf_at_infinite_heights(a):
     # the bisection bracket y -+ (3 + 3|y|) is NaN there, with a RuntimeWarning
+    # an unchecked call gives that value; a checked one rejects it
     ev = battery._EtaDefiningFunction(a)
-    assert ev(np.inf) == ev(-np.inf) == -np.inf
-    got = ev(np.array([np.inf, 0.0, -np.inf]))
+    assert ev(np.inf, check=False) == ev(-np.inf, check=False) == -np.inf
+    got = ev(np.array([np.inf, 0.0, -np.inf]), check=False)
     assert got[0] == got[2] == -np.inf and np.isfinite(got[1])
+    with pytest.raises(EvaluatorError, match="non-finite at y=inf"):
+        ev(np.inf)
 
 
 def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(monkeypatch):
@@ -306,9 +311,9 @@ def test_eta_psi_keeps_its_bits_through_the_shared_log_power(a, monkeypatch):
     # battery evaluates eta's boundary with hardy's kernel, not a copy of it
     assert not hasattr(battery, "_eta_power")
     ys = np.concatenate([row_heights("eta1", 512).ravel(), random_heights(6_000), SPECIAL_HEIGHTS])
-    shared = battery._EtaDefiningFunction(a)(ys)
+    shared = battery._EtaDefiningFunction(a)(ys, check=False)
     monkeypatch.setattr(battery, "log_power", written_out_log_power)
-    assert same_bits(battery._EtaDefiningFunction(a)(ys), shared)
+    assert same_bits(battery._EtaDefiningFunction(a)(ys, check=False), shared)
     with np.errstate(all="ignore"):
         ts = np.concatenate([random_heights(6_000), HUGE_T, -HUGE_T])
         got, want = hardy.log_power(3.0, ts, a), written_out_log_power(3.0, ts, a)

@@ -254,3 +254,25 @@ def test_a_bad_field_inside_a_piece_exits_2_at_its_path(tmp_path, kind, field, v
     r = run_cli("decide", str(bad))
     assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
     assert f"/pieces/0/{field}: " in r.stderr
+
+
+def test_rows_where_every_sample_fails_leave_the_raster_unknown(tmp_path):
+    # sqrt(-1 - y^2) has no value on I, so every raster row inside I fails;
+    # the raster once read those rows as inside the domain and answered yes
+    zero = {"liminf": 0, "limsup": 0}
+    spec = tmp_path / "undefined.json"
+    spec.write_text(json.dumps({"interval": [-1, 1], "pieces": [{
+        "kind": "finite_analytic", "span": [-1, 1], "expr": "sqrt(-1-y*y)",
+        "limits": {"left": zero, "right": zero},
+    }]}))
+    r = run_cli(
+        "decide", str(spec), "--p", "1", "--cross-check", "--window=-3,3,-1.5,1.5",
+        "--resolution", "256",
+    )
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["topological"] == {
+        "verdict": "unknown", "route": "raster inconclusive",
+        "int_closure_ok": "unknown", "complement_components": None,
+    }
+    assert out["routes_agree"] == "indeterminate"

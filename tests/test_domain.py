@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koenigslab import (
+    Evaluator,
     FiniteAnalytic,
     LimitData,
     MinusInfinity,
@@ -547,3 +548,47 @@ def test_constant_rows_have_the_bits_of_sampled_rows(source, monkeypatch):
             assert np.array_equal(np.isnan(a), np.isnan(b)), (name, field)
             ok = ~np.isnan(a)
             assert a[ok].tobytes() == b[ok].tobytes(), (name, field)
+
+
+# -- the evaluator protocol --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("finite_analytic", "evaluator"), ("oscillatory", "evaluator"), ("cantor", "off_evaluator"),
+])
+def test_a_plain_callable_is_rejected_at_build(kind, field):
+    from koenigslab import CantorCarrierPiece, CantorSet
+
+    zero = LimitData(0.0, 0.0)
+    build = {
+        "finite_analytic": lambda ev: FiniteAnalytic(span=(-1.0, 1.0), evaluator=ev),
+        "oscillatory": lambda ev: OscillatorySample(
+            span=(-1.0, 1.0), evaluator=ev, limits_left=zero, limits_right=zero
+        ),
+        "cantor": lambda ev: CantorCarrierPiece(
+            span=(-1.0, 1.0), carrier=CantorSet(-0.5, 0.5), off_evaluator=ev
+        ),
+    }[kind]
+    with pytest.raises(ValidationError, match=f"^{field} must be an Evaluator, got function"):
+        build(lambda y: 0.0 * y)
+    build(parse_expression("0"))
+
+
+class _Broken(Evaluator):
+    def __call__(self, y, check=True):
+        raise TypeError("a broken evaluator")
+
+
+def test_an_evaluator_bug_propagates_instead_of_failing_samples():
+    # its rows were read as failed samples, and both routes answered yes
+    from koenigslab.completeness import decide
+
+    zero = LimitData(0.0, 0.0)
+    piece = FiniteAnalytic(
+        span=(-1.0, 1.0), evaluator=_Broken(), limits_left=zero, limits_right=zero
+    )
+    psi = PiecewiseDefiningFunction(-1.0, 1.0, (piece,))
+    with pytest.raises(TypeError, match="broken"):
+        psi.row_profiles(np.linspace(-1.5, 1.5, 65))
+    with pytest.raises(TypeError, match="broken"):
+        decide(psi, p=1, cross_check=True, window=(-3.0, 3.0, -1.5, 1.5), resolution=256)

@@ -9,6 +9,11 @@ or a string naming an envelope spelling, is a ladder that a new kind
 would have to extend.  Only ``domain`` samples an evaluator, and only
 ``domain`` validates psi: it does so when psi is built, so no caller
 validates again or builds the structural facts itself.
+
+Evaluators, too, are read through one protocol, ``expr.Evaluator``: no
+code outside the loader tests an evaluator's class or looks up a
+``row_range`` it may lack, and no evaluator call sits in a catch-all
+``except`` that would turn a bug into failed samples.
 """
 
 import ast
@@ -33,16 +38,17 @@ def _names(node):
     return set()
 
 
-def piece_kind_checks(source):
-    """(line, classes) of every isinstance call naming a piece class."""
+def piece_kind_checks(source, classes=PIECE_CLASSES):
+    """(line, classes) of every isinstance call naming one of ``classes``,
+    by default a piece class."""
     return [
-        (node.lineno, sorted(_names(node.args[1]) & PIECE_CLASSES))
+        (node.lineno, sorted(_names(node.args[1]) & classes))
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "isinstance"
         and len(node.args) == 2
-        and _names(node.args[1]) & PIECE_CLASSES
+        and _names(node.args[1]) & classes
     ]
 
 
@@ -309,4 +315,57 @@ def test_dyadic_ladders_are_handed_the_evaluator_itself():
         for path in sorted(SRC.glob("*.py"))
         if (hits := lambda_ladders(path.read_text(encoding="utf-8")))
     }
+    assert found == {}, found
+
+
+EVALUATOR_CLASSES = {"Expression", "_Translated"}
+# the evaluator type tests and catch-all fallbacks that the protocol replaced
+RETIRED_EVALUATION = {"_CHECKED", "_evaluate", "_safe_eval"}
+
+
+def attribute_lookups(source, name):
+    """(line, function) of every getattr or hasattr call naming ``name``."""
+    return [
+        (node.lineno, node.func.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == name
+    ]
+
+
+def catch_alls(source):
+    """(line) of every bare ``except`` or ``except Exception``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or _names(node.type) & {"Exception", "BaseException"})
+    ]
+
+
+def test_evaluators_are_read_through_their_protocol():
+    # specio still reads an Expression's source to save it
+    assert piece_kind_checks("isinstance(ev, (float, Expression))", EVALUATOR_CLASSES) == [
+        (1, ["Expression"])
+    ]
+    assert piece_kind_checks("isinstance(ev, Evaluator)", EVALUATOR_CLASSES) == []
+    assert attribute_lookups('getattr(ev, "row_range", None); hasattr(f, "row_range")',
+                             "row_range") == [(1, "getattr"), (1, "hasattr")]
+    assert attribute_lookups("ev.row_range(lo, hi); getattr(ev, name)", "row_range") == []
+    assert catch_alls("try: f()\nexcept Exception: pass\ntry: g()\nexcept: pass") == [2, 4]
+    assert catch_alls("try: f()\nexcept (ArithmeticError, ValueError): pass") == []
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        hits = attribute_lookups(source, "row_range") + identifiers(source, RETIRED_EVALUATION)
+        if path.name != "specio.py":
+            hits += piece_kind_checks(source, EVALUATOR_CLASSES)
+        if path.name in ("domain.py", "expr.py", "battery.py"):
+            hits += catch_alls(source)
+        if hits:
+            found[path.name] = hits
     assert found == {}, found
