@@ -121,22 +121,19 @@ def _sin_sup(u0, u1):
 class _GapOscillation(Evaluator):
     """Vectorized evaluator: sin(1/((b-y)(y-a))) on each complementary gap
     (a, b) of the carrier, and the carrier value 1 on the carrier itself
-    (and off its hull).  ``__call__`` and ``row_range`` read the gaps from
+    (and off its hull).  ``values`` and ``row_range`` read the gaps from
     the one descent, ``_gap_descent``.
     """
 
     carrier: CantorSet
 
-    def __call__(self, y, check=True):
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        flat = ys.ravel()
-        glo, ghi = _gap_descent(self.carrier, flat)
-        out = np.full(flat.shape, 1.0)
+    def values(self, ys):
+        glo, ghi = _gap_descent(self.carrier, ys)
+        out = np.full(ys.shape, 1.0)
         g = ~np.isnan(glo)
-        yg = flat[g]
+        yg = ys[g]
         out[g] = np.sin(1.0 / ((ghi[g] - yg) * (yg - glo[g])))
-        out = float(out[0]) if np.ndim(y) == 0 else out.reshape(ys.shape)
-        return self._checked(y, out) if check else out
+        return out
 
     def row_range(self, lo, hi):
         """(sup, inf) of the evaluator on each row [lo, hi] of two 1-D
@@ -517,22 +514,18 @@ class _EtaDefiningFunction(Evaluator):
 
     a: float = 1.0
 
-    def __call__(self, y, check=True):
+    def values(self, ys):
         a = self.a
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        flat = ys.ravel()
-        out = np.empty(flat.shape)
-        for s in range(0, flat.size, _ETA_CHUNK):
-            chunk = flat[s : s + _ETA_CHUNK]
+        out = np.empty(ys.shape)
+        for s in range(0, ys.size, _ETA_CHUNK):
+            chunk = ys[s : s + _ETA_CHUNK]
             t, checked = _eta_root(chunk, a)
-            with np.errstate(all="ignore"):
-                out[s : s + t.size] = _eta_re(t, a)
+            out[s : s + t.size] = _eta_re(t, a)
             out[s + np.flatnonzero(np.isinf(chunk))] = NEG_INF
             failed = s + np.flatnonzero(~checked & ~np.isinf(chunk))
             if failed.size:
-                out[failed] = _eta_bisect(flat[failed], a)
-        out = float(out[0]) if np.ndim(y) == 0 else out.reshape(ys.shape)
-        return self._checked(y, out) if check else out
+                out[failed] = _eta_bisect(ys[failed], a)
+        return out
 
     def row_range(self, lo, hi):
         """(sup, inf) of psi on each row [lo, hi] of two 1-D arrays, from
@@ -553,10 +546,9 @@ class _EtaDefiningFunction(Evaluator):
         conj L(t) makes Re L^a even in t.  Hence the row sup is ``_eta_re``
         at the point of T nearest 0, and the row inf at the end of T
         farther from 0.  Both are then widened by _ETA_ROW_ULPS ulps, as
-        the values that ``__call__`` gives are rounded (8 ulps of the
-        200-bit value, its contract) and so are these two.  Like the
-        check, this trusts the evaluations to a few ulps; it is not an
-        interval enclosure.
+        the values of psi are rounded (8 ulps of the 200-bit value, its
+        contract) and so are these two.  Like the check, this trusts the
+        evaluations to a few ulps; it is not an interval enclosure.
         """
         n = lo.size
         ys, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)

@@ -15,6 +15,7 @@ through the two adjacent floats that bracket c, which is exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,8 +42,13 @@ class CantorSet:
     depth: int = 60
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("base interval must be finite")
         if not (self.lo < self.hi):
             raise ValueError("base interval must be nondegenerate")
+        d = self.depth
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+            raise ValueError(f"depth must be an integer >= 1, got {d!r}")
         if not (0.0 < self.keep_fraction < 0.5):
             raise ValueError("keep_fraction must lie in (0, 1/2)")
 
@@ -157,5 +163,5 @@ class CantorSet:
             float(lo),
             float(hi),
             float(obj.get("keep_fraction", 1.0 / 3.0)),
-            int(obj.get("depth", 60)),
+            obj.get("depth", 60),
         )

@@ -88,6 +88,8 @@ def _window(text):
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("window needs x0,x1,y0,y1")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"non-finite window {text!r}")
     return tuple(parts)
 
 

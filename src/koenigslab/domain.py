@@ -275,13 +275,9 @@ def dyadic_limit_estimate(f, y0, side, delta=1.0):
 
 
 def _ladder_values(f, ts):
-    """The finite values of the evaluator f at the heights ts, in order:
-    from one unchecked array call when ``f.array_exact``, else from one
-    unchecked scalar call per height."""
-    if f.array_exact:
-        vals = f(ts, check=False)
-    else:
-        vals = np.array([f(t, check=False) for t in ts.tolist()])
+    """The finite values of the evaluator f at the heights ts, in order,
+    from one unchecked call."""
+    vals = f(ts, check=False)
     return vals[np.isfinite(vals)].tolist()
 
 
@@ -374,20 +370,15 @@ def _require_evaluator(name, ev):
 
 @dataclass(frozen=True)
 class _Translated(Evaluator):
-    """y -> ev(y - dy) + dx: ev's check, rows and ``array_exact`` moved
-    with it.  A checked call checks at ev, so a translation that overflows
-    a finite value to inf keeps it.  It has no source to save."""
+    """y -> ev(y - dy) + dx, with ev's rows moved with it.  It has no
+    source to save."""
 
     ev: Evaluator
     dx: float
     dy: float
 
-    @property
-    def array_exact(self):
-        return self.ev.array_exact
-
-    def __call__(self, y, check=True):
-        return self.ev(np.asarray(y) - self.dy, check=check) + self.dx
+    def values(self, ys):
+        return self.ev.values(ys - self.dy) + self.dx
 
     def row_range(self, lo, hi):
         sup, inf = self.ev.row_range(lo - self.dy, hi - self.dy)
@@ -686,8 +677,10 @@ class DomainFacts:
     and psi is immutable, so no call order or cache state can change them
     and no later edit of psi can leave them stale.  ``limits`` holds the
     one-sided limits at ``heights``: the special heights plus the finite
-    ends of I.  ``carriers`` pairs each Cantor carrier piece with the sup of
-    its off part near the carrier and whether that sup is declared.
+    ends of I.  ``carriers`` holds, for each Cantor carrier piece, (piece,
+    sup of its off part near the carrier, whether that sup is declared,
+    whether the piece is a comb: its off part stays below on_value near
+    the carrier, which a sampled sup must clear by 1e-7).
     """
 
     heights: tuple
@@ -715,7 +708,10 @@ class DomainFacts:
         }
         tildes = {y: psi._tilde(y, limits[y]) for y in special}
         carriers = tuple(
-            (p, *gap) for p in psi.pieces if (gap := p.carrier_gap_sup()) is not None
+            (p, sup, declared, p.on_value > sup + (0.0 if declared else 1e-7))
+            for p in psi.pieces
+            if (gap := p.carrier_gap_sup()) is not None
+            for sup, declared in [gap]
         )
 
         # upper semicontinuity: limsup psi <= psi at every special height
@@ -731,7 +727,7 @@ class DomainFacts:
             if sup > values[y] + tol:
                 usc = TriState.NO
                 problems.append(f"limsup {sup} exceeds psi({y}) = {values[y]}")
-        for p, gap_sup, _ in carriers:
+        for p, gap_sup, _, _ in carriers:
             if gap_sup > p.on_value + 1e-7:
                 usc = TriState.NO
                 problems.append(
@@ -745,8 +741,8 @@ class DomainFacts:
                 eq = TriState.UNKNOWN
             elif values[y] > tildes[y] + 1e-9:
                 witnesses.append(y)
-        for p, gap_sup, declared in carriers:
-            if p.on_value > gap_sup + (0.0 if declared else 1e-7):
+        for p, gap_sup, declared, comb in carriers:
+            if comb:
                 witnesses.extend(p.carrier.sample_points(2)[:3])
             elif not declared and p.on_value > gap_sup - 1e-3:
                 eq = TriState.UNKNOWN

@@ -18,11 +18,10 @@ would apply, on one-element arrays and with floating-point warnings off
 (``log(0)`` folds to -inf and a call still reports it).  In ``+ - * /``
 and the functions, the folded value then meets the array of heights as a
 scalar, which changes no bit.  ``^`` is never folded and keeps both
-operands at full size: given a scalar exponent of 0.5, 2 or -1 numpy's
-``power`` takes a sqrt, square or reciprocal shortcut whose last bit can
-differ from ``pow``.  A scalar call passes such an exponent as a scalar,
-as it always has, so only a formula without ``^`` promises the bits of
-a scalar call from an array call (``Expression.array_exact``).
+operands at full size, so numpy's ``power`` never takes the sqrt, square
+or reciprocal shortcut of a scalar exponent.  Every call, of one height
+or many, evaluates one flat array (``Evaluator.__call__``), so a height
+gets the same bits alone and in any array.
 """
 
 from __future__ import annotations
@@ -50,29 +49,33 @@ class EvaluatorError(ArithmeticError):
 
 class Evaluator:
     """The one protocol of a piece's evaluator, which ``Expression`` and
-    every other evaluator subclass.  ``__call__(y, check=True)`` takes a
-    height or an array of heights: checked, it raises EvaluatorError where
-    a value is not finite; unchecked, it never raises, and gives NaN where
-    it is undefined.  ``row_range(lo, hi)`` gives (sup, inf) on each row
+    every other evaluator subclass.  A subclass gives ``values(ys)``: its
+    values at a flat float array of heights, elementwise, NaN where it is
+    undefined.  ``__call__(y, check=True)`` is the one evaluation path: it
+    reads a height or an array of heights as one flat array through
+    ``values``, with floating-point warnings off, and restores the shape (a
+    float for one height); checked, it raises EvaluatorError where a value
+    is not finite.  ``row_range(lo, hi)`` gives (sup, inf) on each row
     [lo, hi] of two 1-D arrays, NaN on a row left to sampling (every row,
-    here).  ``array_exact``: an array call gives the bits of scalar calls.
+    here).
     """
 
-    array_exact = False
-
-    def __call__(self, y, check=True):  # pragma: no cover - abstract
+    def values(self, ys):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def __call__(self, y, check=True):
+        ys = np.asarray(y, dtype=float)
+        with np.errstate(all="ignore"):
+            out = self.values(ys.ravel()).reshape(ys.shape)
+        if check:
+            bad = ~np.isfinite(out)
+            if bad.any():
+                where = ys[bad] if ys.ndim else y
+                raise EvaluatorError(f"{self!r} is non-finite at y={where!r}")
+        return float(out) if ys.ndim == 0 else out
 
     def row_range(self, lo, hi):
         return np.full(np.shape(lo), math.nan), np.full(np.shape(lo), math.nan)
-
-    def _checked(self, y, out):
-        """out, the values at y, unless one is not finite."""
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            where = np.asarray(y, dtype=float)[bad] if np.ndim(y) else y
-            raise EvaluatorError(f"{self!r} is non-finite at y={where!r}")
-        return out
 
 
 _TOKEN_RE = re.compile(
@@ -119,22 +122,14 @@ class Expression(Evaluator):
     """A compiled formula over ``y``.  Immutable and safe to share.
 
     ``constant`` is the value of a y-free formula, None for any other.
-    ``array_exact`` says that an array call gives every height the bits
-    of a scalar call there; a formula with ``^`` may differ in the last
-    bit (see the module docstring).
     """
 
     source: str
     _fn: Callable
     constant: Optional[float] = None
-    array_exact: bool = True
 
-    def __call__(self, y, check=True):
-        with np.errstate(all="ignore"):
-            out = self._fn(np.asarray(y, dtype=float))
-        if check:
-            self._checked(y, out)
-        return float(out) if np.ndim(y) == 0 else out
+    def values(self, ys):
+        return self._fn(ys)
 
     def row_range(self, lo, hi):
         """(c, c) on every row [lo, hi] for a y-free formula of value c;
@@ -170,10 +165,9 @@ def _fold(fn, *values):
 
 
 def _materialized(node):
-    """An operand of ``^`` at full size: a y-free one as a full array on an
-    array of heights, as a scalar on one height."""
+    """An operand of ``^`` at full size: a y-free one as a full array."""
     if isinstance(node, float):
-        return lambda y: np.full_like(y, node) if np.ndim(y) else node
+        return lambda y: np.full_like(y, node)
     return node
 
 
@@ -182,7 +176,6 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.powers = False  # does the formula hold a ``^``?
 
     def peek(self):
         return self.tokens[self.i]
@@ -233,7 +226,6 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            self.powers = True
             a, b = _materialized(base), _materialized(self.factor())
             return lambda y: np.power(a(y), b(y))
         return base
@@ -262,10 +254,7 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Compile ``text`` into an :class:`Expression` over the variable y."""
-    parser = _Parser(text)
-    node = parser.parse()
+    node = _Parser(text).parse()
     if isinstance(node, float):
-        return Expression(
-            text, lambda y: np.full(np.shape(y), node) if np.ndim(y) else node, constant=node
-        )
-    return Expression(text, node, array_exact=not parser.powers)
+        return Expression(text, lambda y: np.full_like(y, node), constant=node)
+    return Expression(text, node)

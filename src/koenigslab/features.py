@@ -101,19 +101,13 @@ def detect_contact_spikes(psi: PiecewiseDefiningFunction):
     return out
 
 
-def _is_comb(p, off_sup, declared):
-    """The off part stays below on_value near the carrier; a sampled sup
-    must clear it by 1e-7."""
-    return p.on_value > off_sup + (0.0 if declared else 1e-7)
-
-
 def detect_cantor_combs(psi: PiecewiseDefiningFunction):
     """Carrier pieces whose off part stays below a level q < on_value near
     the carrier, with the on-values usc-attained along the carrier."""
     return [
         ((p.carrier.lo, p.carrier.hi), 0.5 * (p.on_value + off_sup), p.carrier.to_json())
-        for p, off_sup, declared in psi.facts.carriers
-        if _is_comb(p, off_sup, declared)
+        for p, off_sup, _, comb in psi.facts.carriers
+        if comb
     ]
 
 
@@ -191,8 +185,8 @@ def analyze(psi: PiecewiseDefiningFunction) -> FeatureReport:
         {f"height:{y0}" for y0 in facts.heights if facts.limits[y0].inconclusive}
         | {
             f"span:{p.span}"
-            for p, off_sup, declared in facts.carriers
-            if not (declared or _is_comb(p, off_sup, declared))
+            for p, _, declared, comb in facts.carriers
+            if not (declared or comb)
         }
     )
     return rep

@@ -82,6 +82,8 @@ def rasterize(psi: PiecewiseDefiningFunction, window, n) -> RasterGrid:
     """Classify an n-by-n window, with the n/2 grid of the same window as
     ``coarse``; deterministic for fixed inputs."""
     x0, x1, y0, y1 = window
+    if not all(map(math.isfinite, window)):
+        raise ValueError(f"non-finite window {tuple(window)!r}")
     if not (x0 < x1 and y0 < y1):
         raise ValueError("empty window")
     if y1 <= psi.interval_lo or y0 >= psi.interval_hi:

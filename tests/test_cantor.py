@@ -94,6 +94,21 @@ def test_rejects_bad_parameters():
         CantorSet(0.0, 1.0, keep_fraction=0.6)
 
 
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"hi": math.inf}, "finite"),
+    ({"hi": 1.0, "depth": -3}, "depth must be an integer >= 1"),
+    ({"hi": 1.0, "depth": 2.7}, "depth must be an integer >= 1"),
+])
+def test_rejects_a_carrier_it_cannot_query(kwargs, match):
+    # an infinite base overflowed and depth 2.7 failed at the first query;
+    # depth -3 made every point of the hull a carrier point
+    with pytest.raises(ValueError, match=match):
+        CantorSet(0.0, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        CantorSet.from_json({"base": [0.0, kwargs["hi"]], "depth": kwargs.get("depth", 60)})
+
+
 def intersects_reference(c: CantorSet, a: float, b: float) -> bool:
     """Interval query by the cell recursion in exact Fractions, one interval
     at a time."""

@@ -256,6 +256,34 @@ def test_a_bad_field_inside_a_piece_exits_2_at_its_path(tmp_path, kind, field, v
     assert f"/pieces/0/{field}: " in r.stderr
 
 
+
+@pytest.mark.parametrize("carrier, message", [
+    ({"base": [0, "inf"]}, "base interval must be finite"),
+    ({"base": [0, 1], "depth": -3}, "depth must be an integer >= 1, got -3"),
+    ({"base": [0, 1], "depth": 2.7}, "depth must be an integer >= 1, got 2.7"),
+])
+def test_a_bad_cantor_carrier_exits_2_at_its_path(tmp_path, carrier, message):
+    # the infinite base printed an OverflowError traceback; depth -3 loaded
+    # silently and depth 2.7 was truncated to 2
+    spec = {"interval": [0, "inf"], "pieces": [{
+        "kind": "cantor_comb", "span": [0, "inf"], "carrier": carrier,
+        "on_value": 1.0, "off_expr": "0",
+    }]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    r = run_cli("analyze", str(bad))
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert f"/pieces/0/carrier: {message}" in r.stderr
+
+
+@pytest.mark.parametrize("window", ["-inf,4,-2.4,2.4", "-4,4,-2.4,nan"])
+def test_oracle_rejects_a_non_finite_window(window):
+    # an infinite end once asked to "extend the window", a NaN one read as empty
+    r = run_cli("oracle", "battery:strip", f"--window={window}", "--resolution", "256")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--window" in r.stderr and "non-finite window" in r.stderr
+
+
 def test_rows_where_every_sample_fails_leave_the_raster_unknown(tmp_path):
     # sqrt(-1 - y^2) has no value on I, so every raster row inside I fails;
     # the raster once read those rows as inside the domain and answered yes

@@ -390,7 +390,20 @@ def test_a_translated_expression_piece_samples_like_the_untranslated_one():
     moved = one_piece("sqrt(y)", calls).translated(0.0, 0.0)
     del calls[:]
     moved.row_profiles(np.linspace(-1.0, 1.0, 1025))
-    assert calls == [(1024, 64)]
+    assert calls == [(65536,)]
+
+
+
+def test_a_checked_translated_call_checks_the_translated_value():
+    # the check once ran before adding dx, so a finite value that overflowed
+    # under translation came back as inf
+    from koenigslab.domain import _Translated
+    from koenigslab.expr import EvaluatorError
+
+    moved = _Translated(parse_expression("y"), 1e308, 0.0)
+    with pytest.raises(EvaluatorError):
+        moved(1e308)
+    assert moved(1e308, check=False) == POS_INF
 
 
 @pytest.mark.parametrize("name", ["oscillation_cantor", "double_gap"])

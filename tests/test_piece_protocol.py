@@ -369,3 +369,48 @@ def test_evaluators_are_read_through_their_protocol():
         if hits:
             found[path.name] = hits
     assert found == {}, found
+
+
+# the flag and the check helper that one evaluation path replaced
+RETIRED_CALL_PATHS = {"array_exact", "_checked"}
+
+
+def call_overrides(sources, base="Evaluator"):
+    """(class, line) of every class deriving from ``base``, directly or
+    through another class in ``sources``, that defines ``__call__``."""
+    classes = [
+        node for source in sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    derived, grew = {base}, True
+    while grew:
+        more = {c.name for c in classes if {n for b in c.bases for n in _names(b)} & derived}
+        derived, grew = derived | more, not more <= derived
+    return [
+        (c.name, fn.lineno)
+        for c in classes
+        if c.name in derived - {base}
+        for fn in c.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__call__"
+    ]
+
+
+def test_every_evaluator_call_takes_the_one_path():
+    # a height is a one-element array of the base call, so no evaluator has
+    # a second path, or a flag saying where the two differ
+    assert call_overrides(["class A(Evaluator):\n    def __call__(self, y): pass"]) == [("A", 2)]
+    assert call_overrides([
+        "class A(expr.Evaluator):\n    def values(self, ys): pass",
+        "class B(A):\n    def __call__(self, y): pass",
+        "class C:\n    def __call__(self, y): pass",
+    ]) == [("B", 2)]
+    assert identifiers("e.array_exact; self._checked(y, out)", RETIRED_CALL_PATHS) == [
+        (1, "array_exact"), (1, "_checked"),
+    ]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = {
+        name: hits for name, source in sources.items()
+        if (hits := identifiers(source, RETIRED_CALL_PATHS))
+    }
+    assert found == {}, found
+    assert call_overrides(sources.values()) == []

@@ -95,6 +95,15 @@ def test_interval_outside_window_errors():
         complement_components(e.psi, grid)
 
 
+
+@pytest.mark.parametrize("window", [(-np.inf, 4.0, -2.4, 2.4), (-4.0, 4.0, -2.4, np.nan)])
+def test_a_non_finite_window_is_rejected(window):
+    # an infinite end once asked to "extend the window", a NaN one read as empty
+    with pytest.raises(ValueError, match="non-finite window") as err:
+        rasterize(battery_entry("strip").psi, window, 256)
+    assert not isinstance(err.value, WindowError)
+
+
 def test_minimum_resolution_enforced():
     psi = battery_entry("strip").psi
     with pytest.raises(ValueError):
