@@ -100,6 +100,13 @@ def _finite(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _canonical(name):
     if name == "halfplane":
         return half_plane_right()
@@ -351,7 +358,7 @@ def build_parser():
     p.add_argument("--domain", required=True, help="canonical name or spec.json")
     p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--grid", type=_window, default=(-2.0, 0.5, -1.0, 1.0))
-    p.add_argument("--grid-n", type=int, default=11)
+    p.add_argument("--grid-n", type=_positive_int, default=11)
     p.add_argument("--csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_freq)

@@ -37,14 +37,16 @@ are mapped; the lower half is read from them by that symmetry.
 
 ``circle_nodes`` is the one way into a canonical map: it forms the Cayley
 point w = (1 + u)/(1 - u) from sines of the node angles with no
-cancellation, and each domain's ``real_map`` carries (Re w, Im w) to
-(Re T, Im T).  On the five canonical domains every node is within 8 ulps
-of |T| (about 4 at worst) against a 200-bit evaluation at the same float
-angle; forming T from complex u would lose up to ~2*10^4 ulps to the
-cancellation in 1 - u near theta = 0.  The oracle and
+cancellation, and each domain's ``re_map`` and ``im_map`` carry
+(Re w, Im w) to Re T and Im T.  On the five canonical domains every node
+is within 8 ulps of |T| (about 4 at worst) against a 200-bit evaluation at
+the same float angle; forming T from complex u would lose up to ~2*10^4
+ulps to the cancellation in 1 - u near theta = 0.  The oracle and
 ``approx.least_squares_fit`` both read these nodes.  The node cache keeps
-each upper half as two read-only real arrays (x, y), keyed by the domain
-itself.
+one record per upper half, keyed by the domain itself: the read-only
+Re T with its minimum and maximum, and Im T once a query reads it.  A
+real lam on a domain with reflection +1 reads Re T alone, so the deep
+real-axis queries never build Im T.
 """
 
 from __future__ import annotations
@@ -165,13 +167,15 @@ class CanonicalDomain:
     every pole end admits lam, and then F is in H^p iff every logarithmic
     end keeps the boundary integral finite.
 
-    T is given once, as ``real_map``: it takes the Cayley point
-    w = (1 + u)/(1 - u) as two real arrays (Re w, Im w) and returns
-    (Re T, Im T); it may overwrite its arguments.  ``circle_nodes`` is its
-    one caller."""
+    T is given as two maps of the Cayley point w = (1 + u)/(1 - u), each
+    taking (Re w, Im w) as two real arrays: ``re_map`` returns Re T and
+    ``im_map`` returns Im T.  Either may overwrite its arguments.
+    ``circle_nodes`` is their one caller, and a query that reads only
+    Re T never runs ``im_map``."""
 
     key: str
-    real_map: Callable  # (Re w, Im w) -> (Re T, Im T), w the Cayley point of u
+    re_map: Callable  # (Re w, Im w) -> Re T, w the Cayley point of u
+    im_map: Callable  # (Re w, Im w) -> Im T
     plan: QuadraturePlan
     # +1.0 or -1.0: T(conj u) = reflection * conj T(u)
     reflection: float
@@ -181,13 +185,17 @@ class CanonicalDomain:
         return f"CanonicalDomain({self.key})"
 
 
-def _identity(x, y):
-    return x, y
+def _re_w(x, y):
+    return x
+
+
+def _im_w(x, y):
+    return y
 
 
 def half_plane_right() -> CanonicalDomain:
     return CanonicalDomain(
-        "half_plane_right", _identity, QuadraturePlan(2, 14, 5, False), 1.0,
+        "half_plane_right", _re_w, _im_w, QuadraturePlan(2, 14, 5, False), 1.0,
         (PoleEnd(1.0),),
     )
 
@@ -201,29 +209,38 @@ def horizontal_half_plane(edge=0.0, side="upper") -> CanonicalDomain:
         raise ValueError(f"horizontal_half_plane: edge must be finite, got {edge!r}")
     sgn = 1.0 if side == "upper" else -1.0
 
-    def real_map(x, y):
+    def re_map(x, y):
         y *= -sgn
+        return y
+
+    def im_map(x, y):
         x *= sgn
         x += edge
-        return y, x
+        return x
 
     return CanonicalDomain(
-        f"horizontal_half_plane:{edge}:{side}", real_map, QuadraturePlan(2, 14, 5, False),
+        f"horizontal_half_plane:{edge}:{side}", re_map, im_map, QuadraturePlan(2, 14, 5, False),
         -1.0, (PoleEnd(complex(0.0, sgn)),),
     )
 
 
-def strip_width_pi() -> CanonicalDomain:
-    def real_map(x, y):
-        return np.log(np.hypot(x, y)), np.arctan2(y, x)
+def _log_abs(x, y):
+    l = np.hypot(x, y, out=x)
+    return np.log(l, out=l)
 
+
+def _arg(x, y):
+    return np.arctan2(y, x)
+
+
+def strip_width_pi() -> CanonicalDomain:
     return CanonicalDomain(
-        "strip_width_pi", real_map, QuadraturePlan(2, 14, 5, False), 1.0,
+        "strip_width_pi", _log_abs, _arg, QuadraturePlan(2, 14, 5, False), 1.0,
         (LogEnd(1.0, 1.0), LogEnd(-1.0, 1.0)),
     )
 
 
-def log_power(s, t, a):
+def log_power(s, t, a, part=None):
     """L = log(s + i t) = l + i phi and L^a = p + i q for s > 0 and t, one of
     them an array, in real arithmetic: the one eta kernel, shared by the quadrature
     nodes (s = Re w + 3) and ``battery``'s boundary inversion (s = 3).
@@ -232,20 +249,31 @@ def log_power(s, t, a):
     phi = atan2(t, s).  For a = 1, L^a = L exactly; otherwise
     L^a = |L|^a (cos a theta, sin a theta) with theta = atan2(phi, l), the
     principal power.  Each step writes over its own temporary.
+
+    ``part`` "re" asks for p alone and "im" for q alone; the tuple then
+    holds None for what that part does not need.  Re L needs no atan2 and
+    Im L no log; for a < 1, p needs no sin and q no cos.  Every part that
+    is computed has the bits of the full call.
     """
-    l = np.hypot(s, t)
-    np.log(l, out=l)
-    phi = np.arctan2(t, s)
+    l = phi = None
+    if part != "im" or a != 1.0:
+        l = np.hypot(s, t)
+        np.log(l, out=l)
+    if part != "re" or a != 1.0:
+        phi = np.arctan2(t, s)
     if a == 1.0:
         return l, phi, l, phi
     ra = np.hypot(l, phi)
     ra **= a
     a_theta = np.arctan2(phi, l)
     a_theta *= a
-    p = np.cos(a_theta)
-    p *= ra
-    q = np.sin(a_theta, out=a_theta)
-    q *= ra
+    p = q = None
+    if part != "im":
+        p = np.cos(a_theta)
+        p *= ra
+    if part != "re":
+        q = np.sin(a_theta, out=a_theta)
+        q *= ra
     return l, phi, p, q
 
 
@@ -254,14 +282,16 @@ def eta_domain(a=1.0) -> CanonicalDomain:
     if not (0.0 < a <= 1.0):
         raise ValueError(f"eta_domain: the exponent a must lie in (0, 1], got {a!r}")
 
-    def real_map(x, y):
-        _, _, p, q = log_power(x + 3.0, y, a)
-        x -= p
-        y -= q
-        return x, y
+    def re_map(x, y):
+        x -= log_power(x + 3.0, y, a, "re")[2]
+        return x
+
+    def im_map(x, y):
+        y -= log_power(x + 3.0, y, a, "im")[3]
+        return y
 
     return CanonicalDomain(
-        f"eta_domain:{a}", real_map, QuadraturePlan(3, 22, 9, True), 1.0,
+        f"eta_domain:{a}", re_map, im_map, QuadraturePlan(3, 22, 9, True), 1.0,
         (PoleEnd(1.0), LogEnd(-1.0, a)),
     )
 
@@ -326,8 +356,8 @@ def frequency_floor(dom: CanonicalDomain, p=2.0):
 
 # -- the quadrature route ----------------------------------------------------
 
-# nodes of each level, keyed by (domain, j, n): the domain itself, so that
-# two domains with one key never share nodes
+# the _Level of each level, keyed by (domain, j, n): the domain itself, so
+# that two domains with one key never share nodes
 _node_cache: dict = {}
 
 
@@ -343,34 +373,65 @@ def _half_circle_sines(n):
     return s, sn
 
 
-def circle_nodes(dom, j, n):
-    """T on the upper half of the circle |u| = r = 1 - 2^-j: read-only real
-    arrays (x, y) = (Re T, Im T) at the midpoint nodes theta_k, k < n/2.
-    The lower half, theta_{n-1-k} = 2 pi - theta_k, is their reflection.
+def _cayley_point(j, n):
+    """(Re w, Im w) at the upper half's nodes of |u| = r = 1 - 2^-j, as two
+    fresh arrays.
 
     With h = 1 - r = 2^-j, s = sin(theta/2) and D = |1 - u|^2 = h^2 + 4 r s^2,
     the Cayley point of u = r e^{i theta} is Re w = h (1 + r)/D and
     Im w = 2 r sin(theta)/D.  Every term of D is positive, so nothing
-    cancels, and ``dom.real_map`` carries w to T."""
+    cancels."""
+    s, sn = _half_circle_sines(n)
+    h = 2.0 ** (-j)
+    r = 1.0 - h
+    d = np.multiply(s, s)
+    d *= 4.0 * r
+    d += h * h
+    x = np.divide(h * (1.0 + r), d)
+    y = np.divide(sn, d, out=d)
+    y *= 2.0 * r
+    return x, y
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Level:
+    """The nodes of one upper half circle: the read-only Re T with its
+    minimum and maximum, and the read-only Im T, built on its first read."""
+
+    def __init__(self, dom, j, n):
+        self._at = (dom, j, n)
+        self.re = _read_only(dom.re_map(*_cayley_point(j, n)))
+        self.re_min, self.re_max = float(self.re.min()), float(self.re.max())
+
+    @functools.cached_property
+    def im(self):
+        dom, j, n = self._at
+        return _read_only(dom.im_map(*_cayley_point(j, n)))
+
+
+def _level(dom, j, n):
     key = (dom, j, n)
-    xy = _node_cache.get(key)
-    if xy is None:
-        s, sn = _half_circle_sines(n)
-        h = 2.0 ** (-j)
-        r = 1.0 - h
-        d = np.multiply(s, s)
-        d *= 4.0 * r
-        d += h * h
-        x = np.divide(h * (1.0 + r), d)
-        y = np.divide(sn, d, out=d)
-        y *= 2.0 * r
-        xy = dom.real_map(x, y)
-        for a in xy:
-            a.flags.writeable = False
+    level = _node_cache.get(key)
+    if level is None:
+        level = _Level(dom, j, n)
         if len(_node_cache) > 40:
             _node_cache.clear()
-        _node_cache[key] = xy
-    return xy
+        _node_cache[key] = level
+    return level
+
+
+def circle_nodes(dom, j, n):
+    """T on the upper half of the circle |u| = r = 1 - 2^-j: read-only real
+    arrays (x, y) = (Re T, Im T) at the midpoint nodes theta_k, k < n/2.
+    The lower half, theta_{n-1-k} = 2 pi - theta_k, is their reflection.
+    ``dom.re_map`` and ``dom.im_map`` carry the Cayley point w to T; Im T
+    is built on the first call that asks for a level's nodes here."""
+    level = _level(dom, j, n)
+    return level.re, level.im
 
 
 def _log_mean(dom, lam, p, j, n):
@@ -379,25 +440,29 @@ def _log_mean(dom, lam, p, j, n):
     At w = x + iy on the upper half, log|e^{p lam w}| = a x - b y with
     (a, b) = p (Re lam, Im lam); at the mirrored node it is
     reflection * (a x + b y).  For real lam and reflection +1 the two
-    agree, and one half carries the whole mean."""
-    x, y = circle_nodes(dom, j, n)
+    agree, one half carries the whole mean and only Re T is read.  Its
+    maximum is then a max(x) for a > 0 and a min(x) for a < 0: rounding a
+    product by a fixed a is monotone, so this is max(a x) bit for bit."""
     a, b = p * lam.real, p * lam.imag
     if dom.reflection > 0 and b == 0:
-        halves = (a * x,)
+        level = _level(dom, j, n)
+        Lmax = a * (level.re_max if a > 0 else level.re_min)
+        halves = (a * level.re,)
     else:
+        x, y = circle_nodes(dom, j, n)
         ax, by = a * x, b * y
         mirrored = ax + by
         if dom.reflection < 0:
             np.negative(mirrored, out=mirrored)
         halves = (np.subtract(ax, by, out=ax), mirrored)
-    Lmax = float(np.max([L.max() for L in halves]))
+        Lmax = float(np.max([L.max() for L in halves]))
     if not math.isfinite(Lmax):
         return POS_INF
     total = 0.0
     for L in halves:
         L -= Lmax
         total += float(np.exp(L, out=L).sum())
-    return Lmax + math.log(total / (x.size * len(halves)))
+    return Lmax + math.log(total / (halves[0].size * len(halves)))
 
 
 def _trend_verdict(logs):
@@ -424,6 +489,12 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
     lam = _check_query(lam, p)
     if lam == 0:
         return MembershipResult(MEMBER, lam, p, "constant function", [0.0], 1)
+    scaled = (p * lam.real, p * lam.imag)
+    if not all(map(math.isfinite, scaled)):
+        return MembershipResult(
+            INCONCLUSIVE, lam, p,
+            f"p*lam overflows to {complex(*scaled)}: no level's mean is a finite float", [], 0,
+        )
     logs = []
     status = cert = None
     for j, _, n in dom.plan.levels():

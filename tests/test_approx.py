@@ -443,6 +443,33 @@ def test_alpha_quadrature_raises_past_its_node_cap(monkeypatch):
     assert abs(alpha_quadrature(0.5) - alpha_map(0.5)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_newton_rule_matches_leggauss(n):
+    assert n > approx._LEGGAUSS_MAX_N
+    x, w = approx._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    # leggauss's own weights are off by up to ~1e-9 near the ends at n = 1024
+    assert np.max(np.abs(x - ref_x)) <= math.ulp(1.0)
+    assert np.max(np.abs(w - ref_w) / ref_w) < 1e-8
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact for x^(2j), 2j < 2n
+    moments = [np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1) for j in range(40)]
+    assert max(map(abs, moments)) < 1e-14
+
+
+def test_small_rules_are_leggauss_bit_for_bit():
+    # the rules every CLI demo and the benchmark's alpha check read
+    for n in (12, 24, 48, 32, 64, 128):
+        got, want = approx._gauss_legendre(n), np.polynomial.legendre.leggauss(n)
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+
+
+def test_odd_newton_rule_has_the_node_zero():
+    x, w = approx._newton_legendre(257)
+    assert x[128] == 0.0 and np.all(np.diff(x) > 0)
+    assert abs(np.sum(w) - 2.0) < 1e-14
+
+
 def test_alpha_quadrature_rejects_a_start_above_half_the_cap():
     from koenigslab import approx
 

@@ -199,6 +199,23 @@ def test_decide_rejects_p_below_one_on_every_domain(spec, value):
     assert "p must be at least 1" in r.stderr and r.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_freq_rejects_a_grid_n_below_one(value):
+    # 0 once printed an empty grid and exited 0, -3 numpy's linspace error
+    r = run_cli("freq", "--domain", "halfplane", f"--grid-n={value}")
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert "--grid-n" in r.stderr and "positive integer" in r.stderr
+
+
+def test_freq_answers_an_overflowing_p_lam_without_a_warning():
+    r = run_cli("freq", "--domain", "halfplane", "--p", "2", "--grid=-1e308,-1e308,0,0", "--grid-n", "2")
+    assert r.returncode == 0 and r.stderr == ""
+    # the one grid row as CSV, then the JSON summary
+    assert "-1e+308,0.0,inconclusive" in r.stdout
+    summary = json.loads(r.stdout[r.stdout.index("{"):])
+    assert summary["counts"] == {"member": 0, "non_member": 0, "inconclusive": 1}
+
+
 def test_freq_unknown_domain_exits_without_traceback():
     r = run_cli("freq", "--domain", "foo")
     assert r.returncode == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,18 @@ def test_p_below_one_is_rejected(domains, p):
     for route in ROUTES:
         with pytest.raises(ValueError, match="p must be at least 1"):
             route(-1.0, domains["strip"], p)
+
+
+@pytest.mark.parametrize("lam, p", [(-1e308, 2.0), (complex(-0.5, 1e308), 2.0), (-1.5e308, 1.5)])
+def test_an_overflowing_p_lam_is_inconclusive_before_any_level(domains, lam, p):
+    # p * Re lam = -inf once made every level's mean +inf: a numpy warning
+    # and a trend verdict drawn from infinities
+    for dom in domains.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hardy_membership(lam, dom, p)
+        assert (res.status, res.log_means, res.levels_used) == (INCONCLUSIVE, [], 0)
+        assert "overflows" in res.certificate
 
 
 def test_both_routes_share_one_input_check(domains, monkeypatch):

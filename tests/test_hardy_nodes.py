@@ -6,11 +6,13 @@ lower half through ``CanonicalDomain.reflection``.  These tests check the
 nodes against a 200-bit reference, the reflection identity of every
 canonical map, compare the half-circle log-mean with the full-circle
 formula, check that a frequency and its reflection give bit-identical
-answers, that the node cache answers each domain from its own nodes, and
-that the cached nodes cannot be written into.
+answers, that the node cache answers each domain from its own nodes,
+that the cached nodes cannot be written into, and that Im T is built once
+per level, only when a query reads it.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -52,12 +54,18 @@ def cayley_point(r, theta):
     return h * (1.0 + r) / d, 2.0 * r * np.sin(theta) / d
 
 
+def apply_maps(dom, x, y):
+    """(Re T, Im T) at the Cayley point (x, y); each map gets its own
+    copies, since a map may overwrite its arguments."""
+    return dom.re_map(x.copy(), y.copy()), dom.im_map(x.copy(), y.copy())
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
 def test_real_map_of_conjugate_is_reflected_conjugate_bit_for_bit(dom):
     _, r, n = list(dom.plan.levels())[-1]
     x, y = cayley_point(r, (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n))
-    re, im = dom.real_map(x.copy(), y.copy())
-    got_re, got_im = dom.real_map(x.copy(), -y)
+    re, im = apply_maps(dom, x, y)
+    got_re, got_im = apply_maps(dom, x, -y)
     assert np.array_equal(got_re, dom.reflection * re)
     assert np.array_equal(got_im, -dom.reflection * im)
 
@@ -112,7 +120,7 @@ def test_nodes_are_within_8_ulps_of_a_200_bit_map(dom):
 def full_circle_log_mean(dom, lam, p, r, n):
     """The log p-th power mean over all n midpoint nodes of |u| = r."""
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    x, y = dom.real_map(*cayley_point(r, theta))
+    x, y = apply_maps(dom, *cayley_point(r, theta))
     L = p * (lam.real * x - lam.imag * y)
     Lmax = float(np.max(L))
     return Lmax + math.log(float(np.mean(np.exp(L - Lmax))))
@@ -135,7 +143,8 @@ def test_half_circle_log_mean_matches_full_circle(dom):
 
 def test_the_node_cache_keys_on_the_domain_not_its_name():
     eta = eta_domain(1.0)
-    twin = dataclasses.replace(eta, real_map=half_plane_right().real_map)
+    plane = half_plane_right()
+    twin = dataclasses.replace(eta, re_map=plane.re_map, im_map=plane.im_map)
     assert twin.key == eta.key
     hardy._node_cache.clear()
     eta_means = hardy_membership(-0.5, eta, 1.0).log_means
@@ -153,6 +162,34 @@ def test_cached_nodes_are_read_only(dom):
             a[0] = 0.0
     x, _ = hardy.circle_nodes(dom, j, n)
     assert x is hardy.circle_nodes(dom, j, n)[0]
+
+
+@pytest.mark.parametrize(
+    "dom", [half_plane_right(), strip_width_pi(), eta_domain(1.0)], ids=lambda d: d.key
+)
+def test_im_t_is_built_once_per_level_and_only_when_read(dom):
+    # a twin whose im_map logs each level it builds; being another domain,
+    # it has nodes of its own in the cache
+    built = []
+
+    def im_map(x, y):
+        built.append(x.size)
+        return dom.im_map(x, y)
+
+    twin = dataclasses.replace(dom, im_map=im_map)
+    hardy._node_cache.clear()
+    real = [hardy_membership(lam, twin, p) for lam in (-0.75, -0.3, 0.3) for p in (1.0, 2.0)]
+    assert built == []
+    assert max(res.levels_used for res in real) == len(list(dom.plan.levels()))
+    complex_means = [hardy_membership(-0.3 + 0.35j, twin, p).log_means for p in (2.0, 2.0, 1.0)]
+    visited = max(map(len, complex_means))
+    assert built == [n // 2 for _, _, n in itertools.islice(dom.plan.levels(), visited)]
+    # the twin's answers are the domain's own, bit for bit
+    hardy._node_cache.clear()
+    assert [r.log_means for r in real] == [
+        hardy_membership(lam, dom, p).log_means for lam in (-0.75, -0.3, 0.3) for p in (1.0, 2.0)
+    ]
+    assert complex_means == [hardy_membership(-0.3 + 0.35j, dom, p).log_means for p in (2.0, 2.0, 1.0)]
 
 
 COORDS = st.sampled_from((-1.5, -0.75, -0.3, -0.0, 0.0, 0.35, 1.0))

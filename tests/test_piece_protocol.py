@@ -14,6 +14,9 @@ Evaluators, too, are read through one protocol, ``expr.Evaluator``: no
 code outside the loader tests an evaluator's class or looks up a
 ``row_range`` it may lack, and no evaluator call sits in a catch-all
 ``except`` that would turn a bug into failed samples.
+
+A canonical domain's two maps, ``re_map`` and ``im_map``, are read only
+in ``hardy``: ``circle_nodes`` is the one way into them.
 """
 
 import ast
@@ -414,3 +417,25 @@ def test_every_evaluator_call_takes_the_one_path():
     }
     assert found == {}, found
     assert call_overrides(sources.values()) == []
+
+
+CANONICAL_MAPS = {"re_map", "im_map"}
+RETIRED_MAPS = {"real_map"}  # the one map that gave both parts at once
+
+
+def test_canonical_maps_are_read_through_circle_nodes_only():
+    # only hardy builds nodes, so a real-frequency query that reads Re T
+    # alone is the only kind of reader that can skip Im T
+    assert sorted(identifiers("x = dom.re_map(u, v); dom.im_map", CANONICAL_MAPS)) == [
+        (1, "im_map"), (1, "re_map"),
+    ]
+    assert identifiers("x, y = hardy.circle_nodes(dom, j, n)", CANONICAL_MAPS) == []
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        hits = identifiers(source, RETIRED_MAPS)
+        if path.name != "hardy.py":
+            hits += identifiers(source, CANONICAL_MAPS)
+        if hits:
+            found[path.name] = hits
+    assert found == {}, found
