@@ -186,10 +186,6 @@ class _GapOscillation(Evaluator):
         return sup, inf
 
 
-# the oscillation_cantor evaluator, by the name its callers know
-gap_oscillation_evaluator = _GapOscillation
-
-
 def _const_limits(v):
     return LimitData(v, v, exact=True)
 
@@ -302,7 +298,7 @@ def oscillation_cantor_domain():
     the interior of its closure despite a Cantor set of discontinuities.
     """
     carrier = CantorSet(0.0, 1.0)
-    ev = gap_oscillation_evaluator(carrier)
+    ev = _GapOscillation(carrier)
     piece = CantorCarrierPiece(
         span=(0.0, 1.0),
         carrier=carrier,
@@ -383,18 +379,11 @@ def log_minorant_domain():
     )
 
 
-# heights inverted together: the work is elementwise, so chunking changes no
-# bit, and it bounds the temporaries of a large call (about a dozen arrays of
-# 64 KiB each).  Raster rows no longer come here: ``row_range`` inverts only
-# their edges, and sampled heights arrive from the rows whose edges fail
-# the check, from limit estimates and from direct calls
-_ETA_CHUNK = 8192
 _ETA_NEWTON_STEPS = 8
 # half-width of the checked root bracket, relative to max(1, |t*|)
 _ETA_MARGIN = 1e-12
 # ulps by which ``row_range`` widens its two rounded values outward
 _ETA_ROW_ULPS = 16
-_DBL_MAX = np.finfo(float).max
 
 
 def _eta_im(t, a):
@@ -416,13 +405,7 @@ def _eta_im(t, a):
 
 def _eta_re(t, a):
     """Re eta(i t) = -Re L^a: one boundary evaluation."""
-    return -log_power(3.0, t, a)[2]
-
-
-def _eta_boundary(t, a):
-    """The boundary curve eta(i t) = i t - (log(3 + i t))^a, in complex
-    arithmetic: the bisection's evaluator."""
-    return 1j * t - np.exp(a * np.log(np.log(1j * t + 3.0)))
+    return -log_power(3.0, t, a, "re")[2]
 
 
 def _eta_root(y, a):
@@ -433,9 +416,16 @@ def _eta_root(y, a):
     |step| <= 1e-3 m with m = 1e-12 max(1, |t|), so t* depends on y alone.
     Newton steps and the check evaluate ``_eta_im`` in real arithmetic.
     The check is Im eta(i t) < y at t* - m and > y at t* + m; it trusts the
-    evaluations to a few ulps, so it is not a proof.  It fails for NaN or
-    infinite y, |y| >= 1e307, a run that misses its step test in 8 steps,
-    and every a outside (0, 1].
+    evaluations to a few ulps, so it is not a proof.
+
+    An end of the bracket that overflows passes its half of the check.
+    If t* + m rounds to +inf, its exact value s lies in [2^1024 - 2^970,
+    2^1025), and there Im eta(i s) >= s - |L|^a >= s - (log|3 + i s| +
+    pi/2) > s - 713, as |L|^a <= |L| for |L| >= log 3 > 1 and a <= 1.
+    That exceeds every float y.  An end at -inf is the mirror image, as
+    Im eta(i t) is odd in t.  So the check holds up to +-DBL_MAX.  It
+    fails for NaN or infinite y, whose t* is NaN, and for a run that
+    misses its step test in 8 steps.
     """
     t = y.copy()
     # the heights still stepping, with their t and y
@@ -452,30 +442,11 @@ def _eta_root(y, a):
             if not active.size:
                 break
         m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
-        checked = (_eta_im(t - m, a)[0] < y) & (_eta_im(t + m, a)[0] > y)
-    checked &= (np.abs(y) < 1e307) & (0.0 < a <= 1.0)
+        below, above = t - m, t + m
+        checked = (below == NEG_INF) | (_eta_im(below, a)[0] < y)
+        checked &= (above == POS_INF) | (_eta_im(above, a)[0] > y)
     checked[active] = False
     return t, checked
-
-
-def _eta_bisect(y, a):
-    """80 steps of plain bisection on [y - 3 - 3|y|, y + 3 + 3|y|], clipped
-    to the finite floats, evaluating Im eta(i mid) < y at every step.  A
-    step that leaves a bracket's bits unchanged is a fixed point, and its
-    height stops there."""
-    with np.errstate(over="ignore"):
-        lo = np.maximum(y - 3.0 - 3.0 * np.abs(y), -_DBL_MAX)
-        hi = np.minimum(y + 3.0 + 3.0 * np.abs(y), _DBL_MAX)
-    live = np.ones(y.shape, dtype=bool)
-    for _ in range(80):
-        mid = 0.5 * lo + 0.5 * hi
-        too_low = np.imag(_eta_boundary(mid, a)) < y
-        live &= np.where(too_low, lo, hi).view(np.int64) != mid.view(np.int64)
-        if not live.any():
-            break
-        lo = np.where(live & too_low, mid, lo)
-        hi = np.where(live & ~too_low, mid, hi)
-    return np.real(_eta_boundary(0.5 * lo + 0.5 * hi, a))
 
 
 @dataclass(frozen=True)
@@ -491,22 +462,17 @@ class _EtaDefiningFunction(Evaluator):
     height, check and value included.  Every one of them is real
     arithmetic (``_eta_im``, ``_eta_re``): for a = 1 a Newton step or a
     check costs one atan2, and the value one log of a hypot.  Contract: psi
-    is within 8 ulps of its value at a 200-bit root, and a scalar, an array
-    element and a permuted array give the same bits.
+    is within 8 ulps of its value at a 200-bit root at every finite height,
+    and a scalar, an array element and a permuted array give the same bits.
+    An exponent outside (0, 1] is rejected when the evaluator is built.
 
     psi(+-inf) = -inf, the limit of psi at both ends: psi(y) = -Re L^a with
     L = log(3 + i t*), |t*| >= |y| and |arg L| < atan((pi/2)/log 3) < 1, so
     -psi >= cos(1) (log|3 + i t*|)^a; ``eta_domain_psi`` proves the
     sharper psi <= 0.35 - (log(|y| + 3))^a that it declares.  Checked, a
-    call raises there, as at any value that is not finite.
-
-    Any other height that fails the check gets ``_eta_bisect``, the plain
-    bisection in complex arithmetic (``_eta_boundary``), bit for bit.  Its
-    bracket is clipped to the finite floats and its midpoint taken as
-    lo/2 + hi/2: above |y| ~ 4.5e307 the unclipped bracket overflows, and
-    above ~3.6e307 so can lo + hi.  Halving is exact on the brackets that
-    arise, so lo/2 + hi/2 has the bits of (lo + hi)/2 wherever that sum is
-    finite.
+    call raises there, as at any value that is not finite.  Any other
+    height whose root fails the check gets NaN, and a checked call raises
+    there too.
 
     ``row_range`` bounds psi on rows of heights from the roots at the row
     edges alone.
@@ -514,24 +480,23 @@ class _EtaDefiningFunction(Evaluator):
 
     a: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.a <= 1.0:
+            raise ValueError(f"eta: the exponent a must lie in (0, 1], got {self.a!r}")
+
     def values(self, ys):
-        a = self.a
-        out = np.empty(ys.shape)
-        for s in range(0, ys.size, _ETA_CHUNK):
-            chunk = ys[s : s + _ETA_CHUNK]
-            t, checked = _eta_root(chunk, a)
-            out[s : s + t.size] = _eta_re(t, a)
-            out[s + np.flatnonzero(np.isinf(chunk))] = NEG_INF
-            failed = s + np.flatnonzero(~checked & ~np.isinf(chunk))
-            if failed.size:
-                out[failed] = _eta_bisect(ys[failed], a)
+        t, checked = _eta_root(ys, self.a)
+        out = _eta_re(t, self.a)
+        out[~checked] = np.nan
+        out[np.isinf(ys)] = NEG_INF
         return out
 
     def row_range(self, lo, hi):
         """(sup, inf) of psi on each row [lo, hi] of two 1-D arrays, from
         one ``_eta_root`` per distinct edge: n + 1 roots for n adjacent
-        rows.  A row with an edge whose root fails the check gets NaN, and
-        the caller samples it instead.
+        rows.  A row with an edge whose root fails the check (a NaN or
+        infinite edge, or a Newton run that does not converge) gets NaN,
+        and the caller samples it instead.
 
         Each edge root t is widened by its bracket margin m, so the roots
         of the row's heights lie in T = [t(lo) - m(lo), t(hi) + m(hi)]: the
@@ -567,8 +532,6 @@ class _EtaDefiningFunction(Evaluator):
 
 
 def eta_domain_psi(a=1.0, name="eta1"):
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"eta_domain_psi: the exponent a must lie in (0, 1], got {a!r}")
     ev = _EtaDefiningFunction(a)
     # Envelopes for 0 < a <= 1.  psi = -Re L^a with L = log(3 + it) =
     # l + i phi, l = log|3 + it| >= log 3 > 1, |phi| < pi/2 and

@@ -30,7 +30,7 @@ from .approx import (
     univalence_winding_check,
 )
 from .battery import battery_entry
-from .classify import affine_minorant, classify, lambda_infty
+from .classify import HYPERBOLIC, PARABOLIC_ZERO, affine_minorant, classify, lambda_infty
 from .completeness import decide
 from .expr import parse_expression
 from .features import analyze
@@ -124,7 +124,7 @@ def cmd_classify(args):
     psi = _load(args.spec)
     cls = classify(psi)
     out = {"class": cls.kind, "container": cls.container}
-    if cls.kind == "parabolic_zero_step":
+    if cls.kind == PARABOLIC_ZERO:
         am = affine_minorant(psi)
         out["affine_minorant"] = {
             "status": am.status.value,
@@ -166,7 +166,7 @@ def cmd_freq(args):
         psi = _load(args.domain)
         region = lambda_infty(psi)
         out = {"exact_infty": region.to_json()}
-        if classify(psi).kind == "hyperbolic":
+        if classify(psi).kind == HYPERBOLIC:
             out["band_template"] = (
                 "admissible frequencies for finite p fill a vertical band "
                 "(-c1/p, c2/p) x iR with domain-dependent constants; the "

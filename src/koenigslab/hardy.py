@@ -44,8 +44,8 @@ the same float angle; forming T from complex u would lose up to ~2*10^4
 ulps to the cancellation in 1 - u near theta = 0.  The oracle and
 ``approx.least_squares_fit`` both read these nodes.  The node cache keeps
 one record per upper half, keyed by the domain itself: the read-only
-Re T with its minimum and maximum, and Im T once a query reads it.  A
-real lam on a domain with reflection +1 reads Re T alone, so the deep
+Re T with its minimum and maximum, and Im T with its largest modulus
+once a query reads it.  A real lam on a domain with reflection +1 reads Re T alone, so the deep
 real-axis queries never build Im T.
 """
 
@@ -71,6 +71,8 @@ _LOG_DIV = math.log(1e12)
 _CAUCHY_TOL = 1e-6
 _DECAY_RATIO = 0.98
 _GROWTH_RATIO = 1.02
+# log of the largest float: exp overflows above it
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -400,7 +402,8 @@ def _read_only(a):
 
 class _Level:
     """The nodes of one upper half circle: the read-only Re T with its
-    minimum and maximum, and the read-only Im T, built on its first read."""
+    minimum and maximum, and the read-only Im T with its largest modulus,
+    built on their first read."""
 
     def __init__(self, dom, j, n):
         self._at = (dom, j, n)
@@ -411,6 +414,10 @@ class _Level:
     def im(self):
         dom, j, n = self._at
         return _read_only(dom.im_map(*_cayley_point(j, n)))
+
+    @functools.cached_property
+    def im_abs_max(self):
+        return max(-float(self.im.min()), float(self.im.max()))
 
 
 def _level(dom, j, n):
@@ -442,17 +449,33 @@ def _log_mean(dom, lam, p, j, n):
     reflection * (a x + b y).  For real lam and reflection +1 the two
     agree, one half carries the whole mean and only Re T is read.  Its
     maximum is then a max(x) for a > 0 and a min(x) for a < 0: rounding a
-    product by a fixed a is monotone, so this is max(a x) bit for bit."""
+    product by a fixed a is monotone, so this is max(a x) bit for bit.
+
+    By the same monotonicity every exponent L and every L - Lmax is at
+    most 2 (|a| max|x| + |b| max|y|) in modulus.  Where that bound is a
+    finite float no product, sum or difference here overflows, and the
+    mean runs without ``np.errstate``, whose entry costs about a
+    microsecond per level; only a lam that overflows them runs under it,
+    with the same infinities and no warning."""
     a, b = p * lam.real, p * lam.imag
-    if dom.reflection > 0 and b == 0:
-        level = _level(dom, j, n)
+    level = _level(dom, j, n)
+    bound = abs(a) * max(-level.re_min, level.re_max)
+    if b:
+        bound += abs(b) * level.im_abs_max
+    if math.isfinite(2.0 * bound):
+        return _level_log_mean(level, dom.reflection, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _level_log_mean(level, dom.reflection, a, b)
+
+
+def _level_log_mean(level, reflection, a, b):
+    if reflection > 0 and b == 0:
         Lmax = a * (level.re_max if a > 0 else level.re_min)
         halves = (a * level.re,)
     else:
-        x, y = circle_nodes(dom, j, n)
-        ax, by = a * x, b * y
+        ax, by = a * level.re, b * level.im
         mirrored = ax + by
-        if dom.reflection < 0:
+        if reflection < 0:
             np.negative(mirrored, out=mirrored)
         halves = (np.subtract(ax, by, out=ax), mirrored)
         Lmax = float(np.max([L.max() for L in halves]))
@@ -466,7 +489,17 @@ def _log_mean(dom, lam, p, j, n):
 
 
 def _trend_verdict(logs):
-    vals = np.exp(np.asarray(logs, dtype=float))
+    """The trend rules on the last levels' means.  A log mean beyond the
+    floats' range (an overflowing lam gives +inf) makes its increments
+    inf or NaN, which no rule certifies; only then do the rules run
+    under ``np.errstate``, with the same outcome and no warning."""
+    if max(logs) < _LOG_MAX:
+        return _trend_rules(np.exp(logs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trend_rules(np.exp(logs))
+
+
+def _trend_rules(vals):
     k = min(9, len(vals))
     tail = vals[-k:]
     scale = max(float(tail[-1]), 1e-300)

@@ -104,28 +104,37 @@ def test_eta_psi_is_within_8_ulps_of_the_bisection_on_every_raster_height(a):
         assert ulps(ev(ys), bisection_reference(ys, a).reshape(ys.shape)).max() <= 8
 
 
-@pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 1.5])
-def test_eta_heights_that_fail_the_bracket_check_keep_the_bisection_bits(a):
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_heights_that_fail_the_bracket_check_are_nan(a):
     ev = battery._EtaDefiningFunction(a)
-    with np.errstate(all="ignore"):
-        _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
-        # NaN, +-inf and |y| >= 1e307 fail for every a; every height fails for a > 1
-        assert list(checked) == [a <= 1.0] * 6 + [False] * 5
-        # +-inf get their limit -inf instead (see the test below); unchecked,
-        # as a NaN height has a NaN value
-        failed = SPECIAL_HEIGHTS[~checked & ~np.isinf(SPECIAL_HEIGHTS)]
-        assert same_bits(ev(failed, check=False), bisection_reference(failed, a))
-        for y in failed:
-            got = ev(y, check=False)
-            assert isinstance(got, float)
-            assert same_bits(got, bisection_reference(y, a)[0])
+    _, checked = battery._eta_root(SPECIAL_HEIGHTS, a)
+    # only NaN and +-inf fail; +-inf get their limit -inf instead (see the
+    # test below), and NaN is NaN unchecked and raises checked
+    assert list(checked) == [True] * 8 + [False] * 3
+    assert np.isnan(ev(SPECIAL_HEIGHTS, check=False)[~checked & ~np.isinf(SPECIAL_HEIGHTS)]).all()
+    got = ev(np.nan, check=False)
+    assert isinstance(got, float) and np.isnan(got)
+    with pytest.raises(EvaluatorError, match="non-finite at y=nan"):
+        ev(np.nan)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1.5, np.nan])
+def test_eta_evaluator_rejects_an_exponent_outside_0_1_when_built(a):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        battery._EtaDefiningFunction(a)
+
+
+@pytest.mark.parametrize(
+    "name", ["_eta_bisect", "_eta_boundary", "_DBL_MAX", "_ETA_CHUNK", "gap_oscillation_evaluator"]
+)
+def test_deleted_battery_names_stay_deleted(name):
+    assert not hasattr(battery, name)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
 def test_eta_psi_is_minus_inf_at_infinite_heights(a):
-    # the bisection bracket y -+ (3 + 3|y|) is NaN there, with a RuntimeWarning
-    # an unchecked call gives that value; a checked one rejects it
+    # an unchecked call gives that limit; a checked one rejects it
     ev = battery._EtaDefiningFunction(a)
     assert ev(np.inf, check=False) == ev(-np.inf, check=False) == -np.inf
     got = ev(np.array([np.inf, 0.0, -np.inf]), check=False)
@@ -134,11 +143,14 @@ def test_eta_psi_is_minus_inf_at_infinite_heights(a):
         ev(np.inf)
 
 
-def test_eta_heights_whose_newton_run_does_not_converge_keep_the_bisection_bits(monkeypatch):
+def test_eta_heights_whose_newton_run_does_not_converge_are_nan(monkeypatch):
     monkeypatch.setattr(battery, "_ETA_NEWTON_STEPS", 1)
     ys = row_heights("eta1", 512)[::16].ravel()
     assert not battery._eta_root(ys, 1.0)[1].any()
-    assert same_bits(battery._EtaDefiningFunction(1.0)(ys), bisection_reference(ys, 1.0))
+    ev = battery._EtaDefiningFunction(1.0)
+    assert np.isnan(ev(ys, check=False)).all()
+    with pytest.raises(EvaluatorError, match="non-finite"):
+        ev(ys)
 
 
 def test_eta_psi_of_a_height_does_not_depend_on_the_array():
@@ -149,6 +161,20 @@ def test_eta_psi_of_a_height_does_not_depend_on_the_array():
     assert same_bits(ev(ys[perm]), got[perm])
     picks = np.random.default_rng(4).choice(ys.size, 2_000, replace=False)
     assert same_bits(np.array([ev(float(ys[i])) for i in picks]), got[picks])
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_eta_root_passes_its_check_up_to_the_largest_float(a):
+    # log-uniform over +-[1e-300, DBL_MAX], with +-DBL_MAX and the float
+    # below it, where an end of the root bracket overflows
+    rng = np.random.default_rng(23)
+    top = np.finfo(float).max
+    mags = np.exp(rng.uniform(np.log(1e-300), np.log(top), 100))
+    mags = np.concatenate([mags, [1e-300, 1e307, np.nextafter(top, 0.0), top]])
+    ys = np.concatenate([mags, -mags])
+    assert battery._eta_root(ys, a)[1].all()
+    want = np.array([mpmath_psi(y, a) for y in ys])
+    assert ulps(battery._EtaDefiningFunction(a)(ys), want).max() <= 8
 
 
 def test_eta_psi_is_finite_where_the_plain_bisection_overflows():
@@ -192,7 +218,8 @@ def test_eta_real_kernels_agree_with_the_complex_boundary(a):
         random_heights(), row_heights("eta1", 1024).ravel(), HUGE_T, -HUGE_T, [0.0, 1.3e154, 1e308],
     ])
     with np.errstate(all="ignore"):
-        want = battery._eta_boundary(ts, a)
+        # the boundary curve eta(i t) = i t - (log(3 + i t))^a, in complex arithmetic
+        want = 1j * ts - np.exp(a * np.log(np.log(1j * ts + 3.0)))
         im, slope = battery._eta_im(ts, a)
         # d/dt Im eta(i t) = 1 - Im a L^(a-1) i/w, w = 3 + i t, L = log w
         w = 1j * ts + 3.0
@@ -274,7 +301,7 @@ def gap_test_heights(carrier):
 
 def test_gap_evaluator_matches_the_full_array_descent_bit_for_bit():
     carrier = battery_entry("oscillation_cantor").psi.pieces[0].carrier
-    ev = battery.gap_oscillation_evaluator(carrier)
+    ev = battery._GapOscillation(carrier)
     ref = full_array_gap_descent(carrier)
     for name in ("comb", "oscillation_cantor"):
         n = battery_entry(name).resolution
@@ -293,9 +320,10 @@ def test_gap_evaluator_matches_the_full_array_descent_bit_for_bit():
     assert same_bits(np.array([ref(float(ys[i])) for i in picks]), got[picks])
 
 
-def written_out_log_power(s, t, a):
+def written_out_log_power(s, t, a, part=None):
     """log(s + i t) and its principal a-th power, one ufunc call at a time,
-    with a fresh array for every step."""
+    with a fresh array for every step; ``part`` is ignored, and every part
+    is computed."""
     l = np.log(np.hypot(s, t))
     phi = np.arctan2(t, s)
     if a == 1.0:
@@ -391,9 +419,15 @@ def test_eta_raster_rows_invert_only_their_edges(monkeypatch):
     assert sampled == []
 
 
-def test_eta_rows_with_a_failed_edge_are_sampled():
-    # |y| >= 1e307 fails the bracket check, so the rows touching it are
-    # sampled, and the others keep their edge-root bounds
+def test_eta_rows_with_a_failed_edge_are_sampled(monkeypatch):
+    # an edge whose root fails the bracket check leaves both rows touching
+    # it to sampling, and the others keep their edge-root bounds
+    def root(y, a):
+        t, checked = eta_root(y, a)
+        return t, checked & (y != 2e307)
+
+    eta_root = battery._eta_root
+    monkeypatch.setattr(battery, "_eta_root", root)
     psi = battery.eta_domain_psi(1.0)
     ev = psi.pieces[0].evaluator
     edges = np.array([-1.0, 1e306, 2e307, 4e307])
@@ -472,7 +506,7 @@ def test_gap_row_range_allows_for_rounding_on_flat_rows():
     # on a carrier across 0, ghi - y and y - glo round, so on rows a few
     # ulps high u's rounding is not monotone: without the widening 169 of
     # these 20,000 rows have a sample beyond the bounds
-    ev = battery.gap_oscillation_evaluator(CantorSet(-1.0, 1.0, 0.25))
+    ev = battery._GapOscillation(CantorSet(-1.0, 1.0, 0.25))
     rng = np.random.default_rng(29)
     gaps = np.array(ev.carrier.gaps(4))[rng.integers(0, 15, 20_000)]
     lo = gaps[:, 0] + (gaps[:, 1] - gaps[:, 0]) * rng.uniform(0.0, 1.0, 20_000)

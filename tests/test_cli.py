@@ -216,6 +216,13 @@ def test_freq_answers_an_overflowing_p_lam_without_a_warning():
     assert summary["counts"] == {"member": 0, "non_member": 0, "inconclusive": 1}
 
 
+def test_freq_answers_overflowing_node_products_without_a_warning():
+    # p * lam = -1e308 is finite, but its products with Re T overflow
+    r = run_cli("freq", "--domain", "halfplane", "--p", "1", "--grid=-1e308,-1e308,0,0", "--grid-n", "2")
+    assert r.returncode == 0 and r.stderr == ""
+    assert "-1e+308,0.0,member" in r.stdout
+
+
 def test_freq_unknown_domain_exits_without_traceback():
     r = run_cli("freq", "--domain", "foo")
     assert r.returncode == 2

@@ -284,6 +284,24 @@ def test_an_overflowing_p_lam_is_inconclusive_before_any_level(domains, lam, p):
         assert "overflows" in res.certificate
 
 
+# p * lam is finite, but its products with the nodes overflow; the statuses
+# are those the oracle gave before it silenced the overflow
+OVERFLOWING_PRODUCTS = {
+    -1e308: {"hp": MEMBER, "strip": INCONCLUSIVE, "eta": NON_MEMBER},
+    complex(-1e308, 1.0): {"hp": MEMBER, "strip": INCONCLUSIVE, "eta": NON_MEMBER},
+    complex(-1.0, 1e308): {"hp": INCONCLUSIVE, "strip": NON_MEMBER, "eta": INCONCLUSIVE},
+}
+
+
+@pytest.mark.parametrize("lam", list(OVERFLOWING_PRODUCTS))
+def test_overflowing_node_products_keep_their_answer_without_a_warning(domains, lam):
+    for key, status in OVERFLOWING_PRODUCTS[lam].items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hardy_membership(lam, domains[key], 1.0)
+        assert res.status == status, key
+
+
 def test_both_routes_share_one_input_check(domains, monkeypatch):
     class Refused(Exception):
         pass
