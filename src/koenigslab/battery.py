@@ -496,7 +496,9 @@ class _EtaDefiningFunction(Evaluator):
         one ``_eta_root`` per distinct edge: n + 1 roots for n adjacent
         rows.  A row with an edge whose root fails the check (a NaN or
         infinite edge, or a Newton run that does not converge) gets NaN,
-        and the caller samples it instead.
+        and the caller samples it instead.  So does the inf of a row whose
+        far end t + m or t - m overflows, as at an edge of +-DBL_MAX: psi
+        there is -inf, whose spacing is NaN.
 
         Each edge root t is widened by its bracket margin m, so the roots
         of the row's heights lie in T = [t(lo) - m(lo), t(hi) + m(hi)]: the
@@ -518,14 +520,14 @@ class _EtaDefiningFunction(Evaluator):
         n = lo.size
         ys, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
         t, checked = _eta_root(ys, self.a)
-        m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
-        t_lo, t_hi = (t - m)[at[:n]], (t + m)[at[n:]]
-        near = np.minimum(np.maximum(t_lo, 0.0), t_hi)
-        far = np.where(-t_lo > t_hi, t_lo, t_hi)
         with np.errstate(all="ignore"):
+            m = _ETA_MARGIN * np.maximum(1.0, np.abs(t))
+            t_lo, t_hi = (t - m)[at[:n]], (t + m)[at[n:]]
+            near = np.minimum(np.maximum(t_lo, 0.0), t_hi)
+            far = np.where(-t_lo > t_hi, t_lo, t_hi)
             vals = _eta_re(np.concatenate((near, far)), self.a)
-        widen = _ETA_ROW_ULPS * np.spacing(np.abs(vals))
-        sup, inf = vals[:n] + widen[:n], vals[n:] - widen[n:]
+            widen = _ETA_ROW_ULPS * np.spacing(np.abs(vals))
+            sup, inf = vals[:n] + widen[:n], vals[n:] - widen[n:]
         failed = ~(checked[at[:n]] & checked[at[n:]])
         sup[failed] = inf[failed] = np.nan
         return sup, inf

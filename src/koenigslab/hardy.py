@@ -71,8 +71,6 @@ _LOG_DIV = math.log(1e12)
 _CAUCHY_TOL = 1e-6
 _DECAY_RATIO = 0.98
 _GROWTH_RATIO = 1.02
-# log of the largest float: exp overflows above it
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -491,30 +489,26 @@ def _level_log_mean(level, reflection, a, b):
 def _trend_verdict(logs):
     """The trend rules on the last levels' means.  A log mean beyond the
     floats' range (an overflowing lam gives +inf) makes its increments
-    inf or NaN, which no rule certifies; only then do the rules run
-    under ``np.errstate``, with the same outcome and no warning."""
-    if max(logs) < _LOG_MAX:
-        return _trend_rules(np.exp(logs))
+    inf or NaN, which no rule certifies; the rules run under
+    ``np.errstate`` so that such a mean keeps its outcome without a
+    warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trend_rules(np.exp(logs))
-
-
-def _trend_rules(vals):
-    k = min(9, len(vals))
-    tail = vals[-k:]
-    scale = max(float(tail[-1]), 1e-300)
-    d = np.diff(tail)
-    if np.all(np.abs(d[-4:]) < 1e-9 * scale):
-        return MEMBER, "means stabilized at the noise floor"
-    if np.any(d <= 0):
-        return INCONCLUSIVE, "non-monotone increments (quadrature noise)"
-    ratios = d[1:] / d[:-1]
-    last = ratios[-3:]
-    if np.all(last <= _DECAY_RATIO):
-        return MEMBER, "increments decay geometrically; bounded extrapolation"
-    if np.all(last >= _GROWTH_RATIO):
-        return NON_MEMBER, "increments grow geometrically; divergence trend"
-    return INCONCLUSIVE, "increment ratio too close to 1 to certify"
+        vals = np.exp(np.asarray(logs, dtype=float))
+        k = min(9, len(vals))
+        tail = vals[-k:]
+        scale = max(float(tail[-1]), 1e-300)
+        d = np.diff(tail)
+        if np.all(np.abs(d[-4:]) < 1e-9 * scale):
+            return MEMBER, "means stabilized at the noise floor"
+        if np.any(d <= 0):
+            return INCONCLUSIVE, "non-monotone increments (quadrature noise)"
+        ratios = d[1:] / d[:-1]
+        last = ratios[-3:]
+        if np.all(last <= _DECAY_RATIO):
+            return MEMBER, "increments decay geometrically; bounded extrapolation"
+        if np.all(last >= _GROWTH_RATIO):
+            return NON_MEMBER, "increments grow geometrically; divergence trend"
+        return INCONCLUSIVE, "increment ratio too close to 1 to certify"
 
 
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:

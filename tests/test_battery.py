@@ -441,6 +441,26 @@ def test_eta_rows_with_a_failed_edge_are_sampled(monkeypatch):
     assert same_bits(prof.m, np.concatenate(([inf[0]], want_m)))
 
 
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_eta_rows_whose_far_end_overflows_are_sampled(a):
+    # an edge at +-DBL_MAX passes its check, but t + m overflows, so the
+    # row's inf is NaN and the row is sampled, without a warning
+    big = np.finfo(float).max
+    psi = battery.eta_domain_psi(a)
+    ev = psi.pieces[0].evaluator
+    lo, hi = np.array([-big, 1e307, 1e308]), np.array([-1e308, 1e308, big])
+    t, checked = battery._eta_root(np.array([-big, big]), a)
+    assert checked.all()
+    sup, inf = ev.row_range(lo, hi)
+    assert np.isfinite(sup).all() and np.isfinite(inf[1])
+    assert np.isnan(inf[[0, 2]]).all()
+    edges = np.array([1e307, 1e308, big])
+    prof = psi.row_profiles(edges)
+    want_M, want_m = domain._row_samples(ev, edges[1:-1], edges[2:])
+    assert same_bits(prof.M, np.concatenate(([sup[1]], want_M)))
+    assert same_bits(prof.m, np.concatenate(([inf[1]], want_m)))
+
+
 def test_translated_eta_keeps_its_edge_root_bounds(monkeypatch):
     # dyadic edges and shifts, so that (y + dy) - dy is y exactly
     psi = battery.eta_domain_psi(0.5)
