@@ -680,8 +680,10 @@ def full_battery():
 
 
 def battery_entry(name):
+    """The entry called ``name``, built alone: each builder is the entry's
+    name followed by ``_domain``."""
     for b in BATTERY_BUILDERS:
-        e = b()
-        if e.name == name:
-            return e
-    raise KeyError(name)
+        if b.__name__ == f"{name}_domain":
+            return b()
+    known = ", ".join(b.__name__.removesuffix("_domain") for b in BATTERY_BUILDERS)
+    raise ValueError(f"unknown battery entry {name!r}; known entries: {known}")

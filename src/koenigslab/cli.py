@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -193,7 +194,7 @@ def cmd_freq(args):
             for s in ("member", "non_member", "inconclusive")
         },
     }
-    csv_path = args.csv or (args.out.rsplit(".", 1)[0] + ".csv" if args.out else None)
+    csv_path = args.csv or (os.path.splitext(args.out)[0] + ".csv" if args.out else None)
     _write_csv(["re_lambda", "im_lambda", "status"], rows, csv_path, out)
     _emit(out, args.out)
     return 0

@@ -44,9 +44,11 @@ the same float angle; forming T from complex u would lose up to ~2*10^4
 ulps to the cancellation in 1 - u near theta = 0.  The oracle and
 ``approx.least_squares_fit`` both read these nodes.  The node cache keeps
 one record per upper half, keyed by the domain itself: the read-only
-Re T with its minimum and maximum, and Im T with its largest modulus
-once a query reads it.  A real lam on a domain with reflection +1 reads Re T alone, so the deep
-real-axis queries never build Im T.
+Re T with its minimum and maximum, and Im T once a query reads it.  A
+real lam on a domain with reflection +1 reads Re T alone, so the deep
+real-axis queries never build Im T.  Each query runs its levels and the
+trend rules under one ``np.errstate``, so a lam whose node products
+overflow keeps its +inf means without a warning.
 """
 
 from __future__ import annotations
@@ -400,8 +402,7 @@ def _read_only(a):
 
 class _Level:
     """The nodes of one upper half circle: the read-only Re T with its
-    minimum and maximum, and the read-only Im T with its largest modulus,
-    built on their first read."""
+    minimum and maximum, and the read-only Im T, built on its first read."""
 
     def __init__(self, dom, j, n):
         self._at = (dom, j, n)
@@ -412,10 +413,6 @@ class _Level:
     def im(self):
         dom, j, n = self._at
         return _read_only(dom.im_map(*_cayley_point(j, n)))
-
-    @functools.cached_property
-    def im_abs_max(self):
-        return max(-float(self.im.min()), float(self.im.max()))
 
 
 def _level(dom, j, n):
@@ -449,31 +446,19 @@ def _log_mean(dom, lam, p, j, n):
     maximum is then a max(x) for a > 0 and a min(x) for a < 0: rounding a
     product by a fixed a is monotone, so this is max(a x) bit for bit.
 
-    By the same monotonicity every exponent L and every L - Lmax is at
-    most 2 (|a| max|x| + |b| max|y|) in modulus.  Where that bound is a
-    finite float no product, sum or difference here overflows, and the
-    mean runs without ``np.errstate``, whose entry costs about a
-    microsecond per level; only a lam that overflows them runs under it,
-    with the same infinities and no warning."""
+    A lam whose products with the nodes overflow may give +inf; the
+    caller's ``np.errstate`` keeps numpy from warning of it."""
     a, b = p * lam.real, p * lam.imag
     level = _level(dom, j, n)
-    bound = abs(a) * max(-level.re_min, level.re_max)
-    if b:
-        bound += abs(b) * level.im_abs_max
-    if math.isfinite(2.0 * bound):
-        return _level_log_mean(level, dom.reflection, a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _level_log_mean(level, dom.reflection, a, b)
-
-
-def _level_log_mean(level, reflection, a, b):
-    if reflection > 0 and b == 0:
+    if dom.reflection > 0 and b == 0:
         Lmax = a * (level.re_max if a > 0 else level.re_min)
         halves = (a * level.re,)
     else:
-        ax, by = a * level.re, b * level.im
+        # Im T before a x: a level's first complex read then builds Im T
+        # without a product array held beside its temporaries
+        by, ax = b * level.im, a * level.re
         mirrored = ax + by
-        if reflection < 0:
+        if dom.reflection < 0:
             np.negative(mirrored, out=mirrored)
         halves = (np.subtract(ax, by, out=ax), mirrored)
         Lmax = float(np.max([L.max() for L in halves]))
@@ -489,26 +474,24 @@ def _level_log_mean(level, reflection, a, b):
 def _trend_verdict(logs):
     """The trend rules on the last levels' means.  A log mean beyond the
     floats' range (an overflowing lam gives +inf) makes its increments
-    inf or NaN, which no rule certifies; the rules run under
-    ``np.errstate`` so that such a mean keeps its outcome without a
-    warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.exp(np.asarray(logs, dtype=float))
-        k = min(9, len(vals))
-        tail = vals[-k:]
-        scale = max(float(tail[-1]), 1e-300)
-        d = np.diff(tail)
-        if np.all(np.abs(d[-4:]) < 1e-9 * scale):
-            return MEMBER, "means stabilized at the noise floor"
-        if np.any(d <= 0):
-            return INCONCLUSIVE, "non-monotone increments (quadrature noise)"
-        ratios = d[1:] / d[:-1]
-        last = ratios[-3:]
-        if np.all(last <= _DECAY_RATIO):
-            return MEMBER, "increments decay geometrically; bounded extrapolation"
-        if np.all(last >= _GROWTH_RATIO):
-            return NON_MEMBER, "increments grow geometrically; divergence trend"
-        return INCONCLUSIVE, "increment ratio too close to 1 to certify"
+    inf or NaN, which no rule certifies; the caller's ``np.errstate``
+    keeps such a mean's outcome without a warning."""
+    vals = np.exp(np.asarray(logs, dtype=float))
+    k = min(9, len(vals))
+    tail = vals[-k:]
+    scale = max(float(tail[-1]), 1e-300)
+    d = np.diff(tail)
+    if np.all(np.abs(d[-4:]) < 1e-9 * scale):
+        return MEMBER, "means stabilized at the noise floor"
+    if np.any(d <= 0):
+        return INCONCLUSIVE, "non-monotone increments (quadrature noise)"
+    ratios = d[1:] / d[:-1]
+    last = ratios[-3:]
+    if np.all(last <= _DECAY_RATIO):
+        return MEMBER, "increments decay geometrically; bounded extrapolation"
+    if np.all(last >= _GROWTH_RATIO):
+        return NON_MEMBER, "increments grow geometrically; divergence trend"
+    return INCONCLUSIVE, "increment ratio too close to 1 to certify"
 
 
 def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
@@ -524,19 +507,20 @@ def hardy_membership(lam, dom: CanonicalDomain, p=2.0) -> MembershipResult:
         )
     logs = []
     status = cert = None
-    for j, _, n in dom.plan.levels():
-        logs.append(_log_mean(dom, lam, p, j, n))
-        if len(logs) >= 4:
-            tail = logs[-4:]
-            if tail[-1] > _LOG_DIV and all(b > a for a, b in zip(tail, tail[1:])):
-                status, cert = NON_MEMBER, "means exceed the divergence threshold"
-                break
-            deltas = [abs(b - a) for a, b in zip(logs[-4:-1], logs[-3:])]
-            if all(d < _CAUCHY_TOL for d in deltas):
-                status, cert = MEMBER, "relative Cauchy differences below tolerance"
-                break
-    if status is None and len(logs) >= 6:
-        status, cert = _trend_verdict(logs)
-    elif status is None:  # a user-built plan can end before six levels
-        status, cert = INCONCLUSIVE, "the plan ended before any certificate"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, _, n in dom.plan.levels():
+            logs.append(_log_mean(dom, lam, p, j, n))
+            if len(logs) >= 4:
+                tail = logs[-4:]
+                if tail[-1] > _LOG_DIV and all(b > a for a, b in zip(tail, tail[1:])):
+                    status, cert = NON_MEMBER, "means exceed the divergence threshold"
+                    break
+                deltas = [abs(b - a) for a, b in zip(logs[-4:-1], logs[-3:])]
+                if all(d < _CAUCHY_TOL for d in deltas):
+                    status, cert = MEMBER, "relative Cauchy differences below tolerance"
+                    break
+        if status is None and len(logs) >= 6:
+            status, cert = _trend_verdict(logs)
+        elif status is None:  # a user-built plan can end before six levels
+            status, cert = INCONCLUSIVE, "the plan ended before any certificate"
     return MembershipResult(status, lam, p, cert, logs, len(logs))

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -129,6 +130,34 @@ def test_eta_evaluator_rejects_an_exponent_outside_0_1_when_built(a):
 )
 def test_deleted_battery_names_stay_deleted(name):
     assert not hasattr(battery, name)
+
+
+def test_each_entry_is_named_after_its_builder():
+    names = [b.__name__.removesuffix("_domain") for b in battery.BATTERY_BUILDERS]
+    assert len(names) == 17
+    assert [b().name for b in battery.BATTERY_BUILDERS] == names
+    assert [battery_entry(name).name for name in names] == names
+
+
+def test_battery_entry_builds_only_the_named_entry(monkeypatch):
+    built = []
+
+    def logged(builder):
+        @functools.wraps(builder)
+        def build():
+            built.append(builder.__name__)
+            return builder()
+
+        return build
+
+    monkeypatch.setattr(battery, "BATTERY_BUILDERS", tuple(map(logged, battery.BATTERY_BUILDERS)))
+    assert battery_entry("vee").name == "vee"
+    assert built == ["vee_domain"]
+
+
+def test_an_unknown_battery_entry_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown battery entry 'nosuch'; known entries: strip, half_plane"):
+        battery_entry("nosuch")
 
 
 @pytest.mark.filterwarnings("error")

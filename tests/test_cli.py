@@ -223,6 +223,26 @@ def test_freq_answers_overflowing_node_products_without_a_warning():
     assert "-1e+308,0.0,member" in r.stdout
 
 
+def test_freq_writes_its_csv_beside_an_output_in_a_dotted_directory(tmp_path, monkeypatch):
+    out_dir = tmp_path / "run.d"
+    out_dir.mkdir()
+    monkeypatch.chdir(tmp_path)
+    r = run_cli("freq", "--domain", "halfplane", "--grid=-1,0,0,0", "--grid-n", "2", "--out", "run.d/result")
+    assert r.returncode == 0
+    assert json.loads((out_dir / "result").read_text())["csv"] == "run.d/result.csv"
+    assert (out_dir / "result.csv").read_text().startswith("re_lambda,im_lambda,status")
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args", [("decide", "battery:nosuch"), ("classify", "battery:nosuch"), ("freq", "--domain", "battery:nosuch")]
+)
+def test_an_unknown_battery_entry_exits_2_naming_the_known_ones(args):
+    r = run_cli(*args)
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error:") and "'nosuch'" in r.stderr and "vee" in r.stderr
+
+
 def test_freq_unknown_domain_exits_without_traceback():
     r = run_cli("freq", "--domain", "foo")
     assert r.returncode == 2

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -300,6 +301,34 @@ def test_overflowing_node_products_keep_their_answer_without_a_warning(domains, 
             warnings.simplefilter("error")
             res = hardy_membership(lam, domains[key], 1.0)
         assert res.status == status, key
+
+
+# (lam, domain, p, status, levels used): certified at the fourth level, a
+# deep real query that ends in the trend rules, and products that overflow
+ONE_SCOPE_QUERIES = [
+    (0.5, "hp", 2.0, NON_MEMBER, 4),
+    (-0.75, "eta", 1.0, MEMBER, 20),
+    (-1e308, "hp", 1.0, MEMBER, 13),
+]
+
+
+@pytest.mark.parametrize("lam, key, p, status, levels", ONE_SCOPE_QUERIES)
+def test_a_query_enters_np_errstate_once(domains, monkeypatch, lam, key, p, status, levels):
+    entered = []
+    errstate = np.errstate
+
+    @contextlib.contextmanager
+    def counting(**kwargs):
+        entered.append(kwargs)
+        with errstate(**kwargs):
+            yield
+
+    monkeypatch.setattr(np, "errstate", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = hardy_membership(lam, domains[key], p)
+    assert (res.status, res.levels_used) == (status, levels)
+    assert len(entered) == 1
 
 
 def test_both_routes_share_one_input_check(domains, monkeypatch):
