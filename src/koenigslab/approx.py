@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hardy import CanonicalDomain, circle_nodes
+from .hardy import CanonicalDomain, _two_lanes, circle_nodes
 
 STRIP_HALF_WIDTH = math.pi / 2.0
 _U = 2.0**-53  # unit roundoff of a double
@@ -385,11 +385,21 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     edge tiles of a block kernel sum in another order).  A prefix list is
     copied too, not read as the view ``A[:, :m]``: the view saved no
     measurable time and raised the peak RSS of a run of the four approx
-    demos by up to 15 MB, with numpy's traced peak unchanged.
+    demos by up to 15 MB (+7 % in a benchmark pair), with numpy's traced
+    peak unchanged.
 
     When every frequency is real and ``dom.reflection`` is +1, the lower
     half of the circle is the conjugate mirror of the upper half, and so
     is e^{lam z}: only the upper half is exponentiated (``_design``).
+
+    The design matrix and each fit's conjugate copy are built on two lanes
+    of rows (``hardy._two_lanes``), each lane writing its own rows of one
+    preallocated array through the ufuncs one lane would run, so both keep
+    their bits.  The conjugate copy is a fresh C-ordered array whose
+    transpose enters the Gram product, so BLAS sees the layout of
+    ``A.conj().T``.  Lanes write into one preallocated array rather than
+    joining two with ``np.concatenate``, which holds both halves and the
+    whole at once.
     """
     if not (n_nodes > 0 and n_nodes % 2 == 0):
         # the lower half circle is the mirror of the upper one
@@ -426,19 +436,25 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
 
 
 def _design(z, freqs, mirrored):
-    """e^{lam_k z_j}, exponentiated in place.  With ``mirrored`` the lower
-    half of z is conj(z[h-1::-1]) and every lam is real, so the lower half
-    of the matrix is the conjugate of the upper half in reverse: e^{lam
+    """e^{lam_k z_j}, built on two lanes of rows (``hardy._two_lanes``):
+    each lane forms and exponentiates its own rows of one preallocated
+    matrix, in place.  With ``mirrored`` the lower half of z is
+    conj(z[h-1::-1]) and every lam is real, so the lanes build the upper
+    half and the lower half is then the conjugate of it in reverse: e^{lam
     conj z} = conj e^{lam z}, with the same bits, as lam conj z is the
     conjugate of lam z exactly and exp(x)(cos y, sin y) is odd in y.  The
     one exception is the sign of a zero imaginary part, at lam = 0."""
-    A = np.multiply.outer(z, np.asarray(freqs))
-    if not mirrored:
-        np.exp(A, out=A)
-        return A
-    h = len(z) // 2
-    np.exp(A[:h], out=A[:h])
-    np.conjugate(A[h - 1 :: -1], out=A[h:])
+    freqs = np.asarray(freqs)
+    A = np.empty((len(z), len(freqs)), dtype=np.result_type(z, freqs))
+    h = len(z) // 2 if mirrored else len(z)
+
+    def lane(rows):
+        np.multiply.outer(z[rows], freqs, out=A[rows])
+        np.exp(A[rows], out=A[rows])
+
+    _two_lanes(lane, h, len(freqs))
+    if mirrored:
+        np.conjugate(A[h - 1 :: -1], out=A[h:])
     return A
 
 
@@ -448,7 +464,9 @@ def _rms_error(A, coef, b):
 
 def _fit_one(A, b, freqs, refined, mirrored) -> FitResult:
     n_nodes = len(b)
-    Ah = A.conj().T
+    Ah = np.empty_like(A)
+    _two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), *A.shape)
+    Ah = Ah.T
     G = (Ah @ A) / n_nodes
     rhs = (Ah @ b) / n_nodes
     del Ah

@@ -263,6 +263,18 @@ def _svg_convergence(rows, path):
         fh.write(svg)
 
 
+def _check_design_fits(budget, longest):
+    """Raise before any frequency list is built when the fit's design matrix,
+    2^14 nodes by the longest list in complex128, outgrows physical memory."""
+    need = 2**14 * longest * 16
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"--budget {budget} needs {need / 2**30:.1f} GiB for the fit's design matrix, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def cmd_approx(args):
     for name in ("budget", "n"):
         v = getattr(args, name)
@@ -285,6 +297,7 @@ def cmd_approx(args):
         target = lambda z: 1.0 / (z + 1.0) ** 2
         m = args.budget or 64
         budgets = (m, 2 * m, 4 * m)
+        _check_design_fits(m, budgets[-1])
         fits = least_squares_fit(
             target, dom, [[-k / 8 for k in range(1, mm + 1)] for mm in budgets]
         )
@@ -297,6 +310,7 @@ def cmd_approx(args):
         target = lambda z: 1.0 / (z + 5.0)
         m = args.budget or 32
         budgets = (m, 2 * m)
+        _check_design_fits(m, budgets[-1])
         fits = least_squares_fit(
             target, dom, [[-0.45 * k / mm for k in range(1, mm + 1)] for mm in budgets]
         )

@@ -49,6 +49,13 @@ real lam on a domain with reflection +1 reads Re T alone, so the deep
 real-axis queries never build Im T.  Each query runs its levels and the
 trend rules under one ``np.errstate``, so a lam whose node products
 overflow keeps its +inf means without a warning.
+
+A level of ``_LANE_MIN`` upper-half nodes or more is mapped on two lanes
+(``_two_lanes``): the upper half of its nodes on a short-lived thread,
+while numpy's loops run without the interpreter lock.  Each lane writes
+its slice of one preallocated array through the ufuncs one lane would
+run, so every node keeps its bits.  ``approx`` builds its design matrix
+the same way.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,9 +179,10 @@ class CanonicalDomain:
 
     T is given as two maps of the Cayley point w = (1 + u)/(1 - u), each
     taking (Re w, Im w) as two real arrays: ``re_map`` returns Re T and
-    ``im_map`` returns Im T.  Either may overwrite its arguments.
-    ``circle_nodes`` is their one caller, and a query that reads only
-    Re T never runs ``im_map``."""
+    ``im_map`` returns Im T.  Either may overwrite its arguments, and
+    both act element by element, so a level may map its nodes in two
+    slices on two lanes.  ``circle_nodes`` is their one caller, and a query
+    that reads only Re T never runs ``im_map``."""
 
     key: str
     re_map: Callable  # (Re w, Im w) -> Re T, w the Cayley point of u
@@ -375,15 +384,15 @@ def _half_circle_sines(n):
     return s, sn
 
 
-def _cayley_point(j, n):
-    """(Re w, Im w) at the upper half's nodes of |u| = r = 1 - 2^-j, as two
-    fresh arrays.
+def _cayley_point(j, s, sn):
+    """(Re w, Im w) at the nodes of |u| = r = 1 - 2^-j whose sines are
+    s = sin(theta/2) and sn = sin(theta), two slices of one
+    ``_half_circle_sines``, as two fresh arrays.
 
-    With h = 1 - r = 2^-j, s = sin(theta/2) and D = |1 - u|^2 = h^2 + 4 r s^2,
-    the Cayley point of u = r e^{i theta} is Re w = h (1 + r)/D and
+    With h = 1 - r = 2^-j and D = |1 - u|^2 = h^2 + 4 r s^2, the Cayley
+    point of u = r e^{i theta} is Re w = h (1 + r)/D and
     Im w = 2 r sin(theta)/D.  Every term of D is positive, so nothing
     cancels."""
-    s, sn = _half_circle_sines(n)
     h = 2.0 ** (-j)
     r = 1.0 - h
     d = np.multiply(s, s)
@@ -395,24 +404,81 @@ def _cayley_point(j, n):
     return x, y
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+# below this many elements ``_two_lanes`` runs one lane in place: starting
+# and joining a thread costs about 0.1-0.2 ms on a 2-core Xeon, and on the
+# oracle's levels two lanes gained from 2^15 nodes on
+_LANE_MIN = 2**15
+
+
+def _two_lanes(fn, n, width=1):
+    """fn(lane) on the two halves of range(n), n rows of ``width`` elements
+    each, each lane a slice of the rows: the lower half in the caller, the
+    upper half on a short-lived thread.  Below ``_LANE_MIN`` elements
+    fn(slice(0, n)) runs alone in place.
+
+    numpy's loops release the interpreter lock, so the two halves' ufunc
+    work runs on two cores, and each element goes through the ufunc that
+    one lane would run on it.  The thread takes the caller's numpy error
+    state (a new thread starts from numpy's defaults), so a lane inside
+    the caller's ``np.errstate`` warns as the caller would, and an
+    exception raised on it is raised again here.  No pool: a thread that
+    outlives the call is unsafe across ``fork``, and importing
+    ``concurrent.futures`` costs about 4.5 ms."""
+    if n * width < _LANE_MIN:
+        fn(slice(0, n))
+        return
+    mid = n // 2
+    errstate = np.geterr()
+    raised = []
+
+    def upper():
+        # numpy's error state is local to a thread, and this one ends here
+        np.seterr(**errstate)
+        try:
+            fn(slice(mid, n))
+        except BaseException as exc:  # raised again in the caller
+            raised.append(exc)
+
+    thread = threading.Thread(target=upper)
+    thread.start()
+    try:
+        fn(slice(0, mid))
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+
+
+def _mapped(map_, j, n):
+    """map_ (``re_map`` or ``im_map``) at the Cayley points of the upper
+    half's n/2 nodes on level j, a read-only array built on two lanes: each
+    lane forms its slice of the Cayley point and writes its slice of the
+    map into one preallocated array."""
+    s, sn = _half_circle_sines(n)
+    out = np.empty(n // 2)
+
+    def lane(sl):
+        out[sl] = map_(*_cayley_point(j, s[sl], sn[sl]))
+
+    _two_lanes(lane, n // 2)
+    out.flags.writeable = False
+    return out
 
 
 class _Level:
     """The nodes of one upper half circle: the read-only Re T with its
-    minimum and maximum, and the read-only Im T, built on its first read."""
+    minimum and maximum, and the read-only Im T, built on its first read.
+    Both are built by ``_mapped``, on two lanes from ``_LANE_MIN`` nodes on."""
 
     def __init__(self, dom, j, n):
         self._at = (dom, j, n)
-        self.re = _read_only(dom.re_map(*_cayley_point(j, n)))
+        self.re = _mapped(dom.re_map, j, n)
         self.re_min, self.re_max = float(self.re.min()), float(self.re.max())
 
     @functools.cached_property
     def im(self):
         dom, j, n = self._at
-        return _read_only(dom.im_map(*_cayley_point(j, n)))
+        return _mapped(dom.im_map, j, n)
 
 
 def _level(dom, j, n):

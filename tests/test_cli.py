@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import koenigslab
+import koenigslab.cli
 from koenigslab.battery import battery_entry
 from koenigslab.specio import save_psi
 
@@ -113,6 +114,23 @@ def test_approx_strip_csv_and_svg(tmp_path):
     rows = csvp.read_text().strip().splitlines()[1:]
     errs = [float(line.split(",")[1]) for line in rows]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_approx_budget_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    # 2^14 nodes by 4 * 100000 frequencies of 16 bytes against 8 GiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert koenigslab.cli.main(["approx", "--demo", "halfplane", "--budget", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --budget 100000 needs 97.7 GiB")
+    assert "8.0 GiB of physical memory" in err
+
+
+def test_approx_budget_is_sized_before_its_lists_are_built():
+    # 2 * 10^8 frequencies: the lists alone would take minutes to build
+    r = run_cli("approx", "--demo", "eta", "--budget", "100000000")
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: --budget 100000000 needs 48828.1 GiB")
 
 
 def test_approx_logdomain_univalence(tmp_path):

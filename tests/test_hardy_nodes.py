@@ -167,23 +167,33 @@ def test_cached_nodes_are_read_only(dom):
 @pytest.mark.parametrize(
     "dom", [half_plane_right(), strip_width_pi(), eta_domain(1.0)], ids=lambda d: d.key
 )
-def test_im_t_is_built_once_per_level_and_only_when_read(dom):
-    # a twin whose im_map logs each level it builds; being another domain,
-    # it has nodes of its own in the cache
-    built = []
+def test_im_t_is_built_once_per_level_and_only_when_read(dom, monkeypatch):
+    # a twin whose im_map logs the nodes it maps; being another domain, it
+    # has nodes of its own in the cache.  A level's Im T may be mapped on
+    # two lanes, so each build is logged by level where ``_mapped`` runs it
+    mapped, built = [], []
 
     def im_map(x, y):
-        built.append(x.size)
+        mapped.append(x.size)
         return dom.im_map(x, y)
 
+    def logged_build(map_, j, n):
+        if map_ is im_map:
+            built.append((j, n))
+        return build(map_, j, n)
+
+    build = hardy._mapped
+    monkeypatch.setattr(hardy, "_mapped", logged_build)
     twin = dataclasses.replace(dom, im_map=im_map)
     hardy._node_cache.clear()
     real = [hardy_membership(lam, twin, p) for lam in (-0.75, -0.3, 0.3) for p in (1.0, 2.0)]
-    assert built == []
+    assert built == [] and mapped == []
     assert max(res.levels_used for res in real) == len(list(dom.plan.levels()))
     complex_means = [hardy_membership(-0.3 + 0.35j, twin, p).log_means for p in (2.0, 2.0, 1.0)]
     visited = max(map(len, complex_means))
-    assert built == [n // 2 for _, _, n in itertools.islice(dom.plan.levels(), visited)]
+    levels = [(j, n) for j, _, n in itertools.islice(dom.plan.levels(), visited)]
+    assert built == levels
+    assert sum(mapped) == sum(n // 2 for _, n in levels)
     # the twin's answers are the domain's own, bit for bit
     hardy._node_cache.clear()
     assert [r.log_means for r in real] == [
