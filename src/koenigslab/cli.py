@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 
 import numpy as np
@@ -202,6 +203,9 @@ def cmd_freq(args):
 
 def cmd_oracle(args):
     psi = _load(args.spec)
+    if args.pgm:
+        # two n-by-n masks, the image and its byte copy
+        _check_memory(f"--resolution {args.resolution}", 4 * args.resolution**2, "the PGM image")
     try:
         grid = rasterize(psi, args.window, args.resolution)
         ic, details = int_closure_equals_domain(grid)
@@ -263,23 +267,26 @@ def _svg_convergence(rows, path):
         fh.write(svg)
 
 
-def _check_design_fits(budget, longest):
-    """Raise before any frequency list is built when the fit's design matrix,
-    2^14 nodes by the longest list in complex128, outgrows physical memory."""
-    need = 2**14 * longest * 16
+def _check_memory(flag, need, what):
+    """Raise before the work starts when ``need`` bytes for ``what``, sized
+    by ``flag``, outgrow physical memory or the process's address-space
+    limit (``ulimit -v``)."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    where = f"{have / 2**30:.1f} GiB of physical memory"
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and limit < have:
+        have, where = limit, f"{limit / 2**30:.1f} GiB address-space limit"
     if need > have:
-        raise ValueError(
-            f"--budget {budget} needs {need / 2**30:.1f} GiB for the fit's design matrix, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+        raise ValueError(f"{flag} needs {need / 2**30:.1f} GiB for {what}, more than the {where}")
+
+
+def _check_design_fits(budget, longest):
+    """The fit's design matrix: 2^14 nodes by the longest frequency list, in
+    complex128, sized before any list is built."""
+    _check_memory(f"--budget {budget}", 2**14 * longest * 16, "the fit's design matrix")
 
 
 def cmd_approx(args):
-    for name in ("budget", "n"):
-        v = getattr(args, name)
-        if v is not None and v <= 0:
-            raise ValueError(f"--{name} must be positive")
     rows = []
     out = {"demo": args.demo}
     if args.demo == "strip":
@@ -389,8 +396,8 @@ def build_parser():
 
     p = sub.add_parser("approx", help="constructive approximation demos")
     p.add_argument("--demo", required=True, choices=["halfplane", "strip", "logdomain", "eta"])
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--csv")
     p.add_argument("--svg")
     p.add_argument("--out")

@@ -9,28 +9,30 @@ Grammar (precedence low to high)::
 
 Supported functions: log, exp, sin, cos, abs, sqrt.  ``**`` is accepted as
 an alias for ``^``.  As in Python, ``-a^b`` is ``-(a^b)`` and ``a^-b`` is
-``a^(-b)``.  Compiled expressions evaluate on scalars or numpy arrays;
+``a^(-b)``.  Parsed expressions evaluate on scalars or numpy arrays;
 non-finite results raise :class:`EvaluatorError` unless the caller opts
 out.
 
-Compiling folds every y-free subformula once, through the ufunc a call
-would apply, on one-element arrays and with floating-point warnings off
-(``log(0)`` folds to -inf and a call still reports it).  In ``+ - * /``
-and the functions, the folded value then meets the array of heights as a
-scalar, which changes no bit.  ``^`` is never folded and keeps both
-operands at full size, so numpy's ``power`` never takes the sqrt, square
-or reciprocal shortcut of a scalar exponent.  Every call, of one height
-or many, evaluates one flat array (``Evaluator.__call__``), so a height
-gets the same bits alone and in any array.
+A formula's one representation is a frozen tree.  A node is a float (a
+folded y-free subformula), the variable leaf ``"y"``, or a tuple
+``(ufunc, *operands)`` over ``np.add``, ``np.subtract``, ``np.multiply``,
+``np.divide``, ``np.negative``, ``np.power`` and the six functions.  The
+parser folds each y-free node once, through its ufunc on one-element
+arrays with floating-point warnings off (``log(0)`` folds to -inf and a
+call still reports it); ``^`` is never folded.  One interpreter,
+``_walk``, evaluates the tree.  A float operand meets the array of
+heights as a scalar, which changes no bit, except under ``^``, which gets
+both operands at full size, so numpy's ``power`` never takes the sqrt,
+square or reciprocal shortcut of a scalar exponent.  Every call, of one
+height or many, evaluates one flat array (``Evaluator.__call__``), so a
+height gets the same bits alone and in any array.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +86,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\*\*|[-+*/^()]))"
 )
 
-_FUNCS: dict[str, Callable] = {
+_FUNCS = {
     "log": np.log,
     "exp": np.exp,
     "sin": np.sin,
@@ -119,17 +121,23 @@ def _tokenize(text):
 
 @dataclass(frozen=True)
 class Expression(Evaluator):
-    """A compiled formula over ``y``.  Immutable and safe to share.
-
-    ``constant`` is the value of a y-free formula, None for any other.
+    """A parsed formula over ``y``: its text and its tree (module
+    docstring).  Immutable, safe to share and picklable; two
+    ``Expression``s are equal when their texts are, the tree being a
+    function of the text (a folded NaN would make two parses of one text
+    unequal by tree).
     """
 
     source: str
-    _fn: Callable
-    constant: Optional[float] = None
+    tree: object = field(compare=False)
+
+    @property
+    def constant(self):
+        """The value of a y-free formula, None for any other."""
+        return self.tree if type(self.tree) is float else None
 
     def values(self, ys):
-        return self._fn(ys)
+        return _walk(self.tree, ys)
 
     def row_range(self, lo, hi):
         """(c, c) on every row [lo, hi] for a y-free formula of value c;
@@ -141,34 +149,30 @@ class Expression(Evaluator):
         return f"Expression({self.source!r})"
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _apply(fn, a, b=None):
-    """The node fn(a) or fn(a, b).  A node is a float, the folded value of
-    a y-free subformula, or a function of y.  y-free operands are folded
-    once; otherwise a y-free operand meets the array as a scalar."""
-    if b is None:
-        return _fold(fn, a) if isinstance(a, float) else lambda y: fn(a(y))
-    if isinstance(a, float):
-        return _fold(fn, a, b) if isinstance(b, float) else lambda y: fn(a, b(y))
-    if isinstance(b, float):
-        return lambda y: fn(a(y), b)
-    return lambda y: fn(a(y), b(y))
+def _node(fn, *operands):
+    """The node fn(*operands), folded to a float when every operand is one:
+    fn on one-element arrays, the ufunc a call would apply, with
+    floating-point warnings off."""
+    if all(type(a) is float for a in operands):
+        with np.errstate(all="ignore"):
+            return float(fn(*(np.array([a]) for a in operands))[0])
+    return (fn, *operands)
 
 
-def _fold(fn, *values):
-    """fn on one-element arrays of the values, which calls the ufunc a call
-    would, with floating-point warnings off."""
-    with np.errstate(all="ignore"):
-        return float(fn(*(np.array([v]) for v in values))[0])
-
-
-def _materialized(node):
-    """An operand of ``^`` at full size: a y-free one as a full array."""
-    if isinstance(node, float):
-        return lambda y: np.full_like(y, node)
-    return node
+def _walk(node, ys):
+    """The float interpreter: the values of ``node`` at the flat array ys.
+    A float operand of ``^`` is a full array; of any other node, a scalar."""
+    if type(node) is not tuple:
+        return ys if type(node) is str else np.full_like(ys, node)
+    if len(node) == 2:  # a function or negation; its operand is never a float
+        return node[0](_walk(node[1], ys))
+    fn, a, b = node
+    if fn is np.power:
+        return fn(_walk(a, ys), _walk(b, ys))
+    return fn(a if type(a) is float else _walk(a, ys), b if type(b) is float else _walk(b, ys))
 
 
 class _Parser:
@@ -197,37 +201,29 @@ class _Parser:
             raise ExprSyntaxError("trailing input", pos)
         return node
 
+    def chain(self, ops, operand):
+        """operand (op operand)* for the binary ops in ``ops``, left to right."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = _node(_BINARY[self.next()[1]], node, operand())
+        return node
+
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = _apply(_BINARY[val], node, self.term())
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = _apply(_BINARY[val], node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
 
     def factor(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return _apply(operator.neg, self.factor())
+            return _node(np.negative, self.factor())
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            a, b = _materialized(base), _materialized(self.factor())
-            return lambda y: np.power(a(y), b(y))
+            return (np.power, base, self.factor())
         return base
 
     def atom(self):
@@ -236,14 +232,14 @@ class _Parser:
             return val
         if kind == "name":
             if val == "y":
-                return lambda y: y
+                return "y"
             if val in _CONSTS:
                 return _CONSTS[val]
             if val in _FUNCS:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return _apply(_FUNCS[val], inner)
+                return _node(_FUNCS[val], inner)
             raise ExprSyntaxError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -253,8 +249,5 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Expression:
-    """Compile ``text`` into an :class:`Expression` over the variable y."""
-    node = _Parser(text).parse()
-    if isinstance(node, float):
-        return Expression(text, lambda y: np.full_like(y, node), constant=node)
-    return Expression(text, node)
+    """Parse ``text`` into an :class:`Expression` over the variable y."""
+    return Expression(text, _Parser(text).parse())

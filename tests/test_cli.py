@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -124,6 +125,53 @@ def test_approx_budget_beyond_physical_memory_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: --budget 100000 needs 97.7 GiB")
     assert "8.0 GiB of physical memory" in err
+
+
+def oracle_pgm_exit(monkeypatch, capsys, tmp_path, resolution, address_space):
+    """Exit code and stderr of ``oracle --pgm`` on 8 GiB of physical memory
+    under the given address-space limit; rasterizing fails the test."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (address_space, resource.RLIM_INFINITY))
+    monkeypatch.setattr(koenigslab.cli, "rasterize", pytest.fail)
+    pgm = tmp_path / "x.pgm"
+    code = koenigslab.cli.main([
+        "oracle", "battery:strip", "--window=-4,4,-2.4,2.4",
+        "--resolution", str(resolution), "--pgm", str(pgm),
+    ])
+    out, err = capsys.readouterr()
+    assert out == "" and not pgm.exists()
+    return code, err
+
+
+def test_oracle_pgm_beyond_physical_memory_exits_2(monkeypatch, capsys, tmp_path):
+    # two masks, the image and its byte copy: 4 * 50000^2 bytes against 8 GiB
+    code, err = oracle_pgm_exit(monkeypatch, capsys, tmp_path, 50000, resource.RLIM_INFINITY)
+    assert code == 2
+    assert err == (
+        "error: --resolution 50000 needs 9.3 GiB for the PGM image, "
+        "more than the 8.0 GiB of physical memory\n"
+    )
+
+
+def test_oracle_pgm_beyond_the_address_space_limit_exits_2(monkeypatch, capsys, tmp_path):
+    # ulimit -v 2400000: the image once failed with a numpy traceback
+    code, err = oracle_pgm_exit(monkeypatch, capsys, tmp_path, 30000, 2400000 * 1024)
+    assert code == 2
+    assert err == (
+        "error: --resolution 30000 needs 3.4 GiB for the PGM image, "
+        "more than the 2.3 GiB address-space limit\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--n"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_approx_counts_must_be_positive(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        koenigslab.cli.main(["approx", "--demo", "eta", flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a positive integer, got '{value}'" in err
 
 
 def test_approx_budget_is_sized_before_its_lists_are_built():

@@ -358,17 +358,21 @@ def test_translation_shifts_values():
 def test_a_translated_expression_piece_samples_like_the_untranslated_one():
     # the translated piece once fell off the batch path: every sample was
     # evaluated alone, and a non-finite one turned into a failed sample
-    from koenigslab.expr import EvaluatorError, Expression
+    from koenigslab.expr import Evaluator, EvaluatorError
     from koenigslab.specio import psi_to_dict
 
+    class Counting(Evaluator):
+        """The parsed formula, recording the shape of each batch call."""
+
+        def __init__(self, source, calls):
+            self.parsed, self.calls = parse_expression(source), calls
+
+        def values(self, ys):
+            self.calls.append(np.shape(ys))
+            return self.parsed.values(ys)
+
     def one_piece(source, calls):
-        compiled = parse_expression(source)
-
-        def fn(y):
-            calls.append(np.shape(y))
-            return compiled._fn(y)
-
-        piece = FiniteAnalytic(span=(-1.0, 1.0), evaluator=Expression(source, fn))
+        piece = FiniteAnalytic(span=(-1.0, 1.0), evaluator=Counting(source, calls))
         return PiecewiseDefiningFunction(-1.0, 1.0, (piece,))
 
     calls = []

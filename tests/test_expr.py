@@ -1,10 +1,14 @@
 import math
+import pickle
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_batched_evaluation import render, trees
 
-from koenigslab.expr import EvaluatorError, ExprSyntaxError, parse_expression
+from koenigslab.battery import full_battery
+from koenigslab.expr import EvaluatorError, Expression, ExprSyntaxError, parse_expression
 
 
 def test_basic_arithmetic():
@@ -148,3 +152,106 @@ def test_a_power_keeps_both_operands_at_full_size():
     want = np.power(ys, np.full_like(ys, 0.5))
     for text in ("y^0.5", "y^(1/2)", "y**(2*0.25)"):
         assert parse_expression(text)(ys).tobytes() == want.tobytes()
+
+
+# -- the tree ---------------------------------------------------------------------
+
+BATTERY_FORMULAS = sorted({
+    v.source
+    for entry in full_battery()
+    for piece in entry.psi.pieces
+    for v in vars(piece).values()
+    if isinstance(v, Expression)
+})
+# the README's formulas, the logdomain demo's and the open log(|y(y - 1/2)|) case
+README_FORMULAS = ["0", "-y^2", "2^-1", "-(1/2)*log(abs(y)+1)", "log(abs(y*(y-0.5)))"]
+FORMULAS = list(dict.fromkeys(
+    BATTERY_FORMULAS + README_FORMULAS + ["(y+10)^0.5", "exp(-y^2) + sin(pi*y)/e"]
+))
+
+
+def test_the_battery_formulas_are_collected():
+    assert "-(1/2)*log(abs(y)+1)" in BATTERY_FORMULAS
+    assert "-(1-cos(1/y))/abs(y)" in BATTERY_FORMULAS
+
+
+@pytest.mark.parametrize("text", FORMULAS)
+def test_two_parses_of_one_text_are_equal(text):
+    a, b = parse_expression(text), parse_expression(text)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_expressions_are_equal_by_text():
+    assert parse_expression("log(-1) + y") == parse_expression("log(-1) + y")  # a folded NaN
+    assert parse_expression("y+1") != parse_expression("y + 1")
+
+
+@pytest.mark.parametrize("text", FORMULAS + ["log(0) + y", "y * (1/0)"])
+def test_an_expression_survives_a_pickle_round_trip(text):
+    e = parse_expression(text)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and repr(back.constant) == repr(e.constant)
+    ys = np.linspace(-10.0, 10.0, 10**4)
+    assert back(ys, check=False).tobytes() == e(ys, check=False).tobytes()
+
+
+def tree_nodes(tree):
+    """Every tuple node of a parsed tree, outermost first."""
+    if type(tree) is tuple:
+        yield tree
+        for operand in tree[1:]:
+            yield from tree_nodes(operand)
+
+
+def power_operands(tree):
+    """(base, exponent) of every ``pow`` node of a drawn formula."""
+    if tree[0] == "pow":
+        yield tree[1], tree[2]
+    for child in tree[1:]:
+        if isinstance(child, tuple):
+            yield from power_operands(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_only_y_free_nodes_off_a_power_are_folded(tree):
+    parsed = parse_expression(render(tree)).tree
+    nodes = list(tree_nodes(parsed))
+    for fn, *operands in nodes:
+        assert fn is np.power or not all(type(a) is float for a in operands), nodes
+    # every ^ node keeps its operands as parsed; repr tells NaN and -0.0 apart
+    powers = [repr(node) for node in nodes if node[0] is np.power]
+    want = [
+        repr((np.power, parse_expression(render(a)).tree, parse_expression(render(b)).tree))
+        for a, b in power_operands(tree)
+    ]
+    assert sorted(powers) == sorted(want)
+
+
+# -- a 200-bit reference interpreter over the same tree --------------------------------
+
+MP_FUNCS = {
+    np.add: mpmath.fadd, np.subtract: mpmath.fsub, np.multiply: mpmath.fmul,
+    np.divide: mpmath.fdiv, np.negative: mpmath.fneg, np.power: mpmath.power,
+    np.log: mpmath.log, np.exp: mpmath.exp, np.sin: mpmath.sin, np.cos: mpmath.cos,
+    np.abs: mpmath.fabs, np.sqrt: mpmath.sqrt,
+}
+
+
+def mp_walk(node, y):
+    """The tree's value at the mpf height y, in the working precision."""
+    if type(node) is tuple:
+        return MP_FUNCS[node[0]](*(mp_walk(a, y) for a in node[1:]))
+    return y if type(node) is str else mpmath.mpf(node)
+
+
+@pytest.mark.parametrize("text", FORMULAS)
+def test_the_float_interpreter_agrees_with_a_200_bit_walk_of_the_tree(text):
+    # quarter-odd heights: at least 1/4 from every singularity (0, 1/2, 1, 2)
+    ys = np.linspace(-9.75, 9.75, 40)
+    got = parse_expression(text)(ys)
+    tree = parse_expression(text).tree
+    with mpmath.workprec(200):
+        ref = [mp_walk(tree, mpmath.mpf(y)) for y in ys.tolist()]
+        for y, f, r in zip(ys.tolist(), got.tolist(), ref):
+            assert abs(f - r) <= 1e-13 * (1 + abs(r)), (y, f, r)

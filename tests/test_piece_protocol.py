@@ -419,6 +419,31 @@ def test_every_evaluator_call_takes_the_one_path():
     assert call_overrides(sources.values()) == []
 
 
+# the closure compiler that the expression tree and its one interpreter replaced
+RETIRED_COMPILER = {"_apply", "_fold", "_materialized", "_fn"}
+
+
+def lambdas(source):
+    """(line) of every lambda."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Lambda)]
+
+
+def test_a_formula_has_one_representation():
+    # the parser builds a tree that one interpreter walks; a closure
+    # compiler beside it would be a second representation of each formula
+    assert sorted(identifiers("_fold(f, a); e._fn(ys); g = _materialized", RETIRED_COMPILER)) == [
+        (1, "_fn"), (1, "_fold"), (1, "_materialized"),
+    ]
+    assert lambdas("f = lambda y: y\ng(lambda: 0)") == [1, 2]
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := identifiers(path.read_text(encoding="utf-8"), RETIRED_COMPILER))
+    }
+    assert found == {}, found
+    assert lambdas((SRC / "expr.py").read_text(encoding="utf-8")) == []
+
+
 CANONICAL_MAPS = {"re_map", "im_map"}
 RETIRED_MAPS = {"real_map"}  # the one map that gave both parts at once
 
