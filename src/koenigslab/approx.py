@@ -392,14 +392,22 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     half of the circle is the conjugate mirror of the upper half, and so
     is e^{lam z}: only the upper half is exponentiated (``_design``).
 
-    The design matrix and each fit's conjugate copy are built on two lanes
-    of rows (``hardy._two_lanes``), each lane writing its own rows of one
-    preallocated array through the ufuncs one lane would run, so both keep
-    their bits.  The conjugate copy is a fresh C-ordered array whose
-    transpose enters the Gram product, so BLAS sees the layout of
-    ``A.conj().T``.  Lanes write into one preallocated array rather than
-    joining two with ``np.concatenate``, which holds both halves and the
-    whole at once.
+    Three arrays are built on two lanes of rows (``hardy._two_lanes``),
+    each lane writing its own rows of one preallocated array: the design
+    matrix and each fit's conjugate copy through the ufuncs one lane would
+    run, and each fit's Gram matrix G = A^H A (``_normal_equations``), each
+    lane one BLAS product ``Ah[rows] @ A`` into its rows of G.  A gemm sums
+    each entry of its result along the inner dimension inside one tile, so
+    splitting G by rows leaves every entry with the bits of one product
+    (checked for every m up to 40 and at 64, 128 and 256 on the half-plane
+    and eta_1 designs).  Sharing the longest list's G among the shorter
+    lists would not keep them (see above).  A lane of one row would go to
+    gemv, which sums in another order, so no lane gets fewer than two
+    rows.  The conjugate copy is a fresh C-ordered array whose transpose
+    enters the Gram product, so BLAS sees the layout of ``A.conj().T``.
+    Lanes write into one preallocated array rather than joining two with
+    ``np.concatenate``, which holds both halves and the whole at once.  ``A^H b`` stays one product: on two lanes it was
+    slower.
     """
     if not (n_nodes > 0 and n_nodes % 2 == 0):
         # the lower half circle is the mirror of the upper one
@@ -462,14 +470,21 @@ def _rms_error(A, coef, b):
     return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
 
 
-def _fit_one(A, b, freqs, refined, mirrored) -> FitResult:
-    n_nodes = len(b)
+def _normal_equations(A, b):
+    """(A^H A / n, A^H b / n) for the design A on n nodes, with the
+    conjugate copy and the Gram matrix each built on two lanes of rows."""
+    n_nodes, m = A.shape
     Ah = np.empty_like(A)
-    _two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), *A.shape)
+    _two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), n_nodes, m)
     Ah = Ah.T
-    G = (Ah @ A) / n_nodes
-    rhs = (Ah @ b) / n_nodes
-    del Ah
+    G = np.empty((m, m), dtype=A.dtype)
+    _two_lanes(lambda rows: np.matmul(Ah[rows], A, out=G[rows]), m, n_nodes)
+    G /= n_nodes
+    return G, (Ah @ b) / n_nodes
+
+
+def _fit_one(A, b, freqs, refined, mirrored) -> FitResult:
+    G, rhs = _normal_equations(A, b)
     G_r = G + _FIT_RIDGE * np.eye(len(freqs))
     try:
         coef = np.linalg.solve(G_r, rhs)

@@ -281,9 +281,15 @@ def _check_memory(flag, need, what):
 
 
 def _check_design_fits(budget, longest):
-    """The fit's design matrix: 2^14 nodes by the longest frequency list, in
-    complex128, sized before any list is built."""
-    _check_memory(f"--budget {budget}", 2**14 * longest * 16, "the fit's design matrix")
+    """The fit's peak, in complex128, sized before any list is built: on
+    n = 2^14 nodes and L = ``longest`` frequencies, ``approx._fit_one``
+    first holds the design, its conjugate copy and the Gram matrix (2nL +
+    L^2 entries), then the design, the Gram matrix, its ridge copy and the
+    solve's copy (nL + 3L^2).  A shorter list's column copy and its
+    conjugate stay within the first."""
+    n, L = 2**14, longest
+    need = 16 * max(2 * n * L + L * L, n * L + 3 * L * L)
+    _check_memory(f"--budget {budget}", need, "the fit")
 
 
 def cmd_approx(args):

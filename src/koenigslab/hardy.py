@@ -54,8 +54,9 @@ A level of ``_LANE_MIN`` upper-half nodes or more is mapped on two lanes
 (``_two_lanes``): the upper half of its nodes on a short-lived thread,
 while numpy's loops run without the interpreter lock.  Each lane writes
 its slice of one preallocated array through the ufuncs one lane would
-run, so every node keeps its bits.  ``approx`` builds its design matrix
-the same way.
+run, so every node keeps its bits.  ``approx`` builds its design matrix,
+each fit's conjugate copy and each fit's Gram matrix the same way, the
+Gram split by its rows; no lane gets fewer than two rows.
 """
 
 from __future__ import annotations
@@ -413,8 +414,14 @@ _LANE_MIN = 2**15
 def _two_lanes(fn, n, width=1):
     """fn(lane) on the two halves of range(n), n rows of ``width`` elements
     each, each lane a slice of the rows: the lower half in the caller, the
-    upper half on a short-lived thread.  Below ``_LANE_MIN`` elements
-    fn(slice(0, n)) runs alone in place.
+    upper half on a short-lived thread.  Below ``_LANE_MIN`` elements, or
+    below 4 rows, fn(slice(0, n)) runs alone in place.
+
+    No lane gets fewer than two rows: the fit's Gram product on one row
+    is a vector-matrix product, which BLAS hands to gemv, and gemv sums in
+    another order than the gemm one lane would run.  The levels and the
+    fit's design and conjugate copy run on thousands of rows, so only a
+    Gram matrix of 2 or 3 frequencies reaches this rule.
 
     numpy's loops release the interpreter lock, so the two halves' ufunc
     work runs on two cores, and each element goes through the ufunc that
@@ -424,7 +431,7 @@ def _two_lanes(fn, n, width=1):
     exception raised on it is raised again here.  No pool: a thread that
     outlives the call is unsafe across ``fork``, and importing
     ``concurrent.futures`` costs about 4.5 ms."""
-    if n * width < _LANE_MIN:
+    if n < 4 or n * width < _LANE_MIN:
         fn(slice(0, n))
         return
     mid = n // 2

@@ -1,8 +1,9 @@
 """Byte-identical guard for ``koenigslab approx`` output.
 
-Each of the eight demo variants (the four demos at their defaults and at
-one smaller budget) runs in a subprocess with OpenBLAS, OpenMP and MKL
-pinned to one thread; the SHA-256 of its stdout must match
+Each of the nine demo variants (the four demos at their defaults and at
+one smaller budget, and ``eta`` at budget 1, whose lists give the fit a
+1-by-1 and a 2-by-2 Gram matrix) runs in a subprocess with OpenBLAS,
+OpenMP and MKL pinned to one thread; the SHA-256 of its stdout must match
 ``approx_cli_golden.json``.  The pin matters: a BLAS reduction's
 summation order depends on its thread count, so the last bits of the
 least-squares fits differ between one thread and a host's default.  The
@@ -38,6 +39,7 @@ VARIANTS = {
     "strip-n16": ["--demo", "strip", "--n", "16"],
     "halfplane-budget8": ["--demo", "halfplane", "--budget", "8"],
     "eta-budget8": ["--demo", "eta", "--budget", "8"],
+    "eta-budget1": ["--demo", "eta", "--budget", "1"],
     "logdomain-n1024": ["--demo", "logdomain", "--n", "1024"],
 }
 

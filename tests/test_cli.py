@@ -16,10 +16,10 @@ from koenigslab.specio import save_psi
 SRC = os.path.dirname(os.path.dirname(koenigslab.__file__))
 
 
-def run_cli(*args):
+def run_cli(*args, module="koenigslab.cli"):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "koenigslab.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         timeout=300,
@@ -118,13 +118,31 @@ def test_approx_strip_csv_and_svg(tmp_path):
 
 
 def test_approx_budget_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    # 2^14 nodes by 4 * 100000 frequencies of 16 bytes against 8 GiB
+    # 2^14 nodes and L = 4 * 100000 frequencies: the Gram matrix, its ridge
+    # copy and the solve's copy (3 L^2) dominate, 16 bytes each, against 8 GiB
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert koenigslab.cli.main(["approx", "--demo", "halfplane", "--budget", "100000"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: --budget 100000 needs 97.7 GiB")
+    assert out == "" and err.startswith("error: --budget 100000 needs 7250.2 GiB for the fit")
     assert "8.0 GiB of physical memory" in err
+
+
+def test_approx_budget_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
+    # ulimit -v 2000000: the design (0.98 GiB) fits, but the design, its
+    # conjugate copy and the Gram matrix (2.2 GiB) do not; sizing only the
+    # design once ended in a numpy traceback inside the fit
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (2000000 * 1024, resource.RLIM_INFINITY))
+    monkeypatch.setattr(koenigslab.cli, "least_squares_fit", pytest.fail)
+    assert koenigslab.cli.main(["approx", "--demo", "halfplane", "--budget", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: --budget 1000 needs 2.2 GiB for the fit, "
+        "more than the 1.9 GiB address-space limit\n"
+    )
 
 
 def oracle_pgm_exit(monkeypatch, capsys, tmp_path, resolution, address_space):
@@ -178,7 +196,7 @@ def test_approx_budget_is_sized_before_its_lists_are_built():
     # 2 * 10^8 frequencies: the lists alone would take minutes to build
     r = run_cli("approx", "--demo", "eta", "--budget", "100000000")
     assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: --budget 100000000 needs 48828.1 GiB")
+    assert r.stderr.startswith("error: --budget 100000000 needs 1788188171.4 GiB")
 
 
 def test_approx_logdomain_univalence(tmp_path):
@@ -189,6 +207,13 @@ def test_approx_logdomain_univalence(tmp_path):
     assert out["final_error"] < 5e-3
     rows = csvp.read_text().strip().splitlines()[1:]
     assert len(rows) == 3  # one line per polynomial degree
+
+
+def test_the_package_runs_as_the_cli():
+    a = run_cli("classify", "battery:strip", module="koenigslab")
+    b = run_cli("classify", "battery:strip")
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout != ""
 
 
 def test_byte_identical_reruns(specs):

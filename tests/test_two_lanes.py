@@ -1,12 +1,13 @@
-"""Two lanes: ``hardy._two_lanes`` and its three callers.
+"""Two lanes: ``hardy._two_lanes`` and its callers.
 
-The oracle's level nodes (Re T and Im T), the fit's design matrix and the
-fit's conjugate copy are built on two lanes of one preallocated array, the
-upper lane on a short-lived thread.  These tests check that every element
-keeps the bits one lane gives it, on both sides of ``hardy._LANE_MIN``,
-and that the helper raises a lane's exception in the caller, keeps the
-caller's ``np.errstate`` on its thread and starts no thread below the
-threshold.
+The oracle's level nodes (Re T and Im T), the fit's design matrix, the
+fit's conjugate copy and the fit's Gram matrix are built on two lanes of
+one preallocated array, the upper lane on a short-lived thread.  These
+tests check that every element keeps the bits one lane gives it, on both
+sides of ``hardy._LANE_MIN``, and that the helper raises a lane's
+exception in the caller, keeps the caller's ``np.errstate`` on its
+thread, starts no thread below the threshold and gives no lane fewer than
+two rows.
 """
 
 import threading
@@ -41,6 +42,13 @@ def test_level_nodes_on_two_lanes_have_the_bits_of_one_lane(dom, n):
     assert (level.re_min, level.re_max) == (level.re.min(), level.re.max())
 
 
+def fit_nodes(dom, n_nodes):
+    """The fit's nodes: the upper half circle, then its mirror."""
+    x, y = hardy.circle_nodes(dom, approx._FIT_LEVEL, n_nodes)
+    up = x + 1j * y
+    return np.concatenate((up, dom.reflection * np.conj(up[::-1])))
+
+
 def one_lane_design(z, freqs, mirrored):
     A = np.multiply.outer(z, np.asarray(freqs))
     h = len(z) // 2 if mirrored else len(z)
@@ -54,14 +62,38 @@ def one_lane_design(z, freqs, mirrored):
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_design_on_two_lanes_has_the_bits_of_one_lane(mirrored, n_nodes):
     # 2^10 nodes by 17 frequencies is below the threshold, 2^13 above it
-    dom = half_plane_right()
-    x, y = hardy.circle_nodes(dom, approx._FIT_LEVEL, n_nodes)
-    up = x + 1j * y
-    z = np.concatenate((up, np.conj(up[::-1])))
+    z = fit_nodes(half_plane_right(), n_nodes)
     freqs = [complex(l) for l in [-0.45 * k / 14 for k in range(1, 15)] + [-3.0, 0.25, 0.0]]
     if not mirrored:
         freqs[3] = complex(-0.3, 0.35)
     assert same_bits(approx._design(z, freqs, mirrored), one_lane_design(z, freqs, mirrored))
+
+
+def fit_design(dom, freqs):
+    """The fit's design on its 2^14 nodes, built as ``least_squares_fit``
+    builds it for these real frequencies."""
+    return approx._design(fit_nodes(dom, 2**14), [complex(l) for l in freqs], dom.reflection > 0)
+
+
+# the longest list of the halfplane and eta demos' default budgets; a
+# Gram of m frequencies reads the first m columns
+GRAM_DESIGNS = {
+    "halfplane": lambda: fit_design(half_plane_right(), [-k / 8 for k in range(1, 257)]),
+    "eta1": lambda: fit_design(eta_domain(1.0), [-0.45 * k / 256 for k in range(1, 257)]),
+}
+
+
+@pytest.mark.parametrize("design", sorted(GRAM_DESIGNS))
+def test_gram_on_two_lanes_has_the_bits_of_one_product(design):
+    # a lane of one row would go to gemv, which sums in another order
+    A_full = GRAM_DESIGNS[design]()
+    b = A_full[:, 0] + 1.0
+    for m in [*range(1, 41), 64, 128, 256]:
+        A = np.take(A_full, range(m), axis=1)
+        G, rhs = approx._normal_equations(A, b)
+        Ah = np.conjugate(A).T
+        assert same_bits(G, (Ah @ A) / len(b)), m
+        assert same_bits(rhs, (Ah @ b) / len(b)), m
 
 
 def lane_log(n, width=1):
@@ -111,3 +143,12 @@ def test_the_upper_lane_runs_under_the_callers_errstate():
         x[n // 2 :] = 1e300
         with pytest.raises(RuntimeWarning, match="overflow"):
             hardy._two_lanes(square, n)
+
+
+def test_no_lane_gets_fewer_than_two_rows():
+    # 2^15 elements a row: only the row count keeps these on one lane
+    wide = 2**15
+    for n in (1, 2, 3):
+        assert lane_log(n, wide) == [(slice(0, n), True)]
+    assert lane_log(4, wide) == [(slice(0, 2), True), (slice(2, 4), False)]
+    assert lane_log(5, wide) == [(slice(0, 2), True), (slice(2, 5), False)]
