@@ -6,9 +6,7 @@ from .domain import (
     LimitData,
     MinusInfinity,
     OneSidedLimits,
-    OscillatorySample,
     PiecewiseDefiningFunction,
-    PointSpike,
     TailEnvelope,
     ValidationError,
 )
@@ -24,9 +22,7 @@ __all__ = [
     "LimitData",
     "MinusInfinity",
     "OneSidedLimits",
-    "OscillatorySample",
     "PiecewiseDefiningFunction",
-    "PointSpike",
     "TailEnvelope",
     "TriState",
     "ValidationError",

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hardy import CanonicalDomain, _two_lanes, circle_nodes
+from .hardy import CanonicalDomain, circle_nodes, two_lanes
 
 STRIP_HALF_WIDTH = math.pi / 2.0
 _U = 2.0**-53  # unit roundoff of a double
@@ -392,7 +392,7 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     half of the circle is the conjugate mirror of the upper half, and so
     is e^{lam z}: only the upper half is exponentiated (``_design``).
 
-    Three arrays are built on two lanes of rows (``hardy._two_lanes``),
+    Three arrays are built on two lanes of rows (``hardy.two_lanes``),
     each lane writing its own rows of one preallocated array: the design
     matrix and each fit's conjugate copy through the ufuncs one lane would
     run, and each fit's Gram matrix G = A^H A (``_normal_equations``), each
@@ -444,7 +444,7 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
 
 
 def _design(z, freqs, mirrored):
-    """e^{lam_k z_j}, built on two lanes of rows (``hardy._two_lanes``):
+    """e^{lam_k z_j}, built on two lanes of rows (``hardy.two_lanes``):
     each lane forms and exponentiates its own rows of one preallocated
     matrix, in place.  With ``mirrored`` the lower half of z is
     conj(z[h-1::-1]) and every lam is real, so the lanes build the upper
@@ -460,7 +460,7 @@ def _design(z, freqs, mirrored):
         np.multiply.outer(z[rows], freqs, out=A[rows])
         np.exp(A[rows], out=A[rows])
 
-    _two_lanes(lane, h, len(freqs))
+    two_lanes(lane, h, len(freqs))
     if mirrored:
         np.conjugate(A[h - 1 :: -1], out=A[h:])
     return A
@@ -475,10 +475,10 @@ def _normal_equations(A, b):
     conjugate copy and the Gram matrix each built on two lanes of rows."""
     n_nodes, m = A.shape
     Ah = np.empty_like(A)
-    _two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), n_nodes, m)
+    two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), n_nodes, m)
     Ah = Ah.T
     G = np.empty((m, m), dtype=A.dtype)
-    _two_lanes(lambda rows: np.matmul(Ah[rows], A, out=G[rows]), m, n_nodes)
+    two_lanes(lambda rows: np.matmul(Ah[rows], A, out=G[rows]), m, n_nodes)
     G /= n_nodes
     return G, (Ah @ b) / n_nodes
 

@@ -20,10 +20,9 @@ from .domain import (
     FiniteAnalytic,
     LimitData,
     MinusInfinity,
-    OscillatorySample,
     PiecewiseDefiningFunction,
-    PointSpike,
     TailEnvelope,
+    constant_piece,
 )
 from .expr import Evaluator, parse_expression
 from .hardy import eta_domain, log_power
@@ -190,20 +189,10 @@ def _const_limits(v):
     return LimitData(v, v, exact=True)
 
 
-def _flat(span):
-    """psi = 0 on the span, with exact limits at its finite ends."""
-    return FiniteAnalytic(
-        span=span,
-        evaluator=parse_expression("0.0"),
-        limits_left=_const_limits(0.0) if math.isfinite(span[0]) else None,
-        limits_right=_const_limits(0.0) if math.isfinite(span[1]) else None,
-    )
-
-
 def strip_domain():
     """Half-strip: psi = 0 on a bounded interval."""
     w = math.pi / 2
-    psi = PiecewiseDefiningFunction(-w, w, (_flat((-w, w)),), name="strip")
+    psi = PiecewiseDefiningFunction(-w, w, (constant_piece((-w, w), 0.0),), name="strip")
     return BatteryEntry(
         "strip", psi, "hyperbolic", "yes", 1, "yes", (-4.0, 4.0, -2.4, 2.4), 512
     )
@@ -254,8 +243,10 @@ def quadrant_domain():
 
 def spike_domain():
     """Isolated exceedance over a flat background (a boundary slit)."""
-    piece = PointSpike(span=(-1.0, 1.0), c0=0.0, spike_value=1.0, background=0.0)
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, (piece,), name="spike")
+    pieces = (constant_piece((-1.0, 0.0), 0.0), constant_piece((0.0, 1.0), 0.0))
+    psi = PiecewiseDefiningFunction(
+        -1.0, 1.0, pieces, name="spike", point_values={0.0: 1.0}
+    )
     return BatteryEntry(
         "spike", psi, "hyperbolic", "no", 1, "no", (-2.0, 3.0, -1.5, 1.5), 1024,
         p_complete="no",
@@ -264,9 +255,10 @@ def spike_domain():
 
 def double_spike_domain():
     """Two isolated exceedances; same obstruction, twice."""
-    p1 = PointSpike(span=(-1.0, 0.0), c0=-0.5, spike_value=1.0, background=0.0)
-    p2 = PointSpike(span=(0.0, 1.0), c0=0.5, spike_value=1.0, background=0.0)
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, (p1, p2), name="double_spike")
+    pieces = tuple(constant_piece((a, a + 0.5), 0.0) for a in (-1.0, -0.5, 0.0, 0.5))
+    psi = PiecewiseDefiningFunction(
+        -1.0, 1.0, pieces, name="double_spike", point_values={-0.5: 1.0, 0.5: 1.0}
+    )
     return BatteryEntry(
         "double_spike", psi, "hyperbolic", "no", 1, "no",
         (-2.0, 3.0, -1.5, 1.5), 1024, p_complete="no",
@@ -317,9 +309,9 @@ def oscillation_cantor_domain():
 def gap_domain():
     """psi = -inf on (0, 1) inside I = (-1, 2): one boundary strip gap."""
     pieces = (
-        _flat((-1.0, 0.0)),
+        constant_piece((-1.0, 0.0), 0.0),
         MinusInfinity(span=(0.0, 1.0)),
-        _flat((1.0, 2.0)),
+        constant_piece((1.0, 2.0), 0.0),
     )
     psi = PiecewiseDefiningFunction(-1.0, 2.0, pieces, name="gap")
     return BatteryEntry(
@@ -330,11 +322,11 @@ def gap_domain():
 def double_gap_domain():
     """psi = -inf on (0,1) and (2,3) inside I = (-1, 4)."""
     pieces = (
-        _flat((-1.0, 0.0)),
+        constant_piece((-1.0, 0.0), 0.0),
         MinusInfinity(span=(0.0, 1.0)),
-        _flat((1.0, 2.0)),
+        constant_piece((1.0, 2.0), 0.0),
         MinusInfinity(span=(2.0, 3.0)),
-        _flat((3.0, 4.0)),
+        constant_piece((3.0, 4.0), 0.0),
     )
     psi = PiecewiseDefiningFunction(-1.0, 4.0, pieces, name="double_gap")
     return BatteryEntry(
@@ -572,13 +564,13 @@ def du_oscillation_domain():
     """Oscillation with envelope hitting -inf but limsup 0 at height 0:
     an unbounded discontinuity inside a bounded-interval domain."""
     src = "-(1-cos(1/y))/abs(y)"
-    left = OscillatorySample(
+    left = FiniteAnalytic(
         span=(-1.0, 0.0),
         evaluator=parse_expression(src),
         limits_left=LimitData(math.cos(1.0) - 1.0, math.cos(1.0) - 1.0, exact=False),
         limits_right=LimitData(NEG_INF, 0.0, exact=True),
     )
-    right = _flat((0.0, 1.0))
+    right = constant_piece((0.0, 1.0), 0.0)
     psi = PiecewiseDefiningFunction(
         -1.0, 1.0, (left, right), name="du_oscillation", point_values={0.0: 0.0}
     )
@@ -593,7 +585,7 @@ def exceptional_arc_domain():
     """I = (0, inf); psi = -inf above height 2, oscillating below it with
     liminf -inf and limsup psi(2) = 0 from the left."""
     src = "-(1-cos(1/(2-y)))/abs(2-y)"
-    osc = OscillatorySample(
+    osc = FiniteAnalytic(
         span=(0.0, 2.0),
         evaluator=parse_expression(src),
         limits_left=LimitData(
@@ -616,7 +608,7 @@ def pos_step_du_domain():
     """I = (0, inf) with an unbounded discontinuity at an interior height:
     connectedness of the complement fails, so completeness fails."""
     src = "-(1-cos(1/(y-1)))/abs(y-1)"
-    below = OscillatorySample(
+    below = FiniteAnalytic(
         span=(0.0, 1.0),
         evaluator=parse_expression(src),
         limits_left=LimitData(
@@ -624,7 +616,7 @@ def pos_step_du_domain():
         ),
         limits_right=LimitData(NEG_INF, 0.0, exact=True),
     )
-    above = OscillatorySample(
+    above = FiniteAnalytic(
         span=(1.0, POS_INF),
         evaluator=parse_expression(src),
         limits_left=LimitData(NEG_INF, 0.0, exact=True),

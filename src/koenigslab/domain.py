@@ -2,10 +2,11 @@
 
 A domain here is ``{x + iy : y in I, x > psi(y)}`` for an upper
 semicontinuous ``psi: I -> [-inf, +inf)`` on an open interval I.  psi is
-stored as a list of typed pieces with declared structure (one-sided limit
-metadata, Cantor carriers, spikes, tail envelopes), because semicontinuity
-and liminf/limsup questions are not decidable from finite samples alone.
-Everything numeric is flagged; declared structure is treated as exact.
+stored as a list of typed pieces and point values with declared structure
+(one-sided limit metadata, Cantor carriers, tail envelopes), because
+semicontinuity and liminf/limsup questions are not decidable from finite
+samples alone.  Everything numeric is flagged; declared structure is
+treated as exact.
 
 The module also computes the two regularizations used by the completeness
 criteria: the lower semicontinuous envelope ``psi_*`` (pointwise liminf)
@@ -27,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .cantor import CantorSet
-from .expr import Evaluator
+from .expr import Evaluator, parse_expression
 from .tri import TriState
 
 NEG_INF = float("-inf")
@@ -42,7 +43,13 @@ _ROW_SAMPLES = 64  # midpoints sampled per row by ``row_bounds``
 
 
 class ValidationError(ValueError):
-    pass
+    """An invalid psi.  ``field`` names the field at fault, when one is,
+    and ``piece`` the piece that holds it, so the spec loader can point at
+    its JSON path."""
+
+    def __init__(self, message, field=None, piece=None):
+        super().__init__(message)
+        self.field, self.piece = field, piece
 
 
 def _as_float(v):
@@ -294,10 +301,12 @@ class Piece:
     kind: ``value``, ``side_limits`` (limits of psi), ``side_limits_lsc``
     (limits of psi_*), ``row_bounds`` (bounds on rows of heights, the one
     row-bounds rule: the evaluator's own ``row_range``, else sampled),
-    ``minus_inf_intervals``, ``interior_heights`` (heights inside the span
-    where psi may jump), ``carrier_gap_sup``, the declared tail envelopes
-    ``tail_lower``/``tail_upper`` and ``translate``.  Only the spec loader
-    knows the concrete kinds.
+    ``minus_inf_intervals``, ``carrier_gap_sup``, the declared tail
+    envelopes ``tail_lower``/``tail_upper`` and ``translate``.  There are
+    three kinds: ``FiniteAnalytic``, ``MinusInfinity`` and
+    ``CantorCarrierPiece``.  An isolated value of psi, such as a spike, is
+    a point value of ``PiecewiseDefiningFunction``, never a piece.  Only
+    the spec loader knows the concrete kinds.
     """
 
     span: tuple  # (a, b), a < b; may be +-inf
@@ -327,10 +336,6 @@ class Piece:
     def minus_inf_intervals(self):
         """Open intervals inside the span where psi is identically -inf."""
         return []
-
-    def interior_heights(self):
-        """Heights inside the span where psi may differ from its limits."""
-        return ()
 
     def carrier_gap_sup(self):
         """(sup of the off part near a Cantor carrier, declared?); None
@@ -443,20 +448,6 @@ class FiniteAnalytic(Piece):
 
 
 @dataclass(frozen=True)
-class OscillatorySample(FiniteAnalytic):
-    """Continuous evaluator whose endpoint behavior is declared.
-
-    Declared liminf/limsup at each span endpoint are required: dyadic
-    sampling cannot recover oscillation envelopes.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.limits_left is None or self.limits_right is None:
-            raise ValidationError("oscillatory pieces require declared endpoint limits")
-
-
-@dataclass(frozen=True)
 class MinusInfinity(Piece):
     def value(self, y):
         return NEG_INF
@@ -474,49 +465,18 @@ class MinusInfinity(Piece):
         return MinusInfinity((self.span[0] + dy, self.span[1] + dy))
 
 
-@dataclass(frozen=True)
-class PointSpike(Piece):
-    """Constant background with an isolated exceedance at c0."""
-
-    c0: float = 0.0
-    spike_value: float = 1.0
-    background: float = 0.0  # may be -inf
-
-    def __post_init__(self):
-        a, b = self.span
-        if not (a < self.c0 < b):
-            raise ValidationError("spike location must be interior to its span")
-        psi_value(self.spike_value)
-        psi_value(self.background)
-
-    def value(self, y):
-        return self.spike_value if y == self.c0 else self.background
-
-    def side_limits(self, y0, side):
-        return LimitData(self.background, self.background, exact=True)
-
-    def row_bounds(self, lo, hi):
-        M = np.full(lo.shape, self.background)
-        at = (lo <= self.c0) & (self.c0 < hi)
-        M[at] = np.maximum(M[at], self.spike_value)
-        return M, self.background, self.background, ()
-
-    def minus_inf_intervals(self):
-        if self.background == NEG_INF:
-            a, b = self.span
-            return [(a, self.c0), (self.c0, b)]
-        return []
-
-    def interior_heights(self):
-        return (self.c0,)
-
-    def translate(self, dx, dy):
-        return PointSpike(
-            (self.span[0] + dy, self.span[1] + dy),
-            self.c0 + dy,
-            _shift(self.spike_value, dx),
-            _shift(self.background, dx),
-        )
+def constant_piece(span, v) -> Piece:
+    """psi = v on the span: ``MinusInfinity`` for v = -inf, else the
+    formula ``repr(v)`` with its exact limits declared at the finite ends."""
+    if psi_value(v) == NEG_INF:
+        return MinusInfinity(span)
+    lim = LimitData(v, v)
+    return FiniteAnalytic(
+        span=span,
+        evaluator=parse_expression(repr(float(v))),
+        limits_left=lim if math.isfinite(span[0]) else None,
+        limits_right=lim if math.isfinite(span[1]) else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -539,7 +499,7 @@ class CantorCarrierPiece(Piece):
         _require_evaluator("off_evaluator", self.off_evaluator)
         a, b = self.span
         if not (a <= self.carrier.lo and self.carrier.hi <= b):
-            raise ValidationError("carrier must sit inside the piece span")
+            raise ValidationError("carrier must sit inside the piece span", "carrier")
         psi_value(self.on_value)
         reject_nan(self, "off_limsup_at_carrier", "off_liminf_at_carrier")
 
@@ -638,16 +598,21 @@ def _limsup_of(lims):
     return math.nan if inconclusive and out == NEG_INF else out
 
 
-def _merge(intervals, joins=lambda b, a: True):
-    """Sorted union of intervals; overlapping or touching ones merge when
-    ``joins(end of the first, start of the second)`` holds."""
+def _merge(intervals):
+    """Sorted union of intervals; overlapping or touching ones merge."""
     merged = []
     for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1] and joins(merged[-1][1], lo):
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
     return tuple((lo, hi) for lo, hi in merged)
+
+
+def _cut(lo, hi, cuts):
+    """(lo, hi) cut at each of the sorted heights ``cuts`` inside it."""
+    inner = [y for y in cuts if lo < y < hi]
+    return zip([lo, *inner], [*inner, hi])
 
 
 @dataclass(frozen=True, eq=False)
@@ -675,15 +640,17 @@ class DomainFacts:
 
     ``PiecewiseDefiningFunction.validate`` builds them when psi is built,
     and psi is immutable, so no call order or cache state can change them
-    and no later edit of psi can leave them stale.  ``limits`` holds the
-    one-sided limits at ``heights``: the special heights plus the finite
-    ends of I.  ``carriers`` holds, for each Cantor carrier piece, (piece,
+    and no later edit of psi can leave them stale.  ``values`` holds psi at
+    the special heights: the span ends and the point values inside I.
+    ``limits`` holds the one-sided limits at ``heights``: the special
+    heights plus the finite ends of I.  ``carriers`` holds, for each Cantor carrier piece, (piece,
     sup of its off part near the carrier, whether that sup is declared,
     whether the piece is a comb: its off part stays below on_value near
     the carrier, which a sampled sup must clear by 1e-7).
     """
 
     heights: tuple
+    values: dict
     limits: dict
     carriers: tuple
     usc: TriState
@@ -749,10 +716,14 @@ class DomainFacts:
         if witnesses:
             eq, witnesses = TriState.NO, sorted(set(witnesses))
 
-        # E: the closed -inf components plus every height with a one-sided
-        # liminf of -inf; exact when every -inf limit is declared
-        components = _merge(
-            [iv for p in psi.pieces for iv in p.minus_inf_intervals()], psi._joins
+        # the -inf intervals merged, then cut where psi is finite; E: their
+        # closures plus every height with a one-sided liminf of -inf, exact
+        # when every -inf limit is declared
+        finite = [y for y, v in values.items() if v > NEG_INF]
+        components = tuple(
+            part
+            for lo, hi in _merge([iv for p in psi.pieces for iv in p.minus_inf_intervals()])
+            for part in _cut(lo, hi, finite)
         )
         E_exact = True
         points = []
@@ -767,6 +738,7 @@ class DomainFacts:
                     E_exact = E_exact and lim.exact
         return DomainFacts(
             heights=heights,
+            values=values,
             limits=limits,
             carriers=carriers,
             usc=usc,
@@ -790,8 +762,8 @@ class PiecewiseDefiningFunction:
     interval_hi: float
     pieces: tuple
     name: str = ""
-    # explicit psi values at junction heights where no piece evaluator
-    # applies (e.g. the endpoint value of an oscillatory piece)
+    # psi at junction heights, over what the pieces give there: a spike's
+    # value, or a value where no piece evaluator applies
     point_values: Mapping = field(default_factory=dict)
     # the hardy.CanonicalDomain of this same domain up to translation, when
     # known: the membership oracle then answers for psi itself
@@ -817,15 +789,17 @@ class PiecewiseDefiningFunction:
             raise ValidationError("no pieces")
         for p in self.pieces:
             if not p.span[0] < p.span[1]:
-                raise ValidationError(f"piece span {p.span} is empty")
-        if self.pieces[0].span[0] != self.interval_lo:
-            raise ValidationError("pieces do not start at the left end of I")
-        if self.pieces[-1].span[1] != self.interval_hi:
-            raise ValidationError("pieces do not end at the right end of I")
+                raise ValidationError(f"piece span {p.span} is empty", "span", p)
+        first, last = self.pieces[0], self.pieces[-1]
+        if first.span[0] != self.interval_lo:
+            raise ValidationError("pieces do not start at the left end of I", "span", first)
+        if last.span[1] != self.interval_hi:
+            raise ValidationError("pieces do not end at the right end of I", "span", last)
         for p, q in zip(self.pieces, self.pieces[1:]):
             if p.span[1] != q.span[0]:
                 raise ValidationError(
-                    f"pieces must tile I; gap or overlap at {p.span[1]} vs {q.span[0]}"
+                    f"pieces must tile I; gap or overlap at {p.span[1]} vs {q.span[0]}",
+                    "span", q,
                 )
         for y, v in self.point_values.items():
             point_value(y, v, self.interval_lo, self.interval_hi)
@@ -833,6 +807,7 @@ class PiecewiseDefiningFunction:
             self.interval_lo == NEG_INF
             and self.interval_hi == POS_INF
             and all(p.minus_inf_intervals() == [p.span] for p in self.pieces)
+            and all(v == NEG_INF for v in self.point_values.values())
         ):
             raise ValidationError(
                 "psi = -inf on all of R defines the whole plane; rejected"
@@ -907,7 +882,7 @@ class PiecewiseDefiningFunction:
 
     def _special_heights(self):
         """Heights where psi can differ from its regularizations."""
-        hs = {y for p in self.pieces for y in (*p.span, *p.interior_heights())}
+        hs = {y for p in self.pieces for y in p.span}
         hs.update(self.point_values)
         return sorted(y for y in hs if self.interval_lo < y < self.interval_hi)
 
@@ -945,14 +920,6 @@ class PiecewiseDefiningFunction:
     def minus_infinity_components(self):
         """Maximal open intervals where psi is identically -inf."""
         return list(self.facts.minus_inf_components)
-
-    def _joins(self, b, a):
-        # two -inf intervals merge across a shared endpoint if psi = -inf there
-        if b != a:
-            return b >= a
-        if not (self.interval_lo < b < self.interval_hi):
-            return True
-        return self.value(b) == NEG_INF
 
     def liminf_neg_inf_set(self):
         """E = {y in closure(I): liminf psi = -inf} as closed intervals.

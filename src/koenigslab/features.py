@@ -4,9 +4,10 @@ Heights and intervals reported here correspond, on the disc side, to
 boundary regular fixed points (bounded gaps where psi is -inf),
 super-repelling fixed points (one-sided full limits -inf), unbounded
 discontinuities (one-sided liminf -inf with finite limsup), contact-arc
-coincidences (isolated exceedances), Cantor combs, and the attracting
-boundary point's discontinuity type.  Everything is expressed at the level
-of heights in R; no Riemann map is computed.
+coincidences (isolated exceedances: a value of psi above both of its
+exact one-sided limsups, however the spec spells it), Cantor combs, and
+the attracting boundary point's discontinuity type.  Everything is
+expressed at the level of heights in R; no Riemann map is computed.
 
 Each detector is a filter over ``psi.facts`` and returns its feature
 alone; a height whose limits are inconclusive is left out, and
@@ -89,13 +90,15 @@ def _conclusive_limits(facts):
 
 
 def detect_contact_spikes(psi: PiecewiseDefiningFunction):
-    """Isolated exceedances: psi above both one-sided limsups at a height
-    inside a piece, with the separating level halfway between the two."""
+    """Isolated exceedances: special heights where every side's limit is
+    decided and exact and psi lies above the larger limsup, with the
+    separating level halfway between the two."""
+    facts = psi.facts
     out = []
-    for p in psi.pieces:
-        for c0 in p.interior_heights():
-            top = p.value(c0)
-            around = max(lim.limsup for lim in psi.facts.limits[c0].sides)
+    for c0, top in facts.values.items():
+        sides = facts.limits[c0].sides
+        if all(lim.exact for lim in sides):
+            around = max(lim.limsup for lim in sides)
             if top > around:
                 out.append((c0, 0.5 * (top + around)))
     return out
@@ -148,10 +151,7 @@ def exceptional_arc_to_unbounded(psi: PiecewiseDefiningFunction):
     if gap is None:
         return False
     a, inner = (gap[0], "left") if gap[1] == POS_INF else (gap[1], "right")
-    try:
-        va = psi.value(a)
-    except ValueError:
-        return False
+    va = psi.facts.values.get(a, NEG_INF)  # none at an end of I
     lims = psi.facts.limits[a]
     if not math.isfinite(va) or lims.inconclusive:
         return False

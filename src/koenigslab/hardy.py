@@ -51,7 +51,7 @@ trend rules under one ``np.errstate``, so a lam whose node products
 overflow keeps its +inf means without a warning.
 
 A level of ``_LANE_MIN`` upper-half nodes or more is mapped on two lanes
-(``_two_lanes``): the upper half of its nodes on a short-lived thread,
+(``two_lanes``): the upper half of its nodes on a short-lived thread,
 while numpy's loops run without the interpreter lock.  Each lane writes
 its slice of one preallocated array through the ufuncs one lane would
 run, so every node keeps its bits.  ``approx`` builds its design matrix,
@@ -405,13 +405,13 @@ def _cayley_point(j, s, sn):
     return x, y
 
 
-# below this many elements ``_two_lanes`` runs one lane in place: starting
+# below this many elements ``two_lanes`` runs one lane in place: starting
 # and joining a thread costs about 0.1-0.2 ms on a 2-core Xeon, and on the
 # oracle's levels two lanes gained from 2^15 nodes on
 _LANE_MIN = 2**15
 
 
-def _two_lanes(fn, n, width=1):
+def two_lanes(fn, n, width=1):
     """fn(lane) on the two halves of range(n), n rows of ``width`` elements
     each, each lane a slice of the rows: the lower half in the caller, the
     upper half on a short-lived thread.  Below ``_LANE_MIN`` elements, or
@@ -467,7 +467,7 @@ def _mapped(map_, j, n):
     def lane(sl):
         out[sl] = map_(*_cayley_point(j, s[sl], sn[sl]))
 
-    _two_lanes(lane, n // 2)
+    two_lanes(lane, n // 2)
     out.flags.writeable = False
     return out
 

@@ -18,8 +18,16 @@ Schema::
          "off_limsup_at_carrier": s, "off_liminf_at_carrier": t},              # optional
         {"kind": "oscillatory", "span": [a, b], "expr": "...",
          "limits": {"left": {...}, "right": {...}}}                            # required
-      ]
+      ],
+      "values_at": {"c": v}                  # optional: psi at junction heights
     }
+
+``point_spike`` and ``oscillatory`` are spellings that the loader
+rewrites: a spike is its background on [a, c0] and on [c0, b] (a constant
+``finite_analytic`` piece with exact limits, or ``minus_infinity``) plus
+the value of psi at c0, which ``values_at`` may not declare again, and an
+oscillatory piece is a ``finite_analytic`` one whose endpoint limits are
+required.  Saving writes that canonical form.
 
 A tail envelope is {"kind": "affine", "m": m, "c": c}, {"kind": "const",
 "c": c} or {"kind": "log_pow", "C": C, "a": a, "D": D}, each with an
@@ -39,14 +47,14 @@ from .domain import (
     FiniteAnalytic,
     LimitData,
     MinusInfinity,
-    OscillatorySample,
     PiecewiseDefiningFunction,
-    PointSpike,
     TailEnvelope,
     ValidationError,
     _as_float,
     _json_float,
+    constant_piece,
     point_value,
+    psi_value,
     reject_nan,
 )
 from .expr import Expression, parse_expression
@@ -110,33 +118,37 @@ def envelope_to_json(env: TailEnvelope):
 
 
 def piece_from_json(obj):
+    """(pieces, {height: value of psi}) that one JSON piece declares."""
     kind = obj.get("kind")
     if kind in ("finite_analytic", "oscillatory"):
         left, right = _limits(obj)
-        return (OscillatorySample if kind == "oscillatory" else FiniteAnalytic)(
+        if kind == "oscillatory" and (left is None or right is None):
+            raise ValidationError("oscillatory pieces require declared endpoint limits", "limits")
+        return (FiniteAnalytic(
             span=_field(obj, "span", _pair),
             evaluator=_expression(obj, "expr"),
             limits_left=left,
             limits_right=right,
             tail_lower=_tail(obj, "tail_lower"),
             tail_upper=_tail(obj, "tail_upper"),
-        )
+        ),), {}
     if kind == "minus_infinity":
-        return MinusInfinity(span=_field(obj, "span", _pair))
+        return (MinusInfinity(span=_field(obj, "span", _pair)),), {}
     if kind == "point_spike":
-        return PointSpike(
-            span=_field(obj, "span", _pair),
-            c0=_field(obj, "c0"),
-            spike_value=_field(obj, "value"),
-            background=_field(obj, "background", _as_float),
-        )
+        a, b = _field(obj, "span", _pair)
+        c0 = _field(obj, "c0")
+        if not a < c0 < b:
+            raise ValidationError("spike location must be interior to its span", "c0")
+        value = psi_value(_field(obj, "value"))
+        background = psi_value(_field(obj, "background", _as_float))
+        return tuple(constant_piece(s, background) for s in ((a, c0), (c0, b))), {c0: value}
     if kind == "cantor_comb":
         declared = {
             key: _field(obj, key)
             for key in ("off_limsup_at_carrier", "off_liminf_at_carrier")
             if obj.get(key) is not None
         }
-        return CantorCarrierPiece(
+        return (CantorCarrierPiece(
             span=_field(obj, "span", _pair),
             carrier=_field(obj, "carrier", CantorSet.from_json),
             on_value=_field(obj, "on_value"),
@@ -144,17 +156,16 @@ def piece_from_json(obj):
                 _expression(obj, "off_expr") if "off_expr" in obj else parse_expression("0")
             ),
             **declared,
-        )
+        ),), {}
     raise ValidationError(f"unknown piece kind {kind!r}")
 
 
 def piece_to_json(p):
     span = [_json_float(p.span[0]), _json_float(p.span[1])]
-    if isinstance(p, FiniteAnalytic):  # OscillatorySample included
+    if isinstance(p, FiniteAnalytic):
         if not isinstance(p.evaluator, Expression):
             raise ValidationError("cannot serialize a piece without expression source")
-        kind = "oscillatory" if isinstance(p, OscillatorySample) else "finite_analytic"
-        out = {"kind": kind, "span": span, "expr": p.evaluator.source}
+        out = {"kind": "finite_analytic", "span": span, "expr": p.evaluator.source}
         lims = {}
         if p.limits_left is not None:
             lims["left"] = p.limits_left.to_json()
@@ -169,14 +180,6 @@ def piece_to_json(p):
         return out
     if isinstance(p, MinusInfinity):
         return {"kind": "minus_infinity", "span": span}
-    if isinstance(p, PointSpike):
-        return {
-            "kind": "point_spike",
-            "span": span,
-            "c0": p.c0,
-            "value": p.spike_value,
-            "background": _json_float(p.background),
-        }
     if isinstance(p, CantorCarrierPiece):
         if not isinstance(p.off_evaluator, Expression):
             raise ValidationError("cannot serialize a carrier piece without off-expression source")
@@ -197,14 +200,17 @@ def piece_to_json(p):
 
 def _at(path, convert, arg):
     """convert(arg), with a malformed-input error pointing at path; an
-    error that already points at a sub-path is extended to the full one,
-    and a key missing from the object arg points at that key."""
+    error that already points at a sub-path or names its field is extended
+    to the full path, and a key missing from the object arg points at that
+    key."""
     try:
         return convert(arg)
     except (KeyError, TypeError, ValueError) as exc:
         msg = str(exc)
         if isinstance(exc, KeyError) and isinstance(arg, dict) and exc.args[0] not in arg:
             msg = f"/{exc.args[0]}: missing required key"
+        elif isinstance(exc, ValidationError) and exc.field:
+            msg = f"/{exc.field}: {msg}"
         raise ValidationError(f"{path}{'' if msg.startswith('/') else ': '}{msg}") from exc
 
 
@@ -219,22 +225,29 @@ def psi_from_dict(obj) -> PiecewiseDefiningFunction:
         lo, hi = map(_as_float, obj["interval"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"/interval: expected [lo, hi] ({exc})") from exc
-    pieces = []
+    pieces, values_at = [], {}
+    owner, spike_at = {}, {}  # id of a piece, height of a spike -> its JSON path
     for i, pobj in enumerate(_expect("/pieces", obj.get("pieces", []), list, "a list")):
         path = f"/pieces/{i}"
-        pieces.append(_at(path, piece_from_json, _expect(path, pobj, dict, "an object")))
-    values_at = {}
+        made, values = _at(path, piece_from_json, _expect(path, pobj, dict, "an object"))
+        pieces.extend(made)
+        values_at.update(values)
+        owner.update((id(p), path) for p in made)
+        spike_at.update(dict.fromkeys(values, path))
     for k, v in _expect("/values_at", obj.get("values_at") or {}, dict, "an object").items():
         path = f"/values_at/{k}"
         y = _at(path, float, k)
+        if y in spike_at:
+            raise ValidationError(f"{path}: psi({y}) is already the spike at {spike_at[y]}/c0")
         values_at[y] = _at(path, lambda s: point_value(y, _as_float(s), lo, hi), v)
-    return PiecewiseDefiningFunction(
-        lo,
-        hi,
-        tuple(pieces),
-        name=obj.get("name", ""),
-        point_values=values_at,
-    )
+    try:
+        return PiecewiseDefiningFunction(
+            lo, hi, tuple(pieces), name=obj.get("name", ""), point_values=values_at
+        )
+    except ValidationError as exc:
+        if exc.piece is None:
+            raise
+        raise ValidationError(f"{owner[id(exc.piece)]}/{exc.field}: {exc}") from exc
 
 
 def psi_to_dict(psi: PiecewiseDefiningFunction):

@@ -10,7 +10,6 @@ from koenigslab import (
     FiniteAnalytic,
     LimitData,
     MinusInfinity,
-    OscillatorySample,
     PiecewiseDefiningFunction,
     TailEnvelope,
     TriState,
@@ -90,7 +89,7 @@ def test_trivial_limits_flat():
 def test_declared_oscillation_limits():
     # sin(1/((b-y)(y-a))) on (0, 1): every one-sided envelope at b is [-1, 1]
     src = "sin(1/((1-y)*(y-0)))"
-    piece = OscillatorySample(
+    piece = FiniteAnalytic(
         span=(0.0, 1.0),
         evaluator=parse_expression(src),
         limits_left=LimitData(-1.0, 1.0),
@@ -326,12 +325,13 @@ def test_spike_over_minus_inf_background():
     # the closure of the slab, so the regularization test fails at c0, the
     # height is not super-repelling (it closes the gap set), and the
     # complement splits above/below the slab
-    from koenigslab import PointSpike
     from koenigslab.completeness import decide_weak_star, predicted_components
     from koenigslab.features import analyze
 
-    piece = PointSpike(span=(-1.0, 1.0), c0=0.0, spike_value=2.0, background=NEG_INF)
-    psi = PiecewiseDefiningFunction(-1.0, 1.0, (piece,), name="spike_over_gap")
+    pieces = (MinusInfinity(span=(-1.0, 0.0)), MinusInfinity(span=(0.0, 1.0)))
+    psi = PiecewiseDefiningFunction(
+        -1.0, 1.0, pieces, name="spike_over_gap", point_values={0.0: 2.0}
+    )
     assert psi.minus_infinity_components() == [(-1.0, 0.0), (0.0, 1.0)]
     E, exact = psi.liminf_neg_inf_set()
     assert E == [(-1.0, 1.0)] and exact
@@ -415,7 +415,7 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
     # building psi builds the structural facts; no consumer recomputes them
     from collections import Counter
 
-    from koenigslab import CantorCarrierPiece, PointSpike
+    from koenigslab import CantorCarrierPiece
     from koenigslab.classify import classify, lambda_infty
     from koenigslab.completeness import decide
     from koenigslab.features import analyze
@@ -423,7 +423,7 @@ def test_each_one_sided_limit_is_computed_once(name, monkeypatch):
 
     entry = battery_entry(name)
     calls = Counter()
-    for cls in (FiniteAnalytic, MinusInfinity, PointSpike, CantorCarrierPiece):
+    for cls in (FiniteAnalytic, MinusInfinity, CantorCarrierPiece):
         def counted(self, y0, side, _orig=cls.side_limits):
             calls[(y0, side)] += 1
             return _orig(self, y0, side)
@@ -571,17 +571,13 @@ def test_constant_rows_have_the_bits_of_sampled_rows(source, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, field", [
-    ("finite_analytic", "evaluator"), ("oscillatory", "evaluator"), ("cantor", "off_evaluator"),
+    ("finite_analytic", "evaluator"), ("cantor", "off_evaluator"),
 ])
 def test_a_plain_callable_is_rejected_at_build(kind, field):
     from koenigslab import CantorCarrierPiece, CantorSet
 
-    zero = LimitData(0.0, 0.0)
     build = {
         "finite_analytic": lambda ev: FiniteAnalytic(span=(-1.0, 1.0), evaluator=ev),
-        "oscillatory": lambda ev: OscillatorySample(
-            span=(-1.0, 1.0), evaluator=ev, limits_left=zero, limits_right=zero
-        ),
         "cantor": lambda ev: CantorCarrierPiece(
             span=(-1.0, 1.0), carrier=CantorSet(-0.5, 0.5), off_evaluator=ev
         ),

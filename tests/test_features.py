@@ -5,7 +5,6 @@ import pytest
 from koenigslab import (
     FiniteAnalytic,
     LimitData,
-    OscillatorySample,
     PiecewiseDefiningFunction,
     parse_expression,
 )
@@ -119,7 +118,7 @@ def test_comb_has_no_isolated_spikes():
 
 def test_dw_simple_and_double():
     src = "sin(1/y)/y"
-    osc = OscillatorySample(
+    osc = FiniteAnalytic(
         span=(0.0, 1.0), evaluator=parse_expression(src),
         limits_left=LimitData(NEG_INF, POS_INF),
         limits_right=LimitData(math.sin(1.0), math.sin(1.0), exact=False),
@@ -128,7 +127,7 @@ def test_dw_simple_and_double():
     assert dw_discontinuity(psi) == "simple"
 
     src2 = "sin(1/(y*(1-y)))/(y*(1-y))"
-    osc2 = OscillatorySample(
+    osc2 = FiniteAnalytic(
         span=(0.0, 1.0), evaluator=parse_expression(src2),
         limits_left=LimitData(NEG_INF, POS_INF),
         limits_right=LimitData(NEG_INF, POS_INF),

@@ -23,11 +23,14 @@ import ast
 import pathlib
 
 import koenigslab
+from koenigslab import domain
 
-PIECE_CLASSES = {
-    "FiniteAnalytic", "OscillatorySample", "MinusInfinity", "PointSpike",
-    "CantorCarrierPiece",
-}
+
+def _subclass_names(cls):
+    return {name for sub in cls.__subclasses__() for name in {sub.__name__} | _subclass_names(sub)}
+
+
+PIECE_CLASSES = _subclass_names(domain.Piece)
 SRC = pathlib.Path(koenigslab.__file__).parent
 
 
@@ -56,8 +59,10 @@ def piece_kind_checks(source, classes=PIECE_CLASSES):
 
 
 def test_no_piece_kind_checks_outside_the_loader():
-    assert piece_kind_checks("isinstance(p, (int, domain.PointSpike))") == [
-        (1, ["PointSpike"])
+    # every subclass of Piece, however deep, is a piece class
+    assert {"FiniteAnalytic", "MinusInfinity", "CantorCarrierPiece"} <= PIECE_CLASSES
+    assert piece_kind_checks("isinstance(p, (int, domain.MinusInfinity))") == [
+        (1, ["MinusInfinity"])
     ]
     assert piece_kind_checks("isinstance(p, Piece)") == []
     found = {

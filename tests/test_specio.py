@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koenigslab import TriState, ValidationError
 from koenigslab.specio import load_psi, psi_from_dict, psi_to_dict, save_psi
@@ -57,6 +58,23 @@ def test_unknown_kind_reports_pointer():
         (3, "/pieces"),
         ([3], "/pieces/0"),
         ([{"kind": "minus_infinity", "span": 3}], "/pieces/0/span"),
+        # the tiling is checked on the pieces sorted by span, and reported
+        # at the JSON index of the piece at fault
+        ([{"kind": "minus_infinity", "span": [0.7, 0.7]},
+          {"kind": "minus_infinity", "span": [0, 1]}], "/pieces/0/span"),
+        ([{"kind": "minus_infinity", "span": [0.5, 1]},
+          {"kind": "minus_infinity", "span": [0, 0.4]}], "/pieces/0/span"),
+        ([{"kind": "minus_infinity", "span": [0.3, 1]},
+          {"kind": "minus_infinity", "span": [0, 0.5]}], "/pieces/0/span"),
+        ([{"kind": "minus_infinity", "span": [0, 0.5]},
+          {"kind": "minus_infinity", "span": [0.5, 0.9]}], "/pieces/1/span"),
+        ([{"kind": "minus_infinity", "span": [0.2, 1]}], "/pieces/0/span"),
+        ([{"kind": "point_spike", "span": [0, 1], "c0": 2, "value": 1, "background": 0}],
+         "/pieces/0/c0"),
+        ([{"kind": "oscillatory", "span": [0, 1], "expr": "0",
+           "limits": {"left": {"liminf": 0, "limsup": 0}}}], "/pieces/0/limits"),
+        ([{"kind": "cantor_comb", "span": [0, 1], "carrier": {"base": [0.5, 2.0]},
+           "on_value": 1.0}], "/pieces/0/carrier"),
     ):
         with pytest.raises(ValidationError) as err:
             psi_from_dict({"interval": [0.0, 1.0], "pieces": pieces})
@@ -306,3 +324,109 @@ def test_folding_leaves_the_saved_formula_as_written(tmp_path):
     save_psi(psi, path)
     assert json.loads(path.read_text())["pieces"][0]["expr"] == "2*pi - (1/2)*y^2"
     assert psi_to_dict(load_psi(path)) == psi_to_dict(psi)
+
+
+# -- one spelling per psi --------------------------------------------------------
+
+
+def _decide_json(spec):
+    from koenigslab.completeness import decide
+
+    return json.dumps(decide(psi_from_dict(spec), p=1.0), sort_keys=True, default=str)
+
+
+def _background(span, v):
+    """psi = v on span, spelled as a piece: a constant formula with its
+    exact limits, or minus_infinity."""
+    if v == -math.inf:
+        return {"kind": "minus_infinity", "span": list(span)}
+    lim = {"liminf": v, "limsup": v}
+    return {"kind": "finite_analytic", "span": list(span), "expr": repr(v),
+            "limits": {"left": lim, "right": lim}}
+
+
+def _spike_spellings(a, b, c0, value, background):
+    """The same psi as one point_spike piece and as pieces plus values_at."""
+    bg = "-inf" if background == -math.inf else background
+    spike = {"interval": [a, b], "pieces": [
+        {"kind": "point_spike", "span": [a, b], "c0": c0, "value": value, "background": bg}]}
+    points = {"interval": [a, b],
+              "pieces": [_background((a, c0), background), _background((c0, b), background)],
+              "values_at": {repr(c0): value}}
+    return spike, points
+
+
+@st.composite
+def _spikes(draw):
+    a = draw(st.floats(-10.0, 10.0))
+    b = a + draw(st.floats(0.1, 10.0))
+    c0 = a + (b - a) * draw(st.floats(0.01, 0.99))
+    background = draw(st.one_of(st.just(-math.inf), st.floats(-10.0, 10.0)))
+    if background == -math.inf:
+        value = draw(st.floats(-10.0, 10.0))
+    else:
+        value = background + draw(st.floats(0.01, 10.0))
+    return a, b, c0, value, background
+
+
+@given(_spikes())
+@settings(max_examples=60, deadline=None)
+def test_a_spike_decides_alike_in_either_spelling(spike):
+    # the isolated exceedance is a fact about psi: it was found only when
+    # the spec spelled it point_spike
+    as_spike, as_points = _spike_spellings(*spike)
+    assert _decide_json(as_points) == _decide_json(as_spike)
+    assert psi_to_dict(psi_from_dict(as_points)) == psi_to_dict(psi_from_dict(as_spike))
+
+
+def test_a_spike_at_a_junction_of_two_backgrounds_is_found():
+    spec = {"interval": [-1.0, 1.0],
+            "pieces": [_background((-1.0, 0.0), 0.0), _background((0.0, 1.0), -1.0)],
+            "values_at": {"0.0": 1.0}}
+    out = json.loads(_decide_json(spec))
+    assert out["features"]["spikes"] == [[0.0, 0.5]]
+    assert out["p_complete"] == "no"
+
+
+def test_the_slit_plane_loads_in_either_spelling():
+    # psi = -inf on R but for psi(0) = 1: the plane less a horizontal
+    # half-line, not the whole plane
+    as_spike, as_points = _spike_spellings(-math.inf, math.inf, 0.0, 1.0, -math.inf)
+    as_spike["interval"] = as_points["interval"] = ["-inf", "inf"]
+    as_spike["pieces"][0]["span"] = ["-inf", "inf"]
+    psi = psi_from_dict(as_points)
+    assert psi.value(0.0) == 1.0 and psi.minus_infinity_components() == [
+        (-math.inf, 0.0), (0.0, math.inf)
+    ]
+    assert psi_to_dict(psi) == psi_to_dict(psi_from_dict(as_spike))
+    assert _decide_json(as_points) == _decide_json(as_spike)
+    whole = {**as_points, "values_at": {"0.0": "-inf"}}
+    with pytest.raises(ValidationError, match="whole plane"):
+        psi_from_dict(whole)
+
+
+def test_a_spike_declared_twice_names_both_paths():
+    spec = {**_spike(), "values_at": {"0.0": 2.0}}
+    with pytest.raises(ValidationError) as err:
+        psi_from_dict(spec)
+    assert str(err.value).startswith("/values_at/0.0:") and "/pieces/0/c0" in str(err.value)
+
+
+def test_loaded_spellings_save_in_canonical_form():
+    d = {"interval": [0.0, 1.0], "pieces": [
+        {"kind": "oscillatory", "span": [0.0, 1.0], "expr": "0",
+         "limits": {"left": {"liminf": 0, "limsup": 0}, "right": {"liminf": 0, "limsup": 0}}}]}
+    assert psi_to_dict(psi_from_dict(d))["pieces"][0]["kind"] == "finite_analytic"
+    saved = psi_to_dict(psi_from_dict(_spike(background="-inf")))
+    assert [p["kind"] for p in saved["pieces"]] == ["minus_infinity", "minus_infinity"]
+    assert saved["values_at"] == {"0.0": 1.0}
+
+
+def test_a_finite_value_inside_a_minus_inf_piece_cuts_its_component():
+    # the -inf components once ignored a point value that is not a piece
+    # junction, so one minus_infinity piece and two gave other gaps
+    one = {"interval": [-1.0, 1.0], "pieces": [{"kind": "minus_infinity", "span": [-1.0, 1.0]}],
+           "values_at": {"0.0": 1.0}}
+    spike, _ = _spike_spellings(-1.0, 1.0, 0.0, 1.0, -math.inf)
+    assert psi_from_dict(one).minus_infinity_components() == [(-1.0, 0.0), (0.0, 1.0)]
+    assert _decide_json(one) == _decide_json(spike)

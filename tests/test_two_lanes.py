@@ -1,4 +1,4 @@
-"""Two lanes: ``hardy._two_lanes`` and its callers.
+"""Two lanes: ``hardy.two_lanes`` and its callers.
 
 The oracle's level nodes (Re T and Im T), the fit's design matrix, the
 fit's conjugate copy and the fit's Gram matrix are built on two lanes of
@@ -97,10 +97,10 @@ def test_gram_on_two_lanes_has_the_bits_of_one_product(design):
 
 
 def lane_log(n, width=1):
-    """The lanes ``_two_lanes`` runs on n rows: (slice, on the caller's thread)."""
+    """The lanes ``two_lanes`` runs on n rows: (slice, on the caller's thread)."""
     ran = []
     caller = threading.get_ident()
-    hardy._two_lanes(lambda rows: ran.append((rows, threading.get_ident() == caller)), n, width)
+    hardy.two_lanes(lambda rows: ran.append((rows, threading.get_ident() == caller)), n, width)
     return sorted(ran, key=lambda lane: lane[0].start)
 
 
@@ -122,7 +122,7 @@ def test_an_exception_on_the_upper_lane_is_raised_in_the_caller():
             raise KeyError(f"lane {rows.start}")
 
     with pytest.raises(KeyError, match=f"lane {hardy._LANE_MIN // 2}"):
-        hardy._two_lanes(fn, hardy._LANE_MIN)
+        hardy.two_lanes(fn, hardy._LANE_MIN)
 
 
 def test_the_upper_lane_runs_under_the_callers_errstate():
@@ -138,11 +138,11 @@ def test_the_upper_lane_runs_under_the_callers_errstate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            hardy._two_lanes(square, n)
+            hardy.two_lanes(square, n)
         assert np.all(x[n // 2 :] == np.inf)
         x[n // 2 :] = 1e300
         with pytest.raises(RuntimeWarning, match="overflow"):
-            hardy._two_lanes(square, n)
+            hardy.two_lanes(square, n)
 
 
 def test_no_lane_gets_fewer_than_two_rows():
