@@ -9,10 +9,11 @@ regions, with an argument-principle univalence check.
 
 The sup error of an exponential sum over sample points
 (``ExpSum.sup_error``) is the plain term loop's, bit for bit.  When the
-frequencies lie on one grid, a Horner evaluation in e^{dz} with a running
-error bound screens the points, and the term loop runs again only on the
-few that can hold the max.  The bound assumes libm's complex exp is
-within 4 ulps per component.
+frequencies lie on one grid, the sum is a polynomial in e^{dz}; a blocked
+evaluation of it (baby-step powers, the block sums as one BLAS product,
+Horner over the blocks) with a proven error bound screens the points, and
+the term loop runs again only on the few that can hold the max.  The
+bound assumes libm's complex exp is within 4 ulps per component.
 
 ``least_squares_fit`` takes every frequency budget of a demo in one call.
 The budgets' lists are sub-lists of the longest one, so the quadrature
@@ -23,6 +24,7 @@ the Gram matrix, solve and error of a fit of that list alone, bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
@@ -35,6 +37,14 @@ from .hardy import CanonicalDomain, circle_nodes, two_lanes
 STRIP_HALF_WIDTH = math.pi / 2.0
 _U = 2.0**-53  # unit roundoff of a double
 _TINY = 2.0**-1060  # covers the absolute errors of gradual underflow
+# baby steps of the sup-error screen's blocked polynomial evaluation: the
+# block sums are one BLAS product of K = (M + 1)/_BLOCK rows of coefficients
+_BLOCK = 32
+# points per BLAS product of the screen, which keeps the logdomain demo's
+# temporaries near 2 MiB: freeing its 17 MiB block sums raised glibc's mmap
+# threshold, and a half-plane fit run after it kept its 16-32 MiB arrays
+# on the heap (+31 MB peak RSS)
+_SCREEN_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +145,12 @@ class ExpSum:
 
         Screen.  When the frequencies lie on one grid, lam_k == fl(i_k d)
         for distinct integers 0 <= i_k <= M, the sum is a polynomial in
-        q = e^{dz}: Horner gives h(z) from M multiply-adds per point
-        instead of N exponentials, and a second Horner pass on |c| and |q|
-        gives A(z) = sum |c_k| |q|^{i_k}.  With g = |h - f| and a bound E on
+        q = e^{dz}, evaluated blockwise (``_blocked_polynomial``, after
+        Paterson & Stockmeyer): with B = min(_BLOCK, M + 1) and
+        K = ceil((M + 1)/B) blocks, the powers q^r, r < B, the K block sums
+        S_k = sum_r c_{kB+r} q^r as one BLAS product per chunk of points,
+        and Horner over K steps in Q = q^B give h(z); the same on |c| and
+        |q| gives A(z) = sum |c_k| |q|^{i_k}.  With g = |h - f| and a bound E on
         |(term loop's |s - f|) - g|, the term loop ``s(z[cand])`` runs again
         only where g + E >= max(g - E): every maximiser of the term loop
         passes that test, and rounding is monotone, so it passes it in
@@ -148,29 +161,48 @@ class ExpSum:
         Bound.  u = 2^-53, m = max|lam_k||z|.  Assumed: libm's complex exp
         is within 4 ulps per component (relative error <= 8u) and hypot
         within 1 ulp (2u); a complex product errs by <= sqrt(5) u < 3u
-        relative, a complex sum by u.  To first order in u:
+        relative (2u with an FMA), a complex sum by u; BLAS forms each
+        complex product from its four real products.  To first order in u:
           term loop vs the exact sum: fl(lam_k z) errs by 3u|lam_k||z|,
             hence e^{lam_k z} by a relative 3um; exp adds 8u, the product
             with c_k 3u and the N - 1 additions (N - 1)u: u(N + 3m + 10) A;
-          Horner vs the exact sum: the steps give (1 + 3u)^j (1 + u)^j on
-            the j-th coefficient, 4Mu; q^j is off by j(3u|d||z| + 8u)
-            <= 3um + 8Mu; and lam_k - i_k d, one rounding per component,
-            shifts e^{lam_k z} by a relative um: u(12M + 4m) A;
-          the computed A differs from A by at most u(12M + 3m + 2) A;
+          h vs the exact sum, on the term of q^{kB+r}: q^j is off by
+            j(3u|d||z| + 8u) <= 3um + 8Mu, and lam_k - i_k d, one rounding
+            per component, shifts e^{lam_k z} by a relative um; the B - 2
+            products that form q^r give 3Bu; a BLAS sum of B complex
+            products, in any order and with or without FMA, is per
+            component a real dot product of length 2B, which errs by
+            gamma_{2B} times its sum of moduli (Higham, ch. 3), so by
+            sqrt(2) gamma_{2B} sum |c_j||q^r| < 3Bu sum |c_j||q^r| in
+            modulus; Q errs by 3Bu, so Q^k by 3kBu <= 3Mu; and the K - 1
+            Horner steps give (1 + 3u)^k (1 + u)^k on S_k (Higham, ch. 5),
+            4Ku:
+            u(11M + 6B + 4K + 4m) A;
+          the computed A, from the same steps in real arithmetic, is
+            within u(11M + 2B + 2K + 4m + 2) A of A;
           |s - f| and |h - f| each carry u from the difference and 2u from
             hypot, so the two moduli differ by at most
             |s - h| (1 + 4u) + 7u g.
-        So E = 1.01 (x A + 7u g + 2^-1060 (N + (M + 1) max(1, |q|^M))) with
-        x = u(N + 12M + 7m + 10): the factor 1.01 holds the second-order
-        terms as long as x <= 1e-3, and the last term the absolute errors
-        of gradual underflow (<= 2^-1074 per product, amplified by at most
-        |q|^j in Horner).  E is set to infinity where x > 1e-3 or
-        M |Re dz| > 700, where exp could over- or underflow.
+        So E = 1.01 (x A + 7u g + 2^-1060 (N + (M + B + K)(1 + sum |c_k|)
+        max(1, |q|^M))) with x = u(N + 11M + 6B + 4K + 7m + 10): the
+        factor 1.01 holds the second-order terms as long as x <= 1e-3, and
+        the last term the absolute errors of gradual underflow: 2^-1073
+        per complex product (2^-1075 per real product) and 2^-1071 per
+        exp (4 ulps of 2^-1074 per component).  The term loop's errors
+        reach s with a factor of at most |c_k|: 2^-1073 (N + 4 sum |c_k|).
+        In h, each reaches the result with a factor of at most |c_j| |q|^j or
+        |q|^j, j <= M, and there are B - 2 in the powers and one in Q,
+        each reaching every term (Q's once per Horner step, so the
+        powers' errors weigh at most (M + B) sum |c_k| in all), M + B in
+        the BLAS product and K in the Horner steps.  Those of A, times
+        x <= 1e-3, fit in the same term with room to spare.  E is set to
+        infinity where x > 1e-3 or M |Re dz| > 700, where exp or a power
+        could over- or underflow.
 
         The plain term loop runs instead for a sum off a grid or of degree
-        M > 4N (Horner would cost more than the exponentials), a scalar or
-        empty z, an f of another shape, and when h, f or E is not finite at
-        some point."""
+        M > 4N (the screen would cost more than the exponentials), a
+        scalar or empty z, an f of another shape, and when h, f or E is not
+        finite at some point."""
         z = np.asarray(z, dtype=complex)
         f = np.asarray(f)
         grid = self._grid()
@@ -178,20 +210,20 @@ class ExpSum:
             d, coef = grid
             z, f = z.ravel(), f.ravel()
             n, M = len(self.terms), coef.size - 1
+            B = min(_BLOCK, M + 1)
+            K = -(-(M + 1) // B)
+            C = np.zeros(K * B, dtype=complex)
+            C[: M + 1] = coef
+            C = C.reshape(K, B)
             with np.errstate(all="ignore"):
                 dz = d * z
                 q = np.exp(dz)
-                aq, ac = np.abs(q), np.abs(coef)
-                h = np.full(z.shape, coef[M])
-                A = np.full(z.shape, ac[M])
-                for j in range(M - 1, -1, -1):
-                    np.multiply(h, q, out=h)
-                    h += coef[j]
-                    np.multiply(A, aq, out=A)
-                    A += ac[j]
+                h = _blocked_polynomial(C, q)
+                A = _blocked_polynomial(np.abs(C), np.abs(q))
                 g = np.abs(h - f)
-                x = _U * (n + 12 * M + 7 * (abs(d) * M) * np.abs(z) + 10)
-                tiny = _TINY * (n + (M + 1) * np.maximum(1.0, np.exp(M * dz.real)))
+                x = _U * (n + 11 * M + 6 * B + 4 * K + 7 * (abs(d) * M) * np.abs(z) + 10)
+                reach = (M + B + K) * (1.0 + float(np.sum(np.abs(coef))))
+                tiny = _TINY * (n + reach * np.maximum(1.0, np.exp(M * dz.real)))
                 E = 1.01 * (x * A + 7 * _U * g + tiny)
                 E[(x > 1e-3) | (M * np.abs(dz.real) > 700.0)] = np.inf
             if np.all(np.isfinite(g)) and np.all(np.isfinite(E)):
@@ -227,6 +259,31 @@ class ExpSum:
         return float(
             sum(abs(c) * math.exp(STRIP_HALF_WIDTH * abs(lam.imag)) for c, lam in self.terms)
         )
+
+
+def _blocked_polynomial(C, q):
+    """sum_{k, r} C[k, r] q^{kB + r} at every point of q, B = C.shape[1] >= 2:
+    the powers q^r, r < B, as the rows of one array, the K = C.shape[0]
+    block sums by one BLAS product, then Horner in q^B over the blocks,
+    on _SCREEN_CHUNK points at a time."""
+    K, B = C.shape
+    out = np.empty_like(q)
+    for lo in range(0, q.size, _SCREEN_CHUNK):
+        qc = q[lo : lo + _SCREEN_CHUNK]
+        P = np.empty((B, qc.size), dtype=q.dtype)
+        P[0] = 1.0
+        P[1] = qc
+        for r in range(2, B):
+            np.multiply(P[r - 1], qc, out=P[r])
+        S = C @ P
+        h = S[K - 1]
+        if K > 1:
+            Q = P[B - 1] * qc
+            for k in range(K - 2, -1, -1):
+                h *= Q
+                h += S[k]
+        out[lo : lo + qc.size] = h
+    return out
 
 
 # numpy's leggauss, an O(n^3) eigenvalue solve, up to this many nodes: the
@@ -394,10 +451,11 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
 
     Three arrays are built on two lanes of rows (``hardy.two_lanes``),
     each lane writing its own rows of one preallocated array: the design
-    matrix and each fit's conjugate copy through the ufuncs one lane would
-    run, and each fit's Gram matrix G = A^H A (``_normal_equations``), each
-    lane one BLAS product ``Ah[rows] @ A`` into its rows of G.  A gemm sums
-    each entry of its result along the inner dimension inside one tile, so
+    matrix (with its mirrored lower half) and each fit's conjugate copy
+    through the ufuncs one lane would run, and, when BLAS runs one thread,
+    each fit's Gram matrix G = A^H A (``_normal_equations``), each lane one
+    BLAS product ``Ah[rows] @ A`` into its rows of G.  A gemm sums each
+    entry of its result along the inner dimension inside one tile, so
     splitting G by rows leaves every entry with the bits of one product
     (checked for every m up to 40 and at 64, 128 and 256 on the half-plane
     and eta_1 designs).  Sharing the longest list's G among the shorter
@@ -406,7 +464,8 @@ def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -
     rows.  The conjugate copy is a fresh C-ordered array whose transpose
     enters the Gram product, so BLAS sees the layout of ``A.conj().T``.
     Lanes write into one preallocated array rather than joining two with
-    ``np.concatenate``, which holds both halves and the whole at once.  ``A^H b`` stays one product: on two lanes it was
+    ``np.concatenate``, which holds both halves and the whole at once.
+    ``A^H b`` stays one product: on two lanes it was
     slower.
     """
     if not (n_nodes > 0 and n_nodes % 2 == 0):
@@ -448,21 +507,22 @@ def _design(z, freqs, mirrored):
     each lane forms and exponentiates its own rows of one preallocated
     matrix, in place.  With ``mirrored`` the lower half of z is
     conj(z[h-1::-1]) and every lam is real, so the lanes build the upper
-    half and the lower half is then the conjugate of it in reverse: e^{lam
-    conj z} = conj e^{lam z}, with the same bits, as lam conj z is the
-    conjugate of lam z exactly and exp(x)(cos y, sin y) is odd in y.  The
-    one exception is the sign of a zero imaginary part, at lam = 0."""
+    half, and each lane writes the conjugate of its own rows, reversed,
+    into the lower half: e^{lam conj z} = conj e^{lam z}, with the same
+    bits, as lam conj z is the conjugate of lam z exactly and
+    exp(x)(cos y, sin y) is odd in y.  The one exception is the sign of a
+    zero imaginary part, at lam = 0."""
     freqs = np.asarray(freqs)
-    A = np.empty((len(z), len(freqs)), dtype=np.result_type(z, freqs))
-    h = len(z) // 2 if mirrored else len(z)
+    n = len(z)
+    A = np.empty((n, len(freqs)), dtype=np.result_type(z, freqs))
 
     def lane(rows):
         np.multiply.outer(z[rows], freqs, out=A[rows])
         np.exp(A[rows], out=A[rows])
+        if mirrored:
+            np.conjugate(A[rows][::-1], out=A[n - rows.stop : n - rows.start])
 
-    two_lanes(lane, h, len(freqs))
-    if mirrored:
-        np.conjugate(A[h - 1 :: -1], out=A[h:])
+    two_lanes(lane, n // 2 if mirrored else n, len(freqs))
     return A
 
 
@@ -470,15 +530,42 @@ def _rms_error(A, coef, b):
     return float(np.sqrt(np.mean(np.abs(A @ coef - b) ** 2)))
 
 
+@functools.cache
+def _openblas_threads_getter():
+    """``scipy_openblas_get_num_threads64_`` of the OpenBLAS bundled with
+    numpy, looked up through numpy's core extension, which links it; None
+    for any other BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter
+
+
+def _blas_threads():
+    """The threads numpy's BLAS runs a product on now, None when unknown."""
+    getter = _openblas_threads_getter()
+    return None if getter is None else getter()
+
+
 def _normal_equations(A, b):
-    """(A^H A / n, A^H b / n) for the design A on n nodes, with the
-    conjugate copy and the Gram matrix each built on two lanes of rows."""
+    """(A^H A / n, A^H b / n) for the design A on n nodes.  The conjugate
+    copy is built on two lanes of rows, and so is the Gram matrix when BLAS
+    runs one thread; a threaded BLAS already splits the product (on lanes
+    it was slower there), and an unknown BLAS gets one product too."""
     n_nodes, m = A.shape
     Ah = np.empty_like(A)
     two_lanes(lambda rows: np.conjugate(A[rows], out=Ah[rows]), n_nodes, m)
     Ah = Ah.T
     G = np.empty((m, m), dtype=A.dtype)
-    two_lanes(lambda rows: np.matmul(Ah[rows], A, out=G[rows]), m, n_nodes)
+    if _blas_threads() == 1:
+        two_lanes(lambda rows: np.matmul(Ah[rows], A, out=G[rows]), m, n_nodes)
+    else:
+        np.matmul(Ah, A, out=G)
     G /= n_nodes
     return G, (Ah @ b) / n_nodes
 
@@ -708,8 +795,8 @@ def log_domain_pipeline_demo(
     sample window must stay well inside that period; desk scale here is a
     |Im z| <= t_window slab of the closed domain.  On that grid each sum is
     a polynomial in e^{-z/n_per_unit}, so ``ExpSum.sup_error`` screens the
-    samples by Horner and evaluates the term loop at the few that can hold
-    the max."""
+    samples by a blocked evaluation of that polynomial and evaluates the
+    term loop at the few that can hold the max."""
     b = choose_b(spec)
     if 2.0 * t_window > math.pi * n_per_unit:
         raise ValueError("sample window exceeds the discretization's period")

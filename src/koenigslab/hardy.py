@@ -54,9 +54,8 @@ A level of ``_LANE_MIN`` upper-half nodes or more is mapped on two lanes
 (``two_lanes``): the upper half of its nodes on a short-lived thread,
 while numpy's loops run without the interpreter lock.  Each lane writes
 its slice of one preallocated array through the ufuncs one lane would
-run, so every node keeps its bits.  ``approx`` builds its design matrix,
-each fit's conjugate copy and each fit's Gram matrix the same way, the
-Gram split by its rows; no lane gets fewer than two rows.
+run, so every node keeps its bits.  ``approx`` runs its own row-sliced
+fills the same way.  No lane gets fewer than two rows.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ spacing 1/8 the fitted family is 16*pi-periodic along the boundary, so the
 true distance of 1/(z+1)^2 from the span in the canonical map's L² metric
 at radius ρ is 1.38e-2, above the 1e-2 target (the exact boundary Gram gives
 2.56e-2 at the boundary itself).  The assertion runs unweakened and is
-marked xfail; halving the spacing reaches 1.4e-3.
+marked xfail.  Halving the spacing alone does not reach it: spacing 1/16
+gives 4.505e-2 with 64 frequencies and 3.324e-3 with 128.
 """
 
 import math
@@ -287,7 +288,7 @@ def _half_plane_fit_errors():
     "along the boundary; the first replica carries harmonic-measure weight "
     "~1.4e-4, so the true distance of the target from the span in the "
     "canonical map's L² metric at radius ρ is 1.38e-2, above the 1e-2 target.  "
-    "Halving the spacing reaches 1.4e-3.",
+    "Spacing 1/16 gives 4.505e-2 with 64 frequencies and 3.324e-3 with 128.",
 )
 def test_criterion_7_error_threshold():
     errs = _half_plane_fit_errors()

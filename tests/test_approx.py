@@ -1,8 +1,10 @@
+import cmath
 import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from koenigslab import approx, hardy
 from koenigslab.approx import (
@@ -215,6 +217,57 @@ def test_sup_error_edge_cases_match_the_term_loop():
     assert math.isnan(s.sup_error(z, f_nan))
     with pytest.raises(ValueError):
         s.sup_error(z[:0], f[:0])
+
+
+@st.composite
+def grid_sums_and_points(draw):
+    """A sum of N terms c_k e^{i_k d z}, 0 <= i_k <= 4N with i = 1 among
+    them (so d is the grid step), |c_k| from 1e-300 to 1e3, and points
+    whose |q| = |e^{dz}| lies on both sides of 1, some near the screen's
+    guard M |Re dz| = 700 and at times one beyond it."""
+    n = draw(st.integers(1, 48))
+    idx = [1] + draw(
+        st.lists(st.integers(0, 4 * n).filter(lambda i: i != 1), min_size=n - 1, max_size=n - 1, unique=True)
+    )
+    d = cmath.rect(draw(st.floats(1e-3, 2.0)), draw(st.floats(-math.pi, math.pi)))
+    terms = tuple(
+        (cmath.rect(10.0 ** draw(st.floats(-300.0, 3.0)), draw(st.floats(0.0, 2 * math.pi))),
+         complex(i * d.real, i * d.imag))
+        for i in idx
+    )
+    M = max(idx)
+    size = draw(st.integers(2, 200))
+    re_mdz = st.one_of(st.floats(-699.0, 699.0), st.floats(690.0, 699.0), st.floats(-699.0, -690.0))
+    pts = draw(st.lists(st.tuples(re_mdz, st.floats(-40.0, 40.0)), min_size=size, max_size=size))
+    if draw(st.integers(0, 4)) == 4:
+        pts[0] = (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(701.0, 710.0)), pts[0][1])
+    z = np.array([complex(t / M, y) / d for t, y in pts])
+    return ExpSum(terms), z
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sz=grid_sums_and_points(), kind=st.sampled_from(["zero", "shifted", "random"]),
+       scale=st.floats(-17.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_blocked_screen_is_bitwise_the_term_loop(evaluated_points, monkeypatch, sz, kind, scale, seed):
+    monkeypatch.setattr(approx, "_SCREEN_CHUNK", 64)  # several chunks, the last one short
+    s, z = sz
+    assert s._grid() is not None
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        v = s(z)
+        top = float(np.max(np.abs(v[np.isfinite(v)]), initial=1.0))
+        phase = np.exp(2j * math.pi * rng.random(z.size))
+        # "shifted": |s - f| is one value at every point, up to rounding
+        f = {
+            "zero": np.zeros(z.size, dtype=complex),
+            "shifted": v + top * 10.0**scale * phase,
+            "random": top * 10.0**scale * rng.random(z.size) * phase,
+        }[kind]
+        want = _term_loop_sup(s, z, f)
+        evaluated_points.clear()
+        got = s.sup_error(z, f)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert sum(evaluated_points) <= z.size
 
 
 def test_empty_sum_evaluates_to_zero():

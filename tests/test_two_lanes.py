@@ -1,15 +1,19 @@
 """Two lanes: ``hardy.two_lanes`` and its callers.
 
 The oracle's level nodes (Re T and Im T), the fit's design matrix, the
-fit's conjugate copy and the fit's Gram matrix are built on two lanes of
-one preallocated array, the upper lane on a short-lived thread.  These
-tests check that every element keeps the bits one lane gives it, on both
-sides of ``hardy._LANE_MIN``, and that the helper raises a lane's
-exception in the caller, keeps the caller's ``np.errstate`` on its
-thread, starts no thread below the threshold and gives no lane fewer than
-two rows.
+fit's conjugate copy and, when BLAS runs one thread, the fit's Gram
+matrix are built on two lanes of one preallocated array, the upper lane
+on a short-lived thread.  These tests check that every element keeps the
+bits one lane gives it, on both sides of ``hardy._LANE_MIN``, that the
+Gram takes lanes only under a one-thread BLAS, and that the helper raises
+a lane's exception in the caller, keeps the caller's ``np.errstate`` on
+its thread, starts no thread below the threshold and gives no lane fewer
+than two rows.  They pass under either BLAS thread count.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -84,8 +88,10 @@ GRAM_DESIGNS = {
 
 
 @pytest.mark.parametrize("design", sorted(GRAM_DESIGNS))
-def test_gram_on_two_lanes_has_the_bits_of_one_product(design):
-    # a lane of one row would go to gemv, which sums in another order
+def test_gram_on_two_lanes_has_the_bits_of_one_product(monkeypatch, design):
+    # a lane of one row would go to gemv, which sums in another order;
+    # the Gram takes lanes whatever threads this process's BLAS runs
+    monkeypatch.setattr(approx, "_blas_threads", lambda: 1)
     A_full = GRAM_DESIGNS[design]()
     b = A_full[:, 0] + 1.0
     for m in [*range(1, 41), 64, 128, 256]:
@@ -94,6 +100,39 @@ def test_gram_on_two_lanes_has_the_bits_of_one_product(design):
         Ah = np.conjugate(A).T
         assert same_bits(G, (Ah @ A) / len(b)), m
         assert same_bits(rhs, (Ah @ b) / len(b)), m
+
+
+@pytest.mark.parametrize("threads", [1, 2, None])
+def test_gram_runs_on_lanes_only_when_blas_runs_one_thread(monkeypatch, threads):
+    A = fit_design(half_plane_right(), [-k / 8 for k in range(1, 65)])
+    b = A[:, 0] + 1.0
+    lanes = []
+    run = approx.two_lanes
+    monkeypatch.setattr(approx, "two_lanes", lambda fn, n, width=1: (lanes.append(n), run(fn, n, width)))
+    monkeypatch.setattr(approx, "_blas_threads", lambda: threads)
+    G, _ = approx._normal_equations(A, b)
+    # the conjugate copy on its 2^14 rows, then the Gram on its 64
+    assert lanes == ([2**14, 64] if threads == 1 else [2**14])
+    assert same_bits(G, (np.conjugate(A).T @ A) / len(b))
+
+
+def numpy_bundles_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas"
+
+
+@pytest.mark.skipif(not numpy_bundles_openblas(), reason="numpy does not bundle scipy-openblas")
+def test_blas_threads_reads_a_pinned_openblas():
+    # a failed lookup would read None and quietly give up the Gram's lanes
+    src = os.path.dirname(os.path.dirname(approx.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from koenigslab import approx; print(approx._blas_threads())"],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "1"
+    assert approx._blas_threads() >= 1
 
 
 def lane_log(n, width=1):
