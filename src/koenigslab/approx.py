@@ -417,9 +417,11 @@ class FitResult:
 # ``hardy.circle_nodes``; the refinement radius (1 + rho)/2 is the next level
 _FIT_LEVEL = 12
 _FIT_RIDGE = 1e-12
+# nodes on the fit's circle; the CLI sizes the fit's memory from it too
+FIT_NODES = 2**14
 
 
-def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=2**14) -> list[FitResult]:
+def least_squares_fit(target, dom: CanonicalDomain, freq_lists, n_nodes=FIT_NODES) -> list[FitResult]:
     """One fit per frequency list in ``freq_lists``: the best coefficients
     for target ~ sum c_k e^{lam_k z} in the L2 metric of the canonical map
     on the circle of radius rho = 1 - 2^-_FIT_LEVEL.

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .approx import (
+    FIT_NODES,
     LogDomainSpec,
     alpha_map,
     choose_b,
@@ -203,9 +204,6 @@ def cmd_freq(args):
 
 def cmd_oracle(args):
     psi = _load(args.spec)
-    if args.pgm:
-        # two n-by-n masks, the image and its byte copy
-        _check_memory(f"--resolution {args.resolution}", 4 * args.resolution**2, "the PGM image")
     try:
         grid = rasterize(psi, args.window, args.resolution)
         ic, details = int_closure_equals_domain(grid)
@@ -267,29 +265,25 @@ def _svg_convergence(rows, path):
         fh.write(svg)
 
 
-def _check_memory(flag, need, what):
-    """Raise before the work starts when ``need`` bytes for ``what``, sized
-    by ``flag``, outgrow physical memory or the process's address-space
-    limit (``ulimit -v``)."""
+def _check_design_fits(budget, longest):
+    """Raise before any list is built when the fit's peak, in complex128,
+    outgrows physical memory or the process's address-space limit
+    (``ulimit -v``).  On n = ``FIT_NODES`` nodes and L = ``longest``
+    frequencies, ``approx._fit_one`` first holds the design, its conjugate
+    copy and the Gram matrix (2nL + L^2 entries), then the design, the Gram
+    matrix, its ridge copy and the solve's copy (nL + 3L^2).  A shorter
+    list's column copy and its conjugate stay within the first."""
+    n, L = FIT_NODES, longest
+    need = 16 * max(2 * n * L + L * L, n * L + 3 * L * L)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     where = f"{have / 2**30:.1f} GiB of physical memory"
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY and limit < have:
         have, where = limit, f"{limit / 2**30:.1f} GiB address-space limit"
     if need > have:
-        raise ValueError(f"{flag} needs {need / 2**30:.1f} GiB for {what}, more than the {where}")
-
-
-def _check_design_fits(budget, longest):
-    """The fit's peak, in complex128, sized before any list is built: on
-    n = 2^14 nodes and L = ``longest`` frequencies, ``approx._fit_one``
-    first holds the design, its conjugate copy and the Gram matrix (2nL +
-    L^2 entries), then the design, the Gram matrix, its ridge copy and the
-    solve's copy (nL + 3L^2).  A shorter list's column copy and its
-    conjugate stay within the first."""
-    n, L = 2**14, longest
-    need = 16 * max(2 * n * L + L * L, n * L + 3 * L * L)
-    _check_memory(f"--budget {budget}", need, "the fit")
+        raise ValueError(
+            f"--budget {budget} needs {need / 2**30:.1f} GiB for the fit, more than the {where}"
+        )
 
 
 def cmd_approx(args):
@@ -419,7 +413,7 @@ def main(argv=None):
     except WindowError as exc:
         sys.stderr.write(f"window too small: {exc}\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -17,7 +17,8 @@ every sample failed, and then both tests answer unknown.  Only
 and the exactness gate read the set E where the liminf of psi is -inf.
 
 Verdicts are tri-state: a definite answer must be stable across the
-resolution pair (n, n/2).
+resolution pair (n, n/2).  The PGM picture is read off the same profiles:
+each row is fixed by two columns and written in blocks of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ import numpy as np
 
 from .domain import NEG_INF, POS_INF, PiecewiseDefiningFunction, RowProfile
 from .tri import TriState
+
+
+# rows of the PGM image built at once
+_PGM_ROWS = 256
 
 
 class WindowError(ValueError):
@@ -46,36 +51,34 @@ class RasterGrid:
     def dx(self):
         return (self.window[1] - self.window[0]) / self.n
 
-    @property
-    def x_edges(self):
-        return np.linspace(self.window[0], self.window[1], self.n + 1)
-
-    # -- frontier masks ----------------------------------------------------
-
-    def inside_mask(self):
-        f = self.rows.M.copy()
-        f[self.rows.outside | self.rows.edge] = POS_INF
-        xc = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
-        return xc[None, :] > f[:, None]
-
-    def closure_mask(self):
-        """Cells right of the one-row dilation of the row-inf profile."""
-        g = self.rows.m.copy()
-        g[self.rows.outside] = POS_INF
-        xc = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
-        return xc[None, :] >= _dilate(g, np.minimum)[:, None]
+    def columns(self):
+        """First closure and first inside column of each row (the domain is
+        row-convex, so a row is complement, then closure band, then domain).
+        The inside column is the first cell centre right of M, the closure
+        column the first at or right of the one-row dilation of m, clamped
+        to the inside column.  A NaN frontier puts its column past the end."""
+        x0, x1 = self.window[:2]
+        edges = np.linspace(x0, x1, self.n + 1)
+        xc = 0.5 * (edges[:-1] + edges[1:])
+        rows = self.rows
+        f = np.where(rows.outside | rows.edge, POS_INF, rows.M)
+        g = _dilate(np.where(rows.outside, POS_INF, rows.m), np.minimum)
+        inside = np.searchsorted(xc, f, side="right")
+        return np.minimum(np.searchsorted(xc, g, side="left"), inside), inside
 
     def to_pgm(self, path):
-        """P5 image: complement 0, closure band 128, domain 255; row 0 at top."""
-        inside = self.inside_mask()
-        closure = self.closure_mask()
-        img = np.zeros(inside.shape, dtype=np.uint8)
-        img[closure] = 128
-        img[inside] = 255
-        img = img[::-1]
+        """P5 image: complement 0, closure band 128, domain 255; row 0 at
+        the bottom.  Written top row first, _PGM_ROWS rows at a time."""
+        closure, inside = (c[::-1, None] for c in self.columns())
+        cols = np.arange(self.n)
         with open(path, "wb") as fh:
-            fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
-            fh.write(img.tobytes())
+            fh.write(b"P5\n%d %d\n255\n" % (self.n, self.n))
+            for lo in range(0, self.n, _PGM_ROWS):
+                rows = slice(lo, lo + _PGM_ROWS)
+                img = np.zeros((inside[rows].size, self.n), dtype=np.uint8)
+                img[cols >= closure[rows]] = 128
+                img[cols >= inside[rows]] = 255
+                fh.write(img.tobytes())
 
 
 def rasterize(psi: PiecewiseDefiningFunction, window, n) -> RasterGrid:

@@ -8,6 +8,7 @@ import pytest
 
 import koenigslab
 import koenigslab.cli
+import koenigslab.completeness
 from koenigslab.battery import battery_entry
 from koenigslab.specio import save_psi
 
@@ -145,41 +146,34 @@ def test_approx_budget_beyond_the_address_space_limit_exits_2(monkeypatch, capsy
     )
 
 
-def oracle_pgm_exit(monkeypatch, capsys, tmp_path, resolution, address_space):
-    """Exit code and stderr of ``oracle --pgm`` on 8 GiB of physical memory
-    under the given address-space limit; rasterizing fails the test."""
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    monkeypatch.setattr(resource, "getrlimit", lambda _: (address_space, resource.RLIM_INFINITY))
-    monkeypatch.setattr(koenigslab.cli, "rasterize", pytest.fail)
+def test_oracle_pgm_is_not_sized_against_physical_memory(monkeypatch, capsys, tmp_path):
+    # the image is written in row blocks, so 1 MiB of physical memory once
+    # refused the 4 MiB its two masks, the image and its byte copy took
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
     pgm = tmp_path / "x.pgm"
     code = koenigslab.cli.main([
         "oracle", "battery:strip", "--window=-4,4,-2.4,2.4",
-        "--resolution", str(resolution), "--pgm", str(pgm),
+        "--resolution", "1024", "--pgm", str(pgm),
     ])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pgm"] == str(pgm)
+    body = pgm.read_bytes()
+    assert body.startswith(b"P5\n1024 1024\n255\n")
+    assert len(body) == len(b"P5\n1024 1024\n255\n") + 1024**2
+
+
+@pytest.mark.parametrize("module, argv", [
+    (koenigslab.cli, ["oracle", "battery:log_demo", "--window=-6,6,-20,20"]),
+    (koenigslab.completeness, ["decide", "battery:log_demo", "--cross-check", "--window=-6,6,-20,20"]),
+])
+def test_running_out_of_memory_exits_2(module, argv, monkeypatch, capsys):
+    # numpy names the allocation it could not make; a traceback once hid it
+    def rasterize(*_):
+        raise MemoryError("Unable to allocate 732. MiB for an array with shape (1500000, 64)")
+
+    monkeypatch.setattr(module, "rasterize", rasterize)
+    assert koenigslab.cli.main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and not pgm.exists()
-    return code, err
-
-
-def test_oracle_pgm_beyond_physical_memory_exits_2(monkeypatch, capsys, tmp_path):
-    # two masks, the image and its byte copy: 4 * 50000^2 bytes against 8 GiB
-    code, err = oracle_pgm_exit(monkeypatch, capsys, tmp_path, 50000, resource.RLIM_INFINITY)
-    assert code == 2
-    assert err == (
-        "error: --resolution 50000 needs 9.3 GiB for the PGM image, "
-        "more than the 8.0 GiB of physical memory\n"
-    )
-
-
-def test_oracle_pgm_beyond_the_address_space_limit_exits_2(monkeypatch, capsys, tmp_path):
-    # ulimit -v 2400000: the image once failed with a numpy traceback
-    code, err = oracle_pgm_exit(monkeypatch, capsys, tmp_path, 30000, 2400000 * 1024)
-    assert code == 2
-    assert err == (
-        "error: --resolution 30000 needs 3.4 GiB for the PGM image, "
-        "more than the 2.3 GiB address-space limit\n"
-    )
+    assert out == "" and err.startswith("error: Unable to allocate")
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--n"])

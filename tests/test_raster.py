@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from koenigslab import TriState
 from koenigslab.battery import battery_entry, full_battery
-from koenigslab.domain import NEG_INF, RowProfile
+from koenigslab.domain import NEG_INF, POS_INF, RowProfile
 from koenigslab.raster import (
     WindowError,
     _component_count_single,
+    _dilate,
     _int_closure_violation,
     complement_components,
     int_closure_equals_domain,
@@ -17,14 +19,26 @@ from koenigslab.raster import (
 )
 
 
+def cell_centres(grid):
+    edges = np.linspace(grid.window[0], grid.window[1], grid.n + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def pixels(grid, tmp_path):
+    """The written image as an n-by-n array, row 0 at the bottom."""
+    path = tmp_path / "grid.pgm"
+    grid.to_pgm(path)
+    body = path.read_bytes()[len(b"P5\n%d %d\n255\n" % (grid.n, grid.n)):]
+    return np.frombuffer(body, dtype=np.uint8).reshape(grid.n, grid.n)[::-1]
+
+
 def test_flat_right_cells_inside():
     psi = battery_entry("half_plane").psi
     grid = rasterize(psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
-    inside = grid.inside_mask()
+    _, inside = grid.columns()
     # columns strictly right of 0 are inside, left of 0 outside
-    xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
-    assert inside[:, xc > 0.05].all()
-    assert not inside[:, xc < -0.05].any()
+    xc = cell_centres(grid)
+    assert (xc[inside] > 0).all() and (xc[inside - 1] < 0).all()
 
 
 def test_comb_teeth_visible_as_slits():
@@ -123,30 +137,95 @@ def test_pgm_output(tmp_path):
     assert head.startswith(b"P5\n128 128\n255\n")
 
 
-def test_right_translation_monotone_rows():
-    # within each row, cells right of an inside cell are inside
+def test_right_translation_monotone_rows(tmp_path):
+    # within each row, cells right of a domain pixel are domain pixels, and
+    # cells right of a closure pixel are closure or domain pixels
     e = battery_entry("oscillation_cantor")
-    grid = rasterize(e.psi, e.window, 256)
-    inside = grid.inside_mask()
-    first_true = np.argmax(inside, axis=1)
-    for iy in range(grid.n):
-        if inside[iy].any():
-            assert inside[iy, first_true[iy]:].all()
+    img = pixels(rasterize(e.psi, e.window, 256), tmp_path)
+    assert set(np.unique(img)) <= {0, 128, 255}
+    assert (np.diff(img.astype(int), axis=1) >= 0).all()
+    assert (img == 255).any() and (img == 0).any()
 
 
-def test_inside_cells_contain_centers():
-    # the raster invariant: every inside cell's center lies in the domain
+def test_inside_cells_contain_centers(tmp_path):
+    # the raster invariant: every domain pixel's center lies in the domain
     e = battery_entry("du_oscillation")
     grid = rasterize(e.psi, e.window, 256)
-    inside = grid.inside_mask()
-    xc = 0.5 * (grid.x_edges[:-1] + grid.x_edges[1:])
+    inside = pixels(grid, tmp_path) == 255
+    xc = cell_centres(grid)
     yc = 0.5 * (grid.rows.y_edges[:-1] + grid.rows.y_edges[1:])
     rng = np.random.default_rng(3)
     iys = rng.integers(0, 256, 200)
     ixs = rng.integers(0, 256, 200)
+    assert inside[iys, ixs].any()
     for iy, ix in zip(iys, ixs):
         if inside[iy, ix]:
             assert e.psi.contains(complex(xc[ix], yc[iy]))
+
+
+def mask_pgm(grid, path):
+    """The image as the two n-by-n masks once wrote it, kept as the
+    reference for the row-block writer."""
+    xc = cell_centres(grid)
+    f = grid.rows.M.copy()
+    f[grid.rows.outside | grid.rows.edge] = POS_INF
+    g = grid.rows.m.copy()
+    g[grid.rows.outside] = POS_INF
+    inside = xc[None, :] > f[:, None]
+    closure = xc[None, :] >= _dilate(g, np.minimum)[:, None]
+    img = np.zeros(inside.shape, dtype=np.uint8)
+    img[closure] = 128
+    img[inside] = 255
+    img = img[::-1]
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
+        fh.write(img.tobytes())
+
+
+@pytest.mark.parametrize("e", full_battery(), ids=lambda e: e.name)
+def test_the_pgm_has_the_bytes_of_the_mask_writer(e, tmp_path):
+    # 600 and 300 rows end in a partial block
+    for grid in (rasterize(e.psi, e.window, e.resolution), rasterize(e.psi, e.window, 600)):
+        for g in (grid, grid.coarse):
+            g.to_pgm(tmp_path / "rows.pgm")
+            mask_pgm(g, tmp_path / "masks.pgm")
+            assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "masks.pgm").read_bytes()
+
+
+_GRID = rasterize(battery_entry("half_plane").psi, (-1.0, 1.0, -1.0, 1.0), 128).coarse
+# frontiers on and between cell centres, infinite and NaN
+_FRONTIER = st.one_of(
+    st.sampled_from(list(cell_centres(_GRID)) + [NEG_INF, POS_INF, np.nan]),
+    st.floats(-1.5, 1.5),
+)
+_ROWS = st.lists(st.tuples(_FRONTIER, _FRONTIER, st.booleans(), st.booleans()), min_size=64, max_size=64)
+
+
+@given(_ROWS)
+def test_the_pgm_keeps_the_mask_writer_bytes_on_ties(tmp_path_factory, rows):
+    # a frontier on a cell centre: inside needs the centre strictly right
+    # of M, the closure band takes the centre at the dilated m
+    M, m, outside, edge = (np.array(c) for c in zip(*rows))
+    profile = RowProfile(_GRID.rows.y_edges, M, m, M, outside, edge)
+    grid = dataclasses.replace(_GRID, rows=profile)
+    path = tmp_path_factory.mktemp("pgm")
+    grid.to_pgm(path / "rows.pgm")
+    mask_pgm(grid, path / "masks.pgm")
+    assert (path / "rows.pgm").read_bytes() == (path / "masks.pgm").read_bytes()
+
+
+def test_the_pgm_is_written_without_an_n_by_n_array(tmp_path):
+    # two n-by-n masks, the image and its byte copy took 64 MiB at n = 4096
+    e = battery_entry("eta1")
+    grid = rasterize(e.psi, e.window, 4096)
+    tracemalloc.start()
+    try:
+        grid.to_pgm(tmp_path / "eta1.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (tmp_path / "eta1.pgm").stat().st_size == len(b"P5\n4096 4096\n255\n") + 4096**2
 
 
 def test_translation_invariance_of_verdicts():
@@ -209,7 +288,6 @@ def test_the_raster_grid_is_frozen_with_four_fields():
     assert [f.name for f in dataclasses.fields(grid)] == ["window", "n", "rows", "coarse"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.coarse = None
-    assert np.array_equal(grid.x_edges, np.linspace(-4, 4, 129))
 
 
 def test_top_row_counts_when_the_bottom_row_is_outside():
